@@ -1,27 +1,17 @@
-"""Group-route propagation dynamics and convergence-engine speedup.
+"""Group-route propagation dynamics.
 
 When MASC hands a fresh range to BGP, the range's group route must
 reach every border router before BGMP can root trees in it everywhere
-(section 4.2's glue role). The first bench measures the convergence
-time and UPDATE traffic of one group-route origination as the
-internetwork grows; time should track the topology diameter (times
-the link delay), not the domain count.
+(section 4.2's glue role). The bench measures the convergence time
+and UPDATE traffic of one group-route origination as the internetwork
+grows; time should track the topology diameter (times the link
+delay), not the domain count.
 
-The second bench is the standing perf gate for the incremental
-dirty-set convergence engine: the fig2-style steady-state churn
-workload on a 100+-domain AS graph must run >=3x faster on the
-incremental engine than on the full-recompute seed engine (CI fails
-below 3.0x; measured runs land near 6.7x, so the floor is the paper
-target itself with the surplus as regression budget), with
-byte-identical fingerprints across >=5 seeds. The run writes
-``BENCH_convergence.json`` at the repo root so the speedup trajectory
-is tracked in-tree.
+Convergence-engine speed is gated in absolute numbers by
+``BENCHMARK.json`` (``root_flap``; see ``bench/README.md``).
 """
 
-import json
-import os
 import random
-from pathlib import Path
 
 from conftest import emit, paper_scale
 
@@ -31,8 +21,6 @@ from repro.bgp.events import EventDrivenBgp
 from repro.bgp.routes import RouteType
 from repro.sim.engine import Simulator
 from repro.topology.generators import as_graph
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 PREFIX = Prefix.parse("226.4.0.0/16")
 DELAY = 0.05
@@ -98,52 +86,3 @@ def test_bench_convergence(benchmark):
     small_time = outcomes[node_counts[0]][0]
     large_time = outcomes[node_counts[-1]][0]
     assert large_time < small_time * 6
-
-
-def test_bench_incremental_engine_speedup(benchmark):
-    from repro.experiments.bench import (
-        ConvergenceBenchConfig,
-        run_convergence_bench,
-        run_fig4_sweep_bench,
-        write_convergence_report,
-    )
-
-    config = ConvergenceBenchConfig()
-    result = benchmark.pedantic(
-        run_convergence_bench, args=(config,), rounds=1, iterations=1
-    )
-    fig4 = run_fig4_sweep_bench()
-    payload = write_convergence_report(
-        result, REPO_ROOT / "BENCH_convergence.json", fig4=fig4
-    )
-    emit(
-        "Incremental vs full convergence engine "
-        f"({config.domains} domains, {config.flaps} flaps/seed)",
-        format_table(
-            ("seed", "full s", "incremental s", "speedup", "identical"),
-            result.rows(),
-        )
-        + f"\noverall speedup: {result.speedup:.2f}x"
-        + f"\nfig4 sweep speedup: {fig4.speedup:.2f}x"
-        + f"\nreport: {json.dumps(payload['speedup'])}x recorded",
-    )
-    # Determinism contract: both engines byte-identical on every seed.
-    assert result.identical
-    assert fig4.identical
-    assert len(result.per_seed) >= 5
-    assert config.domains >= 100
-    # Perf gate: the full 3x target (measured ~6.7x, so the surplus
-    # is the regression budget).
-    assert result.speedup >= 3.0, (
-        f"incremental engine speedup regressed: {result.speedup:.2f}x"
-    )
-    # Perf gate for the persistent worker pool: the fig4 sweep must
-    # fan out >=2.5x when there are cores to fan out over. Fingerprint
-    # identity (fig4.identical above) is asserted unconditionally; the
-    # speedup floor only applies where parallelism is physically
-    # available.
-    if (os.cpu_count() or 1) >= 4:
-        assert fig4.speedup >= 2.5, (
-            f"fig4 parallel sweep speedup regressed: "
-            f"{fig4.speedup:.2f}x"
-        )

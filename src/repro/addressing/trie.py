@@ -346,8 +346,8 @@ class LpmTrie:
     def covered(self, prefix: Prefix) -> List[Tuple[Prefix, Any]]:
         """All stored entries whose prefix lies inside ``prefix``.
 
-        This is the reverse-dependency query of the incremental BGMP
-        engine: a G-RIB delta on a group range invalidates exactly the
+        This is the reverse-dependency query of BGMP tree maintenance:
+        a G-RIB delta on a group range invalidates exactly the
         (more-specific) group prefixes registered under it. Includes an
         entry stored under ``prefix`` itself. Sorted by (network,
         length) so iteration order is deterministic.

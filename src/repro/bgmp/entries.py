@@ -127,8 +127,8 @@ class ForwardingTable:
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, Optional[Domain]], ForwardingEntry] = {}
         #: Optional change hook, called with ``(group, created)`` when
-        #: an entry appears (True) or disappears (False). The
-        #: incremental maintenance engine uses it to keep its
+        #: an entry appears (True) or disappears (False).
+        #: :class:`~repro.bgmp.network.BgmpNetwork` uses it to keep its
         #: group registry and dirty set in lockstep with the state the
         #: repair pass must revisit; ``None`` costs nothing.
         self.on_change: Optional[Callable[[int, bool], None]] = None

@@ -128,7 +128,6 @@ class BgmpNetwork:
         migp_selector: Optional[Callable[[Domain], str]] = None,
         auto_unicast: bool = True,
         auto_source_branches: bool = False,
-        incremental: bool = True,
     ):
         #: Section 5.3's data-driven option: when a delivery had to be
         #: encapsulated (dense-mode RPF mismatch), the decapsulating
@@ -137,21 +136,7 @@ class BgmpNetwork:
         #: natively.
         self.auto_source_branches = auto_source_branches
         self.topology = topology
-        self.bgp = (
-            bgp
-            if bgp is not None
-            else BgpNetwork(topology, incremental=incremental)
-        )
-        #: Tree-maintenance engine selection. The incremental engine
-        #: subscribes to the BGP layer's G-RIB delta stream, keeps a
-        #: reverse index from covering group prefix to the groups with
-        #: forwarding state under it, and restricts every repair phase
-        #: to the dirty groups those deltas (plus entry churn and
-        #: broken-join notes) invalidated. The full engine
-        #: (``incremental=False``) walks every tree on every repair.
-        #: Both run the identical join/prune mechanics in the identical
-        #: order, so digests and traces are byte-identical.
-        self.incremental = incremental
+        self.bgp = bgp if bgp is not None else BgpNetwork(topology)
         #: Telemetry sink shared with the per-router components (assign
         #: a real Tracer to trace joins, prunes, sends, and repairs).
         self.tracer = NULL_TRACER
@@ -194,11 +179,14 @@ class BgmpNetwork:
         self._router_order: List[BorderRouter] = sorted(
             self._routers, key=lambda r: (r.domain.domain_id, r.name)
         )
-        #: Reverse dependency index: every group that ever acquired
-        #: membership or forwarding state is registered as a /32 under
-        #: its address, so ``covered(delta.prefix)`` yields exactly the
-        #: groups a G-RIB change can re-anchor. Monotone — a stale
-        #: registration only costs a no-op repair visit.
+        #: Tree maintenance restricts every repair phase to the dirty
+        #: groups that G-RIB deltas (subscribed below), entry churn and
+        #: broken-join notes invalidated. Reverse dependency index:
+        #: every group that ever acquired membership or forwarding
+        #: state is registered as a /32 under its address, so
+        #: ``covered(delta.prefix)`` yields exactly the groups a G-RIB
+        #: change can re-anchor. Monotone — a stale registration only
+        #: costs a no-op repair visit.
         self._group_index = LpmTrie()
         self._registered_groups: Set[int] = set()
         self._dirty_groups: Set[int] = set()
@@ -208,10 +196,9 @@ class BgmpNetwork:
         #: Delta-stream counters (exported by trace.collect_metrics).
         self.grib_deltas_seen = 0
         self.groups_invalidated = 0
-        if incremental:
-            self.bgp.subscribe_grib(self)
-            for bgmp in self._routers.values():
-                bgmp.table.on_change = bgmp.entry_changed
+        self.bgp.subscribe_grib(self)
+        for bgmp in self._routers.values():
+            bgmp.table.on_change = bgmp.entry_changed
         if auto_unicast:
             self._originate_unicast()
 
@@ -246,7 +233,7 @@ class BgmpNetwork:
         return self.bgp.converge()
 
     # ------------------------------------------------------------------
-    # G-RIB delta subscription (the incremental engine's inputs)
+    # G-RIB delta subscription (the repair engine's inputs)
 
     def grib_deltas(self, deltas: List[GribDelta]) -> None:
         """BGP subscriber hook: a batch of G-RIB changes landed.
@@ -288,9 +275,8 @@ class BgmpNetwork:
         """A join could not reach its upstream (dead session or exit
         router): the entry is parentless until repair, so the group
         must stay dirty even though no G-RIB delta will point at it."""
-        if self.incremental:
-            self._register_group(group)
-            self._dirty_groups.add(group)
+        self._register_group(group)
+        self._dirty_groups.add(group)
 
     def _entry_changed(
         self, bgmp: BgmpRouter, group: int, created: bool
@@ -346,22 +332,19 @@ class BgmpNetwork:
         return self._member_masks.get(group, 0)
 
     def _register_group(self, group: int) -> None:
-        if not self.incremental or group in self._registered_groups:
+        if group in self._registered_groups:
             return
         self._registered_groups.add(group)
         self._group_index.insert(Prefix(group, 32), group)
 
     def dirty_group_count(self) -> int:
-        """Groups currently awaiting an incremental repair visit."""
+        """Groups currently awaiting a repair visit."""
         return len(self._dirty_groups)
 
     def _collect_dirty(self) -> Optional[Set[int]]:
         """Drain the dirty set for one repair pass (pulling any deltas
         still buffered in the BGP layer first). ``None`` means "walk
-        everything" — the full engine always, the incremental engine
-        only after a continuity loss."""
-        if not self.incremental:
-            return None
+        everything" — only after a continuity loss."""
         self.bgp.flush_grib_deltas()
         if self._force_full_repair:
             self._force_full_repair = False
@@ -382,8 +365,8 @@ class BgmpNetwork:
         root domain changes from the parent to the child, the paper's
         "addresses could be obtained from the parent's address space"
         case) or a route is withdrawn. Iterates until stable; returns
-        the number of parent migrations performed. The incremental
-        engine visits only dirty groups; the result is identical
+        the number of parent migrations performed. Only dirty groups
+        are visited; the result is identical to walking every tree
         because :meth:`~repro.bgmp.router.BgmpRouter.update_parent` is
         a no-op wherever the G-RIB did not move.
         """
@@ -391,7 +374,7 @@ class BgmpNetwork:
 
     #: Dirty sets up to this size refresh through the per-group router
     #: bitmasks (O(routers x dirty) integer tests); larger ones walk
-    #: the tables directly like the full engine. Both paths act on the
+    #: the tables directly like the full walk. Both paths act on the
     #: identical (router, group) sequence, so the cutover is invisible
     #: to fingerprints.
     _MASK_WALK_LIMIT = 64
@@ -400,13 +383,9 @@ class BgmpNetwork:
         self, dirty: Optional[Set[int]], max_rounds: int
     ) -> int:
         """One refresh fixpoint over all groups (``dirty is None``) or
-        the given dirty set — the single code path both engines share.
+        the given dirty set.
         """
-        if (
-            self.incremental
-            and dirty is not None
-            and len(dirty) <= self._MASK_WALK_LIMIT
-        ):
+        if dirty is not None and len(dirty) <= self._MASK_WALK_LIMIT:
             return self._refresh_walk_masked(sorted(dirty), max_rounds)
         migrations = 0
         for _ in range(max_rounds):
@@ -525,11 +504,12 @@ class BgmpNetwork:
         too), then re-join every member domain left off-tree — by the
         fault, or by that pruning. Returns repair counters.
 
-        The incremental engine runs the same three phases restricted
-        to the dirty groups its G-RIB delta subscription, forwarding
-        entry churn, and broken-join notes accumulated; every acting
-        operation happens in the same order as the full walk, so the
-        two engines differ only in how many no-op entries they skip.
+        The three phases are restricted to the dirty groups the G-RIB
+        delta subscription, forwarding entry churn, and broken-join
+        notes accumulated; every acting operation happens in the same
+        order as a walk over every tree (the fallback after a
+        continuity loss), which differs only in the no-op entries it
+        does not skip.
         """
         with self.tracer.span("bgmp.repair", layer="bgmp") as span:
             dirty = self._collect_dirty()
@@ -971,7 +951,7 @@ class BgmpNetwork:
 
     def forwarding_digest_uncached(self) -> str:
         """The digest recomputed from scratch, bypassing the per-router
-        cache — the reference the incremental path must always match."""
+        cache — the reference the cached path must always match."""
         lines: List[str] = []
         for router in self._router_order:
             lines.extend(self._digest_lines(router))

@@ -43,13 +43,7 @@ class EventDrivenBgp(BgpNetwork):
         internal_delay: float = 0.01,
         mrai: float = 0.0,
     ):
-        # The event layer mutates speakers and recomputes outside
-        # try_converge, so the incremental bookkeeping would go stale —
-        # always run on the full engine.
-        super().__init__(
-            topology, policy=policy, aggregate=aggregate,
-            incremental=False,
-        )
+        super().__init__(topology, policy=policy, aggregate=aggregate)
         self.sim = sim
         self.external_delay = external_delay
         self.internal_delay = internal_delay

@@ -7,16 +7,15 @@ Loc-RIB is stable. Aggregation of covered customer group routes
 (section 4.3.2 of the paper) is applied at the domain's external
 border.
 
-Two propagation engines share one code path. The default *incremental*
-engine tracks which speakers' inputs changed (dirty sets fed by
-:class:`~repro.bgp.speaker.BgpSpeaker` mutation hooks) and only those
-speakers export; the *full* engine (``incremental=False``) exports
-from every speaker each round. Both gate every directed session on the
-cached last-sent advertisement set, so an unchanged set sends nothing
-— which makes the two engines produce identical rounds, Loc-RIBs,
-update counts, and trace fingerprints (see
-``docs/ARCHITECTURE.md`` section 8 and
-``tests/bgp/test_incremental_equivalence.py``).
+The propagation engine tracks which speakers' inputs changed (dirty
+sets fed by :class:`~repro.bgp.speaker.BgpSpeaker` mutation hooks) and
+only those speakers recompute and export. Every directed session is
+gated on the cached last-sent advertisement set, so an unchanged set
+sends nothing — which is why treating *every* speaker as dirty walks
+the identical rounds, Loc-RIBs and update counts, the property
+``tests/bgp/test_incremental_equivalence.py`` checks against the
+recompute-everything oracle in ``tests/conftest.py`` (see
+``docs/ARCHITECTURE.md`` section 8).
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ class GribDelta:
     best route for the prefix was replaced — next hop, AS path or
     preference moved). Deltas are emitted from the content comparison
     inside :meth:`~repro.bgp.rib.LocRib.replace`, so a recompute that
-    lands on identical contents emits nothing, and both propagation
-    engines emit the identical delta stream.
+    lands on identical contents emits nothing.
     """
 
     router: BorderRouter
@@ -93,17 +91,10 @@ class BgpNetwork:
         topology: Topology,
         policy: Optional[ExportPolicy] = None,
         aggregate: bool = True,
-        incremental: bool = True,
     ):
         self.topology = topology
         self.policy = policy if policy is not None else GaoRexfordPolicy()
         self.aggregate = aggregate
-        #: Engine selection: the incremental engine only recomputes and
-        #: exports from speakers whose inputs changed; the full engine
-        #: walks every speaker every round. Subclasses that mutate
-        #: speaker state behind the network's back (e.g. the
-        #: event-driven variant) must pass ``incremental=False``.
-        self.incremental = incremental
         self.speakers: Dict[BorderRouter, BgpSpeaker] = {}
         #: Telemetry sink (assign a real Tracer to trace convergence).
         self.tracer = NULL_TRACER
@@ -139,7 +130,7 @@ class BgpNetwork:
             Domain, Dict[RouteType, List[Prefix]]
         ] = {}
         self._origin_index: Optional[LpmTrie] = None
-        #: G-RIB delta subscribers (e.g. the incremental BGMP engine)
+        #: G-RIB delta subscribers (the BGMP tree-maintenance engine)
         #: and the deltas accumulated since the last flush. Capture is
         #: fully off — no snapshots, no diffs — until the first
         #: subscriber registers.
@@ -190,14 +181,14 @@ class BgpNetwork:
         for speaker in self.speakers.values():
             self._dirty.add(speaker)
             self._export_dirty.add(speaker)
-        # Delta subscribers cannot trust an incremental stream across a
-        # topology mutation: tell them to treat everything as changed.
+        # Delta subscribers cannot trust the stream across a topology
+        # mutation: tell them to treat everything as changed.
         self._pending_grib_deltas.clear()
         for subscriber in self._grib_subscribers:
             subscriber.grib_reset()
 
     # ------------------------------------------------------------------
-    # G-RIB delta stream (consumed by the incremental BGMP engine)
+    # G-RIB delta stream (consumed by the BGMP engine)
 
     def subscribe_grib(self, subscriber) -> None:
         """Register a G-RIB delta consumer.
@@ -433,14 +424,12 @@ class BgpNetwork:
         decision process. Crashed routers and down sessions carry
         nothing — their routes were withdrawn when the fault hit.
 
-        The incremental engine seeds the exporter set from the dirty
-        sets fed by speaker mutation hooks and thereafter from the
-        speakers whose Loc-RIBs changed in the previous round; the full
-        engine exports from everyone every round. A speaker whose
-        inputs did not change recomputes to an identical Loc-RIB and
-        exports identical (suppressed) sets, so both engines walk the
-        same sequence of delivered updates, changed Loc-RIBs, and
-        rounds.
+        The exporter set is seeded from the dirty sets fed by speaker
+        mutation hooks and thereafter from the speakers whose Loc-RIBs
+        changed in the previous round. A speaker whose inputs did not
+        change would recompute to an identical Loc-RIB and export
+        identical (suppressed) sets, so skipping it changes neither
+        the delivered updates nor the round count.
         """
         ordered = [
             self.speakers[r]
@@ -448,26 +437,20 @@ class BgpNetwork:
             if self.router_up(r)
         ]
         rank = {speaker: index for index, speaker in enumerate(ordered)}
-        incremental = self.incremental
         tracer = self.tracer
         self._muted = True
         try:
             with tracer.span(
                 "bgp.converge", layer="bgp", speakers=len(ordered)
             ) as span:
-                if incremental:
-                    exporters = [
-                        s for s in ordered if s in self._export_dirty
-                    ]
-                    self._export_dirty.difference_update(exporters)
-                    for speaker in exporters:
-                        if speaker in self._dirty:
-                            speaker.recompute()
-                            self._dirty.discard(speaker)
-                else:
-                    for speaker in ordered:
+                exporters = [
+                    s for s in ordered if s in self._export_dirty
+                ]
+                self._export_dirty.difference_update(exporters)
+                for speaker in exporters:
+                    if speaker in self._dirty:
                         speaker.recompute()
-                    exporters = ordered
+                        self._dirty.discard(speaker)
                 for round_index in range(1, max_rounds + 1):
                     round_updates = 0
                     receivers: Set[BgpSpeaker] = set()
@@ -491,14 +474,11 @@ class BgpNetwork:
                             receivers.add(receiver)
                             round_updates += 1
                     self.updates_sent += round_updates
-                    recompute = (
-                        sorted(receivers, key=rank.__getitem__)
-                        if incremental
-                        else ordered
-                    )
                     changed = [
                         speaker
-                        for speaker in recompute
+                        for speaker in sorted(
+                            receivers, key=rank.__getitem__
+                        )
                         if speaker.recompute()
                     ]
                     if tracer.enabled:
@@ -513,12 +493,11 @@ class BgpNetwork:
                             status="converged", rounds=round_index
                         )
                         return ConvergenceResult(True, round_index)
-                    exporters = changed if incremental else ordered
-                if incremental:
-                    # Budget exhausted mid-flight: remember who still
-                    # has unexported changes so the next attempt
-                    # resumes instead of silently dropping them.
-                    self._export_dirty.update(exporters)
+                    exporters = changed
+                # Budget exhausted mid-flight: remember who still has
+                # unexported changes so the next attempt resumes
+                # instead of silently dropping them.
+                self._export_dirty.update(exporters)
                 span.finish(status="budget-exhausted", rounds=max_rounds)
                 return ConvergenceResult(False, max_rounds)
         finally:
@@ -691,7 +670,7 @@ class BgpNetwork:
 
     def rib_digest(self) -> str:
         """SHA-256 over every live Loc-RIB in canonical order — the
-        fingerprint the equivalence tests compare across engines."""
+        fingerprint the equivalence tests compare against the oracle."""
         digest = hashlib.sha256()
         for router in self._ordered_routers():
             speaker = self.speakers[router]

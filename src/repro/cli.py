@@ -9,13 +9,12 @@ a shell:
 - ``trace`` — an instrumented run (fig2, fig4, or a chaos scenario)
   exporting span traces, a Chrome ``trace_event`` file, and a unified
   metrics snapshot.
-- ``bench`` — the standing perf workloads, selected with ``--suite``:
-  incremental-vs-full BGP convergence plus the parallel fig4 seed
-  sweep (``convergence``), the incremental-vs-full-walk BGMP
-  membership-churn workload (``bgmp-churn``), or ``all``; printed as
-  comparison tables and optionally written to ``BENCH_*.json``.
+- ``bench`` — the internet-scale churn workload swept serially and
+  through the worker pool, printed as a comparison table and
+  optionally written to a schema-checked JSON report (``--json``).
   Fingerprint divergence or a ``--min-speedup`` gate miss exits
-  nonzero with a one-line verdict on stderr.
+  nonzero with a one-line verdict on stderr. (Layer-by-layer
+  performance is ``bench/run.py`` against ``BENCHMARK.json``.)
 - ``soak`` — crash-resumable checkpointed chaos: ``soak run`` writes a
   full-world checkpoint at every segment boundary, ``soak resume``
   continues after a crash from the latest one (fingerprints are
@@ -272,206 +271,92 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.bgp.network import ConvergenceError
+    from repro.experiments.internet import (
+        InternetConfig,
+        profile_top,
+        run_internet_bench,
+        write_internet_report,
+    )
 
-    identical = True
-    failures: List[str] = []
-
-    if args.suite in ("convergence", "all"):
-        from repro.experiments.bench import (
-            ConvergenceBenchConfig,
-            run_convergence_bench,
-            run_fig4_sweep_bench,
-            write_convergence_report,
-        )
-
-        config = ConvergenceBenchConfig(
-            domains=args.domains,
-            flaps=args.flaps,
-            seeds=tuple(range(args.seeds)),
-        )
-        log.info(
-            "bench: convergence churn, %d domains, %d flaps, %d seeds",
-            config.domains, config.flaps, len(config.seeds),
-        )
+    report_path = Path(args.json) if args.json else None
+    if report_path is not None:
+        # The suite takes minutes at full scale: refuse an unwritable
+        # report path before the run, not after it.
         try:
-            result = run_convergence_bench(config)
-        except (ConvergenceError, ValueError) as error:
-            log.error("bench: convergence suite failed: %s", error)
+            with report_path.open("a"):
+                pass
+        except OSError as error:
+            log.error("bench: cannot write report: %s", error)
             return 2
-        identical = identical and result.identical
-        if args.min_speedup and result.speedup < args.min_speedup:
-            failures.append(
-                f"convergence speedup {result.speedup:.2f}x below "
-                f"--min-speedup gate {args.min_speedup:.2f}x"
-            )
-        print(f"convergence churn ({config.domains} domains, "
-              f"{config.flaps} flaps per seed)")
+
+    config = InternetConfig(
+        domains=args.internet_domains,
+        group_domains=args.internet_group_domains,
+        groups_per_domain=args.internet_groups_per_domain,
+        churn_per_phase=args.internet_churn,
+    )
+    log.info(
+        "bench: internet-scale churn, %d domains, %d groups, "
+        "%d seeds",
+        config.domains, config.total_groups, args.internet_seeds,
+    )
+    try:
+        internet = run_internet_bench(
+            config,
+            seeds=tuple(range(args.internet_seeds)),
+            profile=args.profile,
+        )
+    except (ConvergenceError, ValueError) as error:
+        log.error("bench: internet suite failed: %s", error)
+        return 2
+    print(f"internet-scale churn ({config.domains} "
+          f"domains, {config.total_groups} groups, "
+          f"{config.phases} flap+fault phases per seed, "
+          f"pool of {internet.pool_processes})")
+    print(
+        format_table(
+            ("seed", "serial s", "pooled s", "events", "entries",
+             "identical"),
+            internet.rows(),
+        )
+    )
+    print()
+    print(f"pooled speedup: {internet.speedup:.2f}x  "
+          f"fingerprints identical: {internet.identical}")
+    if internet.profile is not None:
+        print()
+        print("hottest callbacks (serial arm, seed "
+              f"{internet.seeds[0]})")
         print(
             format_table(
-                ("seed", "full s", "incremental s", "speedup",
-                 "identical"),
-                result.rows(),
+                ("callback", "events", "total s", "mean s",
+                 "p99 s"),
+                profile_top(internet.profile),
             )
         )
-        print()
-        print(f"overall speedup: {result.speedup:.2f}x  "
-              f"fingerprints identical: {result.identical}")
-
-        fig4 = None
-        if not args.skip_fig4:
-            log.info("bench: fig4 sweep, %d nodes", args.nodes)
-            fig4 = run_fig4_sweep_bench(node_count=args.nodes)
-            print()
-            print("fig4 multi-seed sweep (serial vs parallel runner)")
-            print(
-                format_table(
-                    ("seeds", "serial s", "parallel s", "speedup",
-                     "identical"),
-                    [(
-                        len(fig4.seeds),
-                        fig4.serial_seconds,
-                        fig4.parallel_seconds,
-                        fig4.speedup,
-                        "yes" if fig4.identical else "NO",
-                    )],
-                )
-            )
-        if args.json:
-            path = Path(args.json)
-            write_convergence_report(result, path, fig4=fig4)
-            print()
-            print(f"report: {path}")
-
-    if args.suite in ("bgmp-churn", "all"):
-        from repro.experiments.churn import (
-            ChurnConfig,
-            run_bgmp_churn_bench,
-            write_churn_report,
-        )
-
-        churn_config = ChurnConfig(domains=args.domains)
-        log.info(
-            "bench: bgmp churn, %d domains, %d groups, %d seeds",
-            churn_config.domains, churn_config.total_groups,
-            args.churn_seeds,
-        )
+    if report_path is not None:
         try:
-            churn = run_bgmp_churn_bench(
-                churn_config, seeds=tuple(range(args.churn_seeds))
-            )
-        except (ConvergenceError, ValueError) as error:
-            log.error("bench: bgmp-churn suite failed: %s", error)
+            write_internet_report(internet, report_path)
+        except OSError as error:
+            log.error("bench: cannot write report: %s", error)
             return 2
-        identical = identical and churn.identical
-        if args.min_speedup and churn.speedup < args.min_speedup:
-            failures.append(
-                f"bgmp-churn speedup {churn.speedup:.2f}x below "
-                f"--min-speedup gate {args.min_speedup:.2f}x"
-            )
-        if args.suite == "all":
-            print()
-        print(f"bgmp membership churn ({churn_config.domains} domains, "
-              f"{churn_config.total_groups} groups, "
-              f"{churn_config.flaps} flaps per seed)")
-        print(
-            format_table(
-                ("seed", "full s", "incremental s", "speedup",
-                 "identical"),
-                churn.rows(),
-            )
-        )
         print()
-        print(f"overall speedup: {churn.speedup:.2f}x  "
-              f"fingerprints identical: {churn.identical}")
-        if args.json:
-            path = Path(args.json)
-            if args.suite == "all":
-                path = path.with_name(
-                    path.stem + "_bgmp_churn" + path.suffix
-                )
-            write_churn_report(churn, path)
-            print()
-            print(f"report: {path}")
-
-    if args.suite in ("internet", "all"):
-        from repro.experiments.internet import (
-            InternetConfig,
-            profile_top,
-            run_internet_bench,
-            write_internet_report,
-        )
-
-        internet_config = InternetConfig(
-            domains=args.internet_domains,
-            group_domains=args.internet_group_domains,
-            groups_per_domain=args.internet_groups_per_domain,
-            churn_per_phase=args.internet_churn,
-        )
-        log.info(
-            "bench: internet-scale churn, %d domains, %d groups, "
-            "%d seeds",
-            internet_config.domains, internet_config.total_groups,
-            args.internet_seeds,
-        )
-        try:
-            internet = run_internet_bench(
-                internet_config,
-                seeds=tuple(range(args.internet_seeds)),
-                profile=args.profile,
-            )
-        except (ConvergenceError, ValueError) as error:
-            log.error("bench: internet suite failed: %s", error)
-            return 2
-        identical = identical and internet.identical
-        if args.min_speedup and internet.speedup < args.min_speedup:
-            failures.append(
-                f"internet pooled speedup {internet.speedup:.2f}x "
-                f"below --min-speedup gate {args.min_speedup:.2f}x"
-            )
-        if args.suite == "all":
-            print()
-        print(f"internet-scale churn ({internet_config.domains} "
-              f"domains, {internet_config.total_groups} groups, "
-              f"{internet_config.phases} flap+fault phases per seed, "
-              f"pool of {internet.pool_processes})")
-        print(
-            format_table(
-                ("seed", "serial s", "pooled s", "events", "entries",
-                 "identical"),
-                internet.rows(),
-            )
-        )
-        print()
-        print(f"pooled speedup: {internet.speedup:.2f}x  "
-              f"fingerprints identical: {internet.identical}")
-        if internet.profile is not None:
-            print()
-            print("hottest callbacks (serial arm, seed "
-                  f"{internet.seeds[0]})")
-            print(
-                format_table(
-                    ("callback", "events", "total s", "mean s",
-                     "p99 s"),
-                    profile_top(internet.profile),
-                )
-            )
-        if args.json:
-            path = Path(args.json)
-            if args.suite == "all":
-                path = path.with_name(
-                    path.stem + "_internet" + path.suffix
-                )
-            write_internet_report(internet, path)
-            print()
-            print(f"report: {path}")
+        print(f"report: {report_path}")
 
     # Exit-code contract: perf-gate or fingerprint failures produce a
     # one-line readable verdict on stderr and a nonzero exit, never an
     # unhandled traceback.
-    if not identical:
+    failures: List[str] = []
+    if args.min_speedup and internet.speedup < args.min_speedup:
         failures.append(
-            "fingerprint divergence between engines (same seed, "
-            "different digests — see the 'identical' column above)"
+            f"internet pooled speedup {internet.speedup:.2f}x "
+            f"below --min-speedup gate {args.min_speedup:.2f}x"
+        )
+    if not internet.identical:
+        failures.append(
+            "fingerprint divergence between the serial and pooled "
+            "sweeps (same seed, different digests — see the "
+            "'identical' column above)"
         )
     for failure in failures:
         log.error("bench FAILED: %s", failure)
@@ -869,26 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="perf workloads: convergence engines, bgmp churn, "
-             "parallel sweep",
+        help="internet-scale churn workload, serial vs pooled sweep",
     )
-    bench.add_argument("--suite",
-                       choices=("convergence", "bgmp-churn", "internet",
-                                "all"),
-                       default="convergence",
-                       help="which standing bench to run")
-    bench.add_argument("--domains", type=int, default=100,
-                       help="bench topology size (both suites)")
-    bench.add_argument("--flaps", type=int, default=3,
-                       help="withdraw/re-originate cycles per seed")
-    bench.add_argument("--seeds", type=int, default=5,
-                       help="number of seeds (0..N-1)")
-    bench.add_argument("--nodes", type=int, default=400,
-                       help="fig4 sweep topology size")
-    bench.add_argument("--churn-seeds", type=int, default=3,
-                       help="bgmp-churn: number of seeds (0..N-1)")
-    bench.add_argument("--skip-fig4", action="store_true",
-                       help="run only the convergence bench")
     bench.add_argument("--internet-domains", type=int, default=3326,
                        help="internet: AS-graph size (route-views "
                             "scale by default)")
@@ -908,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--json", default="",
                        help="also write the JSON report to this path")
     bench.add_argument("--min-speedup", type=float, default=0.0,
-                       help="perf gate: fail (exit 1) when a suite's "
+                       help="perf gate: fail (exit 1) when the pooled "
                             "speedup lands below this factor")
     bench.set_defaults(func=_cmd_bench)
 

@@ -12,9 +12,11 @@ One module per figure:
 Each driver returns structured results and can render the series as a
 text table; the ``benchmarks/`` suite wires them into pytest-benchmark.
 Multi-seed sweeps (``run_figure2_seeds`` / ``run_figure4_seeds``) fan
-out over :mod:`repro.experiments.runner` with a deterministic merge,
-and :mod:`repro.experiments.bench` holds the standing perf workloads
-behind ``python -m repro bench`` and the CI perf job.
+out over :mod:`repro.experiments.runner` with a deterministic merge.
+:mod:`repro.experiments.churn` and :mod:`repro.experiments.internet`
+are the whole-stack workloads (the latter is ``python -m repro
+bench``); performance is measured by ``bench/`` against
+``BENCHMARK.json``.
 """
 
 from repro.experiments.fig2 import (

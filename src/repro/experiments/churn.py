@@ -1,24 +1,20 @@
 """Membership-churn workload over the full MIGP -> BGMP -> G-RIB stack.
 
-The convergence bench (:mod:`repro.experiments.bench`) exercises the
-BGP layer alone; this module drives the whole architecture: hundreds
-to thousands of groups with seeded join/leave/source-arrival processes
-over an AS-graph internetwork, punctuated by *root flaps* — a group
+This module drives the whole architecture: hundreds to thousands of
+groups with seeded join/leave/source-arrival processes over an
+AS-graph internetwork, punctuated by *root flaps* — a group
 domain withdraws its claimed /20, so every tree under it re-anchors to
 the covering range's root domain, then re-anchors back when the /20
 returns (the paper's "addresses could be obtained from the parent's
 address space" dynamics under failure).
 
-The same seeded schedule runs on the incremental tree-maintenance
-engine and on the full-walk engine (``BgmpNetwork(incremental=...)``),
-over an identical BGP substrate, and everything observable — repair
-counters, per-flap forwarding digests, delivery counts, control
-traffic — must be byte-identical; only the wall-clock differs. That
-comparison is the ``bgmp-churn`` bench recorded in
-``BENCH_bgmp_churn.json``.
-
-Wall-clock timing is inherently nondeterministic; the timings stay in
-bench artifacts and never feed simulation state.
+Everything observable — repair counters, per-flap forwarding digests,
+delivery counts, control traffic — is a function of (config, seed)
+alone and is folded into :meth:`ChurnRunResult.fingerprint`, which the
+determinism tests pin across processes and the equivalence tests
+compare against the recompute-everything oracle. Wall-clock timing is
+inherently nondeterministic; it stays in the result's ``seconds`` and
+never feeds simulation state.
 """
 
 from __future__ import annotations
@@ -28,13 +24,11 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.bgp.network import BgpNetwork
 from repro.experiments.runner import parallel_map
 from repro.topology.network import Topology
 from repro.trace.metrics import collect_metrics
@@ -69,9 +63,8 @@ class ChurnConfig:
     flaps: int = 2
     #: A periodic maintenance sweep (``repair_trees``) runs after every
     #: this-many churn events — the steady-state timer-driven tree
-    #: verification the paper's soft-state refresh implies. These
-    #: sweeps are where full-walk and incremental maintenance diverge
-    #: most: membership churn dirties only the touched groups.
+    #: verification the paper's soft-state refresh implies: between
+    #: flaps, membership churn dirties only the touched groups.
     maintain_every: int = 3
 
     @property
@@ -94,7 +87,7 @@ def build_churn_topology(seed: int, domains: int) -> Topology:
 def build_churn_schedule(
     config: ChurnConfig, seed: int
 ) -> List[Tuple]:
-    """The seeded, engine-independent event schedule.
+    """The seeded event schedule.
 
     Events are plain tuples (picklable, comparable):
 
@@ -166,10 +159,9 @@ def schedule_digest(schedule: Sequence[Tuple]) -> str:
 
 @dataclass
 class ChurnRunResult:
-    """One engine's run over one seed's churn schedule."""
+    """One run over one seed's churn schedule."""
 
     seed: int
-    incremental: bool
     seconds: float
     schedule_sha: str
     #: (migrations, rejoined, pruned) for every repair pass, in order.
@@ -182,14 +174,14 @@ class ChurnRunResult:
     state_size: int
     joins_sent: int
     prunes_sent: int
-    #: Full labelled metrics snapshot (engine-specific: includes the
-    #: dirty-set counters, so it is compared across *processes*, not
-    #: across engines).
+    #: Full labelled metrics snapshot (includes the dirty-set
+    #: counters, so it is compared across *processes*, not against the
+    #: walk-everything oracle).
     metrics_json: str = ""
 
     def fingerprint(self) -> Tuple:
-        """Everything that must match across engines (not the time,
-        not the engine-specific metrics)."""
+        """Everything that must match across runs and against the
+        oracle (not the time, not the dirty-set metrics)."""
         return (
             self.schedule_sha,
             tuple(self.repairs),
@@ -203,22 +195,14 @@ class ChurnRunResult:
         )
 
 
-def run_churn_workload(
-    config: ChurnConfig, seed: int, incremental: bool
-) -> ChurnRunResult:
-    """Run one seeded churn schedule on one tree-maintenance engine.
+def run_churn_workload(config: ChurnConfig, seed: int) -> ChurnRunResult:
+    """Run one seeded churn schedule.
 
-    The BGP substrate always runs the incremental convergence engine,
-    so the two arms differ *only* in BGMP tree maintenance; setup
-    (originations, initial joins, the draining repair) is untimed and
-    the clock covers exactly the churn + flap/repair loop.
+    Setup (originations, initial joins, the draining repair) is
+    untimed and the clock covers exactly the churn + flap/repair loop.
     """
     topology = build_churn_topology(seed, config.domains)
-    network = BgmpNetwork(
-        topology,
-        bgp=BgpNetwork(topology, incremental=True),
-        incremental=incremental,
-    )
+    network = BgmpNetwork(topology)
     covering_domain = topology.domains[0]
     network.originate_group_range(covering_domain, COVERING_RANGE)
     group_domains = topology.domains[1 : 1 + config.group_domains]
@@ -240,7 +224,7 @@ def run_churn_workload(
             topology.domains[domain_index].host(host), group
         )
     # Drain the dirty set the setup joins accumulated so the timed
-    # loop starts from the same steady state on both engines.
+    # loop starts from a repaired steady state.
     network.repair_trees()
 
     repairs: List[Tuple[int, int, int]] = []
@@ -294,7 +278,6 @@ def run_churn_workload(
     metrics = collect_metrics(bgp=network.bgp, bgmp=network)
     return ChurnRunResult(
         seed=seed,
-        incremental=incremental,
         seconds=seconds,
         schedule_sha=sha,
         repairs=repairs,
@@ -313,142 +296,14 @@ def run_churn_workload(
     )
 
 
-def _churn_seed_worker(
-    config: ChurnConfig, incremental: bool, seed: int
-) -> ChurnRunResult:
-    """Top-level (picklable) per-seed worker for the parallel runner."""
-    return run_churn_workload(config, seed, incremental)
-
-
 def run_churn_seeds(
     seeds: Sequence[int],
     config: Optional[ChurnConfig] = None,
-    incremental: bool = True,
     processes: Optional[int] = None,
 ) -> List[ChurnRunResult]:
     """Run the churn workload across seeds through the parallel
     runner (order-preserving; ``processes=1`` forces serial)."""
     if config is None:
         config = ChurnConfig()
-    worker = functools.partial(_churn_seed_worker, config, incremental)
+    worker = functools.partial(run_churn_workload, config)
     return parallel_map(worker, list(seeds), processes=processes)
-
-
-@dataclass
-class ChurnBenchResult:
-    """The full-vs-incremental BGMP comparison across seeds."""
-
-    config: ChurnConfig
-    #: Per seed: engine name -> run.
-    per_seed: Dict[int, Dict[str, ChurnRunResult]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def full_seconds(self) -> float:
-        return sum(runs["full"].seconds for runs in self.per_seed.values())
-
-    @property
-    def incremental_seconds(self) -> float:
-        return sum(
-            runs["incremental"].seconds for runs in self.per_seed.values()
-        )
-
-    @property
-    def speedup(self) -> float:
-        """Full-walk wall-clock over incremental wall-clock."""
-        return self.full_seconds / max(self.incremental_seconds, 1e-9)
-
-    @property
-    def identical(self) -> bool:
-        """True when both engines produced byte-identical fingerprints
-        (digests, repair counters, deliveries) on every seed."""
-        return all(
-            runs["full"].fingerprint()
-            == runs["incremental"].fingerprint()
-            for runs in self.per_seed.values()
-        )
-
-    def rows(self) -> List[Sequence]:
-        """Per-seed table rows for :func:`~repro.analysis.report.format_table`."""
-        out: List[Sequence] = []
-        for seed in sorted(self.per_seed):
-            runs = self.per_seed[seed]
-            full, inc = runs["full"], runs["incremental"]
-            out.append(
-                (
-                    seed,
-                    full.seconds,
-                    inc.seconds,
-                    full.seconds / max(inc.seconds, 1e-9),
-                    "yes"
-                    if full.fingerprint() == inc.fingerprint()
-                    else "NO",
-                )
-            )
-        return out
-
-
-def run_bgmp_churn_bench(
-    config: Optional[ChurnConfig] = None,
-    seeds: Tuple[int, ...] = (0, 1, 2),
-) -> ChurnBenchResult:
-    """Run every seed's schedule on both tree-maintenance engines.
-
-    Three seeds keep the full-scale (100-domain) bench inside a CI
-    budget; the equivalence *tests* cover more seeds at smaller scale.
-    """
-    if config is None:
-        config = ChurnConfig()
-    result = ChurnBenchResult(config=config)
-    for seed in seeds:
-        runs: Dict[str, ChurnRunResult] = {}
-        for name, incremental in (("full", False), ("incremental", True)):
-            runs[name] = run_churn_workload(config, seed, incremental)
-        result.per_seed[seed] = runs
-    return result
-
-
-def write_churn_report(
-    result: ChurnBenchResult, path: Path
-) -> Dict:
-    """Serialize the bench outcome to ``BENCH_bgmp_churn.json``.
-
-    The *baseline* is the full-walk repair the repo seeded with;
-    ``speedup`` is the number the perf gate (>=2x at 100 domains)
-    reads.
-    """
-    config = result.config
-    payload: Dict = {
-        "bench": "bgmp-membership-churn",
-        "domains": config.domains,
-        "groups": config.total_groups,
-        "group_domains": config.group_domains,
-        "initial_members": config.initial_members,
-        "churn_per_flap": config.churn_per_flap,
-        "flaps": config.flaps,
-        "maintain_every": config.maintain_every,
-        "seeds": sorted(result.per_seed),
-        "baseline_engine": "full-walk repair (seed)",
-        "baseline_seconds": round(result.full_seconds, 6),
-        "incremental_seconds": round(result.incremental_seconds, 6),
-        "speedup": round(result.speedup, 3),
-        "identical_fingerprints": result.identical,
-        "per_seed": {
-            str(seed): {
-                name: {
-                    "seconds": round(run.seconds, 6),
-                    "repair_passes": len(run.repairs),
-                    "migrations": sum(r[0] for r in run.repairs),
-                    "rejoined": sum(r[1] for r in run.repairs),
-                    "pruned": sum(r[2] for r in run.repairs),
-                    "state_size": run.state_size,
-                    "forwarding_digest": run.final_digest,
-                }
-                for name, run in runs.items()
-            }
-            for seed, runs in result.per_seed.items()
-        },
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload

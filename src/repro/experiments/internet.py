@@ -1,7 +1,7 @@
 """Internet-scale bench: the full route-views AS graph under churn.
 
-The convergence and churn benches run at 100 domains; this suite runs
-the whole architecture at the paper's motivating scale — a
+The churn workload runs at 100 domains; this suite runs the whole
+architecture at the paper's motivating scale — a
 route-views-like AS graph of ~3300 domains, thousands of groups, with
 membership churn punctuated by root flaps *and* router faults — and is
 the workload the fast-path machinery (interned prefixes, incremental
@@ -24,8 +24,8 @@ Structure mirrors :mod:`repro.experiments.churn` with three twists:
   kind — the ``bench --profile`` table.
 * **IGMP-only interiors.** Every domain runs the static MIGP: at
   3300+ domains the interior-protocol dynamics are out of scope (the
-  100-domain churn bench covers them) and unicast auto-origination is
-  disabled — full unicast tables at this scale would be ~11M routes
+  100-domain churn workload covers them) and unicast auto-origination
+  is disabled — full unicast tables at this scale would be ~11M routes
   modelling nothing the multicast layer reads here.
 
 As everywhere else: serial and pooled sweeps of the same (config,
@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bgmp.network import BgmpNetwork
-from repro.bgp.network import BgpNetwork
 from repro.experiments import runner
 from repro.experiments.churn import (
     COVERING_RANGE,
@@ -148,8 +147,8 @@ def _topology_for(config: InternetConfig) -> Topology:
 def build_internet_schedule(
     config: InternetConfig, seed: int
 ) -> List[Tuple]:
-    """The seeded, engine-independent schedule: the churn event tuples
-    of :func:`repro.experiments.churn.build_churn_schedule` plus
+    """The seeded schedule: the churn event tuples of
+    :func:`repro.experiments.churn.build_churn_schedule` plus
     ``("fault", domain_index)`` — crash and restore that domain's
     border router."""
     if config.domains <= 1 + config.group_domains:
@@ -207,8 +206,7 @@ def build_internet_schedule(
 
 @dataclass
 class InternetRunResult:
-    """One seed's workload outcome (one engine: the incremental
-    fast path — the full-walk comparison lives in the churn bench)."""
+    """One seed's workload outcome."""
 
     seed: int
     seconds: float
@@ -250,8 +248,7 @@ class InternetRunResult:
 def run_internet_workload(
     config: InternetConfig, seed: int, profile: bool = False
 ) -> InternetRunResult:
-    """Run one seeded internet-scale schedule on the incremental
-    engines.
+    """Run one seeded internet-scale schedule.
 
     Setup (originations, the initial convergence, initial joins, one
     draining repair) is untimed; the clock covers exactly the
@@ -260,10 +257,8 @@ def run_internet_workload(
     topology = _topology_for(config)
     network = BgmpNetwork(
         topology,
-        bgp=BgpNetwork(topology, incremental=True),
         migp_selector=static_migp_selector,
         auto_unicast=False,
-        incremental=True,
     )
     network.originate_group_range(topology.domains[0], COVERING_RANGE)
     for domain in topology.domains[1 : 1 + config.group_domains]:

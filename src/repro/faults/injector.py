@@ -13,11 +13,10 @@ tree-repair pass. Each pass is logged with its counters, which is
 what the reconvergence analysis reads back out.
 
 Fault hooks (``set_session_state``, ``fail_router``,
-``restore_router``) feed the incremental engine's dirty sets and
-last-sent caches directly, so a recovery converge only recomputes the
-speakers the fault actually perturbed; ``rounds`` and the recovery
-UPDATE counts are identical on both engines (updates are counted per
-*changed* advertisement set, not per session-round — see
+``restore_router``) feed the BGP engine's dirty sets and last-sent
+caches directly, so a recovery converge only recomputes the speakers
+the fault actually perturbed (updates are counted per *changed*
+advertisement set, not per session-round — see
 :class:`repro.bgp.network.BgpNetwork`).
 """
 

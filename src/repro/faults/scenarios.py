@@ -16,8 +16,6 @@ the survivable fault candidates.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.faults.chaos import ChaosScenario
 from repro.faults.plan import FaultCandidate
 from repro.scenarios.fixtures import (
@@ -45,25 +43,12 @@ FIGURE3_CANDIDATES = (
 )
 
 
-def figure3_chaos_scenario(
-    incremental: bool = True,
-    bgmp_incremental: Optional[bool] = None,
-) -> ChaosScenario:
+def figure3_chaos_scenario() -> ChaosScenario:
     """Figure 3 internetwork with members in F and H plus a MASC tree
     (parent MP, siblings M1/M2) on the same clock — every candidate
-    fault is survivable by design.
-
-    ``incremental`` selects the BGP convergence engine;
-    ``bgmp_incremental`` (defaulting to the same value) independently
-    selects the BGMP tree-maintenance engine, so the equivalence tests
-    can vary one layer at a time over identical substrates and compare
-    fingerprints."""
+    fault is survivable by design."""
     sim = Simulator()
-    network = figure3_bgmp_network(
-        members=("F", "H"),
-        incremental=incremental,
-        bgmp_incremental=bgmp_incremental,
-    )
+    network = figure3_bgmp_network(members=("F", "H"))
     topology = network.topology
     members = [topology.domain(name) for name in ("F", "H")]
 

@@ -17,11 +17,10 @@ identical.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.bgp.network import BgpNetwork
 from repro.masc.config import MascConfig
 from repro.masc.node import MascNode, MascOverlay
 from repro.sim.engine import Simulator
@@ -39,31 +38,16 @@ def figure3_bgmp_network(
     group: int = FIGURE3_GROUP,
     root: str = "A",
     group_range: str = FIGURE3_RANGE,
-    incremental: bool = True,
-    bgmp_incremental: Optional[bool] = None,
 ) -> BgmpNetwork:
     """The Figure 3 internetwork with ``root`` rooting ``group_range``
     (A rooting 224.0/16 by default), converged, with one member host
     ``m`` joined per named domain.
 
-    ``incremental`` selects the BGP convergence engine;
-    ``bgmp_incremental`` (defaulting to the same value) independently
-    selects the BGMP tree-maintenance engine, so equivalence tests can
-    vary one layer at a time over identical substrates.
-
     Raises ``RuntimeError`` if a setup join fails — fixture joins are
     preconditions, not assertions under test.
     """
     topology = paper_figure3_topology()
-    network = BgmpNetwork(
-        topology,
-        bgp=BgpNetwork(topology, incremental=incremental),
-        incremental=(
-            incremental
-            if bgmp_incremental is None
-            else bgmp_incremental
-        ),
-    )
+    network = BgmpNetwork(topology)
     network.originate_group_range(
         topology.domain(root), Prefix.parse(group_range)
     )

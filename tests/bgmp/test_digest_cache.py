@@ -6,7 +6,8 @@ from scratch. Any mutation path that forgets to bump the version —
 entry creation/removal, in-place parent or upstream rewrites, child
 set edits — would make the two diverge, so this suite drives every
 mutation source (joins, leaves, repairs, root flaps, router faults)
-on both engines and checks the differential after each step.
+— with dirty-set repairs and with the walk-everything oracle of
+``tests/conftest.py`` — and checks the differential after each step.
 """
 
 import random
@@ -14,7 +15,6 @@ import random
 import pytest
 
 from repro.bgmp.network import BgmpNetwork
-from repro.bgp.network import BgpNetwork
 from repro.experiments.churn import (
     COVERING_RANGE,
     ChurnConfig,
@@ -22,6 +22,7 @@ from repro.experiments.churn import (
     build_churn_topology,
     group_prefix,
 )
+from tests.conftest import recompute_everything
 
 CONFIG = ChurnConfig(
     domains=40,
@@ -34,13 +35,9 @@ CONFIG = ChurnConfig(
 )
 
 
-def _build_network(incremental: bool) -> tuple:
+def _build_network() -> tuple:
     topology = build_churn_topology(0, CONFIG.domains)
-    network = BgmpNetwork(
-        topology,
-        bgp=BgpNetwork(topology, incremental=True),
-        incremental=incremental,
-    )
+    network = BgmpNetwork(topology)
     network.originate_group_range(topology.domains[0], COVERING_RANGE)
     for domain in topology.domains[1 : 1 + CONFIG.group_domains]:
         network.originate_group_range(
@@ -50,9 +47,15 @@ def _build_network(incremental: bool) -> tuple:
     return topology, network
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_digest_matches_reference_through_churn(incremental):
-    topology, network = _build_network(incremental)
+@pytest.fixture(params=[True, False])
+def walk_everything(request):
+    """Repairs walk every tree (the oracle) or only dirty groups."""
+    with recompute_everything(bgp=False, bgmp=request.param):
+        yield request.param
+
+
+def test_digest_matches_reference_through_churn(walk_everything):
+    topology, network = _build_network()
     schedule = build_churn_schedule(CONFIG, seed=0)
 
     def check():
@@ -95,7 +98,7 @@ def test_digest_matches_reference_through_churn(incremental):
 
 
 def test_digest_tracks_router_faults():
-    topology, network = _build_network(incremental=True)
+    topology, network = _build_network()
     rng = random.Random(4)
     members = []
     groups = [
@@ -131,7 +134,7 @@ def test_in_place_entry_mutation_invalidates_cache():
     """Rewriting an entry's parent in place (no create/remove) must
     change the cached digest — the bug class the table version's
     _touch() hook exists for."""
-    topology, network = _build_network(incremental=True)
+    topology, network = _build_network()
     group = (224 << 24) | (1 << 12)
     host = topology.domains[20].host("m")
     network.join(host, group)

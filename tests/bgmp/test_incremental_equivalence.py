@@ -1,21 +1,19 @@
-"""Full-walk vs incremental BGMP tree maintenance equivalence.
+"""Dirty-set BGMP tree maintenance vs the walk-everything oracle.
 
-The incremental engine (G-RIB-delta-driven dirty sets restricting
-every repair phase) is an optimization, not a semantic change: over an
-identical BGP substrate and identical inputs it must produce
-byte-identical forwarding state, repair counters, join/prune control
-traffic, trace events, and sanitizer verdicts as the full-walk engine
-(``BgmpNetwork(incremental=False)``). These tests drive both engines
-through churn workloads, fault sequences, and chaos schedules, and
-compare fingerprints byte for byte — the BGMP-layer mirror of
-``tests/bgp/test_incremental_equivalence.py``.
+Restricting every repair phase to the groups that G-RIB deltas, entry
+churn and broken joins dirtied is an optimization, not a semantic
+change: over an identical BGP substrate and identical inputs it must
+produce byte-identical forwarding state, repair counters, join/prune
+control traffic, trace events, and sanitizer verdicts as a run in
+which every repair walks every tree (the oracle in
+``tests/conftest.py``, applied to the BGMP layer only). These tests
+drive both through churn workloads, fault sequences, and chaos
+schedules, and compare fingerprints byte for byte — the BGMP-layer
+mirror of ``tests/bgp/test_incremental_equivalence.py``.
 """
-
-import functools
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.bgp.network import BgpNetwork
 from repro.experiments.churn import (
     ChurnConfig,
     build_churn_schedule,
@@ -25,10 +23,11 @@ from repro.faults.chaos import ChaosHarness
 from repro.faults.scenarios import figure3_chaos_scenario
 from repro.topology.generators import paper_figure3_topology
 from repro.trace.tracer import Tracer
+from tests.conftest import recompute_everything
 
 SEEDS = (0, 1, 2, 3, 4)
 
-#: Small enough to run 5 seeds x 2 engines inside the tier-1 budget,
+#: Small enough to run 5 seeds x 2 arms inside the tier-1 budget,
 #: big enough to exercise flaps, maintenance sweeps, and churn.
 SMALL = ChurnConfig(
     domains=16,
@@ -41,24 +40,20 @@ SMALL = ChurnConfig(
 )
 
 
-def _engine_pair(topology_builder):
-    """(full, incremental) BGMP engines over identical incremental-BGP
-    substrates, so only the tree-maintenance layer varies."""
-    out = []
-    for incremental in (False, True):
-        topology = topology_builder()
-        out.append(
-            BgmpNetwork(
-                topology,
-                bgp=BgpNetwork(topology, incremental=True),
-                incremental=incremental,
-            )
-        )
-    return out
+def _against_oracle(run):
+    """``run()``'s outcome under the walk-everything oracle and on the
+    engine — over the same dirty-set BGP substrate, so only the
+    tree-maintenance layer varies."""
+    with recompute_everything(bgp=False):
+        expected = run()
+    return expected, run()
 
 
-def _seed_figure3(network):
-    topology = network.topology
+def _seed_figure3(tracer=None):
+    topology = paper_figure3_topology()
+    network = BgmpNetwork(topology)
+    if tracer is not None:
+        network.tracer = tracer
     network.originate_group_range(
         topology.domain("A"), Prefix.parse("224.0.0.0/16")
     )
@@ -66,25 +61,22 @@ def _seed_figure3(network):
     group = 0xE0000101
     for name in ("F", "H", "G"):
         assert network.join(topology.domain(name).host("m"), group)
-    return group
+    return network, group
 
 
 class TestChurnWorkloadEquivalence:
     def test_fingerprints_match_across_seeds(self):
         for seed in SEEDS:
-            runs = {
-                incremental: run_churn_workload(
-                    SMALL, seed, incremental=incremental
-                )
-                for incremental in (False, True)
-            }
+            expected, actual = _against_oracle(
+                lambda: run_churn_workload(SMALL, seed)
+            )
             assert (
-                runs[False].fingerprint() == runs[True].fingerprint()
-            ), f"engines diverged on seed {seed}"
-            assert runs[False].repairs, "workload ran no repairs"
+                expected.fingerprint() == actual.fingerprint()
+            ), f"engine diverged on seed {seed}"
+            assert actual.repairs, "workload ran no repairs"
 
     def test_schedules_are_engine_independent(self):
-        # The schedule is built before any engine runs; both arms of
+        # The schedule is built before the network runs; both arms of
         # every seed replayed the same event list.
         for seed in SEEDS:
             schedule = build_churn_schedule(SMALL, seed)
@@ -95,9 +87,8 @@ class TestChurnWorkloadEquivalence:
 
 class TestFaultSequenceEquivalence:
     def test_session_flap_and_router_crash(self):
-        trails = []
-        for network in _engine_pair(paper_figure3_topology):
-            group = _seed_figure3(network)
+        def run():
+            network, group = _seed_figure3()
             topology = network.topology
             f1 = topology.domain("F").routers["F1"]
             b2 = topology.domain("B").routers["B2"]
@@ -129,18 +120,19 @@ class TestFaultSequenceEquivalence:
             steps.append(
                 (report.total_deliveries, report.external_hops)
             )
-            trails.append(steps)
-        assert trails[0] == trails[1]
+            return steps
+
+        expected, actual = _against_oracle(run)
+        assert expected == actual
 
     def test_root_flip_sequence(self):
         # Consecutive root-domain moves: the covering /16 stays up
         # while a more-specific /20 appears and disappears repeatedly.
-        trails = []
         more_specific = Prefix.parse("224.0.0.0/20")
-        for network in _engine_pair(paper_figure3_topology):
-            _seed_figure3(network)
-            topology = network.topology
-            f_domain = topology.domain("F")
+
+        def run():
+            network, _group = _seed_figure3()
+            f_domain = network.topology.domain("F")
             steps = []
             for _ in range(3):
                 network.originate_group_range(f_domain, more_specific)
@@ -154,16 +146,18 @@ class TestFaultSequenceEquivalence:
                     tuple(sorted(network.repair_trees().items()))
                 )
                 steps.append(network.forwarding_digest())
-            trails.append(steps)
-        assert trails[0] == trails[1]
+            return steps
+
+        expected, actual = _against_oracle(run)
+        assert expected == actual
 
 
 class TestTraceEquivalence:
     def _bgmp_events(self, tracer):
         """Every bgmp.* event across all spans plus orphans, in
-        emission order — the control-traffic trace both engines must
+        emission order — the control-traffic trace both arms must
         reproduce exactly. (Repair *span attrs* legitimately differ:
-        the incremental engine labels engine/visited.)"""
+        ``engine`` / ``visited`` report how much was walked.)"""
         events = []
         for span in tracer.spans:
             for event in span.events:
@@ -175,12 +169,11 @@ class TestTraceEquivalence:
         return events
 
     def test_join_and_prune_events_match(self):
-        traces = []
         more_specific = Prefix.parse("224.0.0.0/20")
-        for network in _engine_pair(paper_figure3_topology):
+
+        def run():
             tracer = Tracer()
-            network.tracer = tracer
-            _seed_figure3(network)
+            network, _group = _seed_figure3(tracer)
             f_domain = network.topology.domain("F")
             network.originate_group_range(f_domain, more_specific)
             network.converge()
@@ -188,20 +181,20 @@ class TestTraceEquivalence:
             network.bgp.withdraw(f_domain.router(), more_specific)
             network.converge()
             network.repair_trees()
-            traces.append(self._bgmp_events(tracer))
-        assert traces[0] == traces[1]
-        assert any(
-            name == "bgmp.join_sent" for name, _attrs in traces[0]
-        )
+            return self._bgmp_events(tracer)
+
+        expected, actual = _against_oracle(run)
+        assert expected == actual
+        assert any(name == "bgmp.join_sent" for name, _attrs in actual)
 
     def test_repair_span_reports_engine_and_dirty_count(self):
-        full, inc = _engine_pair(paper_figure3_topology)
-        for network in (full, inc):
-            network.tracer = Tracer()
-            _seed_figure3(network)
+        def run():
+            tracer = Tracer()
+            network, _group = _seed_figure3(tracer)
             network.repair_trees()
-        full_span = full.tracer.spans_named("bgmp.repair")[-1]
-        inc_span = inc.tracer.spans_named("bgmp.repair")[-1]
+            return tracer.spans_named("bgmp.repair")[-1]
+
+        full_span, inc_span = _against_oracle(run)
         assert full_span.attrs["engine"] == "full"
         assert full_span.attrs["visited"] == -1
         assert inc_span.attrs["engine"] == "incremental"
@@ -210,18 +203,13 @@ class TestTraceEquivalence:
 
 class TestChaosScenarioEquivalence:
     def test_chaos_schedules_byte_identical_across_engines(self):
-        results = {}
-        for incremental in (False, True):
-            factory = functools.partial(
-                figure3_chaos_scenario,
-                incremental=True,
-                bgmp_incremental=incremental,
+        def run():
+            harness = ChaosHarness(
+                figure3_chaos_scenario, n_faults=2, sanitize=True
             )
-            harness = ChaosHarness(factory, n_faults=2, sanitize=True)
-            results[incremental] = [
-                harness.run(seed) for seed in range(3)
-            ]
-        for first, second in zip(results[False], results[True]):
+            return [harness.run(seed) for seed in range(3)]
+
+        for first, second in zip(*_against_oracle(run)):
             # Identical sanitizer verdicts, schedules, fingerprints.
             assert first.ok == second.ok
             assert first.violations == second.violations
@@ -237,13 +225,8 @@ class TestChaosScenarioEquivalence:
 
 class TestContinuityLoss:
     def test_invalidate_falls_back_to_full_walk(self):
-        topology = paper_figure3_topology()
-        network = BgmpNetwork(
-            topology,
-            bgp=BgpNetwork(topology, incremental=True),
-            incremental=True,
-        )
-        _seed_figure3(network)
+        network, _group = _seed_figure3()
+        network.tracer = tracer = Tracer()
         network.repair_trees()  # drain setup dirt
         # Wholesale substrate invalidation loses delta continuity; the
         # next repair must walk everything (and still be a no-op here).
@@ -252,6 +235,11 @@ class TestContinuityLoss:
         counters = network.repair_trees()
         assert counters["migrations"] == 0
         span_free = network.forwarding_digest()
-        # And the engine returns to incremental operation afterwards.
+        # And the engine returns to dirty-set operation afterwards.
         assert network.dirty_group_count() == 0
         assert network.forwarding_digest() == span_free
+        network.repair_trees()
+        assert [
+            span.attrs["visited"]
+            for span in tracer.spans_named("bgmp.repair")
+        ] == [1, -1, 0]

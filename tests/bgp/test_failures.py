@@ -8,12 +8,15 @@ reports non-convergence instead of silently stopping at the round
 budget.
 """
 
+import random
+
 import pytest
 
 from repro.addressing.ipv4 import parse_address
 from repro.addressing.prefix import Prefix
 from repro.bgp.network import BgpNetwork, ConvergenceError, ConvergenceResult
-from repro.topology.generators import paper_figure3_topology
+from repro.experiments.churn import group_prefix
+from repro.topology.generators import as_graph, paper_figure3_topology
 
 GROUP_PREFIX = Prefix.parse("224.1.0.0/16")
 GROUP = parse_address("224.1.0.1")
@@ -138,3 +141,33 @@ class TestConvergenceContract:
         assert not result.converged
         assert result.rounds == 0
         assert not bool(result)
+
+    def test_partial_budgets_resume_where_they_stopped(self):
+        # An exhausted budget must remember the speakers that still
+        # have unexported changes: one round per call reaches the same
+        # fixpoint, in as many calls as a one-shot converge takes
+        # rounds, sending the same UPDATEs.
+        def build():
+            net = BgpNetwork(as_graph(random.Random(5), node_count=40))
+            for domain in net.topology.domains:
+                net.originate_from_domain(
+                    domain, group_prefix(domain.domain_id)
+                )
+            return net
+
+        def withdraw(net):
+            domain = net.topology.domains[7]
+            net.withdraw(domain.router(), group_prefix(domain.domain_id))
+
+        one_shot, stepped = build(), build()
+        # First the origination burst itself, then a withdrawal.
+        for mutate in (lambda net: None, withdraw):
+            mutate(one_shot)
+            mutate(stepped)
+            rounds = one_shot.converge()
+            calls = 1
+            while not stepped.try_converge(max_rounds=1):
+                calls += 1
+            assert calls == rounds > 2
+            assert stepped.updates_sent == one_shot.updates_sent
+            assert stepped.rib_digest() == one_shot.rib_digest()

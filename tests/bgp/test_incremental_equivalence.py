@@ -1,26 +1,21 @@
-"""Full-vs-incremental convergence engine equivalence.
+"""Dirty-set convergence engine vs the recompute-everything oracle.
 
-The incremental dirty-set engine is an optimization, not a semantic
-change: on identical inputs it must walk the same rounds, deliver the
-same UPDATEs, and land every Loc-RIB on identical contents as the
-full-recompute engine (``BgpNetwork(incremental=False)``). These
-tests drive both engines through churn workloads, fault sequences,
-the fig2/fig4 experiments, and every chaos scenario schedule, and
+Dirty tracking is an optimization, not a semantic change: on identical
+inputs the engine must walk the same rounds, deliver the same UPDATEs,
+and land every Loc-RIB on identical contents as a run in which every
+speaker is treated as dirty before every converge (the oracle in
+``tests/conftest.py``). These tests drive both through churn
+workloads, fault sequences, and every chaos scenario schedule, and
 compare fingerprints byte for byte.
 """
 
-import functools
 import random
 
 from repro.addressing.prefix import Prefix
 from repro.bgp.network import BgpNetwork
 from repro.bgp.routes import RouteType
 from repro.bgmp.network import BgmpNetwork
-from repro.experiments.bench import (
-    _group_prefix,
-    build_workload_topology,
-    run_convergence_workload,
-)
+from repro.experiments.churn import group_prefix
 from repro.faults.chaos import ChaosHarness
 from repro.faults.scenarios import figure3_chaos_scenario
 from repro.topology.generators import (
@@ -28,99 +23,96 @@ from repro.topology.generators import (
     paper_figure3_topology,
 )
 from repro.trace.tracer import Tracer
+from tests.conftest import recompute_everything
 
 SEEDS = (0, 1, 2, 3, 4)
 
 
-def _engines(topology_builder):
-    """A (full, incremental) engine pair over identical topologies."""
-    return (
-        BgpNetwork(topology_builder(), incremental=False),
-        BgpNetwork(topology_builder(), incremental=True),
+def _against_oracle(run):
+    """``run()``'s outcome under the oracle and on the engine."""
+    with recompute_everything():
+        expected = run()
+    return expected, run()
+
+
+def _flap_trail(topology_seed, domains, flap_seed, flaps, idle_converges):
+    """Originate a group /20 and a unicast /24 per domain, converge,
+    then withdraw / re-originate randomly chosen group ranges with
+    ``idle_converges`` no-change converges after each (the call
+    pattern of the MASC layer). Returns every converge's outcome with
+    the running UPDATE total, then the Loc-RIB digest."""
+    topology = as_graph(random.Random(topology_seed), node_count=domains)
+    engine = BgpNetwork(topology)
+    for domain in topology.domains:
+        engine.originate_from_domain(
+            domain,
+            BgmpNetwork.domain_unicast_prefix(domain),
+            RouteType.UNICAST,
+        )
+        engine.originate_from_domain(
+            domain, group_prefix(domain.domain_id), RouteType.GROUP
+        )
+    trail = []
+
+    def converge():
+        trail.append((engine.try_converge(500), engine.updates_sent))
+
+    converge()
+    rng = random.Random(flap_seed)
+    for _ in range(flaps):
+        domain = topology.domains[rng.randrange(len(topology.domains))]
+        prefix = group_prefix(domain.domain_id)
+        engine.withdraw(domain.router(), prefix, RouteType.GROUP)
+        converge()
+        engine.originate_from_domain(domain, prefix, RouteType.GROUP)
+        for _ in range(1 + idle_converges):
+            converge()
+    trail.append(engine.rib_digest())
+    return trail
+
+
+def _figure3_engine(with_f=False):
+    engine = BgpNetwork(paper_figure3_topology())
+    engine.originate_from_domain(
+        engine.topology.domain("A"),
+        Prefix.parse("224.0.0.0/16"),
+        RouteType.GROUP,
     )
+    if with_f:
+        engine.originate_from_domain(
+            engine.topology.domain("F"),
+            Prefix.parse("224.0.128.0/20"),
+            RouteType.GROUP,
+        )
+    engine.converge()
+    return engine
 
 
 class TestChurnWorkloadEquivalence:
     def test_bench_workload_fingerprints_match_across_seeds(self):
         for seed in SEEDS:
-            topology = build_workload_topology(seed, domains=24)
-            runs = {
-                incremental: run_convergence_workload(
-                    topology,
-                    seed,
-                    flaps=3,
-                    idle_converges=1,
-                    incremental=incremental,
-                )
-                for incremental in (False, True)
-            }
-            assert (
-                runs[False].fingerprint() == runs[True].fingerprint()
-            ), f"engines diverged on seed {seed}"
-            assert runs[False].rounds, "workload ran no converges"
+            expected, actual = _against_oracle(
+                lambda: _flap_trail(seed, 24, seed, 3, 1)
+            )
+            assert expected == actual, f"engine diverged on seed {seed}"
+            assert all(result.converged for result, _sent in actual[:-1])
 
     def test_updates_and_rounds_match_per_converge(self):
-        def build():
-            return as_graph(random.Random(7), node_count=25)
-
-        full, inc = _engines(build)
-        for engine in (full, inc):
-            for domain in engine.topology.domains:
-                engine.originate_from_domain(
-                    domain,
-                    _group_prefix(domain.domain_id),
-                    RouteType.GROUP,
-                )
-        rng = random.Random(11)
-        for step in range(6):
-            domain_index = rng.randrange(len(full.topology.domains))
-            results = []
-            for engine in (full, inc):
-                domain = engine.topology.domains[domain_index]
-                prefix = _group_prefix(domain.domain_id)
-                engine.withdraw(domain.router(), prefix, RouteType.GROUP)
-                results.append(
-                    (engine.try_converge(), engine.updates_sent)
-                )
-                engine.originate_from_domain(
-                    domain, prefix, RouteType.GROUP
-                )
-                results[-1] += (
-                    engine.try_converge(),
-                    engine.updates_sent,
-                )
-            assert results[0] == results[1], f"diverged at step {step}"
-        assert full.rib_digest() == inc.rib_digest()
+        expected, actual = _against_oracle(
+            lambda: _flap_trail(7, 25, 11, 6, 0)
+        )
+        for step, (want, got) in enumerate(zip(expected, actual)):
+            assert want == got, f"diverged at converge {step}"
+        # Not vacuous: every withdraw and re-originate sent UPDATEs.
+        sent = [updates for _result, updates in actual[:-1]]
+        assert len(sent) == 1 + 6 * 2
+        assert all(before < after for before, after in zip(sent, sent[1:]))
 
 
 class TestFaultSequenceEquivalence:
-    def _seeded_pair(self):
-        full, inc = _engines(paper_figure3_topology)
-        for engine in (full, inc):
-            engine.originate_from_domain(
-                engine.topology.domain("A"),
-                Prefix.parse("224.0.0.0/16"),
-                RouteType.GROUP,
-            )
-            engine.originate_from_domain(
-                engine.topology.domain("F"),
-                Prefix.parse("224.0.128.0/20"),
-                RouteType.GROUP,
-            )
-            engine.converge()
-        return full, inc
-
     def test_session_flap_router_crash_and_restore(self):
-        full, inc = _engines(paper_figure3_topology)
-        for engine in (full, inc):
-            engine.originate_from_domain(
-                engine.topology.domain("A"),
-                Prefix.parse("224.0.0.0/16"),
-                RouteType.GROUP,
-            )
-            engine.converge()
-        trail = []
-        for engine in (full, inc):
+        def run():
+            engine = _figure3_engine()
             topology = engine.topology
             f1 = topology.domain("F").routers["F1"]
             b2 = topology.domain("B").routers["B2"]
@@ -135,17 +127,18 @@ class TestFaultSequenceEquivalence:
             engine.restore_router(h1)
             steps.append((engine.try_converge(), engine.updates_sent))
             steps.append(engine.rib_digest())
-            trail.append(steps)
-        assert trail[0] == trail[1]
+            return steps
+
+        expected, actual = _against_oracle(run)
+        assert expected == actual
 
     def test_idempotent_fault_calls_do_not_diverge(self):
-        full, inc = self._seeded_pair()
-        trail = []
-        for engine in (full, inc):
+        def run():
+            engine = _figure3_engine(with_f=True)
             topology = engine.topology
             h2 = topology.domain("H").routers["H2"]
             c2 = topology.domain("C").routers["C2"]
-            # Redundant transitions must be no-ops on both engines.
+            # Redundant transitions must be no-ops.
             engine.set_session_state(h2, c2, up=True)
             engine.restore_router(h2)
             steps = [(engine.try_converge(), engine.updates_sent)]
@@ -159,17 +152,16 @@ class TestFaultSequenceEquivalence:
             engine.set_session_state(h2, c2, up=True)
             steps.append((engine.try_converge(), engine.updates_sent))
             steps.append(engine.rib_digest())
-            trail.append(steps)
-        assert trail[0] == trail[1]
+            return steps
+
+        expected, actual = _against_oracle(run)
+        assert expected == actual
 
 
 class TestTraceEquivalence:
     def test_converge_spans_match_round_for_round(self):
-        fingerprints = []
-        for incremental in (False, True):
-            engine = BgpNetwork(
-                paper_figure3_topology(), incremental=incremental
-            )
+        def run():
+            engine = BgpNetwork(paper_figure3_topology())
             tracer = Tracer()
             engine.tracer = tracer
             engine.originate_from_domain(
@@ -179,35 +171,29 @@ class TestTraceEquivalence:
             )
             engine.converge()
             engine.converge()  # steady-state no-op converge
-            spans = tracer.spans_named("bgp.converge")
-            fingerprints.append(
-                [
-                    (
-                        span.status,
-                        span.attrs.get("rounds"),
-                        [
-                            (e.name, dict(e.attrs))
-                            for e in span.events
-                        ],
-                    )
-                    for span in spans
-                ]
-            )
-        assert fingerprints[0] == fingerprints[1]
+            return [
+                (
+                    span.status,
+                    span.attrs.get("rounds"),
+                    [(e.name, dict(e.attrs)) for e in span.events],
+                )
+                for span in tracer.spans_named("bgp.converge")
+            ]
+
+        expected, actual = _against_oracle(run)
+        assert expected == actual
+        assert len(actual) == 2
 
 
 class TestChaosScenarioEquivalence:
     def test_chaos_schedules_byte_identical_across_engines(self):
-        results = {}
-        for incremental in (False, True):
-            factory = functools.partial(
-                figure3_chaos_scenario, incremental=incremental
+        def run():
+            harness = ChaosHarness(
+                figure3_chaos_scenario, n_faults=2, sanitize=True
             )
-            harness = ChaosHarness(factory, n_faults=2, sanitize=True)
-            results[incremental] = [
-                harness.run(seed) for seed in range(3)
-            ]
-        for first, second in zip(results[False], results[True]):
+            return [harness.run(seed) for seed in range(3)]
+
+        for first, second in zip(*_against_oracle(run)):
             assert first.ok and second.ok, (
                 first.violations, second.violations
             )
@@ -223,10 +209,9 @@ class TestChaosScenarioEquivalence:
 
 class TestBgmpOverIncremental:
     def test_forwarding_digest_matches_after_joins(self):
-        digests = []
-        for incremental in (False, True):
+        def run():
             topology = paper_figure3_topology()
-            network = BgmpNetwork(topology, incremental=incremental)
+            network = BgmpNetwork(topology)
             network.originate_group_range(
                 topology.domain("A"), Prefix.parse("224.0.0.0/16")
             )
@@ -236,7 +221,7 @@ class TestBgmpOverIncremental:
                 assert network.join(
                     topology.domain(name).host("m"), group
                 )
-            digests.append(
-                (network.forwarding_digest(), network.bgp.rib_digest())
-            )
-        assert digests[0] == digests[1]
+            return network.forwarding_digest(), network.bgp.rib_digest()
+
+        expected, actual = _against_oracle(run)
+        assert expected == actual

@@ -1,6 +1,11 @@
-"""Shared pytest options for the repo test suite."""
+"""Shared pytest options and the recompute-everything oracle."""
+
+import contextlib
 
 import pytest
+
+from repro.bgmp.network import BgmpNetwork
+from repro.bgp.network import BgpNetwork
 
 
 def pytest_addoption(parser):
@@ -17,3 +22,40 @@ def pytest_addoption(parser):
 def regen_golden(request):
     """True when the run should rewrite golden snapshots."""
     return request.config.getoption("--regen-golden")
+
+
+@contextlib.contextmanager
+def recompute_everything(bgp=True, bgmp=True):
+    """The differential oracle: inside the block the chosen layers
+    recompute from scratch instead of trusting their dirty tracking.
+
+    Driven purely through hooks the product has for its own callers:
+    every speaker is marked through ``BgpNetwork.speaker_dirty`` (the
+    speaker mutation hook) before each ``try_converge``, and
+    ``BgmpNetwork.grib_reset`` (what ``BgpNetwork.invalidate`` sends on
+    a continuity loss) precedes each repair/refresh so it walks every
+    tree. ``_last_sent`` suppression still applies, so rounds,
+    ``updates_sent``, digests, repair counters and delivery reports
+    must equal the dirty-set engines' byte for byte.
+    """
+    converge = BgpNetwork.try_converge
+
+    def try_converge(self, max_rounds=200):
+        for speaker in self.speakers.values():
+            self.speaker_dirty(speaker)
+        return converge(self, max_rounds)
+
+    def walk_everything(method):
+        def wrapper(self, *args, **kwargs):
+            self.grib_reset()
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        if bgp:
+            patch.setattr(BgpNetwork, "try_converge", try_converge)
+        if bgmp:
+            for name in ("repair_trees", "refresh_trees"):
+                method = getattr(BgmpNetwork, name)
+                patch.setattr(BgmpNetwork, name, walk_everything(method))
+        yield

@@ -1,11 +1,10 @@
 """Determinism of the membership-churn workload.
 
-The churn bench is a perf *gate*: its numbers are only comparable run
-to run if everything except the wall clock is bit-stable. These tests
-pin that down — the seeded schedule, the per-run fingerprint, and the
-full labelled metrics snapshot must be identical across repeated runs
-and across serial vs multiprocess execution through
-``runner.parallel_map`` (which is how the bench fans seeds out).
+Everything except the wall clock must be bit-stable: the seeded
+schedule, the per-run fingerprint, and the full labelled metrics
+snapshot must be identical across repeated runs (dirty-set repairs
+and the walk-everything oracle alike) and across serial vs
+multiprocess execution through ``runner.parallel_map``.
 """
 
 import json
@@ -17,10 +16,11 @@ from repro.experiments.churn import (
     run_churn_workload,
     schedule_digest,
 )
+from tests.conftest import recompute_everything
 
 SEEDS = (0, 1, 2, 3)
 
-#: Deliberately tiny: determinism does not need the bench's 100-domain
+#: Deliberately tiny: determinism does not need the default 100-domain
 #: scale, and this keeps 4 seeds x 2 process counts inside tier-1.
 TINY = ChurnConfig(
     domains=12,
@@ -60,19 +60,16 @@ class TestScheduleDeterminism:
 
 class TestWorkloadDeterminism:
     def test_repeated_runs_are_identical(self):
-        for incremental in (False, True):
-            first = run_churn_workload(TINY, 0, incremental)
-            second = run_churn_workload(TINY, 0, incremental)
+        for walk_everything in (True, False):
+            with recompute_everything(bgp=False, bgmp=walk_everything):
+                first = run_churn_workload(TINY, 0)
+                second = run_churn_workload(TINY, 0)
             assert first.fingerprint() == second.fingerprint()
             assert first.metrics_json == second.metrics_json
 
     def test_serial_and_parallel_runs_match(self):
-        serial = run_churn_seeds(
-            SEEDS, config=TINY, incremental=True, processes=1
-        )
-        parallel = run_churn_seeds(
-            SEEDS, config=TINY, incremental=True, processes=4
-        )
+        serial = run_churn_seeds(SEEDS, config=TINY, processes=1)
+        parallel = run_churn_seeds(SEEDS, config=TINY, processes=4)
         assert [r.seed for r in serial] == list(SEEDS)
         assert [r.seed for r in parallel] == list(SEEDS)
         for one, four in zip(serial, parallel):
@@ -83,7 +80,5 @@ class TestWorkloadDeterminism:
 
     def test_parallel_runs_preserve_seed_order(self):
         shuffled = (2, 0, 3, 1)
-        results = run_churn_seeds(
-            shuffled, config=TINY, incremental=True, processes=4
-        )
+        results = run_churn_seeds(shuffled, config=TINY, processes=4)
         assert [r.seed for r in results] == list(shuffled)

@@ -6,6 +6,13 @@ import logging
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve.schemas import validate
+
+#: ``repro bench`` at test scale: 30 domains, 6 groups, 2 seeds.
+FAST_BENCH = [
+    "bench", "--internet-domains", "30", "--internet-group-domains", "3",
+    "--internet-groups-per-domain", "2", "--internet-churn", "10",
+]
 
 
 class TestParser:
@@ -44,11 +51,12 @@ class TestParser:
 
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.domains == 100
-        assert args.flaps == 3
-        assert args.seeds == 5
-        assert not args.skip_fig4
+        assert args.internet_domains == 3326
+        assert args.internet_seeds == 2
+        assert not args.profile
         assert args.json == ""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--suite", "internet"])
 
 
 class TestCommands:
@@ -78,17 +86,15 @@ class TestCommands:
 
     def test_bench_runs_and_writes_report(self, capsys, tmp_path):
         report = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--domains", "12", "--flaps", "1",
-             "--seeds", "2", "--skip-fig4", "--json", str(report)]
-        )
+        code = main(FAST_BENCH + ["--json", str(report)])
         assert code == 0
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "fingerprints identical: True" in out
         payload = json.loads(report.read_text())
+        assert validate(payload) == []
         assert payload["identical_fingerprints"] is True
-        assert payload["baseline_seconds"] > 0
+        assert payload["serial_seconds"] > 0
         assert set(payload["per_seed"]) == {"0", "1"}
 
     def test_default_logging_keeps_stdout_clean(self, capsys):
@@ -144,18 +150,13 @@ class TestTraceCommand:
 
 
 class TestBenchExitCodes:
-    FAST_BENCH = [
-        "bench", "--suite", "convergence", "--domains", "12",
-        "--flaps", "1", "--seeds", "2", "--skip-fig4",
-    ]
-
     def test_passing_bench_exits_zero(self, capsys):
-        assert main(self.FAST_BENCH) == 0
+        assert main(FAST_BENCH) == 0
         out = capsys.readouterr().out
-        assert "overall speedup" in out
+        assert "pooled speedup" in out
 
     def test_perf_gate_failure_exits_one_with_verdict(self, capsys):
-        code = main(self.FAST_BENCH + ["--min-speedup", "999"])
+        code = main(FAST_BENCH + ["--min-speedup", "999"])
         assert code == 1
         # The verdict is a single readable stderr line, not a traceback.
         err = capsys.readouterr().err
@@ -164,6 +165,36 @@ class TestBenchExitCodes:
         ]
         assert len(verdicts) == 1
         assert "below --min-speedup gate 999.00x" in verdicts[0]
+        assert "Traceback" not in err
+
+    def test_unwritable_report_exits_two_before_running(
+        self, capsys, tmp_path
+    ):
+        # Checked up front: at internet scale the run is minutes of
+        # work that a late FileNotFoundError would throw away.
+        code = main(
+            FAST_BENCH + ["--json", str(tmp_path / "missing" / "x.json")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "bench: cannot write report" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_report_write_failure_exits_two(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def full_disk(result, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(
+            "repro.experiments.internet.write_internet_report", full_disk
+        )
+        code = main(FAST_BENCH + ["--json", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bench: cannot write report" in err
         assert "Traceback" not in err
 
     def test_min_speedup_parsed(self):
