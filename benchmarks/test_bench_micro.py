@@ -52,7 +52,7 @@ def test_bench_micro_grib_longest_match(benchmark):
 
     def lookup_all():
         return sum(
-            1 for address in probes if rib.grib_lookup(address)
+            1 for address in probes if rib.lookup(RouteType.GROUP, address)
         )
 
     hits = benchmark(lookup_all)

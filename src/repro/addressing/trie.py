@@ -1,4 +1,4 @@
-"""Binary prefix tries.
+"""Prefix tables: an allocation trie and a longest-match map.
 
 :class:`PrefixTrie` tracks which sub-prefixes of a root space are
 allocated and answers the query at the heart of the MASC claim
@@ -8,17 +8,17 @@ from which a claimer then picks one at random.
 
 :class:`LpmTrie` is the routing-side sibling: a longest-prefix-match
 map in which prefixes may overlap (aggregates coexist with their more
-specifics, exactly as in a RIB). It backs the G-RIB lookups of
-:class:`~repro.bgp.rib.LocRib` and the network-wide origin index of
-``BgpNetwork.root_domain_of``, replacing the linear scans that
-dominated large-topology runs.
+specifics, exactly as in a RIB), kept as one hash table per mask
+length. It backs the G-RIB lookups of :class:`~repro.bgp.rib.LocRib`,
+the origin index of ``BgpNetwork.root_domain_of`` and BGMP's
+group-to-delta reverse index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.addressing.ipv4 import ADDRESS_BITS, bit_at
+from repro.addressing.ipv4 import ADDRESS_BITS
 from repro.addressing.prefix import Prefix
 
 
@@ -212,135 +212,87 @@ class PrefixTrie:
         return iter(self.allocations())
 
 
-#: Internal marker distinguishing "no value stored" from a stored None.
-_MISSING = object()
-
-
-class _LpmNode:
-    __slots__ = ("low", "high", "value")
-
-    def __init__(self) -> None:
-        self.low: Optional["_LpmNode"] = None
-        self.high: Optional["_LpmNode"] = None
-        self.value: Any = _MISSING
-
-    def __getstate__(self):
-        # _MISSING is an identity sentinel: pickled directly it would
-        # restore as a *different* object(), turning every empty node
-        # into a phantom stored value after checkpoint restore. Encode
-        # emptiness as None and wrap real values in a 1-tuple.
-        return (
-            self.low,
-            self.high,
-            None if self.value is _MISSING else (self.value,),
-        )
-
-    def __setstate__(self, state) -> None:
-        self.low, self.high, wrapped = state
-        self.value = _MISSING if wrapped is None else wrapped[0]
-
-
 class LpmTrie:
     """Longest-prefix-match map over possibly overlapping prefixes.
 
     Unlike :class:`PrefixTrie` (an allocation tracker that forbids
     overlap), an ``LpmTrie`` stores one value per prefix and lets
-    covering aggregates coexist with their more specifics;
-    :meth:`lookup` walks an address's bit path and returns the value
-    of the most specific stored prefix covering it — the classic
-    routing-table operation, O(32) instead of O(table size).
+    covering aggregates coexist with their more specifics. Entries
+    live in one dict per stored mask length, keyed by the prefix's
+    significant bits; :meth:`lookup` probes the lengths present,
+    longest first. A routing table holds a handful of distinct lengths
+    (CIDR aggregation is the paper's scaling argument), so a lookup is
+    a handful of hash probes and insert/remove are O(1).
     """
 
-    __slots__ = ("_root", "_count")
+    __slots__ = ("_tables", "_search")
 
     def __init__(self) -> None:
-        self._root = _LpmNode()
-        self._count = 0
+        #: mask length -> {network >> (32 - length): value}; a length
+        #: whose last entry goes is dropped.
+        self._tables: Dict[int, Dict[int, Any]] = {}
+        #: (length, 32 - length, table) for every length present,
+        #: longest first — the probe order of :meth:`lookup`.
+        self._search: Tuple[Tuple[int, int, Dict[int, Any]], ...] = ()
+
+    def _reindex(self) -> None:
+        self._search = tuple(
+            (length, ADDRESS_BITS - length, self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        )
+
+    def _slot(self, prefix: Prefix) -> Tuple[Optional[Dict[int, Any]], int]:
+        """The table for ``prefix``'s length (None when that length is
+        not stored) and the prefix's key in it."""
+        length = prefix.length
+        return (
+            self._tables.get(length),
+            prefix.network >> (ADDRESS_BITS - length),
+        )
 
     def __len__(self) -> int:
-        return self._count
+        return sum(len(table) for table in self._tables.values())
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._node_for(prefix)
-        return node is not None and node.value is not _MISSING
-
-    def _node_for(self, prefix: Prefix) -> Optional[_LpmNode]:
-        node: Optional[_LpmNode] = self._root
-        for position in range(prefix.length):
-            if node is None:
-                return None
-            node = node.high if prefix.bit(position) else node.low
-        return node
+        table, key = self._slot(prefix)
+        return table is not None and key in table
 
     def insert(self, prefix: Prefix, value: Any) -> None:
         """Store ``value`` under ``prefix`` (replacing any previous
         value for the exact same prefix)."""
-        node = self._root
-        for position in range(prefix.length):
-            if prefix.bit(position):
-                if node.high is None:
-                    node.high = _LpmNode()
-                node = node.high
-            else:
-                if node.low is None:
-                    node.low = _LpmNode()
-                node = node.low
-        if node.value is _MISSING:
-            self._count += 1
-        node.value = value
+        table, key = self._slot(prefix)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        table[key] = value
 
     def get(self, prefix: Prefix) -> Any:
         """The value stored under exactly ``prefix`` (None if absent)."""
-        node = self._node_for(prefix)
-        if node is None or node.value is _MISSING:
-            return None
-        return node.value
+        table, key = self._slot(prefix)
+        return None if table is None else table.get(key)
 
     def lookup(self, address: int) -> Any:
         """Longest-match lookup: the value of the most specific stored
         prefix covering ``address`` (None when nothing covers it)."""
-        node: Optional[_LpmNode] = self._root
-        best = self._root.value
-        for position in range(ADDRESS_BITS):
-            assert node is not None
-            node = node.high if bit_at(address, position) else node.low
-            if node is None:
-                break
-            if node.value is not _MISSING:
-                best = node.value
-        return None if best is _MISSING else best
+        for _length, shift, table in self._search:
+            key = address >> shift
+            if key in table:
+                return table[key]
+        return None
 
     def remove(self, prefix: Prefix) -> bool:
         """Delete the entry stored under exactly ``prefix``.
 
         Returns True when an entry was removed, False when the prefix
-        held no value. Empty branches left behind are pruned so lookup
-        walks stay short after heavy insert/delete churn.
+        held no value.
         """
-        path: List[_LpmNode] = [self._root]
-        node: Optional[_LpmNode] = self._root
-        for position in range(prefix.length):
-            node = node.high if prefix.bit(position) else node.low
-            if node is None:
-                return False
-            path.append(node)
-        if node.value is _MISSING:
+        table, key = self._slot(prefix)
+        if table is None or key not in table:
             return False
-        node.value = _MISSING
-        self._count -= 1
-        for index in range(len(path) - 1, 0, -1):
-            child = path[index]
-            if (
-                child.value is not _MISSING
-                or child.low is not None
-                or child.high is not None
-            ):
-                break
-            parent = path[index - 1]
-            if parent.low is child:
-                parent.low = None
-            else:
-                parent.high = None
+        del table[key]
+        if not table:
+            del self._tables[prefix.length]
+            self._reindex()
         return True
 
     def covered(self, prefix: Prefix) -> List[Tuple[Prefix, Any]]:
@@ -350,41 +302,26 @@ class LpmTrie:
         a G-RIB delta on a group range invalidates exactly the
         (more-specific) group prefixes registered under it. Includes an
         entry stored under ``prefix`` itself. Sorted by (network,
-        length) so iteration order is deterministic.
+        length) so iteration order is deterministic. Scans every table
+        of an equal or longer length.
         """
-        node = self._node_for(prefix)
-        if node is None:
-            return []
+        wanted = prefix.network >> (ADDRESS_BITS - prefix.length)
         found: List[Tuple[Prefix, Any]] = []
-        self._collect_entries(node, prefix.network, prefix.length, found)
+        for length, shift, table in self._search:
+            if length < prefix.length:
+                break
+            extra = length - prefix.length
+            found.extend(
+                (Prefix(key << shift, length), value)
+                for key, value in table.items()
+                if key >> extra == wanted
+            )
         found.sort(key=lambda item: (item[0].network, item[0].length))
         return found
 
     def items(self) -> List[Tuple[Prefix, Any]]:
         """All stored (prefix, value) pairs, sorted deterministically."""
-        found: List[Tuple[Prefix, Any]] = []
-        self._collect_entries(self._root, 0, 0, found)
-        found.sort(key=lambda item: (item[0].network, item[0].length))
-        return found
-
-    def _collect_entries(
-        self,
-        node: _LpmNode,
-        network: int,
-        length: int,
-        out: List[Tuple[Prefix, Any]],
-    ) -> None:
-        if node.value is not _MISSING:
-            out.append((Prefix(network, length), node.value))
-        if node.low is not None:
-            self._collect_entries(node.low, network, length + 1, out)
-        if node.high is not None:
-            self._collect_entries(
-                node.high,
-                network | (1 << (31 - length)),
-                length + 1,
-                out,
-            )
+        return self.covered(Prefix(0, 0))
 
 
 def _subtree_has_allocation(node: _Node) -> bool:

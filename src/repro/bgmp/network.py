@@ -580,11 +580,10 @@ class BgmpNetwork:
             low = mask & -mask
             mask ^= low
             domain = domains[low.bit_length() - 1]
-            best_exit = self.best_exit_router(domain, group)
+            best_exit, route = self._best_exit(domain, group)
             if best_exit is None:
                 continue
-            route = self.bgp.speaker(best_exit).next_hop_for_group(group)
-            if route is not None and route.is_local_origin:
+            if route.is_local_origin:
                 # Root domain: every attached router legitimately
                 # serves the interior.
                 continue
@@ -612,11 +611,9 @@ class BgmpNetwork:
         """True when the domain's membership is already served: some
         live border router holds (\\*,G) state, or the domain is the
         group's root domain (membership is an interior matter there)."""
-        best_exit = self.best_exit_router(domain, group)
-        if best_exit is not None:
-            route = self.bgp.speaker(best_exit).next_hop_for_group(group)
-            if route is not None and route.is_local_origin:
-                return True
+        route = self._best_exit(domain, group)[1]
+        if route is not None and route.is_local_origin:
+            return True
         for router in domain.routers.values():
             if not self.router_up(router):
                 continue
@@ -695,13 +692,9 @@ class BgmpNetwork:
             self._register_group(group)
             migp = self.migp_of(domain)
             migp.add_member(host, group)
-            best_exit = self.best_exit_router(domain, group)
+            best_exit, route = self._best_exit(domain, group)
             if best_exit is None:
                 span.finish(status="no-exit")
-                return False
-            route = self.bgp.speaker(best_exit).next_hop_for_group(group)
-            if route is None:
-                span.finish(status="no-route")
                 return False
             if route.is_local_origin:
                 # Root domain: membership is purely an MIGP matter until
@@ -794,13 +787,21 @@ class BgmpNetwork:
     ) -> Optional[BorderRouter]:
         """The domain's best exit router for a group: the router whose
         chosen group route is external (or locally originated)."""
+        return self._best_exit(domain, group)[0]
+
+    def _best_exit(
+        self, domain: Domain, group: int
+    ) -> Tuple[Optional[BorderRouter], Optional[Route]]:
+        """The best exit router together with the group route that
+        makes it so (both None when the domain has no exit), so callers
+        deciding on that route do not look it up a second time."""
         for router in sorted(domain.routers.values(), key=lambda r: r.name):
             route = self.bgp.speaker(router).next_hop_for_group(group)
             if route is None:
                 continue
             if route.is_local_origin or not route.from_internal:
-                return router
-        return None
+                return router, route
+        return None, None
 
     def send(self, host: Host, group: int) -> DeliveryReport:
         """Send one packet from a (not necessarily member) host.

@@ -66,15 +66,15 @@ class BgmpRouter:
         route = self.group_route(group)
         return route is not None and route.is_local_origin
 
-    def parent_target_for(self, group: int) -> Optional[Target]:
-        """The next hop towards the group's root domain.
+    def _parent_target(self, route: Optional[Route]) -> Optional[Target]:
+        """The next hop towards the group's root domain, given this
+        router's group route.
 
         An external next hop is a BGMP peer; an internal next hop (the
         best exit router) is reached through the MIGP. In the root
         domain itself the parent target is the MIGP component ("since
         it has no BGP next hop").
         """
-        route = self.group_route(group)
         if route is None:
             return None
         if route.is_local_origin:
@@ -93,7 +93,8 @@ class BgmpRouter:
         has no G-RIB route at all."""
         entry = self.table.get(group)
         if entry is None:
-            parent = self.parent_target_for(group)
+            route = self.group_route(group)
+            parent = self._parent_target(route)
             if parent is None:
                 return False
             entry = self.table.create(group, parent)
@@ -106,12 +107,16 @@ class BgmpRouter:
                     group=hex(group),
                     parent=repr(parent),
                 )
-            self._propagate_join(group, entry)
+            self._propagate_join(group, entry, route)
             return True
         entry.add_child(child)
         return True
 
-    def _propagate_join(self, group: int, entry: ForwardingEntry) -> None:
+    def _propagate_join(
+        self, group: int, entry: ForwardingEntry, route: Route
+    ) -> None:
+        """Join towards ``entry.parent``, the parent target derived
+        from ``route`` (this router's current group route)."""
         parent = entry.parent
         if isinstance(parent, PeerTarget):
             if not self.network.session_up(self.router, parent.router):
@@ -136,8 +141,7 @@ class BgmpRouter:
             return
         # Parent through the MIGP: either the best exit router of this
         # domain, or (in the root domain) plain MIGP membership.
-        route = self.group_route(group)
-        if route is None or route.is_local_origin:
+        if route.is_local_origin:
             self.migp.forward_join_cost()
             entry.upstream = None
             return
@@ -252,8 +256,8 @@ class BgmpRouter:
         entry = self.table.get(group)
         if entry is None:
             return False
-        new_parent = self.parent_target_for(group)
         route = self.group_route(group)
+        new_parent = self._parent_target(route)
         new_upstream: Optional[BorderRouter] = None
         if isinstance(new_parent, PeerTarget):
             new_upstream = new_parent.router
@@ -267,7 +271,7 @@ class BgmpRouter:
         if new_parent is None:
             entry.upstream = None
         else:
-            self._propagate_join(group, entry)
+            self._propagate_join(group, entry, route)
         self._prune_upstream(group, old_parent, old_upstream)
         return True
 

@@ -86,9 +86,9 @@ class LocRib:
     """Selected best routes, one per (type, prefix).
 
     Longest-match lookups go through a per-type :class:`LpmTrie` index
-    built lazily on first use and invalidated by any mutation, so the
-    steady state (many lookups between decision rounds) pays O(32) per
-    lookup instead of a scan over the whole table.
+    built lazily on first use and dropped by any mutation, so the
+    steady state (many lookups between decision rounds) pays a hash
+    probe per distinct mask length instead of a scan over the table.
     """
 
     def __init__(self) -> None:
@@ -149,7 +149,9 @@ class LocRib:
         return self.routes(RouteType.GROUP)
 
     def lookup(self, route_type: RouteType, address: int) -> Optional[Route]:
-        """Longest-prefix-match lookup for an address."""
+        """Longest-prefix-match lookup for an address; with
+        :attr:`RouteType.GROUP`, the operation BGMP performs to find
+        the next hop towards a group's root domain."""
         index = self._lpm.get(route_type)
         if index is None:
             index = LpmTrie()
@@ -159,10 +161,9 @@ class LocRib:
             self._lpm[route_type] = index
         return index.lookup(address)
 
-    def grib_lookup(self, group_address: int) -> Optional[Route]:
-        """Longest-match group-route lookup — the operation BGMP
-        performs to find the next hop towards a group's root domain."""
-        return self.lookup(RouteType.GROUP, group_address)
+    def count(self, route_type: RouteType) -> int:
+        """Number of routes of one type."""
+        return sum(1 for kind, _prefix in self._routes if kind is route_type)
 
     def __len__(self) -> int:
         return len(self._routes)

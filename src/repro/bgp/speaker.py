@@ -205,11 +205,11 @@ class BgpSpeaker:
 
     def grib_size(self) -> int:
         """Number of group routes in the Loc-RIB."""
-        return len(self.loc_rib.group_routes())
+        return self.loc_rib.count(RouteType.GROUP)
 
     def next_hop_for_group(self, group_address: int) -> Optional[Route]:
         """Longest-match G-RIB lookup for a group address."""
-        return self.loc_rib.grib_lookup(group_address)
+        return self.loc_rib.lookup(RouteType.GROUP, group_address)
 
     def __repr__(self) -> str:
         return f"BgpSpeaker({self.router.name})"

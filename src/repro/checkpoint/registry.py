@@ -63,13 +63,11 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "_length",
         "_hash",
     }),
-    # LpmTrie nodes encode the _MISSING identity sentinel explicitly
-    # (a raw pickle would restore it as a fresh object(), turning
-    # empty nodes into phantom values).
-    "repro.addressing.trie:_LpmNode": frozenset({
-        "low",
-        "high",
-        "value",
+    # LpmTrie is a __slots__ class; _search aliases the dicts held by
+    # _tables, which pickle's memo preserves.
+    "repro.addressing.trie:LpmTrie": frozenset({
+        "_tables",
+        "_search",
     }),
     # The topology identity classes reconstruct via __reduce__ (hash
     # attributes first, remaining state second).

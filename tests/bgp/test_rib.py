@@ -1,10 +1,16 @@
 """Tests for Adj-RIB-In and Loc-RIB."""
 
+import random
+
 from repro.addressing.ipv4 import parse_address
 from repro.addressing.prefix import Prefix
+from repro.bgmp.network import BgmpNetwork
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Route, RouteType
+from repro.experiments.churn import group_prefix
 from repro.topology.domain import Domain
+from repro.topology.generators import as_graph
+from tests.conftest import recompute_everything
 
 
 P16 = Prefix.parse("224.0.0.0/16")
@@ -62,20 +68,20 @@ class TestLocRib:
         rib = LocRib()
         rib.install(route(P16))
         rib.install(route(P24))
-        hit = rib.grib_lookup(parse_address("224.0.128.1"))
+        hit = rib.lookup(RouteType.GROUP, parse_address("224.0.128.1"))
         assert hit.prefix == P24
-        hit = rib.grib_lookup(parse_address("224.0.1.1"))
+        hit = rib.lookup(RouteType.GROUP, parse_address("224.0.1.1"))
         assert hit.prefix == P16
 
     def test_lookup_miss(self):
         rib = LocRib()
         rib.install(route(P16))
-        assert rib.grib_lookup(parse_address("230.0.0.1")) is None
+        assert rib.lookup(RouteType.GROUP, parse_address("230.0.0.1")) is None
 
     def test_lookup_respects_type(self):
         rib = LocRib()
         rib.install(route(P16, RouteType.UNICAST))
-        assert rib.grib_lookup(parse_address("224.0.0.1")) is None
+        assert rib.lookup(RouteType.GROUP, parse_address("224.0.0.1")) is None
         assert rib.lookup(
             RouteType.UNICAST, parse_address("224.0.0.1")
         ) is not None
@@ -85,3 +91,67 @@ class TestLocRib:
         rib.install(route(P16))
         rib.clear()
         assert len(rib) == 0
+
+
+def _longest_covering(snapshot, route_type, address):
+    """The reference lookup: scan every key of a Loc-RIB snapshot."""
+    best = None
+    for (kind, prefix), candidate in snapshot.items():
+        if kind is route_type and prefix.contains_address(address):
+            if best is None or prefix.length > best.prefix.length:
+                best = candidate
+    return best
+
+
+class TestLookupAgainstSnapshotScan:
+    def test_flap_and_crash_schedule_on_as_graph(self):
+        """After every step of a flap + crash/restore schedule, with
+        every speaker recomputing every round, each speaker's indexed
+        lookup equals a scan of its own table, for all three types."""
+        topology = as_graph(random.Random(7), node_count=40)
+        network = BgmpNetwork(topology)  # one UNICAST + MRIB /24 each
+        network.originate_group_range(
+            topology.domains[0], Prefix(224 << 24, 4)
+        )
+        for domain in topology.domains[1:13]:
+            network.originate_group_range(
+                domain, group_prefix(domain.domain_id)
+            )
+        rng = random.Random(11)
+        probes = {
+            RouteType.GROUP: [
+                group_prefix(index).network + rng.randrange(1 << 12)
+                for index in range(0, 16)
+            ] + [225 << 24, 10 << 24],
+        }
+        probes[RouteType.UNICAST] = probes[RouteType.MRIB] = [
+            BgmpNetwork.domain_unicast_prefix(domain).network + 1
+            for domain in rng.sample(topology.domains, 12)
+        ] + [(10 << 24) | (999 << 8), 224 << 24]
+        transit = [d for d in topology.domains[13:] if d.customers]
+        steps = []
+        for domain in rng.sample(topology.domains[1:13], 3):
+            prefix = group_prefix(domain.domain_id)
+            steps.append((network.bgp.withdraw, domain.router(), prefix))
+            steps.append((network.originate_group_range, domain, prefix))
+        for domain in rng.sample(transit, 3):
+            steps.append((network.bgp.fail_router, domain.router()))
+            steps.append((network.bgp.restore_router, domain.router()))
+        rng.shuffle(steps)
+
+        checked = 0
+        with recompute_everything():
+            for mutate, *args in [(network.converge,)] + steps:
+                mutate(*args)
+                network.converge()
+                for speaker in network.bgp.speakers.values():
+                    snapshot = speaker.loc_rib.snapshot()
+                    for route_type, addresses in probes.items():
+                        for address in addresses:
+                            assert speaker.loc_rib.lookup(
+                                route_type, address
+                            ) is _longest_covering(
+                                snapshot, route_type, address
+                            ), (speaker, route_type, hex(address))
+                            checked += 1
+        assert checked > 10_000

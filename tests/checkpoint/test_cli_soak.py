@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.checkpoint import CHECKPOINT_VERSION
 from repro.faults.soak import SoakConfig, SoakHarness
 from repro.sanitizer import InvariantViolation
 
 from tests.checkpoint._corruption import TreeLoopCorruption
+from tests.checkpoint.test_core import save_version_1_checkpoint
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -64,6 +66,18 @@ class TestSoakCliCrashResume:
         result = _repro("soak", "resume", *SOAK_FLAGS, "--dir", empty)
         assert result.returncode == 2
         assert "no soak checkpoint" in result.stderr
+
+    def test_resume_from_version_1_checkpoint_exits_2(self, tmp_path):
+        save_version_1_checkpoint(tmp_path / "soak-seed1-seg0.ckpt")
+        result = _repro(
+            "soak", "resume", *SOAK_FLAGS, "--dir", str(tmp_path)
+        )
+        assert result.returncode == 2
+        assert (
+            f"checkpoint version 1 != supported {CHECKPOINT_VERSION}"
+            in result.stderr
+        )
+        assert "Traceback" not in result.stderr
 
 
 class TestSoakCliReplay:

@@ -3,6 +3,7 @@ verification, and the simulator-specific snapshot details (cancelled
 compaction, FIFO tie-break survival)."""
 
 import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -17,6 +18,23 @@ def _append(log, value):
 
 def _noop():
     pass
+
+
+def save_version_1_checkpoint(path):
+    """A checkpoint file as version 1 wrote it: its payload names the
+    trie node class that version 2 deleted, so anything that unpickles
+    the payload before checking the version dies on AttributeError."""
+    payload = b"crepro.addressing.trie\n_LpmNode\n."
+    ckpt.save(
+        ckpt.Checkpoint(
+            payload=payload,
+            digest=hashlib.sha256(payload).hexdigest(),
+            version=1,
+            time=0.0,
+            events=0,
+        ),
+        path,
+    )
 
 
 class TestCheckpointObject:
@@ -87,6 +105,16 @@ class TestCheckpointFiles:
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ckpt.CheckpointError):
+            ckpt.load(path)
+
+    def test_load_refuses_version_1_before_unpickling(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        save_version_1_checkpoint(path)
+        with pytest.raises(
+            ckpt.CheckpointError,
+            match=f"checkpoint version 1 != supported "
+                  f"{ckpt.CHECKPOINT_VERSION}",
+        ):
             ckpt.load(path)
 
     def test_load_rejects_non_checkpoint_pickle(self, tmp_path):

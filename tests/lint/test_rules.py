@@ -416,3 +416,20 @@ class TestDet006SnapshotCoverage:
                 path.read_text(), path=str(path)
             )
             assert [f for f in findings if f.code == "DET006"] == []
+
+    def test_registry_names_only_existing_classes(self):
+        """DET006 skips a registered class it cannot find, so a key
+        left behind by a deleted or moved class would pass the check
+        above silently: every key must resolve to a class defined in
+        the module it names."""
+        import importlib
+
+        from repro.checkpoint.registry import SNAPSHOT_REGISTRY
+
+        for key in sorted(SNAPSHOT_REGISTRY):
+            module, _, name = key.partition(":")
+            found = getattr(importlib.import_module(module), name, None)
+            assert isinstance(found, type), f"stale registry key {key}"
+            assert found.__module__ == module, (
+                f"{key} is defined in {found.__module__}"
+            )
