@@ -1,11 +1,12 @@
 """Event-driven BGP.
 
-:class:`EventDrivenBgp` runs the same speakers, decision process,
-policies and aggregation as the synchronous :class:`BgpNetwork`, but
-propagates routing information as timed UPDATE messages over the
-discrete-event simulator: per-session link delays, incremental
-announce/withdraw deltas, and MRAI-style batching (at most one pending
-UPDATE per session).
+:class:`EventDrivenBgp` is a second *schedule* over the synchronous
+:class:`BgpNetwork`'s machinery — same speakers, per-key decision
+process, export function, advertised tables and per-key delivery —
+that propagates routing information as timed UPDATE messages over the
+discrete-event simulator instead of in lock-step rounds: per-session
+link delays and MRAI-style batching (at most one pending UPDATE per
+session, carrying every key that moved meanwhile).
 
 Because delivery is reliable and in order (the paper's TCP peerings)
 and the decision process is deterministic, a quiescent event-driven
@@ -17,14 +18,13 @@ suite measures.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set
 
 from repro.addressing.prefix import Prefix
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.network import BgpNetwork
+from repro.bgp.network import BgpNetwork, Session, mark_pending
 from repro.bgp.policy import ExportPolicy
-from repro.bgp.routes import Route, RouteType
-from repro.bgp.speaker import BgpSpeaker
+from repro.bgp.routes import Key, Route, RouteType
 from repro.sim.engine import Simulator
 from repro.topology.domain import BorderRouter
 from repro.topology.network import Topology
@@ -48,17 +48,16 @@ class EventDrivenBgp(BgpNetwork):
         self.external_delay = external_delay
         self.internal_delay = internal_delay
         self.mrai = mrai
-        #: Last advertised set per directed session, for delta updates.
-        self._sent: Dict[
-            Tuple[BorderRouter, BorderRouter],
-            Dict[Tuple[RouteType, Prefix], Route],
-        ] = {}
-        #: Sessions with an export already scheduled (MRAI batching).
-        self._pending_send: set = set()
+        #: Keys waiting to be exported on each directed session; a
+        #: session with an entry has its send scheduled (MRAI batching).
+        self._pending_send: Dict[Session, Optional[Set[Key]]] = {}
         #: Counters.
-        self.updates_sent = 0
         self.routes_announced = 0
         self.routes_withdrawn = 0
+        # Nothing is originated yet: the fresh speakers have nothing to
+        # decide or export, so no send needs scheduling for them.
+        self._dirty.clear()
+        self._export_dirty.clear()
 
     # ------------------------------------------------------------------
     # Origination (schedules propagation instead of waiting for a
@@ -71,8 +70,8 @@ class EventDrivenBgp(BgpNetwork):
         route_type: RouteType = RouteType.GROUP,
     ) -> Route:
         """Originate a route and kick off its propagation."""
-        route = self.speaker(router).originate(prefix, route_type)
-        self._recompute_and_cascade(self.speaker(router))
+        route = self.originate(router, prefix, route_type)
+        self._propagate()
         return route
 
     def retract(
@@ -82,56 +81,48 @@ class EventDrivenBgp(BgpNetwork):
         route_type: RouteType = RouteType.GROUP,
     ) -> bool:
         """Withdraw a locally-originated route and propagate."""
-        changed = self.speaker(router).withdraw_origin(prefix, route_type)
+        changed = self.withdraw(router, prefix, route_type)
         if changed:
-            self._recompute_and_cascade(self.speaker(router))
+            self._propagate()
         return changed
 
     # ------------------------------------------------------------------
     # Event flow
 
-    def _recompute_and_cascade(self, speaker: BgpSpeaker) -> None:
-        if speaker.recompute():
-            self._schedule_exports(speaker)
-
-    def _schedule_exports(self, speaker: BgpSpeaker) -> None:
-        router = speaker.router
-        peers = list(router.external_neighbors) + router.internal_peers()
-        for peer in peers:
-            session = (router, peer)
-            if session in self._pending_send:
-                continue
-            self._pending_send.add(session)
-            self.sim.schedule(
-                self.mrai, self._send_update, router, peer,
-                name=f"bgp-send-{router.name}->{peer.name}",
-            )
+    def _propagate(self) -> None:
+        """Rerun every pending decision, then schedule a send on each
+        live session of every speaker left with keys to export; keys
+        that move while a send is pending join it."""
+        rank = {
+            speaker: (speaker.domain.domain_id, speaker.router.name)
+            for speaker in (*self._dirty, *self._export_dirty)
+        }
+        for speaker, keys in self._run_decisions(rank):
+            router = speaker.router
+            for peer in self._live_peers(router):
+                session = (router, peer)
+                if session not in self._pending_send:
+                    self.sim.schedule(
+                        self.mrai, self._send_update, router, peer,
+                        name=f"bgp-send-{router.name}->{peer.name}",
+                    )
+                mark_pending(self._pending_send, session, keys)
 
     def _send_update(self, router: BorderRouter, peer: BorderRouter) -> None:
-        self._pending_send.discard((router, peer))
-        speaker = self.speaker(router)
-        exports = self._session_exports(speaker)
-        routes = exports.get(peer, [])
-        if peer.domain != router.domain:
-            routes = self._localize(peer.domain, router.domain, routes)
-            delay = self.external_delay
-        else:
-            delay = self.internal_delay
-        current = {route.key(): route for route in routes}
-        previous = self._sent.get((router, peer), {})
-        update = UpdateMessage()
-        for key, route in current.items():
-            if previous.get(key) != route:
-                update.announcements.append(route)
-        for key in previous:
-            if key not in current:
-                update.withdrawals.append(key)
-        self._sent[(router, peer)] = current
+        keys = self._pending_send.pop((router, peer))
+        update = self._session_update(
+            router, peer, self._best_routes(self.speaker(router), keys, [peer])
+        )
         if update.is_empty:
             return
         self.updates_sent += 1
         self.routes_announced += len(update.announcements)
         self.routes_withdrawn += len(update.withdrawals)
+        delay = (
+            self.internal_delay
+            if peer.domain == router.domain
+            else self.external_delay
+        )
         self.sim.schedule(
             delay, self._deliver, router, peer, update,
             name=f"bgp-update-{router.name}->{peer.name}",
@@ -143,13 +134,8 @@ class EventDrivenBgp(BgpNetwork):
         receiver: BorderRouter,
         update: UpdateMessage,
     ) -> None:
-        speaker = self.speaker(receiver)
-        for route in update.announcements:
-            speaker.receive(sender, route)
-        session = speaker.session_with(sender)
-        for route_type, prefix in update.withdrawals:
-            session.withdraw(route_type, prefix)
-        self._recompute_and_cascade(speaker)
+        self._apply_update(sender, receiver, update)
+        self._propagate()
 
     # ------------------------------------------------------------------
 

@@ -1,18 +1,17 @@
 """BGP UPDATE messages.
 
-Used by the event-driven session engine: each UPDATE carries the
-announcements and withdrawals one speaker sends a peer at one instant
-(the synchronous engine models the steady state directly and does not
-need explicit messages).
+Each UPDATE carries the announcements and withdrawals one speaker sends
+a peer at one instant — the per-key difference between its exports and
+the session's advertised table. The synchronous rounds deliver it at
+once, the event-driven schedule after the link delay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
-from repro.addressing.prefix import Prefix
-from repro.bgp.routes import Route, RouteType
+from repro.bgp.routes import Key, Route
 
 
 @dataclass
@@ -21,9 +20,7 @@ class UpdateMessage:
     withdrawn."""
 
     announcements: List[Route] = field(default_factory=list)
-    withdrawals: List[Tuple[RouteType, Prefix]] = field(
-        default_factory=list
-    )
+    withdrawals: List[Key] = field(default_factory=list)
 
     @property
     def is_empty(self) -> bool:

@@ -7,12 +7,15 @@ Loc-RIB is stable. Aggregation of covered customer group routes
 (section 4.3.2 of the paper) is applied at the domain's external
 border.
 
-The propagation engine tracks which speakers' inputs changed (dirty
-sets fed by :class:`~repro.bgp.speaker.BgpSpeaker` mutation hooks) and
-only those speakers recompute and export. Every directed session is
-gated on the cached last-sent advertisement set, so an unchanged set
-sends nothing — which is why treating *every* speaker as dirty walks
-the identical rounds, Loc-RIBs and update counts, the property
+The (type, prefix) key is the unit of work. Speaker mutation hooks
+report which keys' decision inputs moved; the decision process reruns
+for those keys only and patches the Loc-RIB in place; each round
+exports only the keys whose best route moved, diffed against the
+per-session *advertised table* (what the receiver holds from us), and
+a changed key is delivered straight into the receiver's Adj-RIB-In,
+dirtying that key there. A key whose export equals the table sends
+nothing — which is why treating *every* key of every speaker as dirty
+walks the identical rounds, Loc-RIBs and update counts, the property
 ``tests/bgp/test_incremental_equivalence.py`` checks against the
 recompute-everything oracle in ``tests/conftest.py`` (see
 ``docs/ARCHITECTURE.md`` section 8).
@@ -22,26 +25,37 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
+from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import (
     ExportPolicy,
     GaoRexfordPolicy,
     preference_for,
 )
-from repro.bgp.rib import diff_type_entries
-from repro.bgp.routes import Route, RouteType
+from repro.bgp.routes import Key, Route, RouteType, key_order
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import BorderRouter, Domain
 from repro.topology.network import Topology
 from repro.trace.tracer import NULL_TRACER
 
-#: "Never sent anything" and "last sent an empty set" are equivalent:
-#: both mean the receiver holds no routes from this session, so an
-#: empty advertisement set is never worth an UPDATE.
-_NOTHING_SENT: List[Route] = []
+#: A directed peering session: (sender router, receiver router).
+Session = Tuple[BorderRouter, BorderRouter]
+
+
+def mark_pending(
+    table: Dict, owner, keys: Optional[Iterable[Key]]
+) -> None:
+    """Add ``keys`` to ``owner``'s pending set in ``table``; ``None``
+    stands for every key and absorbs whatever was pending."""
+    if keys is None:
+        table[owner] = None
+        return
+    pending = table.setdefault(owner, set())
+    if pending is not None:
+        pending.update(keys)
 
 
 class ConvergenceError(Exception):
@@ -59,9 +73,9 @@ class GribDelta:
 
     ``kind`` is ``"added"``, ``"withdrawn"`` or ``"changed"`` (the
     best route for the prefix was replaced — next hop, AS path or
-    preference moved). Deltas are emitted from the content comparison
-    inside :meth:`~repro.bgp.rib.LocRib.replace`, so a recompute that
-    lands on identical contents emits nothing.
+    preference moved). Deltas are emitted by the decision process as
+    it patches the Loc-RIB, per speaker in (network, length) order, so
+    a recompute that selects the same best routes emits nothing.
     """
 
     router: BorderRouter
@@ -98,31 +112,26 @@ class BgpNetwork:
         self.speakers: Dict[BorderRouter, BgpSpeaker] = {}
         #: Telemetry sink (assign a real Tracer to trace convergence).
         self.tracer = NULL_TRACER
-        #: UPDATE messages sent across all sessions, network lifetime.
-        #: An UPDATE is counted per directed session per round *only*
-        #: when the advertisement set actually changed since the last
-        #: send on that session (an empty set counts as "nothing ever
-        #: sent"); unchanged sets are suppressed, exactly as a real
-        #: speaker would not re-announce a stable table.
+        #: UPDATE messages sent across all sessions, network lifetime:
+        #: one per directed session per round that carried a changed
+        #: key. A key whose export equals the advertised table is
+        #: suppressed — a real speaker does not re-announce a stable route.
         self.updates_sent = 0
         #: Administratively/faulted-down sessions (router pairs) and
         #: crashed routers — maintained by the fault layer.
         self._down_sessions: Set[frozenset] = set()
         self._down_routers: Set[BorderRouter] = set()
-        #: Speakers whose decision inputs changed since their last
-        #: recompute, and speakers whose exports must be re-evaluated.
-        self._dirty: Set[BgpSpeaker] = set()
-        self._export_dirty: Set[BgpSpeaker] = set()
-        #: Last advertisement set sent on each directed session
-        #: (sender router, receiver router) — post-:meth:`_localize`,
-        #: so an equality hit skips the whole receive path.
-        self._last_sent: Dict[
-            Tuple[BorderRouter, BorderRouter], List[Route]
-        ] = {}
-        #: True while :meth:`try_converge` performs its own mutations;
-        #: speaker hooks are ignored so the engine's bookkeeping is not
-        #: polluted by the sends it issues itself.
-        self._muted = False
+        #: Per speaker, the keys whose decision inputs changed since
+        #: the decision process last ran for them, and the keys whose
+        #: exports must be re-evaluated although their best route did
+        #: not move. ``None`` stands for every key.
+        self._dirty: Dict[BgpSpeaker, Optional[Set[Key]]] = {}
+        self._export_dirty: Dict[BgpSpeaker, Optional[Set[Key]]] = {}
+        #: The advertised table of each directed session: what the
+        #: receiver currently holds from the sender, in
+        #: receiver-relative form and before its loop check. A session
+        #: without an entry has advertised nothing.
+        self._advertised: Dict[Session, Dict[Key, Route]] = {}
         #: Per-domain cache of originated prefixes by type, and the
         #: network-wide longest-match index of GROUP origins; both are
         #: invalidated by :meth:`origins_changed`.
@@ -131,9 +140,8 @@ class BgpNetwork:
         ] = {}
         self._origin_index: Optional[LpmTrie] = None
         #: G-RIB delta subscribers (the BGMP tree-maintenance engine)
-        #: and the deltas accumulated since the last flush. Capture is
-        #: fully off — no snapshots, no diffs — until the first
-        #: subscriber registers.
+        #: and the deltas accumulated since the last flush; nothing is
+        #: recorded until the first subscriber registers.
         self._grib_subscribers: List = []
         self._pending_grib_deltas: List[GribDelta] = []
         for router in topology.routers():
@@ -142,45 +150,58 @@ class BgpNetwork:
     def _new_speaker(self, router: BorderRouter) -> BgpSpeaker:
         speaker = BgpSpeaker(router)
         speaker._listener = self
-        self._dirty.add(speaker)
-        self._export_dirty.add(speaker)
+        self.speaker_dirty(speaker)
         return speaker
 
     # ------------------------------------------------------------------
-    # Dirty-set bookkeeping (called by BgpSpeaker mutation hooks)
+    # Dirty-key bookkeeping (called by BgpSpeaker mutation hooks)
 
-    def speaker_dirty(self, speaker: BgpSpeaker) -> None:
-        """A speaker's decision inputs changed outside of convergence:
-        it must recompute, and its exports must be re-evaluated."""
-        if self._muted:
-            return
-        self._dirty.add(speaker)
-        self._export_dirty.add(speaker)
+    def speaker_dirty(
+        self, speaker: BgpSpeaker, keys: Optional[Iterable[Key]] = None
+    ) -> None:
+        """A speaker's decision inputs under ``keys`` changed: the
+        decision process must rerun for them (and whatever moves is
+        exported). With no keys, everything about the speaker is
+        suspect: every key is re-decided *and* re-exported."""
+        mark_pending(self._dirty, speaker, keys)
+        if keys is None:
+            self._export_dirty[speaker] = None
 
-    def origins_changed(self, speaker: BgpSpeaker) -> None:
-        """A speaker's origin set changed: the domain's own-prefix
-        cache and the network-wide origin index are stale, and every
-        speaker of the domain filters exports against the domain's
-        origins (aggregation), so all of them must re-export."""
+    def origins_changed(self, speaker: BgpSpeaker, key: Key) -> None:
+        """A speaker started or stopped originating ``key``: the
+        domain's own-prefix cache and the network-wide origin index
+        are stale, and every speaker of the domain filters exports
+        against the domain's origins (aggregation), so each must
+        re-export the keys the prefix strictly covers."""
         domain = speaker.domain
         self._own_prefix_cache.pop(domain, None)
         self._origin_index = None
+        if not self.aggregate:
+            return
+        route_type, prefix = key
         for router in domain.routers.values():
             peer_speaker = self.speakers.get(router)
-            if peer_speaker is not None:
-                self._export_dirty.add(peer_speaker)
-        self._export_dirty.add(speaker)
+            if peer_speaker is None:
+                continue
+            covered = [
+                held
+                for held in peer_speaker.loc_rib.keys()
+                if held[0] is route_type
+                and held != key
+                and prefix.contains(held[1])
+            ]
+            if covered:
+                mark_pending(self._export_dirty, peer_speaker, covered)
 
     def invalidate(self) -> None:
-        """Mark every speaker dirty and drop every cache — the big
-        hammer for callers that mutate the topology (new links or
-        routers) after construction."""
+        """Mark every key of every speaker dirty and drop every cache
+        — the big hammer for callers that mutate the topology after
+        construction. The advertised tables stay: they record what
+        receivers hold, and the full re-export is diffed against them."""
         self._own_prefix_cache.clear()
         self._origin_index = None
-        self._last_sent.clear()
         for speaker in self.speakers.values():
-            self._dirty.add(speaker)
-            self._export_dirty.add(speaker)
+            self.speaker_dirty(speaker)
         # Delta subscribers cannot trust the stream across a topology
         # mutation: tell them to treat everything as changed.
         self._pending_grib_deltas.clear()
@@ -202,23 +223,12 @@ class BgpNetwork:
         if subscriber not in self._grib_subscribers:
             self._grib_subscribers.append(subscriber)
 
-    def captures_grib(self) -> bool:
-        """Whether speakers should capture before/after snapshots
-        around Loc-RIB changes (only worth the copy when someone is
-        listening)."""
-        return bool(self._grib_subscribers)
-
-    def grib_changed(
-        self,
-        speaker: BgpSpeaker,
-        old: Dict[Tuple[RouteType, Prefix], Route],
-        new: Dict[Tuple[RouteType, Prefix], Route],
+    def grib_moved(
+        self, speaker: BgpSpeaker, prefix: Prefix, kind: str
     ) -> None:
-        """Speaker hook: its Loc-RIB contents just changed. Unlike the
-        dirty-set hooks this one stays live during convergence — the
-        deltas produced *by* convergence are exactly the stream the
-        subscribers want."""
-        for prefix, kind in diff_type_entries(old, new, RouteType.GROUP):
+        """Speaker hook: the best group route for ``prefix`` was just
+        added, withdrawn or changed in its Loc-RIB."""
+        if self._grib_subscribers:
             self._pending_grib_deltas.append(
                 GribDelta(speaker.router, prefix, kind)
             )
@@ -247,14 +257,8 @@ class BgpNetwork:
         if found is None:
             found = self._new_speaker(router)
             self.speakers[router] = found
-            # Existing neighbors must (re-)send to the newcomer.
-            for peer in list(router.external_neighbors) + list(
-                router.internal_peers()
-            ):
-                peer_speaker = self.speakers.get(peer)
-                if peer_speaker is not None:
-                    self._export_dirty.add(peer_speaker)
-                    self._last_sent.pop((peer, router), None)
+            # Existing neighbors must send to the newcomer.
+            self._reexport_peers(router)
         return found
 
     def originate(
@@ -319,6 +323,19 @@ class BgpNetwork:
             and frozenset((a, b)) not in self._down_sessions
         )
 
+    @staticmethod
+    def _peers(router: BorderRouter) -> List[BorderRouter]:
+        """``router``'s session peers: external, then the iBGP mesh."""
+        return list(router.external_neighbors) + router.internal_peers()
+
+    def _reexport_peers(self, router: BorderRouter) -> None:
+        """``router`` lost what its peers had advertised to it: each of
+        them must re-evaluate every export."""
+        for peer in self._peers(router):
+            peer_speaker = self.speakers.get(peer)
+            if peer_speaker is not None:
+                self._export_dirty[peer_speaker] = None
+
     def set_session_state(
         self, a: BorderRouter, b: BorderRouter, up: bool
     ) -> None:
@@ -326,20 +343,17 @@ class BgpNetwork:
 
         Going down immediately withdraws everything either side learned
         from the other (BGP's session-loss semantics); coming back up
-        re-advertises on the next :meth:`converge` — full advertisement
-        sets flow every round, so no explicit replay is needed.
+        re-advertises on the next :meth:`converge` — both ends
+        re-evaluate every export against the now-empty advertised
+        tables, so no explicit replay is needed.
         """
         key = frozenset((a, b))
         if up:
             if key not in self._down_sessions:
                 return
             self._down_sessions.discard(key)
-            # Both ends must re-send their full sets on revival.
-            self._forget_session(a, b)
             for router in (a, b):
-                speaker = self.speaker(router)
-                self._dirty.add(speaker)
-                self._export_dirty.add(speaker)
+                self.speaker_dirty(self.speaker(router))
             return
         if key in self._down_sessions:
             return
@@ -349,11 +363,9 @@ class BgpNetwork:
         self._forget_session(a, b)
 
     def _forget_session(self, a: BorderRouter, b: BorderRouter) -> None:
-        """Drop the last-sent cache for both directions of a session —
-        whatever crossed it before the state transition no longer
-        reflects what the other side holds."""
-        self._last_sent.pop((a, b), None)
-        self._last_sent.pop((b, a), None)
+        """The session's Adj-RIB-Ins are gone: so is what was advertised."""
+        self._advertised.pop((a, b), None)
+        self._advertised.pop((b, a), None)
 
     def fail_router(self, router: BorderRouter) -> None:
         """Crash a border router: every peer withdraws the routes it
@@ -362,13 +374,12 @@ class BgpNetwork:
         if router in self._down_routers:
             return
         self._down_routers.add(router)
-        for speaker in self.speakers.values():
-            if speaker.router != router:
-                speaker.drop_session(router)
+        for peer in self._peers(router):
+            peer_speaker = self.speakers.get(peer)
+            if peer_speaker is not None:
+                peer_speaker.drop_session(router)
+            self._forget_session(router, peer)
         self.speaker(router).reset()
-        stale = [key for key in self._last_sent if router in key]
-        for key in stale:
-            del self._last_sent[key]
 
     def restore_router(self, router: BorderRouter) -> None:
         """Restart a crashed router; the next :meth:`converge` rebuilds
@@ -376,16 +387,8 @@ class BgpNetwork:
         if router not in self._down_routers:
             return
         self._down_routers.discard(router)
-        speaker = self.speaker(router)
-        self._dirty.add(speaker)
-        self._export_dirty.add(speaker)
-        # Neighbors must re-send everything the crash wiped out.
-        for peer in list(router.external_neighbors) + list(
-            router.internal_peers()
-        ):
-            peer_speaker = self.speakers.get(peer)
-            if peer_speaker is not None:
-                self._export_dirty.add(peer_speaker)
+        self.speaker_dirty(self.speaker(router))
+        self._reexport_peers(router)
 
     def down_routers(self) -> List[BorderRouter]:
         """Currently crashed routers (sorted for determinism)."""
@@ -416,20 +419,21 @@ class BgpNetwork:
         """Run synchronous update rounds, reporting rather than raising
         on a budget overrun.
 
-        Each round: the exporting speakers compute their per-session
-        advertisement sets, every *changed* set is delivered (wholesale
-        Adj-RIB-In replacement models implicit withdrawal; an unchanged
-        or never-sent-and-empty set is suppressed and not counted in
-        :attr:`updates_sent`), then the affected speakers rerun the
-        decision process. Crashed routers and down sessions carry
-        nothing — their routes were withdrawn when the fault hit.
+        Each round: the exporting speakers re-evaluate the exports of
+        their pending keys on every live session, every key whose
+        export differs from the session's advertised table is
+        delivered (one UPDATE per session that carried any, counted in
+        :attr:`updates_sent`), then every speaker that received one
+        reruns the decision process for the delivered keys. Crashed
+        routers and down sessions carry nothing — their routes were
+        withdrawn when the fault hit.
 
-        The exporter set is seeded from the dirty sets fed by speaker
-        mutation hooks and thereafter from the speakers whose Loc-RIBs
-        changed in the previous round. A speaker whose inputs did not
-        change would recompute to an identical Loc-RIB and export
-        identical (suppressed) sets, so skipping it changes neither
-        the delivered updates nor the round count.
+        The first round exports the keys left pending by mutation
+        hooks plus whatever the initial decision pass moves; later
+        rounds exactly the keys whose best route moved in the round
+        before. A key whose inputs did not change would be re-decided
+        to the same route and a suppressed advertisement, so skipping
+        it changes neither the delivered updates nor the round count.
         """
         ordered = [
             self.speakers[r]
@@ -438,71 +442,66 @@ class BgpNetwork:
         ]
         rank = {speaker: index for index, speaker in enumerate(ordered)}
         tracer = self.tracer
-        self._muted = True
         try:
             with tracer.span(
                 "bgp.converge", layer="bgp", speakers=len(ordered)
             ) as span:
-                exporters = [
-                    s for s in ordered if s in self._export_dirty
-                ]
-                self._export_dirty.difference_update(exporters)
-                for speaker in exporters:
-                    if speaker in self._dirty:
-                        speaker.recompute()
-                        self._dirty.discard(speaker)
+                exporters = self._run_decisions(rank)
                 for round_index in range(1, max_rounds + 1):
                     round_updates = 0
-                    receivers: Set[BgpSpeaker] = set()
-                    for speaker in exporters:
-                        per_peer = self._session_exports(speaker)
-                        for peer, routes in per_peer.items():
-                            if peer.domain != speaker.domain:
-                                routes = self._localize(peer.domain,
-                                                        speaker.domain,
-                                                        routes)
-                            key = (speaker.router, peer)
-                            if routes == self._last_sent.get(
-                                key, _NOTHING_SENT
-                            ):
-                                continue
-                            self._last_sent[key] = routes
-                            receiver = self.speakers[peer]
-                            receiver.replace_session_routes(
-                                speaker.router, routes
+                    for speaker, keys in exporters:
+                        router = speaker.router
+                        peers = self._live_peers(router)
+                        bests = self._best_routes(speaker, keys, peers)
+                        for peer in peers:
+                            update = self._session_update(
+                                router, peer, bests
                             )
-                            receivers.add(receiver)
-                            round_updates += 1
+                            if not update.is_empty:
+                                self._apply_update(router, peer, update)
+                                round_updates += 1
                     self.updates_sent += round_updates
-                    changed = [
-                        speaker
-                        for speaker in sorted(
-                            receivers, key=rank.__getitem__
-                        )
-                        if speaker.recompute()
-                    ]
+                    exporters = self._run_decisions(rank)
                     if tracer.enabled:
                         span.event(
                             "round",
                             index=round_index,
                             updates=round_updates,
-                            changed=bool(changed),
+                            changed=bool(exporters),
                         )
-                    if not changed:
+                    if not exporters:
                         span.finish(
                             status="converged", rounds=round_index
                         )
                         return ConvergenceResult(True, round_index)
-                    exporters = changed
-                # Budget exhausted mid-flight: remember who still has
-                # unexported changes so the next attempt resumes
-                # instead of silently dropping them.
-                self._export_dirty.update(exporters)
+                # Budget exhausted mid-flight: remember which keys
+                # still have unexported changes so the next attempt
+                # resumes instead of silently dropping them.
+                for speaker, keys in exporters:
+                    mark_pending(self._export_dirty, speaker, keys)
                 span.finish(status="budget-exhausted", rounds=max_rounds)
                 return ConvergenceResult(False, max_rounds)
         finally:
-            self._muted = False
             self.flush_grib_deltas()
+
+    def _run_decisions(
+        self, rank: Dict[BgpSpeaker, object]
+    ) -> List[Tuple[BgpSpeaker, Optional[Set[Key]]]]:
+        """Every speaker in ``rank`` (the live ones, by canonical
+        position) with dirty keys reruns the decision process for
+        them; returns the speakers left with keys to export — moved
+        just now or pending from mutation hooks — in rank order."""
+        for speaker in sorted(
+            (s for s in self._dirty if s in rank), key=rank.__getitem__
+        ):
+            moved = speaker.recompute(self._dirty.pop(speaker))
+            if moved:
+                mark_pending(self._export_dirty, speaker, moved)
+        ready = sorted(
+            (s for s in self._export_dirty if s in rank),
+            key=rank.__getitem__,
+        )
+        return [(s, self._export_dirty.pop(s)) for s in ready]
 
     def _ordered_routers(self) -> List[BorderRouter]:
         ordered: List[BorderRouter] = []
@@ -515,54 +514,131 @@ class BgpNetwork:
         ordered.extend(r for r in self.speakers if r not in known)
         return ordered
 
-    def _session_exports(
-        self, speaker: BgpSpeaker
-    ) -> Dict[BorderRouter, List[Route]]:
-        """Advertisements this speaker sends on each session this round."""
-        per_peer: Dict[BorderRouter, List[Route]] = {}
-        domain = speaker.domain
-        own_prefixes = self._own_prefixes_by_type(domain)
-        best_routes = speaker.loc_rib.routes()
-        for peer in speaker.router.external_neighbors:
-            if not self.session_up(speaker.router, peer):
-                continue
-            relationship = domain.relationship_to(peer.domain)
-            multicast_ok = self.topology.multicast_capable(
-                speaker.router, peer
+    def _live_peers(self, router: BorderRouter) -> List[BorderRouter]:
+        return [
+            peer
+            for peer in self._peers(router)
+            if self.session_up(router, peer)
+        ]
+
+    # ------------------------------------------------------------------
+    # Export and delivery, one key at a time (shared with the
+    # event-driven schedule in ``repro.bgp.events``)
+
+    def _best_routes(
+        self,
+        speaker: BgpSpeaker,
+        keys: Optional[Iterable[Key]],
+        peers: Iterable[BorderRouter],
+    ) -> List[Tuple[Key, Optional[Route]]]:
+        """``keys`` (None: every key the speaker holds or has
+        advertised to any of ``peers``) in canonical order, each with
+        the speaker's best route for it."""
+        if keys is None:
+            router = speaker.router
+            keys = set(speaker.loc_rib.keys()).union(
+                *(self._advertised.get((router, peer), ()) for peer in peers)
             )
-            advertised: List[Route] = []
-            for route in best_routes:
-                # Unicast-only links carry no multicast routing state:
-                # group and M-RIB routes detour around them, making the
-                # multicast topology incongruent with the unicast one
-                # (sections 2-3 of the paper).
-                if not multicast_ok and route.route_type in (
-                    RouteType.GROUP,
-                    RouteType.MRIB,
-                ):
-                    continue
-                if not self.policy.allows(
-                    domain, route, route.learned_from, relationship
-                ):
-                    continue
-                if self.aggregate and self._covered_by_own(
-                    domain, route, own_prefixes
-                ):
-                    continue
-                advertised.append(
-                    route.advertised_by(speaker.router)
-                )
-            per_peer[peer] = advertised
-        for internal in speaker.router.internal_peers():
-            if not self.session_up(speaker.router, internal):
+        return [
+            (key, speaker.loc_rib.get(*key))
+            for key in sorted(keys, key=key_order)
+        ]
+
+    def _session_update(
+        self,
+        router: BorderRouter,
+        peer: BorderRouter,
+        bests: List[Tuple[Key, Optional[Route]]],
+    ) -> UpdateMessage:
+        """Re-evaluate the exports of ``bests`` on the session to
+        ``peer``, bring the advertised table up to date and return the
+        difference as the UPDATE to deliver."""
+        table = self._advertised.get((router, peer), {})
+        terms = self._session_terms(router, peer)
+        update = UpdateMessage()
+        for key, best in bests:
+            route = (
+                None if best is None else self._export(best, router, terms)
+            )
+            if route == table.get(key):
                 continue
-            advertised = [
-                route.advertised_by(speaker.router, internal=True)
-                for route in best_routes
-                if not route.from_internal
-            ]
-            per_peer[internal] = advertised
-        return per_peer
+            if route is None:
+                del table[key]
+                update.withdrawals.append(key)
+            else:
+                table[key] = route
+                update.announcements.append(route)
+        if update.announcements:
+            self._advertised[router, peer] = table
+        return update
+
+    def _apply_update(
+        self,
+        sender: BorderRouter,
+        receiver: BorderRouter,
+        update: UpdateMessage,
+    ) -> None:
+        """Deliver an UPDATE key by key into the receiver's Adj-RIB-In
+        for the session (which dirties exactly those keys there)."""
+        speaker = self.speaker(receiver)
+        for route in update.announcements:
+            speaker.deliver(sender, route.key(), route)
+        for key in update.withdrawals:
+            speaker.deliver(sender, key, None)
+
+    def _session_terms(
+        self, router: BorderRouter, peer: BorderRouter
+    ) -> Optional[Tuple[bool, str, str]]:
+        """What an export on the external session router -> peer
+        depends on besides the route: whether the link carries
+        multicast, what the peer's domain is to ours (export policy)
+        and ours to the peer's (the receiver-relative attributes).
+        ``None`` for an iBGP session."""
+        domain = router.domain
+        if peer.domain == domain:
+            return None
+        return (
+            self.topology.multicast_capable(router, peer),
+            domain.relationship_to(peer.domain),
+            peer.domain.relationship_to(domain),
+        )
+
+    def _export(
+        self,
+        route: Route,
+        router: BorderRouter,
+        terms: Optional[Tuple[bool, str, str]],
+    ) -> Optional[Route]:
+        """The best route ``route`` of ``router`` as the peer of a
+        session with ``terms`` receives it, or ``None`` when it is not
+        advertised there."""
+        if terms is None:
+            # iBGP redistributes what was learned outside the domain.
+            if route.from_internal:
+                return None
+            return route.advertised_by(router, internal=True)
+        multicast_ok, exporting_to, learned_from = terms
+        # Unicast-only links carry no multicast routing state: group
+        # and M-RIB routes detour around them, making the multicast
+        # topology incongruent with the unicast one (sections 2-3 of
+        # the paper).
+        if not multicast_ok and route.route_type in (
+            RouteType.GROUP,
+            RouteType.MRIB,
+        ):
+            return None
+        domain = router.domain
+        if not self.policy.allows(
+            domain, route, route.learned_from, exporting_to
+        ):
+            return None
+        if self.aggregate and self._covered_by_own(domain, route):
+            return None
+        # Receiver-relative form: local_pref and learned_from reflect
+        # the receiver's relationship to us (customer routes preferred).
+        return route.advertised_by(
+            router, preference_for(learned_from), learned_from=learned_from
+        )
 
     def _own_prefixes_by_type(
         self, domain: Domain
@@ -581,49 +657,17 @@ class BgpNetwork:
             self._own_prefix_cache[domain] = found
         return found
 
-    def _covered_by_own(
-        self,
-        domain: Domain,
-        route: Route,
-        own_prefixes: Dict[RouteType, List[Prefix]],
-    ) -> bool:
+    def _covered_by_own(self, domain: Domain, route: Route) -> bool:
         """True when a learned route is subsumed by one of the domain's
         own originated prefixes, so the aggregate makes propagating the
         specific unnecessary (section 4.3.2)."""
         if route.is_local_origin:
             return False
-        for prefix in own_prefixes.get(route.route_type, ()):
+        own = self._own_prefixes_by_type(domain).get(route.route_type, ())
+        for prefix in own:
             if prefix != route.prefix and prefix.contains(route.prefix):
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Delivery: receiver-side route construction
-
-    def _localize(
-        self,
-        receiver: Domain,
-        sender: Domain,
-        routes: List[Route],
-    ) -> List[Route]:
-        """Rewrite externally-advertised routes into receiver-relative
-        form: local_pref and learned_from reflect the receiver's
-        relationship to the sending domain (customer routes preferred).
-        """
-        relationship = receiver.relationship_to(sender)
-        preference = preference_for(relationship)
-        return [
-            Route(
-                route.prefix,
-                route.route_type,
-                route.next_hop,
-                route.as_path,
-                local_pref=preference,
-                from_internal=False,
-                learned_from=relationship,
-            )
-            for route in routes
-        ]
 
     # ------------------------------------------------------------------
     # Queries

@@ -2,53 +2,21 @@
 
 Each speaker keeps one :class:`AdjRibIn` per peering session (the routes
 that peer advertised) and one :class:`LocRib` (the selected best route
-per (type, prefix) after the decision process). The G-RIB of the paper
-is the Loc-RIB filtered to :attr:`RouteType.GROUP` with longest-match
+per (type, prefix) after the decision process). Both are patched one
+key at a time — an UPDATE carries the keys that changed, and the
+decision process reruns for exactly those. The G-RIB of the paper is
+the Loc-RIB filtered to :attr:`RouteType.GROUP` with longest-match
 lookup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, KeysView, List, Optional
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
-from repro.bgp.routes import Route, RouteType
+from repro.bgp.routes import Key, Route, RouteType
 from repro.topology.domain import BorderRouter
-
-
-def diff_type_entries(
-    old: Dict[Tuple[RouteType, Prefix], Route],
-    new: Dict[Tuple[RouteType, Prefix], Route],
-    route_type: RouteType,
-) -> List[Tuple[Prefix, str]]:
-    """Content diff between two Loc-RIB snapshots for one route type.
-
-    Returns ``(prefix, kind)`` pairs with kind one of ``"added"``,
-    ``"withdrawn"`` or ``"changed"`` (the route object for the prefix
-    differs — next hop, AS path, preference or provenance). This is
-    the primitive behind the G-RIB delta stream that drives
-    incremental BGMP tree maintenance; the pairs are sorted so delta
-    consumers see a deterministic order.
-    """
-    deltas: List[Tuple[Prefix, str]] = []
-    for key, route in old.items():
-        kind, prefix = key
-        if kind is not route_type:
-            continue
-        replacement = new.get(key)
-        if replacement is None:
-            deltas.append((prefix, "withdrawn"))
-        elif replacement != route:
-            deltas.append((prefix, "changed"))
-    for key in new:
-        kind, prefix = key
-        if kind is not route_type:
-            continue
-        if key not in old:
-            deltas.append((prefix, "added"))
-    deltas.sort(key=lambda item: (item[0].network, item[0].length, item[1]))
-    return deltas
 
 
 class AdjRibIn:
@@ -56,7 +24,7 @@ class AdjRibIn:
 
     def __init__(self, peer: BorderRouter):
         self.peer = peer
-        self._routes: Dict[Tuple[RouteType, Prefix], Route] = {}
+        self._routes: Dict[Key, Route] = {}
 
     def update(self, route: Route) -> None:
         """Install or replace the peer's route for its (type, prefix)."""
@@ -66,9 +34,9 @@ class AdjRibIn:
         """Remove the peer's route; True if one was present."""
         return self._routes.pop((route_type, prefix), None) is not None
 
-    def routes(self) -> List[Route]:
-        """All routes from this peer."""
-        return list(self._routes.values())
+    def keys(self) -> KeysView[Key]:
+        """The (type, prefix) pairs the peer currently advertises."""
+        return self._routes.keys()
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """The peer's route for (type, prefix), if any."""
@@ -77,7 +45,7 @@ class AdjRibIn:
     def __len__(self) -> int:
         return len(self._routes)
 
-    def snapshot(self) -> Dict[Tuple[RouteType, Prefix], Route]:
+    def snapshot(self) -> Dict[Key, Route]:
         """A copy of the table (used by convergence checks)."""
         return dict(self._routes)
 
@@ -86,53 +54,40 @@ class LocRib:
     """Selected best routes, one per (type, prefix).
 
     Longest-match lookups go through a per-type :class:`LpmTrie` index
-    built lazily on first use and dropped by any mutation, so the
-    steady state (many lookups between decision rounds) pays a hash
-    probe per distinct mask length instead of a scan over the table.
+    built on first use; from then on :meth:`install` and :meth:`remove`
+    patch it in place, so a route that moves costs one hash write and
+    the steady state (many lookups between decision rounds) pays a
+    hash probe per distinct mask length instead of a scan over the
+    table.
     """
 
     def __init__(self) -> None:
-        self._routes: Dict[Tuple[RouteType, Prefix], Route] = {}
+        self._routes: Dict[Key, Route] = {}
         self._lpm: Dict[RouteType, LpmTrie] = {}
 
     def install(self, route: Route) -> None:
         """Install the winning route for its (type, prefix)."""
         self._routes[route.key()] = route
-        self._lpm.pop(route.route_type, None)
+        index = self._lpm.get(route.route_type)
+        if index is not None:
+            index.insert(route.prefix, route)
 
     def remove(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Drop the entry; True if one was present."""
         if self._routes.pop((route_type, prefix), None) is None:
             return False
-        self._lpm.pop(route_type, None)
+        index = self._lpm.get(route_type)
+        if index is not None:
+            index.remove(prefix)
         return True
-
-    def replace(self, routes: Dict[Tuple[RouteType, Prefix], Route]) -> bool:
-        """Swap in a freshly-selected table; True when the contents
-        changed (the comparison the decision process reports)."""
-        return self.replace_capturing(routes) is not None
-
-    def replace_capturing(
-        self, routes: Dict[Tuple[RouteType, Prefix], Route]
-    ) -> Optional[Dict[Tuple[RouteType, Prefix], Route]]:
-        """Like :meth:`replace`, but returns the pre-replacement table
-        when the contents changed (``None`` when unchanged).
-
-        Because the swap installs a fresh dict, the old one can be
-        handed back without copying — the zero-cost capture the G-RIB
-        delta stream rides on: no snapshots on the (overwhelmingly
-        common) unchanged recompute, no copy on the changed one.
-        """
-        if routes == self._routes:
-            return None
-        old = self._routes
-        self._routes = dict(routes)
-        self._lpm.clear()
-        return old
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """Exact-prefix lookup."""
         return self._routes.get((route_type, prefix))
+
+    def keys(self) -> KeysView[Key]:
+        """The (type, prefix) pairs that currently have a best route."""
+        return self._routes.keys()
 
     def routes(self, route_type: Optional[RouteType] = None) -> List[Route]:
         """All routes, optionally filtered by type, in canonical
@@ -169,26 +124,10 @@ class LocRib:
         return len(self._routes)
 
     def clear(self) -> None:
-        """Drop everything (used when recomputing from scratch)."""
+        """Drop everything (a crashed router's volatile state)."""
         self._routes.clear()
         self._lpm.clear()
 
-    def snapshot(self) -> Dict[Tuple[RouteType, Prefix], Route]:
+    def snapshot(self) -> Dict[Key, Route]:
         """A copy of the table (used by convergence checks)."""
         return dict(self._routes)
-
-    def type_snapshot(
-        self, route_type: RouteType
-    ) -> Dict[Tuple[RouteType, Prefix], Route]:
-        """A copy of just one type's entries.
-
-        The G-RIB delta capture runs around every decision-process
-        recompute, so it snapshots only the GROUP slice — a handful of
-        group ranges instead of the full table — keeping capture cost
-        negligible next to the recompute itself.
-        """
-        return {
-            key: route
-            for key, route in self._routes.items()
-            if key[0] is route_type
-        }

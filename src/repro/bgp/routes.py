@@ -25,6 +25,18 @@ class RouteType(Enum):
     GROUP = "group"
 
 
+#: The (type, prefix) pair routes are selected, advertised and
+#: withdrawn per — the unit of work of the whole BGP layer.
+Key = Tuple[RouteType, Prefix]
+
+
+def key_order(key: Key) -> Tuple[int, int, str]:
+    """Canonical sort key for :data:`Key` collections (network, mask
+    length, type): key sets are always walked in this order, which is
+    also the order of the G-RIB delta stream."""
+    return (key[1].network, key[1].length, key[0].value)
+
+
 class Route:
     """An immutable BGP route.
 
@@ -44,6 +56,7 @@ class Route:
         "local_pref",
         "from_internal",
         "learned_from",
+        "_key",
     )
 
     def __init__(
@@ -67,6 +80,7 @@ class Route:
         #: across iBGP redistribution so export policy can be applied at
         #: every border router of the domain.
         self.learned_from = learned_from
+        self._key = (route_type, prefix)
 
     @property
     def origin_domain_id(self) -> Optional[int]:
@@ -78,15 +92,17 @@ class Route:
         """True for routes originated by this speaker's own domain."""
         return self.next_hop is None
 
-    def key(self) -> Tuple[RouteType, Prefix]:
-        """The (type, prefix) pair routes are selected per."""
-        return (self.route_type, self.prefix)
+    def key(self) -> Key:
+        """The (type, prefix) pair routes are selected per (one tuple
+        per route, shared by every table that holds the route)."""
+        return self._key
 
     def advertised_by(
         self,
         router: BorderRouter,
         local_pref: int = 100,
         internal: bool = False,
+        learned_from: str = "origin",
     ) -> "Route":
         """The route as received by a neighbour of ``router``.
 
@@ -112,6 +128,7 @@ class Route:
             (router.domain.domain_id,) + self.as_path,
             local_pref=local_pref,
             from_internal=False,
+            learned_from=learned_from,
         )
 
     def has_loop(self, domain_id: int) -> bool:

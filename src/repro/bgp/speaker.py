@@ -3,18 +3,20 @@
 Each border router runs one speaker. A speaker holds locally-originated
 routes, one Adj-RIB-In per peering session (external sessions over the
 router's inter-domain links plus an iBGP full mesh with the other
-border routers of its domain), and a Loc-RIB computed by the standard
-decision process.
+border routers of its domain), and a Loc-RIB kept by the standard
+decision process. The (type, prefix) key is the unit of work: every
+mutation tells the listener which keys it touched, and
+:meth:`BgpSpeaker.recompute` reselects exactly those.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgp.policy import preference_for
 from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.routes import Route, RouteType
+from repro.bgp.routes import Key, Route, RouteType, key_order
 from repro.topology.domain import BorderRouter
 
 
@@ -24,31 +26,28 @@ class BgpSpeaker:
     def __init__(self, router: BorderRouter):
         self.router = router
         self.loc_rib = LocRib()
-        self._origins: Dict[Tuple[RouteType, Prefix], Route] = {}
+        self._origins: Dict[Key, Route] = {}
         self._adj_in: Dict[BorderRouter, AdjRibIn] = {}
         #: Change listener (set by :class:`~repro.bgp.network.BgpNetwork`
-        #: to drive its dirty sets): an object with ``speaker_dirty``
-        #: and ``origins_changed`` methods, called whenever this
-        #: speaker's decision inputs mutate. ``None`` for standalone
-        #: speakers.
+        #: to drive its dirty keys): an object with ``speaker_dirty``,
+        #: ``origins_changed`` and ``grib_moved`` methods, called
+        #: whenever this speaker's decision inputs, origin set or
+        #: G-RIB change. ``None`` for standalone speakers.
         self._listener = None
 
-    def _mark_dirty(self) -> None:
+    def _mark_dirty(self, keys: Optional[Iterable[Key]] = None) -> None:
+        """Decision inputs under ``keys`` changed (None: under any)."""
         if self._listener is not None:
-            self._listener.speaker_dirty(self)
+            self._listener.speaker_dirty(self, keys)
 
-    def _mark_origins_changed(self) -> None:
+    def _mark_origin_changed(self, key: Key) -> None:
         if self._listener is not None:
-            self._listener.origins_changed(self)
+            self._listener.speaker_dirty(self, (key,))
+            self._listener.origins_changed(self, key)
 
-    def _captures_grib(self) -> bool:
-        """True when the listener wants before/after Loc-RIB tables
-        around every content change (the G-RIB delta stream). Capture
-        is zero-copy on the recompute path, but the diff on change is
-        not free, so it stays gated on an actual downstream
-        consumer."""
-        listener = self._listener
-        return listener is not None and listener.captures_grib()
+    def _mark_grib_moved(self, key: Key, kind: str) -> None:
+        if self._listener is not None and key[0] is RouteType.GROUP:
+            self._listener.grib_moved(self, key[1], kind)
 
     @property
     def domain(self):
@@ -74,24 +73,20 @@ class BgpSpeaker:
         """Tear down the session with ``peer``: every route learned
         from it is withdrawn (the Adj-RIB-In vanishes). True when a
         session existed."""
-        if self._adj_in.pop(peer, None) is None:
+        rib = self._adj_in.pop(peer, None)
+        if rib is None:
             return False
-        self._mark_dirty()
+        self._mark_dirty(rib.keys())
         return True
 
     def reset(self) -> None:
         """Crash recovery model: volatile state (Adj-RIB-Ins, Loc-RIB)
         is lost; configuration (locally-originated routes) survives and
         is re-announced on the next decision round."""
-        old = (
-            self.loc_rib.type_snapshot(RouteType.GROUP)
-            if self._captures_grib() and len(self.loc_rib)
-            else None
-        )
         self._adj_in.clear()
+        for key in sorted(self.loc_rib.keys(), key=key_order):
+            self._mark_grib_moved(key, "withdrawn")
         self.loc_rib.clear()
-        if old:
-            self._listener.grib_changed(self, old, {})
         self._mark_dirty()
 
     # ------------------------------------------------------------------
@@ -109,8 +104,7 @@ class BgpSpeaker:
             local_pref=preference_for("origin"),
         )
         self._origins[route.key()] = route
-        self._mark_dirty()
-        self._mark_origins_changed()
+        self._mark_origin_changed(route.key())
         return route
 
     def withdraw_origin(
@@ -119,8 +113,7 @@ class BgpSpeaker:
         """Stop originating a route; True if it was originated here."""
         if self._origins.pop((route_type, prefix), None) is None:
             return False
-        self._mark_dirty()
-        self._mark_origins_changed()
+        self._mark_origin_changed((route_type, prefix))
         return True
 
     def origins(self) -> List[Route]:
@@ -128,67 +121,90 @@ class BgpSpeaker:
         return list(self._origins.values())
 
     # ------------------------------------------------------------------
-    # Decision process
+    # Delivery and decision process
+
+    def deliver(
+        self, peer: BorderRouter, key: Key, route: Optional[Route]
+    ) -> None:
+        """Apply one key of an UPDATE from ``peer``: ``route`` replaces
+        whatever the peer advertised under ``key`` before. ``None``
+        withdraws it, and so does an external route whose AS path
+        already holds this domain — the peer's best path now runs
+        through us, so its previous one is gone all the same."""
+        if (
+            route is not None
+            and not route.from_internal
+            and route.has_loop(self.domain.domain_id)
+        ):
+            route = None
+        rib = self.session_with(peer)
+        if route is not None:
+            rib.update(route)
+        elif not rib.withdraw(*key):
+            return
+        self._mark_dirty((key,))
 
     def receive(self, peer: BorderRouter, route: Route) -> None:
-        """Install a route into the peer's Adj-RIB-In (loop-checked)."""
-        if not route.from_internal and route.has_loop(
-            self.domain.domain_id
-        ):
-            return
-        self.session_with(peer).update(route)
-        self._mark_dirty()
+        """Deliver one announced route from ``peer``."""
+        self.deliver(peer, route.key(), route)
 
     def replace_session_routes(
         self, peer: BorderRouter, routes: List[Route]
     ) -> None:
-        """Wholesale replacement of a session's advertised set.
-
-        Models the steady-state effect of UPDATE messages including
-        implicit withdrawals: whatever the peer no longer advertises
-        disappears.
-        """
-        rib = AdjRibIn(peer)
-        self._adj_in[peer] = rib
+        """Session (re-)establishment: ``routes`` is the peer's whole
+        table, so whatever it advertised before and no longer does is
+        withdrawn."""
+        announced = {route.key() for route in routes}
+        stale = self.session_with(peer).keys() - announced
+        for key in sorted(stale, key=key_order):
+            self.deliver(peer, key, None)
         for route in routes:
-            if not route.from_internal and route.has_loop(
-                self.domain.domain_id
-            ):
-                continue
-            rib.update(route)
-        self._mark_dirty()
+            self.receive(peer, route)
 
-    def recompute(self) -> bool:
-        """Run the decision process; True if the Loc-RIB changed.
+    def recompute(self, keys: Optional[Iterable[Key]] = None) -> List[Key]:
+        """Run the decision process for ``keys`` (None: for every key
+        this speaker holds any route under) and patch the Loc-RIB;
+        returns the keys whose best route moved, in canonical order.
 
         Selection per (type, prefix): local origin first, then highest
         local_pref, shortest AS path, eBGP over iBGP, and finally the
         lowest (domain id, router name) of the advertising router for a
         deterministic tie-break.
         """
-        candidates: Dict[Tuple[RouteType, Prefix], List[Route]] = {}
-        for route in self._origins.values():
-            candidates.setdefault(route.key(), []).append(route)
-        for rib in self._adj_in.values():
-            for route in rib.routes():
-                candidates.setdefault(route.key(), []).append(route)
-        selected = {
-            key: min(routes, key=self._rank)
-            for key, routes in candidates.items()
-        }
-        if self._captures_grib():
-            old = self.loc_rib.replace_capturing(selected)
-            if old is not None:
-                self._listener.grib_changed(self, old, selected)
-            return old is not None
-        return self.loc_rib.replace(selected)
+        if keys is None:
+            keys = set(self.loc_rib.keys()).union(
+                self._origins, *(rib.keys() for rib in self._adj_in.values())
+            )
+        moved: List[Key] = []
+        for key in sorted(keys, key=key_order):
+            best = self._origins.get(key)
+            if best is None:
+                learned = [
+                    route
+                    for route in (
+                        rib.get(*key) for rib in self._adj_in.values()
+                    )
+                    if route is not None
+                ]
+                best = min(learned, key=self._rank) if learned else None
+            old = self.loc_rib.get(*key)
+            if best is old or best == old:
+                continue
+            if best is None:
+                self.loc_rib.remove(*key)
+                kind = "withdrawn"
+            else:
+                self.loc_rib.install(best)
+                kind = "added" if old is None else "changed"
+            moved.append(key)
+            self._mark_grib_moved(key, kind)
+        return moved
 
-    def _rank(self, route: Route) -> Tuple:
-        if route.is_local_origin:
-            return (0,)
+    @staticmethod
+    def _rank(route: Route) -> Tuple:
+        """Preference order among learned routes (lowest wins)."""
         hop = route.next_hop
         return (
-            1,
             -route.local_pref,
             len(route.as_path),
             1 if route.from_internal else 0,

@@ -81,6 +81,52 @@ class TestPropagation:
                 domain.router(), ADDRESS
             ) is None
 
+    def test_withdrawal_on_a_cycle_leaves_no_stale_route(self):
+        """On a triangle S and X each fall back on the other once O
+        withdraws; each fallback is announced to the domain it runs
+        through, and that looped announcement must displace what the
+        sender advertised before or both keep a route nobody
+        originates."""
+        from repro.bgp.policy import PromiscuousPolicy
+        from repro.topology.network import Topology
+
+        def triangle():
+            topology = Topology()
+            o, s, x = (topology.add_domain(name) for name in "OSX")
+            for a, b in ((o, s), (o, x), (s, x)):
+                topology.connect(
+                    a.router(f"{a.name}-to-{b.name}"),
+                    b.router(f"{b.name}-to-{a.name}"),
+                )
+            return topology
+
+        topology = triangle()
+        event = EventDrivenBgp(
+            topology, Simulator(), policy=PromiscuousPolicy()
+        )
+        origin = topology.domain("O").router("O-to-S")
+        event.inject(origin, PREFIX)
+        event.run_to_quiescence()
+        assert all(
+            event.group_next_hop(router, ADDRESS) is not None
+            for router in topology.routers()
+        )
+        assert event.retract(origin, PREFIX)
+        event.run_to_quiescence()
+
+        reference = triangle()
+        sync = BgpNetwork(reference, policy=PromiscuousPolicy())
+        sync.originate(reference.domain("O").router("O-to-S"), PREFIX)
+        sync.converge()
+        sync.withdraw(reference.domain("O").router("O-to-S"), PREFIX)
+        sync.converge()
+        for network in (sync, event):
+            assert all(
+                len(speaker.loc_rib) == 0
+                for speaker in network.speakers.values()
+            )
+        assert event.rib_digest() == sync.rib_digest()
+
     def test_counters(self):
         topology = linear_chain(3)
         sim = Simulator()
@@ -129,31 +175,32 @@ class TestEquivalenceWithSynchronousEngine:
         event.inject(topo_b.domain(origin_index).router(), PREFIX)
         event.run_to_quiescence()
 
-        sync_state = {
-            (r.domain.name, r.name): v
-            for r, v in self._final_state(sync).items()
-        }
-        event_state = {
-            (r.domain.name, r.name): v
-            for r, v in self._final_state(event).items()
-        }
-
-        def normalize(state):
+        def normalized(network):
             def hop(router):
                 if router is None:
                     return None
                 return (router.domain.name, router.name)
 
             return {
-                key: (
+                (r.domain.name, r.name): (
                     None
                     if value is None
                     else (hop(value[0]), value[1], value[2])
                 )
-                for key, value in state.items()
+                for r, value in self._final_state(network).items()
             }
 
-        assert normalize(sync_state) == normalize(event_state)
+        assert normalized(sync) == normalized(event)
+        assert sync.rib_digest() == event.rib_digest()
+
+        # ... and back: the withdrawal hunts through every alternative
+        # path before the prefix is gone everywhere.
+        sync.withdraw(topo_a.domain(origin_index).router(), PREFIX)
+        sync.converge()
+        assert event.retract(topo_b.domain(origin_index).router(), PREFIX)
+        event.run_to_quiescence()
+        assert set(normalized(event).values()) == {None}
+        assert sync.rib_digest() == event.rib_digest()
 
     def test_figure1_equivalence(self):
         topo_a = paper_figure1_topology()

@@ -14,7 +14,10 @@ from repro.faults.soak import SoakConfig, SoakHarness
 from repro.sanitizer import InvariantViolation
 
 from tests.checkpoint._corruption import TreeLoopCorruption
-from tests.checkpoint.test_core import save_version_1_checkpoint
+from tests.checkpoint.test_core import (
+    save_version_1_checkpoint,
+    save_version_2_checkpoint,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -77,6 +80,15 @@ class TestSoakCliCrashResume:
             f"checkpoint version 1 != supported {CHECKPOINT_VERSION}"
             in result.stderr
         )
+        assert "Traceback" not in result.stderr
+
+    def test_resume_from_version_2_checkpoint_exits_2(self, tmp_path):
+        save_version_2_checkpoint(tmp_path / "soak-seed1-seg0.ckpt")
+        result = _repro(
+            "soak", "resume", *SOAK_FLAGS, "--dir", str(tmp_path)
+        )
+        assert result.returncode == 2
+        assert "checkpoint version 2 != supported 3" in result.stderr
         assert "Traceback" not in result.stderr
 
 

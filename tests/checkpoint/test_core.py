@@ -20,20 +20,34 @@ def _noop():
     pass
 
 
-def save_version_1_checkpoint(path):
-    """A checkpoint file as version 1 wrote it: its payload names the
-    trie node class that version 2 deleted, so anything that unpickles
-    the payload before checking the version dies on AttributeError."""
-    payload = b"crepro.addressing.trie\n_LpmNode\n."
+def _save_old_checkpoint(path, version, payload):
     ckpt.save(
         ckpt.Checkpoint(
             payload=payload,
             digest=hashlib.sha256(payload).hexdigest(),
-            version=1,
+            version=version,
             time=0.0,
             events=0,
         ),
         path,
+    )
+
+
+def save_version_1_checkpoint(path):
+    """A checkpoint file as version 1 wrote it: its payload names the
+    trie node class that version 2 deleted, so anything that unpickles
+    the payload before checking the version dies on AttributeError."""
+    _save_old_checkpoint(path, 1, b"crepro.addressing.trie\n_LpmNode\n.")
+
+
+def save_version_2_checkpoint(path):
+    """A checkpoint file from version 2, whose ``BgpNetwork`` pickled
+    per-speaker dirty sets and list-valued ``_last_sent`` where
+    version 3 keeps dirty keys and advertised tables; this payload
+    names a ``repro.bgp.rib`` function version 3 deleted, so it cannot
+    even be unpickled."""
+    _save_old_checkpoint(
+        path, 2, b"crepro.bgp.rib\ndiff_type_entries\n."
     )
 
 
@@ -114,6 +128,15 @@ class TestCheckpointFiles:
             ckpt.CheckpointError,
             match=f"checkpoint version 1 != supported "
                   f"{ckpt.CHECKPOINT_VERSION}",
+        ):
+            ckpt.load(path)
+
+    def test_load_refuses_version_2_before_unpickling(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        save_version_2_checkpoint(path)
+        with pytest.raises(
+            ckpt.CheckpointError,
+            match="checkpoint version 2 != supported 3",
         ):
             ckpt.load(path)
 

@@ -31,12 +31,14 @@ def recompute_everything(bgp=True, bgmp=True):
 
     Driven purely through hooks the product has for its own callers:
     every speaker is marked through ``BgpNetwork.speaker_dirty`` (the
-    speaker mutation hook) before each ``try_converge``, and
+    speaker mutation hook) with no keys — every key re-decided and
+    re-exported — before each ``try_converge``, and
     ``BgmpNetwork.grib_reset`` (what ``BgpNetwork.invalidate`` sends on
     a continuity loss) precedes each repair/refresh so it walks every
-    tree. ``_last_sent`` suppression still applies, so rounds,
-    ``updates_sent``, digests, repair counters and delivery reports
-    must equal the dirty-set engines' byte for byte.
+    tree. A key whose export equals the advertised table is still
+    suppressed, so rounds, ``updates_sent``, digests, repair counters
+    and delivery reports must equal the dirty-key engines' byte for
+    byte.
     """
     converge = BgpNetwork.try_converge
 
