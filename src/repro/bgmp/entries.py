@@ -10,8 +10,9 @@ source S prefer the (S,G) entry when one exists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.addressing.prefix import Prefix
 from repro.bgmp.targets import Target
 from repro.topology.domain import Domain
 
@@ -38,6 +39,9 @@ class ForwardingEntry:
         #: exit router when the parent target is the MIGP component).
         #: Used to prune the correct upstream after G-RIB changes.
         self._upstream = None
+        #: The G-RIB key (prefix of the group route) a (\*,G) entry's
+        #: parent was last derived from; None while routeless.
+        self.anchor: Optional[Prefix] = None
         #: The table this entry lives in (None until created through
         #: one); mutations invalidate that table's digest cache.
         self._table: Optional["ForwardingTable"] = None
@@ -126,12 +130,15 @@ class ForwardingTable:
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, Optional[Domain]], ForwardingEntry] = {}
-        #: Optional change hook, called with ``(group, created)`` when
-        #: an entry appears (True) or disappears (False).
-        #: :class:`~repro.bgmp.network.BgmpNetwork` uses it to keep its
-        #: group registry and dirty set in lockstep with the state the
-        #: repair pass must revisit; ``None`` costs nothing.
-        self.on_change: Optional[Callable[[int, bool], None]] = None
+        #: (\*,G) groups by their entry's anchor: what a moved G-RIB
+        #: key at this router sends back to ``update_parent``.
+        self.anchored: Dict[Optional[Prefix], Set[int]] = {}
+        #: Optional change hook, called with the group when an entry
+        #: appears or disappears.
+        #: :class:`~repro.bgmp.network.BgmpNetwork` uses it to flag the
+        #: domain's membership for the next repair; ``None`` costs
+        #: nothing.
+        self.on_change: Optional[Callable[[int], None]] = None
         #: Monotone mutation counter covering entry creation, removal,
         #: and in-place entry edits — the digest cache's staleness key.
         self.version = 0
@@ -157,28 +164,49 @@ class ForwardingTable:
         group: int,
         parent: Optional[Target],
         source_domain: Optional[Domain] = None,
+        anchor: Optional[Prefix] = None,
     ) -> ForwardingEntry:
-        """Create (or return the existing) entry."""
+        """Create (or return the existing) entry; a (\\*,G) entry is
+        indexed under ``anchor``."""
         key = (group, source_domain)
         entry = self._entries.get(key)
         if entry is None:
             entry = ForwardingEntry(group, parent, source_domain)
             entry._table = self
             self._entries[key] = entry
+            if source_domain is None:
+                entry.anchor = anchor
+                self.anchored.setdefault(anchor, set()).add(group)
             self.version += 1
             if self.on_change is not None:
-                self.on_change(group, True)
+                self.on_change(group)
         return entry
+
+    def reanchor(self, entry: ForwardingEntry, key: Optional[Prefix]) -> None:
+        """Move a (\\*,G) entry under the G-RIB key its parent is now
+        derived from."""
+        self._unanchor(entry)
+        entry.anchor = key
+        self.anchored.setdefault(key, set()).add(entry.group)
+
+    def _unanchor(self, entry: ForwardingEntry) -> None:
+        groups = self.anchored[entry.anchor]
+        groups.discard(entry.group)
+        if not groups:
+            del self.anchored[entry.anchor]
 
     def remove(
         self, group: int, source_domain: Optional[Domain] = None
     ) -> bool:
         """Drop an entry; False if absent."""
-        if self._entries.pop((group, source_domain), None) is None:
+        entry = self._entries.pop((group, source_domain), None)
+        if entry is None:
             return False
+        if source_domain is None:
+            self._unanchor(entry)
         self.version += 1
         if self.on_change is not None:
-            self.on_change(group, False)
+            self.on_change(group)
         return True
 
     def entries(self) -> List[ForwardingEntry]:

@@ -10,10 +10,11 @@ where the packet went — the unit tests' window into the data plane.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.addressing.prefix import Prefix
-from repro.addressing.trie import LpmTrie
 from repro.bgmp.router import BgmpRouter
 from repro.bgmp.targets import MigpTarget, PeerTarget
 from repro.bgp.network import BgpNetwork, GribDelta
@@ -112,6 +113,27 @@ class JoinOutcome:
         )
 
 
+def _sweep(
+    pending: Set[Tuple[int, int]], late: Set[Tuple[int, int]]
+) -> Iterator[Tuple[int, int]]:
+    """Yield ``pending`` in ascending order. A pair that lands in
+    ``late`` while the sweep runs joins it when it sorts after the pair
+    just yielded — the cursor has not passed it — and otherwise waits
+    in ``late``, which is only read."""
+    heap = sorted(pending)
+    queued = set(heap)
+    known = len(late)
+    while heap:
+        pair = heappop(heap)
+        yield pair
+        if len(late) != known:
+            known = len(late)
+            for other in sorted(late - queued):
+                if other > pair:
+                    queued.add(other)
+                    heappush(heap, other)
+
+
 def _default_migp_selector(domain: Domain) -> str:
     """DVMRP in multi-router domains (the paper's running example),
     direct delivery in single-router stubs."""
@@ -143,35 +165,27 @@ class BgmpNetwork:
         selector = migp_selector or _default_migp_selector
         self._migps: Dict[Domain, MigpComponent] = {}
         self._routers: Dict[BorderRouter, BgmpRouter] = {}
-        #: Stable domain index (topology order) backing the per-group
-        #: member bitmasks, and the router creation order backing the
-        #: per-group router bitmasks — both fixed at construction.
+        #: Topology order of the domains and creation order of the
+        #: routers, both fixed at construction: the repair candidates
+        #: below name domains and routers by these indexes, so sorting
+        #: them is the order a walk over every tree would act in.
+        self._domains: List[Domain] = topology.domains
         self._domain_index: Dict[Domain, int] = {
-            domain: index for index, domain in enumerate(topology.domains)
+            domain: index for index, domain in enumerate(self._domains)
         }
         self._router_seq: Dict[BgmpRouter, int] = {}
         self._router_list: List[BgmpRouter] = []
-        for domain in topology.domains:
+        for domain in self._domains:
             migp = make_migp(
                 selector(domain), domain,
                 unicast_resolver=self._rpf_resolver,
             )
-            migp.on_membership = self._membership_changed
             self._migps[domain] = migp
             for router in domain.routers.values():
                 bgmp = BgmpRouter(router, self)
                 self._routers[router] = bgmp
                 self._router_seq[bgmp] = len(self._router_list)
                 self._router_list.append(bgmp)
-        #: group -> bitmask of member-domain indexes (BIER-style
-        #: bitstring encoding of the receiver set); exact mirror of
-        #: "which domains' MIGPs have members", kept by on_membership.
-        self._member_masks: Dict[int, int] = {}
-        #: group -> bitmask of router indexes holding any entry for the
-        #: group, backed by per-(group, router) entry counts so (S,G)
-        #: state does not clear the bit early.
-        self._group_router_masks: Dict[int, int] = {}
-        self._group_router_counts: Dict[Tuple[int, int], int] = {}
         #: Digest cache: router -> (table version, serialized lines).
         self._digest_cache: Dict[
             BorderRouter, Tuple[int, List[str]]
@@ -179,21 +193,23 @@ class BgmpNetwork:
         self._router_order: List[BorderRouter] = sorted(
             self._routers, key=lambda r: (r.domain.domain_id, r.name)
         )
-        #: Tree maintenance restricts every repair phase to the dirty
-        #: groups that G-RIB deltas (subscribed below), entry churn and
-        #: broken-join notes invalidated. Reverse dependency index:
-        #: every group that ever acquired membership or forwarding
-        #: state is registered as a /32 under its address, so
-        #: ``covered(delta.prefix)`` yields exactly the groups a G-RIB
-        #: change can re-anchor. Monotone — a stale registration only
-        #: costs a no-op repair visit.
-        self._group_index = LpmTrie()
-        self._registered_groups: Set[int] = set()
+        #: What the next repair looks at. (router seq, group): (\*,G)
+        #: entries to re-ask for their parent — the G-RIB key they are
+        #: anchored under moved at that router (deltas subscribed
+        #: below), or their join could not reach its upstream.
+        #: (group, domain index): memberships whose serving branch may
+        #: be redundant or gone — a covering key moved at a router of
+        #: the domain, or an entry of the group there was created,
+        #: removed, re-parented or lost a child.
+        self._stale: Set[Tuple[int, int]] = set()
+        self._flagged: Set[Tuple[int, int]] = set()
+        #: Telemetry only (exported by trace.collect_metrics; repair
+        #: reads none of it): every group that ever had membership or
+        #: state (sorted), the ones a delta covered or whose entries
+        #: came or went since the last repair began, deltas received,
+        #: and groups the deltas were first to dirty.
+        self._known_groups: List[int] = []
         self._dirty_groups: Set[int] = set()
-        #: Set when the BGP layer loses delta-stream continuity
-        #: (topology mutation): the next repair walks everything.
-        self._force_full_repair = False
-        #: Delta-stream counters (exported by trace.collect_metrics).
         self.grib_deltas_seen = 0
         self.groups_invalidated = 0
         self.bgp.subscribe_grib(self)
@@ -238,121 +254,103 @@ class BgmpNetwork:
     def grib_deltas(self, deltas: List[GribDelta]) -> None:
         """BGP subscriber hook: a batch of G-RIB changes landed.
 
-        Each delta's prefix covers a (possibly empty) subtree of the
-        registered group index; exactly those groups may need their
-        trees re-anchored, re-joined or pruned, so they join the dirty
-        set the next repair consumes.
+        A key that changed or vanished at a router sends the entries
+        anchored under it there back to ``update_parent``; a key that
+        appeared sends the ones under a shorter (or no) key whose group
+        it contains. Either way the router's domain re-checks its
+        memberships under the key.
         """
         self.grib_deltas_seen += len(deltas)
-        # Path hunting makes every speaker report the same moving
-        # prefix, so dedup before the (comparatively expensive)
-        # covering-subtree walk: one walk per distinct prefix per
-        # batch, not one per speaker per round.
-        seen: Set[Prefix] = set()
+        stale, flagged = self._stale, self._flagged
+        known = self._known_groups
+        spans: Dict[Prefix, Tuple[int, int]] = {}
+        router = None
         for delta in deltas:
-            # Every delta kind re-anchors the same way — a covering
-            # route appearing, moving or vanishing all dirty the
-            # dependent groups — but the kinds are validated
-            # exhaustively so a new kind cannot slip through as a
-            # silent no-op (DET007).
+            # Validated exhaustively, so a new kind cannot slip through
+            # as a silent no-op (DET007).
             if delta.kind not in ("added", "changed", "withdrawn"):
                 raise ValueError(f"unknown G-RIB delta kind: {delta.kind!r}")
-            if delta.prefix in seen:
+            prefix = delta.prefix
+            span = spans.get(prefix)
+            if span is None:
+                span = spans[prefix] = (prefix.network, prefix.last)
+                fresh = set(
+                    known[bisect_left(known, span[0]):
+                          bisect_right(known, span[1])]
+                )
+                fresh -= self._dirty_groups
+                self.groups_invalidated += len(fresh)
+                self._dirty_groups |= fresh
+            if delta.router is not router:
+                # Deltas arrive in per-speaker runs: look the router's
+                # side of things up once per run.
+                router = delta.router
+                bgmp = self._routers[router]
+                seq = self._router_seq[bgmp]
+                anchored = bgmp.table.anchored
+                index = self._domain_index[router.domain]
+                members = self._migps[router.domain].member_groups()
+            if not anchored and not members:
                 continue
-            seen.add(delta.prefix)
-            for _prefix, group in self._group_index.covered(delta.prefix):
-                if group not in self._dirty_groups:
-                    self._dirty_groups.add(group)
-                    self.groups_invalidated += 1
+            first, last = span
+            if delta.kind == "added":
+                for key, groups in anchored.items():
+                    if key is None or (
+                        key.length < prefix.length and key.contains(prefix)
+                    ):
+                        for group in groups:
+                            if first <= group <= last:
+                                stale.add((seq, group))
+            else:
+                for group in anchored.get(prefix, ()):
+                    stale.add((seq, group))
+            for group in members[
+                bisect_left(members, first):bisect_right(members, last)
+            ]:
+                flagged.add((group, index))
 
     def grib_reset(self) -> None:
         """BGP subscriber hook: the delta stream lost continuity (the
-        substrate was invalidated wholesale); fall back to one full
-        walk on the next repair."""
-        self._force_full_repair = True
+        substrate was invalidated wholesale); every entry and every
+        member domain becomes a candidate for the next repair."""
+        for seq, bgmp in enumerate(self._router_list):
+            for groups in bgmp.table.anchored.values():
+                self._stale.update((seq, group) for group in groups)
+        for index, domain in enumerate(self._domains):
+            self._flagged.update(
+                (group, index)
+                for group in self._migps[domain].member_groups()
+            )
 
-    def note_broken_entry(self, group: int) -> None:
+    def note_broken_entry(self, bgmp: BgmpRouter, group: int) -> None:
         """A join could not reach its upstream (dead session or exit
-        router): the entry is parentless until repair, so the group
-        must stay dirty even though no G-RIB delta will point at it."""
-        self._register_group(group)
+        router): the entry is parentless until repair, which must
+        re-ask it even though no G-RIB delta will point at it."""
+        self._stale.add((self._router_seq[bgmp], group))
+        self._know(group)
         self._dirty_groups.add(group)
 
-    def _entry_changed(
-        self, bgmp: BgmpRouter, group: int, created: bool
-    ) -> None:
-        """Forwarding-table hook: entry state for ``group`` appeared or
-        vanished at ``bgmp``; the repair phases must revisit it. Also
-        keeps the per-group router bitmask (entry-count backed, so an
-        (S,G) removal does not clear a bit the (\\*,G) entry still
-        holds) that lets the refresh walk skip stateless routers."""
-        self._register_group(group)
+    def entry_changed(self, domain: Domain, group: int) -> None:
+        """Forwarding-table hook: an entry for ``group`` appeared or
+        vanished at a router of ``domain``."""
+        self._know(group)
         self._dirty_groups.add(group)
-        index = self._router_seq[bgmp]
-        key = (group, index)
-        counts = self._group_router_counts
-        masks = self._group_router_masks
-        if created:
-            count = counts.get(key, 0) + 1
-            counts[key] = count
-            if count == 1:
-                masks[group] = masks.get(group, 0) | (1 << index)
-        else:
-            count = counts.get(key, 0) - 1
-            if count > 0:
-                counts[key] = count
-            else:
-                counts.pop(key, None)
-                mask = masks.get(group, 0) & ~(1 << index)
-                if mask:
-                    masks[group] = mask
-                else:
-                    masks.pop(group, None)
+        self.flag_membership(domain, group)
 
-    def _membership_changed(
-        self, domain: Domain, group: int, present: bool
-    ) -> None:
-        """MIGP presence hook: ``domain`` gained its first or lost its
-        last member of ``group``; flip its bit in the group's member
-        bitmask."""
-        bit = 1 << self._domain_index[domain]
-        mask = self._member_masks.get(group, 0)
-        if present:
-            self._member_masks[group] = mask | bit
-        else:
-            mask &= ~bit
-            if mask:
-                self._member_masks[group] = mask
-            else:
-                self._member_masks.pop(group, None)
+    def _know(self, group: int) -> None:
+        at = bisect_left(self._known_groups, group)
+        if self._known_groups[at:at + 1] != [group]:
+            self._known_groups.insert(at, group)
 
-    def member_domain_mask(self, group: int) -> int:
-        """The group's member-domain bitmask (bit i = domain i in
-        topology order has at least one member)."""
-        return self._member_masks.get(group, 0)
-
-    def _register_group(self, group: int) -> None:
-        if group in self._registered_groups:
-            return
-        self._registered_groups.add(group)
-        self._group_index.insert(Prefix(group, 32), group)
+    def flag_membership(self, domain: Domain, group: int) -> None:
+        """Entry state for ``group`` moved at a router of ``domain``;
+        the prune and re-join phases must look at the domain again."""
+        self._flagged.add((group, self._domain_index[domain]))
 
     def dirty_group_count(self) -> int:
-        """Groups currently awaiting a repair visit."""
+        """Groups a delta or entry churn touched since the last repair
+        began."""
         return len(self._dirty_groups)
-
-    def _collect_dirty(self) -> Optional[Set[int]]:
-        """Drain the dirty set for one repair pass (pulling any deltas
-        still buffered in the BGP layer first). ``None`` means "walk
-        everything" — only after a continuity loss."""
-        self.bgp.flush_grib_deltas()
-        if self._force_full_repair:
-            self._force_full_repair = False
-            self._dirty_groups = set()
-            return None
-        dirty = self._dirty_groups
-        self._dirty_groups = set()
-        return dirty
 
     # ------------------------------------------------------------------
     # Tree maintenance
@@ -365,73 +363,36 @@ class BgmpNetwork:
         root domain changes from the parent to the child, the paper's
         "addresses could be obtained from the parent's address space"
         case) or a route is withdrawn. Iterates until stable; returns
-        the number of parent migrations performed. Only dirty groups
-        are visited; the result is identical to walking every tree
+        the number of parent migrations performed. Only stale entries
+        are re-asked; the result is identical to walking every tree
         because :meth:`~repro.bgmp.router.BgmpRouter.update_parent` is
         a no-op wherever the G-RIB did not move.
         """
-        return self._refresh_walk(self._collect_dirty(), max_rounds)
+        return self._refresh(max_rounds)[0]
 
-    #: Dirty sets up to this size refresh through the per-group router
-    #: bitmasks (O(routers x dirty) integer tests); larger ones walk
-    #: the tables directly like the full walk. Both paths act on the
-    #: identical (router, group) sequence, so the cutover is invisible
-    #: to fingerprints.
-    _MASK_WALK_LIMIT = 64
+    def _refresh(self, max_rounds: int) -> Tuple[int, int]:
+        """The refresh fixpoint: (migrations, entries re-asked).
 
-    def _refresh_walk(
-        self, dirty: Optional[Set[int]], max_rounds: int
-    ) -> int:
-        """One refresh fixpoint over all groups (``dirty is None``) or
-        the given dirty set.
+        Each round sweeps its entries in router-creation, then group
+        order. A migration only ever disturbs another entry by leaving
+        a new one broken, so a round's successor re-asks just the
+        entries noted since the pass began — and leaves them noted for
+        the next repair, which looks once more.
         """
-        if dirty is not None and len(dirty) <= self._MASK_WALK_LIMIT:
-            return self._refresh_walk_masked(sorted(dirty), max_rounds)
-        migrations = 0
+        self.bgp.flush_grib_deltas()
+        self._dirty_groups = set()
+        pending, self._stale = self._stale, set()
+        migrations = refreshed = 0
         for _ in range(max_rounds):
             changed = 0
-            for bgmp in list(self._routers.values()):
-                for group in list(bgmp.table.groups()):
-                    if dirty is not None and group not in dirty:
-                        continue
-                    if bgmp.table.get(group) is None:
-                        continue
-                    if bgmp.update_parent(group):
-                        changed += 1
+            for seq, group in _sweep(pending, self._stale):
+                refreshed += 1
+                if self._router_list[seq].update_parent(group):
+                    changed += 1
             migrations += changed
             if not changed:
-                return migrations
-        raise RuntimeError("tree refresh did not stabilise")
-
-    def _refresh_walk_masked(
-        self, dirty_sorted: List[int], max_rounds: int
-    ) -> int:
-        """Mask-indexed refresh over a small dirty set.
-
-        Visits exactly the (router, group) pairs whose bit is set in
-        the live per-group router bitmask, in the full loop's
-        router-major (creation order), group-minor (sorted) order. The
-        masks are read live, so entries grafted mid-round at a
-        not-yet-visited router are picked up this round — matching the
-        lazy per-router ``table.groups()`` snapshots of the full loop.
-        """
-        masks = self._group_router_masks
-        migrations = 0
-        for _ in range(max_rounds):
-            changed = 0
-            for index, bgmp in enumerate(self._router_list):
-                bit = 1 << index
-                table = bgmp.table
-                for group in dirty_sorted:
-                    if not (masks.get(group, 0) & bit):
-                        continue
-                    if table.get(group) is None:
-                        continue
-                    if bgmp.update_parent(group):
-                        changed += 1
-            migrations += changed
-            if not changed:
-                return migrations
+                return migrations, refreshed
+            pending = set(self._stale)
         raise RuntimeError("tree refresh did not stabilise")
 
     def router_of(self, router: BorderRouter) -> BgmpRouter:
@@ -473,7 +434,14 @@ class BgmpNetwork:
             dead.table.remove(entry.group, entry.source_domain)
             migp.detach(router, entry.group)
         dead_child = PeerTarget(router)
-        for live in self._live_routers():
+        # Only an external neighbor can hold the dead router as a child
+        # (interior children are MIGP targets).
+        for live in sorted(
+            map(self.router_of, router.external_neighbors),
+            key=self._router_seq.__getitem__,
+        ):
+            if not self.router_up(live.router):
+                continue
             for entry in list(live.table.entries()):
                 if dead_child not in entry.children:
                     continue
@@ -488,13 +456,6 @@ class BgmpNetwork:
         (BGMP state is soft — nothing to replay)."""
         self.bgp.restore_router(router)
 
-    def _live_routers(self) -> List[BgmpRouter]:
-        return [
-            bgmp
-            for bgmp in self._routers.values()
-            if self.router_up(bgmp.router)
-        ]
-
     def repair_trees(self) -> Dict[str, int]:
         """Post-fault recovery pass (run after the BGP substrate has
         reconverged): re-anchor surviving (\\*,G) entries onto the new
@@ -504,27 +465,17 @@ class BgmpNetwork:
         too), then re-join every member domain left off-tree — by the
         fault, or by that pruning. Returns repair counters.
 
-        The three phases are restricted to the dirty groups the G-RIB
-        delta subscription, forwarding entry churn, and broken-join
-        notes accumulated; every acting operation happens in the same
-        order as a walk over every tree (the fallback after a
-        continuity loss), which differs only in the no-op entries it
-        does not skip.
+        The phases look only at the entries and memberships that G-RIB
+        deltas, entry churn and broken-join notes raised, in the order
+        a walk over every tree would reach them, so every acting
+        operation happens in that walk's order; the walk differs only
+        in the no-op visits it does not skip. What a phase raises is
+        seen by the steps still ahead of it in this pass and, like
+        everything raised during a pass, once more by the next repair.
         """
         with self.tracer.span("bgmp.repair", layer="bgmp") as span:
-            dirty = self._collect_dirty()
-            migrations = self._refresh_walk(dirty, max_rounds=10)
-            # The member-domain bitmasks mirror "which domains' MIGPs
-            # have members of g" exactly, so the prune/rejoin phases
-            # read them instead of scanning every domain's membership
-            # tables. Iterating set bits ascending IS topology order,
-            # and the group order stays sorted — the identical acting
-            # sequence as the membership-table walk.
-            masks = self._member_masks
-            if dirty is None:
-                candidates = sorted(g for g, m in masks.items() if m)
-            else:
-                candidates = sorted(g for g in dirty if masks.get(g))
+            migrations, refreshed = self._refresh(max_rounds=10)
+            flagged, self._flagged = self._flagged, set()
             # Prune BEFORE re-joining: a domain served only by a
             # redundant interior branch (its best exit moved but the
             # old entry's external anchor did not) must lose that
@@ -534,33 +485,33 @@ class BgmpNetwork:
             # repair cycle (observed by check_members_reachable under
             # consecutive root-domain flips).
             pruned = 0
-            for group in candidates:
-                pruned += self._prune_redundant_branches(group)
+            for group, index in _sweep(flagged, self._flagged):
+                pruned += self._prune_redundant_branches(
+                    self._domains[index], group
+                )
+            # Joins only ever add state, so nothing raised from here on
+            # can take a domain off-tree: the set is final.
+            flagged |= self._flagged
             rejoined = 0
-            union = 0
-            for group in candidates:
-                union |= masks.get(group, 0)
-            domains = self.topology.domains
-            while union:
-                low = union & -union
-                union ^= low
-                domain = domains[low.bit_length() - 1]
-                migp = self.migp_of(domain)
-                for group in candidates:
-                    if not (masks.get(group, 0) & low):
-                        continue
-                    if self._domain_on_tree(domain, group):
-                        continue
-                    host = next(iter(migp.members_of(group)))
-                    if self.join(host, group):
-                        rejoined += 1
+            for index, group in sorted(
+                (index, group) for group, index in flagged
+            ):
+                domain = self._domains[index]
+                migp = self._migps[domain]
+                if not migp.has_members(group):
+                    continue
+                if self._domain_on_tree(domain, group):
+                    continue
+                host = next(iter(migp.members_of(group)))
+                if self.join(host, group):
+                    rejoined += 1
             span.finish(
                 status="ok",
                 migrations=migrations,
                 rejoined=rejoined,
                 pruned=pruned,
-                engine="incremental" if dirty is not None else "full",
-                visited=len(dirty) if dirty is not None else -1,
+                refreshed=refreshed,
+                domains_checked=len(flagged),
             )
             return {
                 "migrations": migrations,
@@ -568,58 +519,48 @@ class BgmpNetwork:
                 "pruned": pruned,
             }
 
-    def _prune_redundant_branches(self, group: int) -> int:
-        """Remove interior-only branches at routers that are neither
-        the domain's best exit for the group nor interior transit —
+    def _prune_redundant_branches(self, domain: Domain, group: int) -> int:
+        """Remove the domain's interior-only branches at routers that
+        are neither its best exit for the group nor interior transit —
         leftovers of a tree migration that would otherwise deliver
         (and loop) duplicate copies."""
+        if not self._migps[domain].has_members(group):
+            return 0
+        best_exit, route = self._best_exit(domain, group)
+        if best_exit is None or route.is_local_origin:
+            # No exit, or the root domain: every attached router
+            # legitimately serves the interior.
+            return 0
         pruned = 0
-        domains = self.topology.domains
-        mask = self._member_masks.get(group, 0)
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            domain = domains[low.bit_length() - 1]
-            best_exit, route = self._best_exit(domain, group)
-            if best_exit is None:
+        interior = MigpTarget(domain)
+        for router in sorted(domain.routers.values(), key=lambda r: r.name):
+            if router == best_exit or not self.router_up(router):
                 continue
-            if route.is_local_origin:
-                # Root domain: every attached router legitimately
-                # serves the interior.
+            bgmp = self.router_of(router)
+            entry = bgmp.table.get(group)
+            if entry is None or interior not in entry.children:
                 continue
-            interior = MigpTarget(domain)
-            for router in sorted(
-                domain.routers.values(), key=lambda r: r.name
-            ):
-                if router == best_exit or not self.router_up(router):
-                    continue
-                bgmp = self.router_of(router)
-                entry = bgmp.table.get(group)
-                if entry is None or interior not in entry.children:
-                    continue
-                if set(entry.children) != {interior}:
-                    # Still fans out to external children: not ours
-                    # to tear down.
-                    continue
-                if self.interior_transit_needed(domain, group, router):
-                    continue
-                bgmp.retract_interior(group)
-                pruned += 1
+            if set(entry.children) != {interior}:
+                # Still fans out to external children: not ours
+                # to tear down.
+                continue
+            if self.interior_transit_needed(domain, group, router):
+                continue
+            bgmp.retract_interior(group)
+            pruned += 1
         return pruned
 
     def _domain_on_tree(self, domain: Domain, group: int) -> bool:
         """True when the domain's membership is already served: some
         live border router holds (\\*,G) state, or the domain is the
         group's root domain (membership is an interior matter there)."""
-        route = self._best_exit(domain, group)[1]
-        if route is not None and route.is_local_origin:
-            return True
         for router in domain.routers.values():
             if not self.router_up(router):
                 continue
             if self.router_of(router).table.get(group) is not None:
                 return True
-        return False
+        route = self._best_exit(domain, group)[1]
+        return route is not None and route.is_local_origin
 
     def migp_of(self, domain: Domain) -> MigpComponent:
         """The MIGP component of a domain."""
@@ -685,11 +626,7 @@ class BgmpNetwork:
         with self.tracer.span(
             "bgmp.join", layer="bgmp", group=hex(group), domain=domain.name
         ) as span:
-            # Register the group even when the join fails or resolves
-            # inside the root domain: a later G-RIB delta covering the
-            # address must invalidate it so the repair pass can build
-            # the tree the membership is waiting for.
-            self._register_group(group)
+            self._know(group)
             migp = self.migp_of(domain)
             migp.add_member(host, group)
             best_exit, route = self._best_exit(domain, group)
@@ -702,7 +639,7 @@ class BgmpNetwork:
                 span.finish(status="root-domain")
                 return True
             joined = self.router_of(best_exit).join(
-                group, MigpTarget(domain)
+                group, MigpTarget(domain), route
             )
             span.finish(status="grafted" if joined else "failed")
             return joined

@@ -46,11 +46,11 @@ class BgmpRouter:
         """The MIGP component of this router's domain."""
         return self.network.migp_of(self.domain)
 
-    def entry_changed(self, group: int, created: bool) -> None:
+    def entry_changed(self, group: int) -> None:
         """Forwarding-table ``on_change`` adapter: forward to the
-        network with this router's identity attached (the table itself
+        network with this router's domain attached (the table itself
         does not know whose it is)."""
-        self.network._entry_changed(self, group, created)
+        self.network.entry_changed(self.domain, group)
 
     # ------------------------------------------------------------------
     # G-RIB helpers
@@ -86,18 +86,22 @@ class BgmpRouter:
     # ------------------------------------------------------------------
     # Shared-tree joins and prunes
 
-    def join(self, group: int, child: Target) -> bool:
+    def join(
+        self, group: int, child: Target, route: Optional[Route] = None
+    ) -> bool:
         """Add ``child`` to the group's (\\*,G) entry, creating the
         entry and propagating a join towards the root domain when this
-        router was previously off-tree. Returns False when the group
-        has no G-RIB route at all."""
+        router was previously off-tree. ``route`` is this router's group
+        route when the caller already holds it. Returns False when the
+        group has no G-RIB route at all."""
         entry = self.table.get(group)
         if entry is None:
-            route = self.group_route(group)
+            if route is None:
+                route = self.group_route(group)
             parent = self._parent_target(route)
             if parent is None:
                 return False
-            entry = self.table.create(group, parent)
+            entry = self.table.create(group, parent, anchor=route.prefix)
             self.migp.attach(self.router, group)
             entry.add_child(child)
             if self.network.tracer.enabled:
@@ -124,7 +128,7 @@ class BgmpRouter:
                 # (the substrate has not reconverged yet): hold the
                 # entry parentless; the next repair pass re-anchors it.
                 entry.upstream = None
-                self.network.note_broken_entry(group)
+                self.network.note_broken_entry(self, group)
                 return
             self.joins_sent += 1
             entry.upstream = parent.router
@@ -149,7 +153,7 @@ class BgmpRouter:
         if not self.network.router_up(exit_router):
             self.migp.forward_join_cost()
             entry.upstream = None
-            self.network.note_broken_entry(group)
+            self.network.note_broken_entry(self, group)
             return
         self.migp.forward_join_cost()
         self.joins_sent += 1
@@ -204,6 +208,8 @@ class BgmpRouter:
         self, group: int, entry: ForwardingEntry
     ) -> None:
         if entry.children:
+            # Lost a child: the branch may have become redundant.
+            self.network.flag_membership(self.domain, group)
             return
         parent = entry.parent
         upstream = entry.upstream
@@ -257,6 +263,9 @@ class BgmpRouter:
         if entry is None:
             return False
         route = self.group_route(group)
+        key = route.prefix if route is not None else None
+        if key != entry.anchor:
+            self.table.reanchor(entry, key)
         new_parent = self._parent_target(route)
         new_upstream: Optional[BorderRouter] = None
         if isinstance(new_parent, PeerTarget):
@@ -273,6 +282,7 @@ class BgmpRouter:
         else:
             self._propagate_join(group, entry, route)
         self._prune_upstream(group, old_parent, old_upstream)
+        self.network.flag_membership(self.domain, group)
         return True
 
     # ------------------------------------------------------------------

@@ -64,15 +64,6 @@ class MigpComponent:
         self._resolver = unicast_resolver
         self._members: Dict[int, Set[Host]] = {}
         self._attached: Dict[int, Set[BorderRouter]] = {}
-        #: Presence listener, fired on the empty<->non-empty membership
-        #: transitions of a group with ``(domain, group, present)``.
-        #: BgmpNetwork uses it to keep its per-group member-domain
-        #: bitmasks exact regardless of who calls add/remove_member.
-        #: Distinct from :meth:`_on_membership_change`, which protocol
-        #: subclasses override for control-cost accounting.
-        self.on_membership: Optional[
-            Callable[[Domain, int, bool], None]
-        ] = None
         #: Control-plane cost counters (protocol-specific semantics).
         self.control_messages = 0
         self.encapsulations = 0
@@ -92,8 +83,6 @@ class MigpComponent:
         if host in members:
             return False
         members.add(host)
-        if len(members) == 1 and self.on_membership is not None:
-            self.on_membership(self.domain, group, True)
         self._on_membership_change(group, joined=True)
         return True
 
@@ -105,8 +94,6 @@ class MigpComponent:
         members.remove(host)
         if not members:
             del self._members[group]
-            if self.on_membership is not None:
-                self.on_membership(self.domain, group, False)
         self._on_membership_change(group, joined=False)
         return True
 

@@ -1,8 +1,8 @@
-"""Dirty-set BGMP tree maintenance vs the walk-everything oracle.
+"""Candidate-driven BGMP tree maintenance vs the walk-everything oracle.
 
-Restricting every repair phase to the groups that G-RIB deltas, entry
-churn and broken joins dirtied is an optimization, not a semantic
-change: over an identical BGP substrate and identical inputs it must
+Restricting every repair phase to the (router, group) entries and
+(domain, group) memberships that G-RIB deltas, entry churn and broken
+joins raised is an optimization, not a semantic change: over an identical BGP substrate and identical inputs it must
 produce byte-identical forwarding state, repair counters, join/prune
 control traffic, trace events, and sanitizer verdicts as a run in
 which every repair walks every tree (the oracle in
@@ -157,7 +157,8 @@ class TestTraceEquivalence:
         """Every bgmp.* event across all spans plus orphans, in
         emission order — the control-traffic trace both arms must
         reproduce exactly. (Repair *span attrs* legitimately differ:
-        ``engine`` / ``visited`` report how much was walked.)"""
+        ``refreshed`` / ``domains_checked`` report how much was looked
+        at.)"""
         events = []
         for span in tracer.spans:
             for event in span.events:
@@ -187,18 +188,22 @@ class TestTraceEquivalence:
         assert expected == actual
         assert any(name == "bgmp.join_sent" for name, _attrs in actual)
 
-    def test_repair_span_reports_engine_and_dirty_count(self):
+    def test_repair_span_reports_its_scope(self):
         def run():
             tracer = Tracer()
             network, _group = _seed_figure3(tracer)
             network.repair_trees()
-            return tracer.spans_named("bgmp.repair")[-1]
+            return tracer.spans_named("bgmp.repair")[-1].attrs, (
+                network.forwarding_state_size()
+            )
 
-        full_span, inc_span = _against_oracle(run)
-        assert full_span.attrs["engine"] == "full"
-        assert full_span.attrs["visited"] == -1
-        assert inc_span.attrs["engine"] == "incremental"
-        assert inc_span.attrs["visited"] >= 0
+        (full, entries), (product, _entries) = _against_oracle(run)
+        # The oracle re-asks every entry; the joins moved no G-RIB key,
+        # so the product re-asks none and checks only the domains whose
+        # entries the joins created.
+        assert full["refreshed"] == entries > 0
+        assert product["refreshed"] == 0
+        assert 3 <= product["domains_checked"] <= full["domains_checked"]
 
 
 class TestChaosScenarioEquivalence:
@@ -227,19 +232,24 @@ class TestContinuityLoss:
     def test_invalidate_falls_back_to_full_walk(self):
         network, _group = _seed_figure3()
         network.tracer = tracer = Tracer()
-        network.repair_trees()  # drain setup dirt
+        network.repair_trees()  # drain what the joins raised
         # Wholesale substrate invalidation loses delta continuity; the
-        # next repair must walk everything (and still be a no-op here).
+        # next repair must look at everything (and still be a no-op
+        # here).
         network.bgp.invalidate()
         network.converge()
         counters = network.repair_trees()
         assert counters["migrations"] == 0
         span_free = network.forwarding_digest()
-        # And the engine returns to dirty-set operation afterwards.
+        # And the engine returns to delta-driven operation afterwards.
         assert network.dirty_group_count() == 0
         assert network.forwarding_digest() == span_free
         network.repair_trees()
+        entries = network.forwarding_state_size()
+        on_tree = {router.domain for router in network.tree_routers(_group)}
+        # Domains the joins created entries in; every entry and the
+        # three member domains; nothing.
         assert [
-            span.attrs["visited"]
+            (span.attrs["refreshed"], span.attrs["domains_checked"])
             for span in tracer.spans_named("bgmp.repair")
-        ] == [1, -1, 0]
+        ] == [(0, len(on_tree)), (entries, 3), (0, 0)]

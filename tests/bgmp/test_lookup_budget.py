@@ -91,4 +91,4 @@ def test_crash_repair_cycle_lookup_total_is_pinned(group_lookups):
     network.converge()
     restart = network.repair_trees()
     assert sum(crash.values()) + sum(restart.values()) > 0
-    assert group_lookups[0] - before == 752
+    assert group_lookups[0] - before == 37

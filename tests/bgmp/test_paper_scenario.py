@@ -12,6 +12,7 @@ from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
 from repro.bgmp.targets import MigpTarget, PeerTarget
 from repro.topology.generators import paper_figure3_topology
+from tests.conftest import recompute_everything
 
 
 GROUP = parse_address("224.0.128.1")
@@ -270,3 +271,108 @@ class TestMigpIndependence:
         assert results["pim-dm"] == 2
         assert results["pim-sm"] == 0
         assert results["cbt"] == 0
+
+
+class TestRepairAgainstOracle:
+    """Every single and double fault of the Figure 3 world (multi-router
+    domains, H multihomed, F's second link unicast-only): with each
+    session down in turn, crash and restore every border router. The
+    repair that looks only at what moved must equal the one that looks
+    at everything after every step. Interior transit (A2 -> A3, G2 ->
+    G1) and redundant interior branches (a transit router that loses
+    its last external child after the domain's exit moved) are where a
+    (domain, group) that was never flagged would hide."""
+
+    #: Rooted at B (its /24), at A (the /16 alone) and at F (a stub
+    #: whose two providers then transit for everyone else).
+    GROUPS = (
+        GROUP, parse_address("224.0.1.1"), parse_address("224.0.64.1")
+    )
+    LATE_GROUP = parse_address("224.0.2.2")
+
+    def _world(self):
+        topology = paper_figure3_topology()
+        topology.set_multicast_capable(
+            topology.domain("F").router("F2"),
+            topology.domain("A").router("A4"),
+            False,
+        )
+        net = BgmpNetwork(topology)
+        net.originate_group_range(
+            topology.domain("A"), Prefix.parse("224.0.0.0/16")
+        )
+        net.bgp.originate(
+            topology.domain("B").router("B1"), Prefix.parse("224.0.128.0/24")
+        )
+        net.originate_group_range(
+            topology.domain("F"), Prefix.parse("224.0.64.0/24")
+        )
+        net.converge()
+        for group in self.GROUPS:
+            for domain in topology.domains:
+                assert net.join(domain.host("m"), group)
+        return net
+
+    def _run(self):
+        net = self._world()
+        topology = net.topology
+        steps = []
+
+        def record(label, counters):
+            steps.append((
+                label,
+                tuple(sorted(counters.items())),
+                net.forwarding_digest(),
+                tuple(
+                    (bgmp.joins_sent, bgmp.prunes_sent)
+                    for bgmp in net.bgmp_routers()
+                ),
+            ))
+
+        def settle(label):
+            net.converge()
+            record(label, net.repair_trees())
+
+        settle("start")
+        for link in [None, *topology.links]:
+            name = "-".join(r.name for r in link) if link else "no link"
+            if link:
+                net.bgp.set_session_state(*link, up=False)
+                settle(f"down {name}")
+            for router in topology.routers():
+                net.handle_router_crash(router)
+                settle(f"{name} down, crash {router.name}")
+                net.handle_router_restart(router)
+                settle(f"{name} down, restart {router.name}")
+            if link:
+                net.bgp.set_session_state(*link, up=True)
+                settle(f"up {name}")
+        # A join made while a session is down and the G-RIB still
+        # points across it is held parentless; when the session is back
+        # before BGP ever noticed, no delta names the entry.
+        for link in topology.links:
+            name = "-".join(r.name for r in link)
+            net.bgp.set_session_state(*link, up=False)
+            for domain in topology.domains:
+                net.join(domain.host("late"), self.LATE_GROUP)
+            net.bgp.set_session_state(*link, up=True)
+            record(f"mend {name}", net.repair_trees())
+            settle(f"settle {name}")
+            for domain in topology.domains:
+                net.leave(domain.host("late"), self.LATE_GROUP)
+            settle(f"left {name}")
+        return steps
+
+    def test_every_fault_repairs_like_the_oracle(self):
+        with recompute_everything():
+            expected = self._run()
+        actual = self._run()
+        for want, got in zip(expected, actual):
+            assert want == got, want[0]
+        assert len(actual) == len(expected)
+        # The schedule did exercise all three phases.
+        totals = {}
+        for _label, counters, _digest, _traffic in actual:
+            for name, count in counters:
+                totals[name] = totals.get(name, 0) + count
+        assert all(totals[k] for k in ("migrations", "rejoined", "pruned"))

@@ -9,14 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.checkpoint import CHECKPOINT_VERSION
 from repro.faults.soak import SoakConfig, SoakHarness
 from repro.sanitizer import InvariantViolation
 
 from tests.checkpoint._corruption import TreeLoopCorruption
 from tests.checkpoint.test_core import (
+    OLD_VERSIONS,
     save_version_1_checkpoint,
-    save_version_2_checkpoint,
 )
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -82,13 +84,16 @@ class TestSoakCliCrashResume:
         )
         assert "Traceback" not in result.stderr
 
-    def test_resume_from_version_2_checkpoint_exits_2(self, tmp_path):
-        save_version_2_checkpoint(tmp_path / "soak-seed1-seg0.ckpt")
+    @pytest.mark.parametrize("version", sorted(OLD_VERSIONS))
+    def test_resume_from_old_checkpoint_exits_2(self, tmp_path, version):
+        OLD_VERSIONS[version](tmp_path / "soak-seed1-seg0.ckpt")
         result = _repro(
             "soak", "resume", *SOAK_FLAGS, "--dir", str(tmp_path)
         )
         assert result.returncode == 2
-        assert "checkpoint version 2 != supported 3" in result.stderr
+        assert (
+            f"checkpoint version {version} != supported 4" in result.stderr
+        )
         assert "Traceback" not in result.stderr
 
 

@@ -51,6 +51,23 @@ def save_version_2_checkpoint(path):
     )
 
 
+def save_version_3_checkpoint(path):
+    """A checkpoint file from version 3, whose ``BgmpNetwork`` pickled
+    dirty groups and per-group router masks where version 4 keeps
+    (router, group) / (group, domain) repair candidates and per-table
+    anchor indexes — it would unpickle, into a network whose next
+    repair dies on a missing attribute. The payload names the MIGP
+    presence hook version 4 deleted with the masks."""
+    _save_old_checkpoint(
+        path, 3, b"crepro.migp.base\non_membership\n."
+    )
+
+
+#: Writers of files from versions this build must refuse, by version
+#: (version 1 has its own tests: its message interpolates the constant).
+OLD_VERSIONS = {2: save_version_2_checkpoint, 3: save_version_3_checkpoint}
+
+
 class TestCheckpointObject:
     def test_roundtrip_is_independent_copy(self):
         sim = Simulator()
@@ -131,12 +148,15 @@ class TestCheckpointFiles:
         ):
             ckpt.load(path)
 
-    def test_load_refuses_version_2_before_unpickling(self, tmp_path):
+    @pytest.mark.parametrize("version", sorted(OLD_VERSIONS))
+    def test_load_refuses_old_version_before_unpickling(
+        self, tmp_path, version
+    ):
         path = tmp_path / "old.ckpt"
-        save_version_2_checkpoint(path)
+        OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match="checkpoint version 2 != supported 3",
+            match=f"checkpoint version {version} != supported 4",
         ):
             ckpt.load(path)
 
