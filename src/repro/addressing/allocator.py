@@ -159,10 +159,6 @@ class PrefixAllocator:
         self._trie.insert(parent)
         return parent
 
-    def free_space(self) -> List[Prefix]:
-        """Maximal free blocks, sorted."""
-        return self._trie.free_prefixes()
-
     def snapshot(self) -> "AllocatorSnapshot":
         """An immutable summary used by stats collection."""
         allocations = self.allocations()

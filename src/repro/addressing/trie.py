@@ -4,7 +4,11 @@
 allocated and answers the query at the heart of the MASC claim
 algorithm (section 4.3.3 of the paper): *what are the largest free
 blocks* — the free sub-prefixes of the shortest possible mask length —
-from which a claimer then picks one at random.
+from which a claimer then picks one at random. It counts as it goes:
+every node knows how many addresses are allocated beneath it, so the
+accounting the claim policy asks for constantly (how full, empty yet,
+upper half clear) costs nothing, and a space doubles or halves by
+changing the root rather than by rebuilding.
 
 :class:`LpmTrie` is the routing-side sibling: a longest-prefix-match
 map in which prefixes may overlap (aggregates coexist with their more
@@ -18,21 +22,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.addressing.ipv4 import ADDRESS_BITS
+from repro.addressing.ipv4 import ADDRESS_BITS, mask_bits
 from repro.addressing.prefix import Prefix
 
 
 class _Node:
-    __slots__ = ("allocated", "low", "high")
+    __slots__ = ("allocated", "used", "low", "high")
 
-    def __init__(self) -> None:
+    def __init__(self, used: int = 0) -> None:
         self.allocated = False
+        #: Addresses allocated in this node's subtree.
+        self.used = used
         self.low: Optional[_Node] = None
         self.high: Optional[_Node] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.low is None and self.high is None
 
 
 class PrefixTrie:
@@ -41,6 +43,16 @@ class PrefixTrie:
     An *allocated* prefix marks its whole subtree as in use. Free space is
     everything under the root not covered by an allocated prefix. The trie
     enforces that allocations never overlap.
+
+    Every node carries ``used``, the number of addresses allocated in
+    its subtree. :meth:`insert` and :meth:`remove` patch it along the
+    one path they walk, and ``remove`` unlinks a subtree whose count
+    reaches zero, so a node below the root exists only while it holds
+    an allocation. :meth:`utilized` and emptiness are therefore field
+    reads, overlap is one descent, and the free-space walk skips any
+    subtree too full to matter. :meth:`grow` and :meth:`halve` resize
+    the space in place by re-rooting: the old root becomes a child of
+    a new one, or the root's low child takes its place.
     """
 
     def __init__(self, root_space: Prefix):
@@ -57,136 +69,174 @@ class PrefixTrie:
         return self._count
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._walk(prefix)
-        return node is not None and node.allocated
+        path, reached = self._descend(prefix)
+        return reached and path[-1].allocated
 
-    def _path_bits(self, prefix: Prefix) -> range:
-        return range(self._space.length, prefix.length)
-
-    def _walk(self, prefix: Prefix) -> Optional[_Node]:
-        """Return the node for ``prefix``, or None if absent."""
-        if not self._space.contains(prefix):
-            return None
+    def _descend(self, prefix: Prefix) -> Tuple[List[_Node], bool]:
+        """The existing nodes from the root toward ``prefix`` (none when
+        it lies outside the space), and whether the last of them is
+        ``prefix``'s own node. The walk ends early at an allocated
+        node, which has no children."""
+        space = self._space
+        if not space.contains(prefix):
+            return [], False
         node: Optional[_Node] = self._root
-        for position in self._path_bits(prefix):
+        path = [node]
+        network = prefix.network
+        for shift in range(31 - space.length, 31 - prefix.length, -1):
+            node = node.high if (network >> shift) & 1 else node.low
             if node is None:
-                return None
-            node = node.high if prefix.bit(position) else node.low
-        return node
+                return path, False
+            path.append(node)
+        return path, True
 
     def covering_allocation(self, prefix: Prefix) -> Optional[Prefix]:
         """The allocated prefix covering ``prefix``, if any (including
         ``prefix`` itself)."""
-        if not self._space.contains(prefix):
+        path, _ = self._descend(prefix)
+        if not path or not path[-1].allocated:
             return None
-        node = self._root
-        network = self._space.network
-        for position in self._path_bits(prefix):
-            if node.allocated:
-                return Prefix(network, position)
-            bit = prefix.bit(position)
-            child = node.high if bit else node.low
-            if child is None:
-                return None
-            if bit:
-                network |= 1 << (31 - position)
-            node = child
-        return prefix if node.allocated else None
+        length = self._space.length + len(path) - 1
+        return Prefix(prefix.network & mask_bits(length), length)
 
     def overlapping(self, prefix: Prefix) -> bool:
         """True if any allocated prefix overlaps ``prefix``."""
-        if self.covering_allocation(prefix) is not None:
-            return True
-        node = self._walk(prefix)
-        return node is not None and _subtree_has_allocation(node)
+        path, reached = self._descend(prefix)
+        return bool(path) and (
+            path[-1].allocated or (reached and path[-1].used > 0)
+        )
 
     def insert(self, prefix: Prefix) -> None:
         """Allocate ``prefix``. Raises ValueError on any overlap."""
-        if not self._space.contains(prefix):
+        path, reached = self._descend(prefix)
+        if not path:
             raise ValueError(f"{prefix} outside space {self._space}")
-        if self.overlapping(prefix):
+        node = path[-1]
+        if node.allocated or (reached and node.used):
             raise ValueError(f"{prefix} overlaps an existing allocation")
-        node = self._root
-        for position in self._path_bits(prefix):
-            if prefix.bit(position):
-                if node.high is None:
-                    node.high = _Node()
-                node = node.high
+        size = prefix.size
+        for seen in path:
+            seen.used += size
+        network = prefix.network
+        first = 32 - self._space.length - len(path)
+        for shift in range(first, 31 - prefix.length, -1):
+            child = _Node(size)
+            if (network >> shift) & 1:
+                node.high = child
             else:
-                if node.low is None:
-                    node.low = _Node()
-                node = node.low
+                node.low = child
+            node = child
         node.allocated = True
         self._count += 1
 
     def remove(self, prefix: Prefix) -> None:
-        """Release an exact allocation. Raises KeyError if absent."""
-        path: List[_Node] = [self._root]
-        node: Optional[_Node] = self._root
-        for position in self._path_bits(prefix):
-            node = node.high if prefix.bit(position) else node.low
-            if node is None:
-                raise KeyError(str(prefix))
-            path.append(node)
-        if not node.allocated:
+        """Release an exact allocation. Raises KeyError if absent
+        (which any prefix outside the space is)."""
+        path, reached = self._descend(prefix)
+        if not reached or not path[-1].allocated:
             raise KeyError(str(prefix))
-        node.allocated = False
+        path[-1].allocated = False
         self._count -= 1
-        # Prune now-empty branches so free-space queries stay fast.
-        for index in range(len(path) - 1, 0, -1):
-            child = path[index]
-            if child.allocated or not child.is_leaf:
-                break
-            parent = path[index - 1]
-            if parent.low is child:
-                parent.low = None
+        size = prefix.size
+        parent: Optional[_Node] = None
+        for node in path:
+            node.used -= size
+            if parent is not None and not node.used:
+                # Unlink the emptied subtree: free-space walks read a
+                # missing child as a free block.
+                if parent.low is node:
+                    parent.low = None
+                else:
+                    parent.high = None
+                return
+            parent = node
+
+    def grow(self) -> Prefix:
+        """Double the space in place and return it: a new root adopts
+        the old one as its low or high child. Nothing is re-inserted."""
+        old, space = self._root, self._space
+        self._space = space.parent()
+        self._root = root = _Node(old.used)
+        if old.used:
+            if (space.network >> (32 - space.length)) & 1:
+                root.high = old
             else:
-                parent.high = None
+                root.low = old
+        return self._space
+
+    def upper_half_empty(self) -> bool:
+        """True when no allocation touches the upper half of the space
+        (the precondition of :meth:`halve`)."""
+        root = self._root
+        return (
+            self._space.length < ADDRESS_BITS
+            and not root.allocated
+            and root.high is None
+        )
+
+    def halve(self) -> Prefix:
+        """Drop the upper half of the space in place and return what
+        is left: the root's low child becomes the root. Raises
+        ValueError (and changes nothing) while the upper half holds an
+        allocation."""
+        if not self.upper_half_empty():
+            raise ValueError(f"upper half of {self._space} is not empty")
+        self._space, _ = self._space.children()
+        self._root = self._root.low or _Node()
+        return self._space
 
     def allocations(self) -> List[Prefix]:
         """All allocated prefixes, sorted."""
         found: List[Prefix] = []
-        self._collect(self._root, self._space, found)
+        stack = [(self._root, self._space.network, self._space.length)]
+        while stack:
+            node, network, length = stack.pop()
+            if node.allocated:
+                found.append(Prefix(network, length))
+                continue
+            length += 1
+            if node.high is not None:
+                high = network | 1 << (32 - length)
+                stack.append((node.high, high, length))
+            if node.low is not None:
+                stack.append((node.low, network, length))
         return found
 
-    def _collect(self, node: _Node, prefix: Prefix, out: List[Prefix]) -> None:
-        if node.allocated:
-            out.append(prefix)
+    def _free(self, limit: int) -> Iterator[Tuple[int, int]]:
+        """(network, length) of every maximal free block no longer than
+        /``limit``, in address order. A subtree is entered only while
+        it is shorter than the limit and has a /``limit`` worth of
+        addresses unallocated."""
+        space = self._space
+        if limit < space.length:
             return
-        low, high = (
-            prefix.children() if prefix.length < 32 else (None, None)
-        )
-        if node.low is not None and low is not None:
-            self._collect(node.low, low, out)
-        if node.high is not None and high is not None:
-            self._collect(node.high, high, out)
+        need = 1 << (32 - limit)
+        stack = [(self._root, space.network, space.length)]
+        while stack:
+            node, network, length = stack.pop()
+            if node is None or not node.used:
+                yield network, length
+            elif length < limit and node.used + need <= 1 << (32 - length):
+                length += 1
+                high = network | 1 << (32 - length)
+                stack.append((node.high, high, length))
+                stack.append((node.low, network, length))
 
     def free_prefixes(self, max_length: Optional[int] = None) -> List[Prefix]:
-        """Maximal free blocks (free prefixes whose parent is not free).
+        """Maximal free blocks (free prefixes whose parent is not free),
+        sorted.
 
         With ``max_length`` set, blocks longer than it are dropped.
         """
-        found: List[Prefix] = []
-        self._free(self._root, self._space, found)
-        if max_length is not None:
-            found = [p for p in found if p.length <= max_length]
-        return sorted(found)
+        limit = ADDRESS_BITS if max_length is None else max_length
+        return [Prefix(*block) for block in self._free(limit)]
 
-    def _free(self, node: _Node, prefix: Prefix, out: List[Prefix]) -> None:
-        if node.allocated:
-            return
-        if node.is_leaf:
-            out.append(prefix)
-            return
-        low, high = prefix.children()
-        if node.low is None:
-            out.append(low)
-        else:
-            self._free(node.low, low, out)
-        if node.high is None:
-            out.append(high)
-        else:
-            self._free(node.high, high, out)
+    def lowest_fit(self, length: int) -> Optional[Prefix]:
+        """The lowest-addressed free /``length`` range, if any: the
+        head of the first free block that can hold it."""
+        for network, _ in self._free(length):
+            return Prefix(network, length)
+        return None
 
     def shortest_free_prefixes(self, needed_length: int) -> List[Prefix]:
         """Free blocks of the shortest available mask length that can hold
@@ -196,17 +246,13 @@ class PrefixTrie:
         finds all the remaining prefixes of the shortest possible mask
         length, and randomly chooses one of them".
         """
-        candidates = [
-            p for p in self.free_prefixes() if p.length <= needed_length
-        ]
-        if not candidates:
-            return []
-        best = min(p.length for p in candidates)
-        return [p for p in candidates if p.length == best]
+        blocks = list(self._free(needed_length))
+        best = min((length for _, length in blocks), default=None)
+        return [Prefix(*block) for block in blocks if block[1] == best]
 
     def utilized(self) -> int:
         """Total number of addresses covered by allocations."""
-        return sum(p.size for p in self.allocations())
+        return self._root.used
 
     def __iter__(self) -> Iterator[Prefix]:
         return iter(self.allocations())
@@ -322,17 +368,3 @@ class LpmTrie:
     def items(self) -> List[Tuple[Prefix, Any]]:
         """All stored (prefix, value) pairs, sorted deterministically."""
         return self.covered(Prefix(0, 0))
-
-
-def _subtree_has_allocation(node: _Node) -> bool:
-    if node.allocated:
-        return True
-    stack = [child for child in (node.low, node.high) if child is not None]
-    while stack:
-        current = stack.pop()
-        if current.allocated:
-            return True
-        stack.extend(
-            child for child in (current.low, current.high) if child is not None
-        )
-    return False

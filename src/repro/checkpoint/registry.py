@@ -63,6 +63,14 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "_length",
         "_hash",
     }),
+    # The allocation trie's node is a __slots__ class; ``used`` is the
+    # sum PrefixTrie.insert/remove maintain, not recomputed on restore.
+    "repro.addressing.trie:_Node": frozenset({
+        "allocated",
+        "used",
+        "low",
+        "high",
+    }),
     # LpmTrie is a __slots__ class; _search aliases the dicts held by
     # _tables, which pickle's memo preserves.
     "repro.addressing.trie:LpmTrie": frozenset({

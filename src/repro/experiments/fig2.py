@@ -37,8 +37,8 @@ from repro.masc.simulation import (
 @dataclass
 class Figure2Config:
     """Scaled-down defaults: the full paper shape (50x50, 800 days)
-    runs in minutes; the default keeps the same dynamics at ~20% of
-    the domain count for tractable bench times."""
+    runs in under two minutes; the default keeps the same dynamics at
+    ~20% of the domain count and runs in a few seconds."""
 
     top_count: int = 10
     children_per_top: int = 50

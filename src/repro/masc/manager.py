@@ -336,7 +336,8 @@ class DomainSpaceManager(ClaimSource):
         """Double one of this domain's claimed spaces in place (the
         parent grants the buddy range). Returns False when the parent
         cannot grant it."""
-        if not self.source.grow_claim(space.prefix):
+        old_prefix = space.prefix
+        if not self.source.grow_claim(old_prefix):
             return False
         self.pool.grow_space(space)
         self.doublings += 1
@@ -344,26 +345,25 @@ class DomainSpaceManager(ClaimSource):
             self.tracer.event(
                 "masc.double",
                 domain=self.name,
-                grown=str(space.prefix.parent()),
+                grown=str(space.prefix),
             )
-        self._notify_growth(space)
+        self._resized(old_prefix, space.prefix)
         return True
 
-    def _notify_growth(self, space: ClaimedSpace) -> None:
-        # After pool.grow_space the ClaimedSpace object was replaced;
-        # report the release of the old prefix and the claim of the
-        # doubled one so G-RIB accounting stays exact.
-        grown = space.prefix.parent()
+    def _resized(self, old: Prefix, new: Prefix) -> None:
+        """A space was doubled or halved in place: carry its lease over
+        and report the release of the old prefix and the claim of the
+        new one so G-RIB accounting stays exact."""
         expiry = self.clock() + self.config.claim_lifetime
-        lease = self.claim_leases.get(space.prefix)
+        lease = self.claim_leases.get(old)
         if lease is not None:
-            self.claim_leases.remove(space.prefix)
+            self.claim_leases.remove(old)
             expiry = max(expiry, lease.expires_at)
-        self.claim_leases.add(grown, expiry)
+        self.claim_leases.add(new, expiry)
         if self._on_released is not None:
-            self._on_released(space.prefix)
+            self._on_released(old)
         if self._on_claimed is not None:
-            self._on_claimed(grown)
+            self._on_claimed(new)
 
     def _release_drained(self) -> None:
         for space in self.pool.drained_inactive():
@@ -451,7 +451,7 @@ class DomainSpaceManager(ClaimSource):
                 and not space.is_empty
                 and self.source.shrink_claim(space.prefix)
             ):
-                space = self._halve(space)
+                self._halve(space)
                 halvings += 1
         # Active spaces shed only with hysteresis: expansion fires when
         # a space fills, so shedding waits for occupancy to fall well
@@ -489,25 +489,12 @@ class DomainSpaceManager(ClaimSource):
             if not shrunk_one:
                 return halvings
 
-    def _halve(self, space: ClaimedSpace) -> ClaimedSpace:
+    def _halve(self, space: ClaimedSpace) -> None:
         """Book-keeping around :meth:`AddressPool.halve_space`."""
         old_prefix = space.prefix
-        shrunk = self.pool.halve_space(space)
-        self._move_lease(old_prefix, shrunk.prefix)
+        self.pool.halve_space(space)
         self.shedding += 1
-        if self._on_released is not None:
-            self._on_released(old_prefix)
-        if self._on_claimed is not None:
-            self._on_claimed(shrunk.prefix)
-        return shrunk
-
-    def _move_lease(self, old: Prefix, new: Prefix) -> None:
-        expiry = self.clock() + self.config.claim_lifetime
-        lease = self.claim_leases.get(old)
-        if lease is not None:
-            self.claim_leases.remove(old)
-            expiry = max(expiry, lease.expires_at)
-        self.claim_leases.add(new, expiry)
+        self._resized(old_prefix, space.prefix)
 
     def _try_shrink(self) -> bool:
         """Relinquish over-claimed space at renewal time.
@@ -587,12 +574,8 @@ class DomainSpaceManager(ClaimSource):
             # The child's claim fills this whole space: grow our own
             # claim first (the doubling cascades up the hierarchy,
             # which is what keeps every level's holdings aggregatable
-            # as demand ramps). The space object is replaced in the
-            # pool, so re-resolve it afterwards.
+            # as demand ramps).
             if not self._grow_own_space(space):
-                return False
-            space = self.pool.space_of(prefix)
-            if space is None:
                 return False
         if prefix.length <= space.prefix.length:
             return False
@@ -628,7 +611,7 @@ class DomainSpaceManager(ClaimSource):
         if prefix.length >= 32:
             return False
         space = self.pool.space_of(prefix)
-        if space is None or prefix not in space.allocations():
+        if space is None or not space.is_allocated(prefix):
             return False
         low, _ = prefix.children()
         space.free(prefix)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional
 
-from repro.addressing.allocator import PrefixAllocator
 from repro.addressing.prefix import Prefix
+from repro.addressing.trie import PrefixTrie
 from repro.sim.randomness import default_stream
 
 
@@ -29,7 +29,7 @@ class ClaimedSpace:
     def __init__(self, prefix: Prefix, active: bool = True):
         self.prefix = prefix
         self.active = active
-        self._allocator = PrefixAllocator(prefix)
+        self._trie = PrefixTrie(prefix)
 
     @property
     def size(self) -> int:
@@ -39,7 +39,7 @@ class ClaimedSpace:
     @property
     def used(self) -> int:
         """Addresses covered by interior allocations."""
-        return self._allocator.utilized()
+        return self._trie.utilized()
 
     @property
     def is_empty(self) -> bool:
@@ -52,23 +52,20 @@ class ClaimedSpace:
 
     def allocations(self) -> List[Prefix]:
         """Interior allocations, sorted."""
-        return self._allocator.allocations()
+        return self._trie.allocations()
 
     def can_fit(self, length: int) -> bool:
         """True if a /``length`` range fits in this space's free gaps."""
-        return bool(self._allocator.trie.shortest_free_prefixes(length))
+        return bool(self._trie.shortest_free_prefixes(length))
 
     def candidates(self, length: int) -> List[Prefix]:
         """Shortest-mask free blocks that can host a /``length``."""
-        return self._allocator.candidates(length)
+        return self._trie.shortest_free_prefixes(length)
 
     def lowest_fit(self, length: int) -> Optional[Prefix]:
         """The lowest-addressed free /``length`` range, if any
         (without allocating it)."""
-        frees = self._allocator.trie.free_prefixes(max_length=length)
-        if not frees:
-            return None
-        return min(frees).first_subprefix(length)
+        return self._trie.lowest_fit(length)
 
     def allocate_first_fit(self, length: int) -> Optional[Prefix]:
         """Allocate the lowest-addressed free /``length`` range.
@@ -78,21 +75,24 @@ class ClaimedSpace:
         """
         block = self.lowest_fit(length)
         if block is not None:
-            self._allocator.claim_exact(block)
+            self._trie.insert(block)
         return block
 
     def upper_half_empty(self) -> bool:
         """True when no interior allocation touches the buddy (upper)
         half of this space — the precondition for halving in place."""
-        if self.prefix.length >= 32:
-            return False
-        _, high = self.prefix.children()
-        return not self._allocator.trie.overlapping(high)
+        return self._trie.upper_half_empty()
 
     def is_free(self, prefix: Prefix) -> bool:
         """True when ``prefix`` lies in this space and overlaps no
         interior allocation."""
-        return self._allocator.is_free(prefix)
+        return self.prefix.contains(prefix) and not self._trie.overlapping(
+            prefix
+        )
+
+    def is_allocated(self, prefix: Prefix) -> bool:
+        """True when exactly ``prefix`` is an interior allocation."""
+        return prefix in self._trie
 
     def allocate_exact(self, prefix: Prefix) -> bool:
         """Allocate a specific interior range (a child's chosen claim).
@@ -100,16 +100,15 @@ class ClaimedSpace:
         Returns False when it does not fit (collision with an existing
         interior allocation or outside this space).
         """
-        if not self.prefix.contains(prefix):
+        try:
+            self._trie.insert(prefix)
+        except ValueError:
             return False
-        if not self._allocator.is_free(prefix):
-            return False
-        self._allocator.claim_exact(prefix)
         return True
 
     def free(self, prefix: Prefix) -> None:
         """Release an interior allocation."""
-        self._allocator.release(prefix)
+        self._trie.remove(prefix)
 
     def contains(self, prefix: Prefix) -> bool:
         """True if ``prefix`` lies inside this space."""
@@ -185,44 +184,24 @@ class AddressPool:
         return None
 
     def grow_space(self, space: ClaimedSpace) -> ClaimedSpace:
-        """Replace a space by its doubled (parent-prefix) version,
-        keeping interior allocations.
+        """Double a space in place to its parent prefix, keeping
+        interior allocations, and return it.
 
         The caller must have secured the buddy range from the parent.
         """
-        grown = ClaimedSpace(space.prefix.parent(), active=space.active)
-        for allocation in space.allocations():
-            if not grown.allocate_exact(allocation):
-                raise RuntimeError(
-                    f"allocation {allocation} lost while growing "
-                    f"{space.prefix}"
-                )
-        index = self._spaces.index(space)
-        self._spaces[index] = grown
-        return grown
+        space.prefix = space._trie.grow()
+        return space
 
     def halve_space(self, space: ClaimedSpace) -> ClaimedSpace:
-        """Replace a space by its lower half, keeping interior
-        allocations (which must all sit in the lower half).
+        """Shrink a space in place to its lower half, keeping interior
+        allocations, and return it. Raises ValueError while anything
+        sits in the upper half.
 
         The inverse of :meth:`grow_space`: the caller returns the upper
         half to the parent.
         """
-        if not space.upper_half_empty():
-            raise ValueError(
-                f"upper half of {space.prefix} is not empty"
-            )
-        low, _ = space.prefix.children()
-        shrunk = ClaimedSpace(low, active=space.active)
-        for allocation in space.allocations():
-            if not shrunk.allocate_exact(allocation):
-                raise RuntimeError(
-                    f"allocation {allocation} lost while halving "
-                    f"{space.prefix}"
-                )
-        index = self._spaces.index(space)
-        self._spaces[index] = shrunk
-        return shrunk
+        space.prefix = space._trie.halve()
+        return space
 
     def select_range(
         self,

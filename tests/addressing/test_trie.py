@@ -58,6 +58,17 @@ class TestInsertRemove:
         with pytest.raises(KeyError):
             trie.remove(Prefix.parse("224.0.2.0/24"))
 
+    def test_remove_outside_space_raises(self):
+        # 225.0.0.0/25 shares its low-order bits with 224.0.0.0/25;
+        # following them must not release the allocation inside.
+        trie = PrefixTrie(Prefix.parse("224.0.0.0/24"))
+        trie.insert(Prefix.parse("224.0.0.0/25"))
+        with pytest.raises(KeyError):
+            trie.remove(Prefix.parse("225.0.0.0/25"))
+        with pytest.raises(KeyError):
+            trie.remove(Prefix.parse("224.0.0.0/23"))
+        assert trie.allocations() == [Prefix.parse("224.0.0.0/25")]
+
     def test_remove_then_reinsert(self):
         trie = make_trie("224.0.1.0/24")
         trie.remove(Prefix.parse("224.0.1.0/24"))

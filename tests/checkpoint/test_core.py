@@ -63,9 +63,24 @@ def save_version_3_checkpoint(path):
     )
 
 
+def save_version_4_checkpoint(path):
+    """A checkpoint file from version 4, whose allocation-trie nodes
+    have no ``used`` count and whose ``ClaimedSpace`` wraps a
+    ``PrefixAllocator`` — it would unpickle, into a world whose next
+    block request dies on a missing attribute. The payload names the
+    subtree walk version 5 deleted with the recomputed sums."""
+    _save_old_checkpoint(
+        path, 4, b"crepro.addressing.trie\n_subtree_has_allocation\n."
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
-OLD_VERSIONS = {2: save_version_2_checkpoint, 3: save_version_3_checkpoint}
+OLD_VERSIONS = {
+    2: save_version_2_checkpoint,
+    3: save_version_3_checkpoint,
+    4: save_version_4_checkpoint,
+}
 
 
 class TestCheckpointObject:
@@ -156,7 +171,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 4",
+            match=f"checkpoint version {version} != supported 5",
         ):
             ckpt.load(path)
 

@@ -68,6 +68,15 @@ class TestClaimedSpace:
         space.allocate_exact(Prefix.parse("224.1.0.0/24"))
         assert space.lowest_fit(32) is None
 
+    def test_construction_builds_no_random_stream(self, monkeypatch):
+        # A run claims thousands of spaces and none of them ever draws.
+        def refuse(*args, **kwargs):
+            raise AssertionError("ClaimedSpace built a random.Random")
+
+        monkeypatch.setattr(random, "Random", refuse)
+        space = ClaimedSpace(P16)
+        assert space.allocate_first_fit(24) == P24A
+
 
 class TestAddressPool:
     def test_add_and_totals(self):
@@ -150,6 +159,64 @@ class TestAddressPool:
         assert grown.prefix == Prefix.parse("224.1.0.0/23")
         assert block in grown.allocations()
         assert pool.total_size() == 512
+
+    def test_grow_then_halve_round_trip(self):
+        pool = AddressPool()
+        space = pool.add(P24B)
+        blocks = [
+            Prefix.parse("224.1.1.0/26"), Prefix.parse("224.1.1.128/25")
+        ]
+        for block in blocks:
+            assert space.allocate_exact(block)
+        # 224.1.1.0/24 is the upper half of the /23 it grows into, so
+        # halving is refused until its contents have gone.
+        grown = pool.grow_space(space)
+        assert grown.prefix == Prefix.parse("224.1.0.0/23")
+        assert pool.prefixes() == [grown.prefix]
+        assert pool.space_of(P24A) is grown
+        assert grown.allocations() == blocks
+        assert grown.used == 64 + 128
+        assert grown.lowest_fit(24) == P24A
+        with pytest.raises(ValueError):
+            pool.halve_space(grown)
+        for block in blocks:
+            grown.free(block)
+        low = Prefix.parse("224.1.0.0/26")
+        assert grown.allocate_exact(low)
+        shrunk = pool.halve_space(grown)
+        assert shrunk.prefix == P24A
+        assert pool.prefixes() == [P24A]
+        assert pool.space_of(low) is shrunk
+        assert pool.space_of(P24B) is None
+        assert shrunk.allocations() == [low]
+        assert (shrunk.size, shrunk.used) == (256, 64)
+
+    def test_halve_refused_while_upper_half_holds_anything(self):
+        pool = AddressPool()
+        space = pool.add(P16, active=False)
+        high = Prefix.parse("224.1.255.255/32")
+        space.allocate_exact(P24A)
+        space.allocate_exact(high)
+        assert not space.upper_half_empty()
+        with pytest.raises(ValueError, match="upper half of 224.1.0.0/16"):
+            pool.halve_space(space)
+        assert pool.prefixes() == [P16]
+        assert pool.space_of(high).allocations() == [P24A, high]
+        space.free(high)
+        assert space.upper_half_empty()
+        shrunk = pool.halve_space(space)
+        assert shrunk.prefix == Prefix.parse("224.1.0.0/17")
+        assert not shrunk.active
+        assert pool.space_of(high) is None
+        assert pool.space_of(P24A).allocations() == [P24A]
+
+    def test_halve_refused_for_a_space_allocated_whole(self):
+        pool = AddressPool()
+        space = pool.add(P24A)
+        space.allocate_exact(P24A)
+        with pytest.raises(ValueError):
+            pool.halve_space(space)
+        assert pool.space_of(P24A).allocations() == [P24A]
 
     def test_space_of(self):
         pool = AddressPool()
