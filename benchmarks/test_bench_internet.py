@@ -1,39 +1,26 @@
-"""Perf gate for the internet-scale fast path.
+"""The internet-scale workload: where a route-views-scale run spends
+its time.
 
-The internet suite (:mod:`repro.experiments.internet`) runs the whole
-architecture on a route-views-like AS graph: thousands of groups,
-membership churn, root flaps, and router faults, swept serially and
-through the persistent fork-shared worker pool. This bench pins down
-the two acceptance numbers:
-
-* **determinism at scale** — the serial and pooled sweeps produce
-  byte-identical fingerprints on every seed, and the schema-validated
-  ``BENCH_internet.json`` artifact records them;
-* **throughput** — a seed's timed churn+fault loop completes within
-  the per-seed budget at the default (CI smoke) scale, which is the
-  "completes in minutes, not hours" claim scaled down to the
-  800-domain smoke graph. ``REPRO_PAPER_SCALE=1`` runs the full
-  ~3300-domain configuration.
+One serial seed of :func:`repro.experiments.internet.run_internet_workload`
+— the whole architecture on a route-views-like AS graph: thousands of
+groups, membership churn, root flaps and router faults — printed as
+``setup_seconds`` (entry to the timed loop), ``converge_seconds`` (the
+initial BGP convergence inside it) and ``seconds`` (the timed loop)
+beside the event count and forwarding-state size. The default is the
+800-domain CI smoke shape; ``REPRO_PAPER_SCALE=1`` runs the full
+3326-domain configuration.
 """
-
-import json
-from pathlib import Path
 
 from conftest import emit, paper_scale
 
 from repro.analysis.report import format_table
 from repro.experiments.internet import (
     InternetConfig,
-    profile_top,
-    run_internet_bench,
-    write_internet_report,
+    run_internet_workload,
 )
-from repro.serve.schemas import validate
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-#: Wall-clock ceiling for one seed's timed loop at smoke scale. The
-#: loop runs in seconds on a laptop; the ceiling only catches an
+#: Wall-clock ceiling for the timed loop at smoke scale. The loop runs
+#: in seconds on a laptop; the ceiling only catches an
 #: order-of-magnitude regression (a digest cache that stopped caching,
 #: a mask walk that fell back to scanning every router) without being
 #: flaky on slow CI runners.
@@ -54,51 +41,30 @@ def _bench_config() -> InternetConfig:
 
 def test_bench_internet_scale(benchmark):
     config = _bench_config()
-    result = benchmark.pedantic(
-        run_internet_bench,
-        args=(config,),
-        kwargs={"seeds": (0, 1), "profile": True},
+    run = benchmark.pedantic(
+        run_internet_workload,
+        args=(config, 0),
         rounds=1,
         iterations=1,
-    )
-    payload = write_internet_report(
-        result, REPO_ROOT / "BENCH_internet.json"
     )
     emit(
         f"Internet-scale churn ({config.domains} domains, "
         f"{config.total_groups} groups, {config.phases} flap+fault "
-        f"phases/seed, pool of {result.pool_processes})",
+        "phases, seed 0)",
         format_table(
-            ("seed", "serial s", "pooled s", "events", "entries",
-             "identical"),
-            result.rows(),
-        )
-        + f"\npooled speedup: {result.speedup:.2f}x"
-        + "\nhottest callbacks:\n"
-        + format_table(
-            ("callback", "events", "total s", "mean s", "p99 s"),
-            profile_top(result.profile),
-        )
-        + f"\nreport: {json.dumps(payload['speedup'])}x recorded",
+            ("setup_seconds", "converge_seconds", "seconds", "events",
+             "entries"),
+            [(run.setup_seconds, run.converge_seconds, run.seconds,
+              run.events, run.state_size)],
+        ),
     )
-    # Determinism contract: the pooled sweep is byte-identical to the
-    # serial one on every seed — digests, repair counters, deliveries.
-    assert result.identical
-    # The artifact names its schema and validates against it.
-    assert payload["schema"] == "repro.bench.internet/v1"
-    assert validate(payload) == []
-    # The workload actually ran at scale: every seed executed its full
-    # schedule and left forwarding state behind.
-    for seed in result.seeds:
-        run = result.serial[seed]
-        assert run.events > 0
-        assert run.state_size > 0
-        assert len(run.phase_digests) == 2 * config.phases
-    # Perf gate: the timed loop stays inside the per-seed budget (the
-    # full-scale budget scales with the configured graph).
+    # The workload actually ran at scale: the full schedule executed
+    # and left forwarding state behind.
+    assert run.events > 0
+    assert run.state_size > 0
+    assert len(run.phase_digests) == 2 * config.phases
+    # The full-scale budget scales with the configured graph.
     budget = SMOKE_SECONDS_PER_SEED * (config.domains / 800.0)
-    for seed in result.seeds:
-        assert result.serial[seed].seconds <= budget, (
-            f"seed {seed} timed loop took "
-            f"{result.serial[seed].seconds:.1f}s (> {budget:.0f}s)"
-        )
+    assert run.seconds <= budget, (
+        f"timed loop took {run.seconds:.1f}s (> {budget:.0f}s)"
+    )

@@ -10,7 +10,7 @@ domain outgrows an active prefix (section 4.3.3 of the paper).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.addressing.ipv4 import ADDRESS_BITS
 from repro.addressing.prefix import Prefix
@@ -158,53 +158,3 @@ class PrefixAllocator:
         parent = prefix.parent()
         self._trie.insert(parent)
         return parent
-
-    def snapshot(self) -> "AllocatorSnapshot":
-        """An immutable summary used by stats collection."""
-        allocations = self.allocations()
-        return AllocatorSnapshot(
-            space=self.space,
-            prefix_count=len(allocations),
-            utilized=sum(p.size for p in allocations),
-        )
-
-
-class AllocatorSnapshot:
-    """Point-in-time allocator statistics."""
-
-    __slots__ = ("space", "prefix_count", "utilized")
-
-    def __init__(self, space: Prefix, prefix_count: int, utilized: int):
-        self.space = space
-        self.prefix_count = prefix_count
-        self.utilized = utilized
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the space allocated."""
-        return self.utilized / self.space.size
-
-    def __repr__(self) -> str:
-        return (
-            f"AllocatorSnapshot(space={self.space}, "
-            f"prefixes={self.prefix_count}, utilized={self.utilized})"
-        )
-
-
-def pick_claim(
-    space: Prefix,
-    taken: Sequence[Prefix],
-    length: int,
-    rng: Optional[random.Random] = None,
-    policy: str = PrefixAllocator.RANDOM,
-) -> Prefix:
-    """One-shot claim selection against a snapshot of taken prefixes.
-
-    Convenience used by MASC nodes that track sibling claims as a plain
-    list rather than a live allocator.
-    """
-    allocator = PrefixAllocator(space, rng=rng, policy=policy)
-    for prefix in taken:
-        if space.contains(prefix) and allocator.is_free(prefix):
-            allocator.claim_exact(prefix)
-    return allocator.select(length)

@@ -9,12 +9,6 @@ a shell:
 - ``trace`` — an instrumented run (fig2, fig4, or a chaos scenario)
   exporting span traces, a Chrome ``trace_event`` file, and a unified
   metrics snapshot.
-- ``bench`` — the internet-scale churn workload swept serially and
-  through the worker pool, printed as a comparison table and
-  optionally written to a schema-checked JSON report (``--json``).
-  Fingerprint divergence or a ``--min-speedup`` gate miss exits
-  nonzero with a one-line verdict on stderr. (Layer-by-layer
-  performance is ``bench/run.py`` against ``BENCHMARK.json``.)
 - ``soak`` — crash-resumable checkpointed chaos: ``soak run`` writes a
   full-world checkpoint at every segment boundary, ``soak resume``
   continues after a crash from the latest one (fingerprints are
@@ -44,8 +38,8 @@ stderr through :mod:`logging`, controlled by ``-v`` / ``--quiet``, so
 piped output stays clean and the default output is unchanged.
 
 **Exit-code contract** (uniform across subcommands): ``0`` — clean
-run; ``1`` — findings (invariant violations, perf-gate or fingerprint
-failures, probe mismatches); ``2`` — operational or usage errors
+run; ``1`` — findings (invariant violations, fingerprint or golden
+drift, probe mismatches); ``2`` — operational or usage errors
 (unwritable output paths, missing checkpoints, bad arguments), always
 as a one-line diagnostic on stderr, never an unhandled traceback.
 ``soak`` extends the range with ``3`` (invariant violation with a
@@ -266,101 +260,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"chrome:  {chrome_path}")
     print(f"metrics: {metrics_path}")
     return findings
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
-    from repro.bgp.network import ConvergenceError
-    from repro.experiments.internet import (
-        InternetConfig,
-        profile_top,
-        run_internet_bench,
-        write_internet_report,
-    )
-
-    report_path = Path(args.json) if args.json else None
-    if report_path is not None:
-        # The suite takes minutes at full scale: refuse an unwritable
-        # report path before the run, not after it.
-        try:
-            with report_path.open("a"):
-                pass
-        except OSError as error:
-            log.error("bench: cannot write report: %s", error)
-            return 2
-
-    config = InternetConfig(
-        domains=args.internet_domains,
-        group_domains=args.internet_group_domains,
-        groups_per_domain=args.internet_groups_per_domain,
-        churn_per_phase=args.internet_churn,
-    )
-    log.info(
-        "bench: internet-scale churn, %d domains, %d groups, "
-        "%d seeds",
-        config.domains, config.total_groups, args.internet_seeds,
-    )
-    try:
-        internet = run_internet_bench(
-            config,
-            seeds=tuple(range(args.internet_seeds)),
-            profile=args.profile,
-        )
-    except (ConvergenceError, ValueError) as error:
-        log.error("bench: internet suite failed: %s", error)
-        return 2
-    print(f"internet-scale churn ({config.domains} "
-          f"domains, {config.total_groups} groups, "
-          f"{config.phases} flap+fault phases per seed, "
-          f"pool of {internet.pool_processes})")
-    print(
-        format_table(
-            ("seed", "serial s", "pooled s", "events", "entries",
-             "identical"),
-            internet.rows(),
-        )
-    )
-    print()
-    print(f"pooled speedup: {internet.speedup:.2f}x  "
-          f"fingerprints identical: {internet.identical}")
-    if internet.profile is not None:
-        print()
-        print("hottest callbacks (serial arm, seed "
-              f"{internet.seeds[0]})")
-        print(
-            format_table(
-                ("callback", "events", "total s", "mean s",
-                 "p99 s"),
-                profile_top(internet.profile),
-            )
-        )
-    if report_path is not None:
-        try:
-            write_internet_report(internet, report_path)
-        except OSError as error:
-            log.error("bench: cannot write report: %s", error)
-            return 2
-        print()
-        print(f"report: {report_path}")
-
-    # Exit-code contract: perf-gate or fingerprint failures produce a
-    # one-line readable verdict on stderr and a nonzero exit, never an
-    # unhandled traceback.
-    failures: List[str] = []
-    if args.min_speedup and internet.speedup < args.min_speedup:
-        failures.append(
-            f"internet pooled speedup {internet.speedup:.2f}x "
-            f"below --min-speedup gate {args.min_speedup:.2f}x"
-        )
-    if not internet.identical:
-        failures.append(
-            "fingerprint divergence between the serial and pooled "
-            "sweeps (same seed, different digests — see the "
-            "'identical' column above)"
-        )
-    for failure in failures:
-        log.error("bench FAILED: %s", failure)
-    return 1 if failures else 0
 
 
 def _soak_fingerprint_json(result) -> str:
@@ -752,33 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chaos: faults per run")
     trace.set_defaults(func=_cmd_trace)
 
-    bench = sub.add_parser(
-        "bench",
-        help="internet-scale churn workload, serial vs pooled sweep",
-    )
-    bench.add_argument("--internet-domains", type=int, default=3326,
-                       help="internet: AS-graph size (route-views "
-                            "scale by default)")
-    bench.add_argument("--internet-group-domains", type=int, default=48,
-                       help="internet: domains originating a /20")
-    bench.add_argument("--internet-groups-per-domain", type=int,
-                       default=44,
-                       help="internet: groups per group domain")
-    bench.add_argument("--internet-churn", type=int, default=400,
-                       help="internet: churn events per phase")
-    bench.add_argument("--internet-seeds", type=int, default=2,
-                       help="internet: number of seeds (0..N-1)")
-    bench.add_argument("--profile", action="store_true",
-                       help="internet: attach the event-loop profiler "
-                            "to the first serial seed and print the "
-                            "hottest callbacks")
-    bench.add_argument("--json", default="",
-                       help="also write the JSON report to this path")
-    bench.add_argument("--min-speedup", type=float, default=0.0,
-                       help="perf gate: fail (exit 1) when the pooled "
-                            "speedup lands below this factor")
-    bench.set_defaults(func=_cmd_bench)
-
     soak = sub.add_parser(
         "soak",
         help="crash-resumable checkpointed chaos soak "
@@ -941,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # ``repro lint`` is an alias of ``python -m repro.lint`` and keeps
     # its exit-code contract (0 clean, 1 findings, 2 usage) — the same
-    # contract bench and soak use. The subparser here only provides
+    # contract every subcommand uses. The subparser here only provides
     # the help listing; arguments are forwarded verbatim (see main()).
     lint = sub.add_parser(
         "lint",

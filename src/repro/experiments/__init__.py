@@ -14,8 +14,9 @@ text table; the ``benchmarks/`` suite wires them into pytest-benchmark.
 Multi-seed sweeps (``run_figure2_seeds`` / ``run_figure4_seeds``) fan
 out over :mod:`repro.experiments.runner` with a deterministic merge.
 :mod:`repro.experiments.churn` and :mod:`repro.experiments.internet`
-are the whole-stack workloads (the latter is ``python -m repro
-bench``); performance is measured by ``bench/`` against
+are the whole-stack workloads (the latter at route-views scale, one
+``run_internet_workload(config, seed)`` call that reports setup and
+loop seconds); performance is measured by ``bench/`` against
 ``BENCHMARK.json``.
 """
 

@@ -1,67 +1,55 @@
-"""Internet-scale bench: the full route-views AS graph under churn.
+"""Internet-scale workload: the full route-views AS graph under churn.
 
-The churn workload runs at 100 domains; this suite runs the whole
+The churn workload runs at 100 domains; this one runs the whole
 architecture at the paper's motivating scale — a
 route-views-like AS graph of ~3300 domains, thousands of groups, with
 membership churn punctuated by root flaps *and* router faults — and is
 the workload the fast-path machinery (interned prefixes, incremental
-forwarding digests, bitmask tree walks, the persistent worker pool)
-exists for.
+forwarding digests, bitmask tree walks) exists for.
 
 Structure mirrors :mod:`repro.experiments.churn` with three twists:
 
 * **One topology, many seeds.** The AS graph is a function of
-  ``topology_seed`` alone, *not* of the workload seed, so the parent
-  process parses it once and publishes it through
-  :func:`repro.experiments.runner.set_shared`; pool workers
-  fork-inherit it for free and a serial sweep reuses the same object
-  in-process. Workers fall back to building their own copy when the
-  payload is absent (direct calls, spawn platforms).
+  ``topology_seed`` alone, *not* of the workload seed; every run
+  builds its own copy (0.06 s at 3326 domains), so a run depends on
+  nothing but its ``(config, seed)`` arguments.
 * **Simulator-driven.** The timed loop schedules every churn event on
   a :class:`~repro.sim.Simulator` under a stable name
-  (``internet.join``, ``internet.flap``, ...), so an attached
-  :class:`~repro.trace.EventLoopProfiler` ranks hot paths by event
-  kind — the ``bench --profile`` table.
+  (``internet.join``, ``internet.flap``, ...).
 * **IGMP-only interiors.** Every domain runs the static MIGP: at
   3300+ domains the interior-protocol dynamics are out of scope (the
   100-domain churn workload covers them) and unicast auto-origination
   is disabled — full unicast tables at this scale would be ~11M routes
   modelling nothing the multicast layer reads here.
 
-As everywhere else: serial and pooled sweeps of the same (config,
-seed) pairs must produce byte-identical fingerprints; wall-clock
-timing stays in the bench artifact (``BENCH_internet.json``,
-schema-checked against ``repro.bench.internet/v1``) and never feeds
-simulation state.
+A run reports three wall-clock timings — ``setup_seconds`` (entry to
+the start of the timed loop), ``converge_seconds`` (the initial BGP
+convergence inside setup) and ``seconds`` (the loop) — none of which
+feeds simulation state or the fingerprint; repeated, serial and pooled
+runs of the same ``(config, seed)`` produce byte-identical
+fingerprints. Per-layer time is ``bench/run.py --trace 1``'s job.
 """
 
 from __future__ import annotations
 
-import functools
-import json
-import os
 import random
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.bgmp.network import BgmpNetwork
-from repro.experiments import runner
 from repro.experiments.churn import (
     COVERING_RANGE,
     group_prefix,
     schedule_digest,
 )
-from repro.serve.schemas import validate
 from repro.sim.engine import Simulator
 from repro.topology.domain import Domain
 from repro.topology.network import Topology
-from repro.trace.profiler import EventLoopProfiler
 
 
 def _wall() -> float:
-    return time.perf_counter()  # lint: disable=DET002 — bench wall-clock timing; recorded in bench artifacts only, never in simulation state
+    return time.perf_counter()  # lint: disable=DET002 — wall-clock timing; reported beside the result, never in simulation state or the fingerprint
 
 
 def static_migp_selector(domain: Domain) -> str:
@@ -75,9 +63,8 @@ class InternetConfig:
     """Shape of the internet-scale workload.
 
     The topology is a function of ``topology_seed`` and ``domains``
-    only; workload seeds vary the schedule over the *same* graph,
-    which is what makes the parsed topology shareable across every
-    sweep worker. Each of the ``phases`` runs ``churn_per_phase``
+    only; workload seeds vary the schedule over the *same* graph.
+    Each of the ``phases`` runs ``churn_per_phase``
     join/leave/send events (a ``repair`` sweep every
     ``maintain_every``), then a root flap (withdraw + restore one
     group /20) and a router fault (crash + restore one transit
@@ -105,43 +92,6 @@ def build_internet_topology(config: InternetConfig) -> Topology:
     return as_graph(
         random.Random(config.topology_seed), node_count=config.domains
     )
-
-
-#: set_shared key under which the parsed topology is published.
-SHARED_TOPOLOGY_KEY = "internet_topology"
-
-
-def publish_topology(config: InternetConfig) -> Topology:
-    """Build the config's topology once and publish it for pool
-    workers to fork-inherit (idempotent per (seed, domains) pair, so
-    repeated sweeps keep the persistent pool warm)."""
-    shared = runner.get_shared(SHARED_TOPOLOGY_KEY)
-    if (
-        isinstance(shared, tuple)
-        and shared[:2] == (config.topology_seed, config.domains)
-    ):
-        return shared[2]
-    topology = build_internet_topology(config)
-    runner.set_shared(
-        **{
-            SHARED_TOPOLOGY_KEY: (
-                config.topology_seed, config.domains, topology
-            )
-        }
-    )
-    return topology
-
-
-def _topology_for(config: InternetConfig) -> Topology:
-    """The shared topology when one matching this config is
-    published (parent or fork-inherited), else a private build."""
-    shared = runner.get_shared(SHARED_TOPOLOGY_KEY)
-    if (
-        isinstance(shared, tuple)
-        and shared[:2] == (config.topology_seed, config.domains)
-    ):
-        return shared[2]
-    return build_internet_topology(config)
 
 
 def build_internet_schedule(
@@ -209,6 +159,11 @@ class InternetRunResult:
     """One seed's workload outcome."""
 
     seed: int
+    #: Wall-clock timings (nondeterministic, outside the fingerprint):
+    #: entry to the start of the timed loop; the initial
+    #: ``network.converge()`` inside that; the timed loop itself.
+    setup_seconds: float
+    converge_seconds: float
     seconds: float
     #: Simulator events executed in the timed loop (deterministic).
     events: int
@@ -223,10 +178,6 @@ class InternetRunResult:
     state_size: int
     joins_sent: int
     prunes_sent: int
-    #: EventLoopProfiler.summary() when profiling was requested; wall
-    #: timings inside are nondeterministic and excluded from the
-    #: fingerprint.
-    profile: Optional[Dict[str, Any]] = None
 
     def fingerprint(self) -> Tuple:
         """Everything that must match across serial/pooled sweeps and
@@ -246,15 +197,18 @@ class InternetRunResult:
 
 
 def run_internet_workload(
-    config: InternetConfig, seed: int, profile: bool = False
+    config: InternetConfig, seed: int
 ) -> InternetRunResult:
     """Run one seeded internet-scale schedule.
 
-    Setup (originations, the initial convergence, initial joins, one
-    draining repair) is untimed; the clock covers exactly the
+    Setup (topology build, originations, the initial convergence,
+    initial joins, one draining repair) is reported as
+    ``setup_seconds``, with the convergence alone as
+    ``converge_seconds``; ``seconds`` covers exactly the
     simulator-driven churn + flap/fault loop.
     """
-    topology = _topology_for(config)
+    entered = _wall()
+    topology = build_internet_topology(config)
     network = BgmpNetwork(
         topology,
         migp_selector=static_migp_selector,
@@ -265,7 +219,9 @@ def run_internet_workload(
         network.originate_group_range(
             domain, group_prefix(domain.domain_id)
         )
+    converge_started = _wall()
     network.converge()
+    converge_seconds = _wall() - converge_started
     schedule = build_internet_schedule(config, seed)
     sha = schedule_digest(schedule)
     boundary = config.total_groups * config.initial_members
@@ -332,7 +288,6 @@ def run_internet_workload(
         "fault": on_fault,
     }
     sim = Simulator()
-    profiler = EventLoopProfiler().attach(sim) if profile else None
     for index, event in enumerate(schedule[boundary:]):
         kind = event[0]
         sim.schedule_at(
@@ -344,13 +299,11 @@ def run_internet_workload(
     started = _wall()
     executed = sim.run()
     seconds = _wall() - started
-    summary: Optional[Dict[str, Any]] = None
-    if profiler is not None:
-        profiler.detach()
-        summary = profiler.summary()
 
     return InternetRunResult(
         seed=seed,
+        setup_seconds=started - entered,
+        converge_seconds=converge_seconds,
         seconds=seconds,
         events=executed,
         schedule_sha=sha,
@@ -362,235 +315,4 @@ def run_internet_workload(
         state_size=network.forwarding_state_size(),
         joins_sent=sum(b.joins_sent for b in network.bgmp_routers()),
         prunes_sent=sum(b.prunes_sent for b in network.bgmp_routers()),
-        profile=summary,
     )
-
-
-def _internet_seed_worker(
-    config: InternetConfig, seed: int
-) -> InternetRunResult:
-    """Top-level (picklable) per-seed worker for the parallel runner;
-    reads the fork-inherited topology through :func:`_topology_for`."""
-    return run_internet_workload(config, seed)
-
-
-def run_internet_seeds(
-    seeds: Sequence[int],
-    config: Optional[InternetConfig] = None,
-    processes: Optional[int] = None,
-) -> List[InternetRunResult]:
-    """Run the workload across seeds through the parallel runner over
-    the published shared topology (order-preserving; ``processes=1``
-    forces serial)."""
-    if config is None:
-        config = InternetConfig()
-    publish_topology(config)
-    worker = functools.partial(_internet_seed_worker, config)
-    return runner.parallel_map(worker, list(seeds), processes=processes)
-
-
-@dataclass
-class InternetBenchResult:
-    """The serial-vs-pooled sweep comparison across seeds."""
-
-    config: InternetConfig
-    seeds: Tuple[int, ...]
-    pool_processes: int
-    serial: Dict[int, InternetRunResult] = field(default_factory=dict)
-    pooled: Dict[int, InternetRunResult] = field(default_factory=dict)
-    #: Profiler summary from the serial arm's first seed (when
-    #: profiling was requested).
-    profile: Optional[Dict[str, Any]] = None
-
-    @property
-    def serial_seconds(self) -> float:
-        return sum(run.seconds for run in self.serial.values())
-
-    @property
-    def pooled_seconds(self) -> float:
-        return sum(run.seconds for run in self.pooled.values())
-
-    @property
-    def speedup(self) -> float:
-        """Serial workload wall-clock over pooled (per-worker summed
-        workload time stays comparable on a loaded box; the fan-out
-        win shows on multi-core hosts)."""
-        return self.serial_seconds / max(self.pooled_seconds, 1e-9)
-
-    @property
-    def identical(self) -> bool:
-        """True when the serial and pooled sweeps produced
-        byte-identical fingerprints on every seed."""
-        return all(
-            self.serial[seed].fingerprint()
-            == self.pooled[seed].fingerprint()
-            for seed in self.seeds
-        )
-
-    def rows(self) -> List[Sequence]:
-        """Per-seed table rows for :func:`~repro.analysis.report.format_table`."""
-        out: List[Sequence] = []
-        for seed in self.seeds:
-            serial, pooled = self.serial[seed], self.pooled[seed]
-            out.append(
-                (
-                    seed,
-                    serial.seconds,
-                    pooled.seconds,
-                    serial.events,
-                    serial.state_size,
-                    "yes"
-                    if serial.fingerprint() == pooled.fingerprint()
-                    else "NO",
-                )
-            )
-        return out
-
-
-def default_pool_processes(seed_count: int) -> int:
-    """Pooled-arm size: at least two workers (so the pool path is
-    actually exercised even on small hosts), at most one per seed."""
-    return max(2, min(seed_count, os.cpu_count() or 1))
-
-
-def run_internet_bench(
-    config: Optional[InternetConfig] = None,
-    seeds: Tuple[int, ...] = (0, 1),
-    pool_processes: Optional[int] = None,
-    profile: bool = False,
-) -> InternetBenchResult:
-    """Sweep the seeds serially and through the persistent pool, and
-    compare fingerprints. With ``profile=True`` the serial arm's first
-    seed runs with an :class:`EventLoopProfiler` attached (per-event
-    overhead is two clock reads — the timed callbacks are entire
-    converge/repair passes, so the arms stay comparable)."""
-    if config is None:
-        config = InternetConfig()
-    publish_topology(config)
-    processes = (
-        default_pool_processes(len(seeds))
-        if pool_processes is None
-        else pool_processes
-    )
-    result = InternetBenchResult(
-        config=config, seeds=tuple(seeds), pool_processes=processes
-    )
-    for index, seed in enumerate(seeds):
-        run = run_internet_workload(
-            config, seed, profile=profile and index == 0
-        )
-        if run.profile is not None:
-            result.profile = run.profile
-            run.profile = None
-        result.serial[seed] = run
-    for seed, run in zip(
-        seeds, run_internet_seeds(seeds, config, processes=processes)
-    ):
-        result.pooled[seed] = run
-    return result
-
-
-def profile_top(
-    summary: Dict[str, Any], count: int = 10
-) -> List[Sequence]:
-    """The profiler's hottest callbacks by total wall time — rows of
-    (callback, events, total s, mean s, p99 s) for the bench table."""
-    callbacks = summary.get("callbacks", {})
-    ranked = sorted(
-        callbacks.items(),
-        key=lambda item: (-item[1].get("total_s", 0.0), item[0]),
-    )
-    rows: List[Sequence] = []
-    for label, stats in ranked[:count]:
-        rows.append(
-            (
-                label,
-                stats.get("count", 0),
-                stats.get("total_s", 0.0),
-                stats.get("mean_s", 0.0),
-                stats.get("p99_s", 0.0),
-            )
-        )
-    return rows
-
-
-def write_internet_report(
-    result: InternetBenchResult, path: Path
-) -> Dict:
-    """Serialize the bench outcome to ``BENCH_internet.json``.
-
-    The payload names its schema (``repro.bench.internet/v1``) and is
-    validated against it before writing, so artifact drift fails the
-    producer, not a downstream consumer.
-    """
-    config = result.config
-    payload: Dict = {
-        "schema": "repro.bench.internet/v1",
-        "bench": "internet-scale-churn",
-        "domains": config.domains,
-        "topology_seed": config.topology_seed,
-        "groups": config.total_groups,
-        "group_domains": config.group_domains,
-        "initial_members": config.initial_members,
-        "churn_per_phase": config.churn_per_phase,
-        "phases": config.phases,
-        "maintain_every": config.maintain_every,
-        "seeds": list(result.seeds),
-        "pool_processes": result.pool_processes,
-        "serial_seconds": round(result.serial_seconds, 6),
-        "pooled_seconds": round(result.pooled_seconds, 6),
-        "speedup": round(result.speedup, 3),
-        "identical_fingerprints": result.identical,
-        "per_seed": {
-            str(seed): {
-                "serial_seconds": round(result.serial[seed].seconds, 6),
-                "pooled_seconds": round(result.pooled[seed].seconds, 6),
-                "events": result.serial[seed].events,
-                "repair_passes": len(result.serial[seed].repairs),
-                "migrations": sum(
-                    r[0] for r in result.serial[seed].repairs
-                ),
-                "rejoined": sum(
-                    r[1] for r in result.serial[seed].repairs
-                ),
-                "pruned": sum(
-                    r[2] for r in result.serial[seed].repairs
-                ),
-                "deliveries": sum(result.serial[seed].deliveries),
-                "state_size": result.serial[seed].state_size,
-                "forwarding_digest": result.serial[seed].final_digest,
-                "rib_digest": result.serial[seed].rib_digest,
-                "identical": result.serial[seed].fingerprint()
-                == result.pooled[seed].fingerprint(),
-            }
-            for seed in result.seeds
-        },
-    }
-    if result.profile is not None:
-        payload["profile"] = {
-            "events": result.profile["events"],
-            "wall_seconds": round(result.profile["wall_seconds"], 6),
-            "events_per_second": round(
-                result.profile["events_per_second"], 3
-            ),
-            "top": [
-                {
-                    "callback": label,
-                    "count": count,
-                    "total_s": round(total, 6),
-                    "mean_s": round(mean, 6),
-                    "p99_s": round(p99, 6),
-                }
-                for label, count, total, mean, p99 in profile_top(
-                    result.profile
-                )
-            ],
-        }
-    errors = validate(payload)
-    if errors:
-        raise ValueError(
-            "BENCH_internet.json payload violates "
-            "repro.bench.internet/v1: " + "; ".join(errors)
-        )
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload

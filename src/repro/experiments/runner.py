@@ -6,19 +6,15 @@ worker out over a process pool and merges results *in input order*
 (``multiprocessing.Pool.map`` preserves it), so a parallel sweep
 returns byte-for-byte the list a serial loop would.
 
-The runner degrades gracefully: with one item, one process, or a
-worker/result that cannot cross a process boundary (unpicklable
-closures, simulator-bound state) it falls back to the plain serial
-loop — same results, no pool.
+The runner degrades gracefully: with one item or one process it is
+the plain serial loop, no pool; when a worker, item or result cannot
+cross a process boundary (unpicklable closures, simulator-bound
+state) it reruns the sweep serially — same results.
 
-Pools are *persistent*: the first parallel sweep forks a pool that
-later sweeps reuse (resized or retired only when the requested worker
-count or the :func:`set_shared` payload generation changes), so a
-bench that sweeps many seed lists pays the fork cost once. Read-only
-payloads published with :func:`set_shared` before the sweep are
-fork-inherited by every worker — the internet-scale bench shares one
-parsed ~3300-domain topology across all seed workloads this way,
-without pickling it per item.
+The runner is stateless: each parallel sweep starts its own pool and
+joins it before returning, so workers see the parent's state as of
+the call and none outlives it. Starting and joining a two-worker pool
+costs under 10 ms, against sweeps of 150 ms and up.
 
 Worker *exceptions* are part of the contract too: a worker that raises
 inside the pool does not abort the sweep with a bare pool traceback.
@@ -32,7 +28,6 @@ its index, chained to the original exception.
 
 from __future__ import annotations
 
-import atexit
 import functools
 import logging
 import multiprocessing
@@ -40,15 +35,7 @@ import multiprocessing.pool
 import os
 import pickle
 import traceback
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 log = logging.getLogger("repro.experiments.runner")
 
@@ -99,84 +86,6 @@ def _serial_map(
     return [worker(item) for item in items]
 
 
-def _picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value)
-    except _PICKLE_ERRORS:
-        return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Persistent worker pool + fork-shared payloads
-
-#: Read-only payloads published for fork inheritance: workers created
-#: *after* :func:`set_shared` see these objects for free (copy-on-write
-#: fork memory, no pickling). The generation counter retires any live
-#: pool whose workers predate the newest payload.
-_SHARED: Dict[str, object] = {}
-_SHARED_GENERATION = 0
-
-_POOL: Optional[multiprocessing.pool.Pool] = None
-_POOL_SIZE = 0
-_POOL_GENERATION = -1
-
-
-def set_shared(**payloads: object) -> None:
-    """Publish read-only objects (e.g. a parsed topology) for workers
-    to fork-inherit. Call *before* the sweep; the next pool the runner
-    builds snapshots them. Workers read them back with
-    :func:`get_shared`, falling back to building their own copy when
-    the payload is absent (spawn-based platforms, direct calls)."""
-    global _SHARED_GENERATION
-    _SHARED.update(payloads)
-    _SHARED_GENERATION += 1
-
-
-def get_shared(key: str) -> Optional[object]:
-    """The published payload under ``key`` (None when absent). In a
-    fork-pool worker this reads the parent's object at pool-creation
-    time without any serialization."""
-    return _SHARED.get(key)
-
-
-def clear_shared() -> None:
-    """Drop all published payloads (and retire pools built on them)."""
-    global _SHARED_GENERATION
-    if _SHARED:
-        _SHARED.clear()
-        _SHARED_GENERATION += 1
-
-
-def shutdown_pool() -> None:
-    """Terminate the persistent pool (no-op when none is live)."""
-    global _POOL
-    if _POOL is not None:
-        _POOL.terminate()
-        _POOL.join()
-        _POOL = None
-
-
-atexit.register(shutdown_pool)
-
-
-def _get_pool(count: int) -> multiprocessing.pool.Pool:
-    """The persistent pool, rebuilt only when the requested size or
-    the shared-payload generation changed. Reusing workers across
-    sweeps amortises the fork cost that dominated short sweeps (one
-    pool per call) and keeps fork-inherited payloads warm."""
-    global _POOL, _POOL_SIZE, _POOL_GENERATION
-    if _POOL is not None and (
-        _POOL_SIZE != count or _POOL_GENERATION != _SHARED_GENERATION
-    ):
-        shutdown_pool()
-    if _POOL is None:
-        _POOL = multiprocessing.Pool(count)
-        _POOL_SIZE = count
-        _POOL_GENERATION = _SHARED_GENERATION
-    return _POOL
-
-
 def _merge_outcomes(
     worker: Callable[[ItemT], ResultT],
     items: Sequence[ItemT],
@@ -218,10 +127,10 @@ def parallel_map(
 
     Results come back in input order regardless of which process
     finished first, so the merge is deterministic. ``processes=None``
-    sizes the pool to :func:`default_processes`; ``processes<=1``,
-    a single item, or an unpicklable worker/item runs serially; a
-    worker whose *results* refuse to pickle triggers a serial rerun
-    (logged), so callers always get the full result list. A worker
+    sizes the pool to :func:`default_processes`; ``processes<=1`` or
+    a single item runs serially; a worker, item or result that
+    refuses to pickle triggers a serial rerun (logged), so callers
+    always get the full result list. A worker
     that raises in the pool is logged with its item and retried
     serially once; if the retry fails the sweep raises
     :class:`WorkerItemError` naming the item.
@@ -235,40 +144,24 @@ def parallel_map(
     count = min(count, len(items))
     if count <= 1 or len(items) == 1:
         return _serial_map(worker, items)
-    # Probe the worker plus ONE representative item — a full
-    # pickle.dumps per item doubled the serialization bill up front.
-    # An unpicklable straggler deeper in the list surfaces from the
-    # pool's own dispatch path below and falls back to serial there.
-    if not _picklable(worker) or not _picklable(items[0]):
-        log.info(
-            "parallel_map: worker or items not picklable; running "
-            "%d item(s) serially", len(items),
-        )
-        return _serial_map(worker, items)
     trapped = functools.partial(_trap, worker)
-    # Chunked scheduling over the persistent pool: seed sweeps are
-    # short lists of long tasks, so small chunks keep workers load-
-    # balanced while still amortising IPC for long lists.
+    # Seed sweeps are short lists of long tasks, so small chunks keep
+    # workers load-balanced while still amortising IPC for long lists.
     chunksize = max(1, len(items) // (count * 4))
     try:
-        outcomes = _get_pool(count).map(trapped, items, chunksize)
+        with multiprocessing.Pool(count) as pool:
+            outcomes = pool.map(trapped, items, chunksize)
     except (
         multiprocessing.pool.MaybeEncodingError,
         *_PICKLE_ERRORS,
     ):
         # Worker exceptions come back as data (_trap), so an exception
-        # here is serialization infrastructure: an unpicklable item at
-        # dispatch or an unpicklable result on the way back. The pool
-        # may hold poisoned queues — retire it — and rerun serially.
-        shutdown_pool()
+        # here is serialization infrastructure: an unpicklable worker
+        # or item at dispatch, or an unpicklable result on the way
+        # back. Rerun serially.
         log.warning(
-            "parallel_map: item or result not picklable; rerunning "
-            "%d item(s) serially", len(items),
+            "parallel_map: worker, item or result not picklable; "
+            "rerunning %d item(s) serially", len(items),
         )
         return _serial_map(worker, items)
-    except BaseException:  # lint: disable=DET005 — pool hygiene only: retired and re-raised, never swallowed
-        # Anything else (broken pool, interrupt): retire the pool so
-        # the next sweep starts clean, then propagate.
-        shutdown_pool()
-        raise
     return _merge_outcomes(worker, items, outcomes)

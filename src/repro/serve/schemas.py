@@ -165,53 +165,6 @@ SCHEMAS: Dict[str, Any] = {
         "max_queue_depth": int,
         "callbacks": Map(Map(NUMBER)),
     },
-    # The internet-scale bench artifact (BENCH_internet.json). Not a
-    # serve-mode stream, but the same contract discipline: the writer
-    # validates before writing, CI validates the uploaded artifact.
-    "repro.bench.internet/v1": {
-        "schema": str,
-        "bench": str,
-        "domains": int,
-        "topology_seed": int,
-        "groups": int,
-        "group_domains": int,
-        "initial_members": int,
-        "churn_per_phase": int,
-        "phases": int,
-        "maintain_every": int,
-        "seeds": [int],
-        "pool_processes": int,
-        "serial_seconds": NUMBER,
-        "pooled_seconds": NUMBER,
-        "speedup": NUMBER,
-        "identical_fingerprints": bool,
-        "per_seed": Map({
-            "serial_seconds": NUMBER,
-            "pooled_seconds": NUMBER,
-            "events": int,
-            "repair_passes": int,
-            "migrations": int,
-            "rejoined": int,
-            "pruned": int,
-            "deliveries": int,
-            "state_size": int,
-            "forwarding_digest": str,
-            "rib_digest": str,
-            "identical": bool,
-        }),
-        "profile": opt({
-            "events": int,
-            "wall_seconds": NUMBER,
-            "events_per_second": NUMBER,
-            "top": [{
-                "callback": str,
-                "count": int,
-                "total_s": NUMBER,
-                "mean_s": NUMBER,
-                "p99_s": NUMBER,
-            }],
-        }),
-    },
 }
 
 

@@ -9,7 +9,6 @@ from repro.addressing.allocator import (
     AllocationError,
     PrefixAllocator,
     mask_length_for,
-    pick_claim,
 )
 from repro.addressing.prefix import MULTICAST_SPACE, Prefix
 
@@ -148,43 +147,6 @@ class TestDoubling:
         for expected_length in (23, 22, 21):
             prefix = allocator.double(prefix)
             assert prefix.length == expected_length
-
-
-class TestSnapshot:
-    def test_snapshot_fields(self):
-        allocator = PrefixAllocator(MULTICAST_SPACE)
-        allocator.claim_exact(Prefix.parse("224.0.1.0/24"))
-        snap = allocator.snapshot()
-        assert snap.prefix_count == 1
-        assert snap.utilized == 256
-        assert snap.utilization == 256 / MULTICAST_SPACE.size
-
-
-class TestPickClaim:
-    def test_avoids_taken(self):
-        taken = [Prefix.parse("224.0.0.0/5"), Prefix.parse("232.0.0.0/6")]
-        choice = pick_claim(
-            MULTICAST_SPACE, taken, 22, rng=random.Random(2)
-        )
-        assert not any(choice.overlaps(t) for t in taken)
-
-    def test_ignores_taken_outside_space(self):
-        # Sibling claims from another space must not break selection.
-        choice = pick_claim(
-            Prefix.parse("224.0.0.0/16"),
-            [Prefix.parse("230.0.0.0/8")],
-            24,
-            rng=random.Random(2),
-        )
-        assert Prefix.parse("224.0.0.0/16").contains(choice)
-
-    def test_overlapping_taken_tolerated(self):
-        # Conflicting sibling claims (a covered pair) may coexist during
-        # the waiting period; selection must still work.
-        taken = [Prefix.parse("224.0.0.0/8"), Prefix.parse("224.0.1.0/24")]
-        choice = pick_claim(MULTICAST_SPACE, taken, 22,
-                            rng=random.Random(2))
-        assert not choice.overlaps(taken[0])
 
 
 class TestAllocatorProperties:

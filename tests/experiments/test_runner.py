@@ -1,9 +1,18 @@
 """The parallel sweep runner: deterministic merge and graceful
 serial fallback, plus the fig2/fig4/chaos sweeps built on it."""
 
+import multiprocessing
+import os
+
+import pytest
+
 from repro.experiments.fig2 import Figure2Config, run_figure2_seeds
 from repro.experiments.fig4 import Figure4Config, run_figure4_seeds
-from repro.experiments.runner import default_processes, parallel_map
+from repro.experiments.runner import (
+    WorkerItemError,
+    default_processes,
+    parallel_map,
+)
 from repro.faults.chaos import ChaosHarness
 from repro.faults.scenarios import figure3_chaos_scenario
 
@@ -18,6 +27,23 @@ SMALL_FIG4 = Figure4Config(
 
 def _cube(value):
     return value ** 3
+
+
+def _type_name(item):
+    return type(item).__name__
+
+
+def _worker_pid(_item):
+    return os.getpid()
+
+
+#: Read by _read_state in the workers; mutated in the parent between
+#: sweeps by test_workers_see_parent_state_at_call_time.
+_STATE = {"value": 1}
+
+
+def _read_state(_item):
+    return _STATE["value"]
 
 
 class TestParallelMap:
@@ -49,6 +75,45 @@ class TestParallelMap:
         assert parallel_map(closure_worker, [1, 2, 3]) == [2, 3, 4]
         # Serial fallback ran in this process.
         assert captured == [1, 2, 3]
+
+    def test_chunked_dispatch_preserves_order(self):
+        items = list(range(50))
+        assert parallel_map(_cube, items, processes=2) == [
+            _cube(i) for i in items
+        ]
+
+    def test_workers_run_in_other_processes(self):
+        pids = parallel_map(_worker_pid, [0, 1], processes=2)
+        assert all(pid != os.getpid() for pid in pids)
+
+    @pytest.mark.parametrize(
+        "items",
+        [[lambda: None, 1], [1, 2, lambda: None, 4]],
+        ids=["first-item", "straggler"],
+    )
+    def test_unpicklable_item_falls_back_to_serial(self, items):
+        assert parallel_map(_type_name, items, processes=2) == [
+            _type_name(item) for item in items
+        ]
+
+    def test_serial_path_never_builds_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("serial path constructed a Pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert parallel_map(_cube, [3], processes=8) == [27]
+        assert parallel_map(_cube, [3, 4], processes=1) == [27, 64]
+
+    def test_workers_see_parent_state_at_call_time(self, monkeypatch):
+        assert parallel_map(_read_state, [0, 1], processes=2) == [1, 1]
+        monkeypatch.setitem(_STATE, "value", 2)
+        assert parallel_map(
+            _read_state, [0, 1], processes=2
+        ) == parallel_map(_read_state, [0, 1], processes=1)
+
+    def test_no_worker_outlives_the_call(self):
+        parallel_map(_cube, [1, 2, 3, 4], processes=2)
+        assert multiprocessing.active_children() == []
 
     def test_default_processes_bounds(self):
         assert default_processes(0) == 1
@@ -98,17 +163,11 @@ class TestSweepDeterminism:
 # Captured at import: under fork-based pools the children see a
 # different os.getpid(), so _fails_only_in_pool distinguishes a
 # pool-side failure from the parent's serial retry.
-import os as _os
-
-import pytest
-
-from repro.experiments.runner import WorkerItemError
-
-_PARENT_PID = _os.getpid()
+_PARENT_PID = os.getpid()
 
 
 def _fails_only_in_pool(value):
-    if _os.getpid() != _PARENT_PID:
+    if os.getpid() != _PARENT_PID:
         raise RuntimeError(f"pool-only failure on {value}")
     return value * 10
 

@@ -6,14 +6,6 @@ import logging
 import pytest
 
 from repro.cli import build_parser, main
-from repro.serve.schemas import validate
-
-#: ``repro bench`` at test scale: 30 domains, 6 groups, 2 seeds.
-FAST_BENCH = [
-    "bench", "--internet-domains", "30", "--internet-group-domains", "3",
-    "--internet-groups-per-domain", "2", "--internet-churn", "10",
-]
-
 
 class TestParser:
     def test_requires_command(self):
@@ -49,14 +41,13 @@ class TestParser:
         args = build_parser().parse_args(["--quiet", "fig2"])
         assert args.quiet
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.internet_domains == 3326
-        assert args.internet_seeds == 2
-        assert not args.profile
-        assert args.json == ""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--suite", "internet"])
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["bench"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bench'" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:
@@ -83,19 +74,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rooted at F" in out
         assert "DeliveryReport" in out
-
-    def test_bench_runs_and_writes_report(self, capsys, tmp_path):
-        report = tmp_path / "bench.json"
-        code = main(FAST_BENCH + ["--json", str(report)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "fingerprints identical: True" in out
-        payload = json.loads(report.read_text())
-        assert validate(payload) == []
-        assert payload["identical_fingerprints"] is True
-        assert payload["serial_seconds"] > 0
-        assert set(payload["per_seed"]) == {"0", "1"}
 
     def test_default_logging_keeps_stdout_clean(self, capsys):
         code = main(["fig4", "--nodes", "120", "--trials", "1"])
@@ -147,62 +125,6 @@ class TestTraceCommand:
         assert code == 0
         assert (out / "fig4.trace.jsonl").exists()
         assert "fig4.sweep" in capsys.readouterr().out
-
-
-class TestBenchExitCodes:
-    def test_passing_bench_exits_zero(self, capsys):
-        assert main(FAST_BENCH) == 0
-        out = capsys.readouterr().out
-        assert "pooled speedup" in out
-
-    def test_perf_gate_failure_exits_one_with_verdict(self, capsys):
-        code = main(FAST_BENCH + ["--min-speedup", "999"])
-        assert code == 1
-        # The verdict is a single readable stderr line, not a traceback.
-        err = capsys.readouterr().err
-        verdicts = [
-            line for line in err.splitlines() if "bench FAILED" in line
-        ]
-        assert len(verdicts) == 1
-        assert "below --min-speedup gate 999.00x" in verdicts[0]
-        assert "Traceback" not in err
-
-    def test_unwritable_report_exits_two_before_running(
-        self, capsys, tmp_path
-    ):
-        # Checked up front: at internet scale the run is minutes of
-        # work that a late FileNotFoundError would throw away.
-        code = main(
-            FAST_BENCH + ["--json", str(tmp_path / "missing" / "x.json")]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "bench: cannot write report" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_report_write_failure_exits_two(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        def full_disk(result, path):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(
-            "repro.experiments.internet.write_internet_report", full_disk
-        )
-        code = main(FAST_BENCH + ["--json", str(tmp_path / "x.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "bench: cannot write report" in err
-        assert "Traceback" not in err
-
-    def test_min_speedup_parsed(self):
-        args = build_parser().parse_args(
-            ["bench", "--min-speedup", "1.5"]
-        )
-        assert args.min_speedup == 1.5
-        assert build_parser().parse_args(["bench"]).min_speedup == 0.0
 
 
 class TestSoakParser:
