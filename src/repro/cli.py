@@ -810,33 +810,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _scenarios_common(scenarios_validate)
     scenarios_validate.set_defaults(func=_cmd_scenarios)
-
-    # ``repro lint`` is an alias of ``python -m repro.lint`` and keeps
-    # its exit-code contract (0 clean, 1 findings, 2 usage) — the same
-    # contract every subcommand uses. The subparser here only provides
-    # the help listing; arguments are forwarded verbatim (see main()).
-    lint = sub.add_parser(
-        "lint",
-        help="determinism lint gate: 0 clean, 1 findings, 2 usage "
-             "(alias of python -m repro.lint; see `repro lint --help`)",
-        add_help=False,
-    )
-    lint.add_argument("args", nargs=argparse.REMAINDER)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # Forward `repro lint ...` untouched so the lint CLI owns its own
-    # flags (--whole-program, --format, ...) and exit codes.
-    stripped = [a for a in argv if a not in ("-q", "--quiet")
-                and not (a.startswith("-v") and set(a[1:]) == {"v"})]
-    if stripped and stripped[0] == "lint":
-        from repro.lint.__main__ import main as lint_main
-
-        return lint_main(stripped[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging(args.verbose, args.quiet)

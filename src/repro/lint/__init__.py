@@ -1,11 +1,11 @@
-"""Determinism linter (``python -m repro.lint src/``).
+"""Determinism linter (``python -m repro.lint src tests benchmarks``).
 
 A custom static analyzer with no third-party dependencies. The
 paper's claims are only reproducible when every run is bit-for-bit
 deterministic from its seed, so protocol code is held to a
-determinism contract. DET001–DET006 are per-file AST rules;
-DET007–DET010 are whole-program rules that run over a linked,
-content-hash-cached project model (``--whole-program``):
+determinism contract. One pass reads each file once, runs the
+per-file AST rules DET001–DET006, links the file models into a
+project model and runs the whole-program rules DET007–DET010 over it:
 
 ========  ==========================================================
 DET001    unseeded or module-level ``random`` use
@@ -18,10 +18,11 @@ DET007    non-exhaustive or dead protocol-kind dispatch
 DET008    lambda/closure scheduled as a timer callback
 DET009    ``parallel_map`` worker touches shared module state
 DET010    protocol code transitively reaches wall clock / global RNG
-SUP001    suppression without a justification (warning)
+SUP001    suppression without a justification
 ========  ==========================================================
 
-Suppress a finding with an inline justification::
+Every finding fails the gate. Suppress one with an inline
+justification::
 
     rng = random.Random()  # lint: disable=DET001 — entropy ablation
 
@@ -29,37 +30,26 @@ The comment may sit on any line of the flagged statement's header; a
 whole file opts out with ``# lint: disable-file=CODE — why``. See
 ``python -m repro.lint --explain CODE`` for each rule's rationale,
 and ``docs/ARCHITECTURE.md`` §12 for the analyzer design (project
-model, call graph, baseline ratchet).
+model, call graph).
 """
 
-from repro.lint.baseline import Baseline, finding_key
-from repro.lint.cache import ModelCache
-from repro.lint.config import LintConfig
 from repro.lint.engine import (
     SuppressionIndex,
     analyze_source,
     build_suppressions,
-    lint_file,
-    lint_paths,
+    lint_project,
     lint_source,
     python_files,
-    select_rules,
-    statistics,
     suppressed_codes,
 )
 from repro.lint.model import ProjectModel, extract_model
-from repro.lint.project import ProjectLintResult, lint_project
 from repro.lint.rules import ALL_RULES, Finding, ModuleContext, Rule
 from repro.lint.whole import WHOLE_PROGRAM_RULES, WholeProgramRule
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
-    "LintConfig",
-    "ModelCache",
     "ModuleContext",
-    "ProjectLintResult",
     "ProjectModel",
     "Rule",
     "SuppressionIndex",
@@ -68,13 +58,8 @@ __all__ = [
     "analyze_source",
     "build_suppressions",
     "extract_model",
-    "finding_key",
-    "lint_file",
-    "lint_paths",
     "lint_project",
     "lint_source",
     "python_files",
-    "select_rules",
-    "statistics",
     "suppressed_codes",
 ]

@@ -1,17 +1,14 @@
 """``python -m repro.lint [paths...]`` — the determinism lint gate.
 
-Exit codes (the ``bench``/``soak`` contract):
+Runs every rule, per-file (DET001–DET006) and whole-program
+(DET007–DET010), over the ``.py`` files under ``paths`` and prints one
+``path:line:col: CODE message`` line per unsuppressed finding.
 
-- **0** — every checked file is clean (baselined findings and
-  warnings do not fail the gate),
-- **1** — at least one new error-severity finding remains,
-- **2** — usage errors (unknown rule, bad baseline, bad config).
+Exit codes (the contract every ``repro`` command uses):
 
-``--whole-program`` links every file into one project model and adds
-the interprocedural rules DET007–DET010 (handler exhaustiveness,
-timer-callback escape, worker purity, transitive clock/RNG taint) on
-top of the per-file rules. Re-runs are incremental: per-file analyses
-are cached on disk keyed by content hash.
+- **0** — no findings,
+- **1** — at least one finding (SUP001 and ``PARSE`` included),
+- **2** — usage errors (unknown flag or rule code, missing path).
 """
 
 from __future__ import annotations
@@ -20,24 +17,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import DEFAULT_CACHE_DIR, ModelCache
-from repro.lint.config import LintConfig
-from repro.lint.engine import select_rules, statistics
-from repro.lint.project import lint_project
-from repro.lint.report import (
-    explain,
-    list_rules,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.lint.whole import WHOLE_RULES_BY_CODE
-
-EXIT_CODES_HELP = (
-    "exit codes: 0 clean (baselined findings and warnings included), "
-    "1 new findings, 2 usage errors"
-)
+from repro.lint.engine import lint_project
+from repro.lint.report import explain, list_rules
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Determinism linter: protocol code must be reproducible "
             "from a seed."
         ),
-        epilog=EXIT_CODES_HELP,
+        epilog="exit codes: 0 no findings, 1 findings, 2 usage errors",
     )
     parser.add_argument(
         "paths",
@@ -56,76 +37,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--whole-program",
-        action="store_true",
-        help=(
-            "link all files into a project model and run the "
-            "interprocedural rules DET007-DET010"
-        ),
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format on stdout (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help=(
-            "also write the report in the selected format to FILE "
-            "(stdout keeps the text report)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "ratcheting baseline file: findings recorded there are "
-            "tolerated, new ones fail (overrides pyproject)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file to the current finding set",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk per-file model cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"model cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--explain",
         metavar="CODE",
         help="print the full rationale for one rule code and exit",
     )
     parser.add_argument(
-        "--statistics",
-        action="store_true",
-        help="print per-rule finding counts",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list the rules (local and whole-program) and exit",
+        help="list the rules (per-file and whole-program) and exit",
     )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.list_rules:
         for line in list_rules():
@@ -140,114 +65,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(text)
         return 0
 
-    whole_codes = None
     try:
-        if args.select:
-            requested = [
-                c.strip().upper() for c in args.select.split(",") if c.strip()
-            ]
-            local = [c for c in requested if c not in WHOLE_RULES_BY_CODE]
-            whole_codes = {
-                c for c in requested if c in WHOLE_RULES_BY_CODE
-            }
-            rules = select_rules(local) if local else []
-            if whole_codes and not args.whole_program:
-                print(
-                    "whole-program rules selected "
-                    f"({', '.join(sorted(whole_codes))}) — pass "
-                    "--whole-program to run them",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            rules = None
-    except ValueError as error:
+        findings = lint_project(args.paths)
+    except FileNotFoundError as error:
         print(error, file=sys.stderr)
         return 2
-
-    try:
-        config = LintConfig.load()
-    except ValueError as error:
-        print(f"bad [tool.repro-lint] config: {error}", file=sys.stderr)
-        return 2
-
-    baseline_path = args.baseline or config.baseline
-    try:
-        baseline = (
-            Baseline.load(baseline_path) if baseline_path else Baseline()
-        )
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    if args.update_baseline and not baseline_path:
+    for finding in findings:
+        print(finding.render())
+    if findings:
         print(
-            "--update-baseline needs --baseline FILE (or a baseline "
-            "key in [tool.repro-lint])",
-            file=sys.stderr,
-        )
-        return 2
-
-    cache = None if args.no_cache else ModelCache(args.cache_dir)
-    result = lint_project(
-        args.paths,
-        rules=rules,
-        whole_program=args.whole_program,
-        cache=cache,
-        config=config,
-        baseline=baseline,
-        whole_codes=whole_codes,
-    )
-
-    if args.update_baseline:
-        Baseline.from_findings(result.errors).save(baseline_path)
-        print(
-            f"baseline updated: {len(result.errors)} finding(s) "
-            f"recorded in {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    severity_of = config.severity_for
-    reported = result.new_errors + result.warnings
-    reported.sort(key=lambda f: (f.path, f.line, f.column, f.code))
-    if args.format == "json":
-        rendered = render_json(reported, severity_of)
-    elif args.format == "sarif":
-        rendered = render_sarif(reported, severity_of)
-    else:
-        rendered = render_text(reported)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-            handle.write("\n")
-        if rendered and args.format == "text":
-            print(rendered)
-        elif reported:
-            print(render_text(reported))
-    elif rendered:
-        print(rendered)
-
-    if args.statistics and result.findings:
-        print()
-        for code, count in statistics(result.findings).items():
-            print(f"{code}: {count}")
-
-    if result.baselined:
-        print(
-            f"{len(result.baselined)} baselined finding(s) tolerated.",
-            file=sys.stderr,
-        )
-    if result.stale_keys:
-        print(
-            f"{len(result.stale_keys)} baseline entr(y/ies) no longer "
-            "match — shrink the baseline with --update-baseline.",
-            file=sys.stderr,
-        )
-    if result.new_errors:
-        print(
-            f"\n{len(result.new_errors)} finding(s). Fix them, "
-            "suppress with an inline "
-            "'# lint: disable=<code> — <why>', or baseline them.",
+            f"\n{len(findings)} finding(s). Fix them or suppress with an "
+            "inline '# lint: disable=<code> — <why>'.",
             file=sys.stderr,
         )
         return 1

@@ -1,4 +1,5 @@
-"""Lint driver: parse, run rules, apply suppressions, report.
+"""Lint driver: read each file once, run the per-file rules, link the
+project model, run the whole-program rules, apply suppressions.
 
 Suppression syntax — an inline comment with a mandatory justification
 after the code list::
@@ -15,8 +16,8 @@ opts out of one rule with::
     # lint: disable-file=DET003 — explanation
 
 A suppression whose justification is missing is itself reported as a
-``SUP001`` warning — the policy that every suppression carries a
-"why" is now checked by the tool, not by review.
+``SUP001`` finding — the policy that every suppression carries a
+"why" is checked by the tool, not by review.
 """
 
 from __future__ import annotations
@@ -36,13 +37,9 @@ from typing import (
     Tuple,
 )
 
-from repro.lint.rules import (
-    ALL_RULES,
-    Finding,
-    ModuleContext,
-    Rule,
-    RULES_BY_CODE,
-)
+from repro.lint.model import ProjectModel, extract_model
+from repro.lint.rules import ALL_RULES, Finding, ModuleContext
+from repro.lint.whole import WHOLE_PROGRAM_RULES
 
 #: A rule code token: letters then a trailing digit (``DET001``,
 #: ``SUP001``). The trailing-digit requirement keeps prose like
@@ -62,7 +59,7 @@ SKIP_DIRECTORIES = frozenset(
     {
         "__pycache__", ".git", ".hg", ".svn", ".venv", "venv",
         ".tox", ".nox", ".eggs", "build", "dist", "node_modules",
-        ".mypy_cache", ".pytest_cache", ".repro-lint-cache",
+        ".mypy_cache", ".pytest_cache",
     }
 )
 
@@ -87,12 +84,8 @@ def suppressed_codes(line: str) -> FrozenSet[str]:
 
 
 class SuppressionIndex:
-    """Where each rule code is suppressed in one file.
-
-    Built from the source plus the AST (statement extents), but fully
-    serializable afterwards — the cache stores the resolved line map
-    so warm runs never need to re-parse.
-    """
+    """Where each rule code is suppressed in one file, built from the
+    source plus the AST (statement extents)."""
 
     def __init__(
         self,
@@ -115,29 +108,6 @@ class SuppressionIndex:
         return [
             f for f in findings if not self.covers(f.line, f.code)
         ]
-
-    # -- serialization (for the model cache) --------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "lines": {
-                str(line): sorted(codes)
-                for line, codes in sorted(self.line_codes.items())
-            },
-            "file": sorted(self.file_codes),
-            "warnings": [vars(w) for w in self.warnings],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "SuppressionIndex":
-        return cls(
-            line_codes={
-                int(line): frozenset(codes)
-                for line, codes in payload["lines"].items()
-            },
-            file_codes=frozenset(payload["file"]),
-            warnings=[Finding(**w) for w in payload["warnings"]],
-        )
 
 
 def _statement_ranges(tree: ast.Module) -> List[Tuple[int, int]]:
@@ -225,19 +195,8 @@ def build_suppressions(
     return SuppressionIndex(effective, frozenset(file_codes), warnings)
 
 
-def select_rules(codes: Optional[Iterable[str]] = None) -> List[Rule]:
-    """The rules for ``codes`` (all rules when None). Unknown codes
-    raise ValueError with the known set."""
-    if codes is None:
-        return list(ALL_RULES)
-    chosen = []
-    for code in codes:
-        rule = RULES_BY_CODE.get(code.strip().upper())
-        if rule is None:
-            known = ", ".join(sorted(RULES_BY_CODE))
-            raise ValueError(f"unknown rule {code!r} (known: {known})")
-        chosen.append(rule)
-    return chosen
+def _location(finding: Finding) -> Tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.column, finding.code)
 
 
 def _parse_failure(path: str, error: SyntaxError) -> Finding:
@@ -251,17 +210,11 @@ def _parse_failure(path: str, error: SyntaxError) -> Finding:
 
 
 def analyze_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
+    source: str, path: str = "<string>"
 ) -> Tuple[List[Finding], Optional[Dict[str, Any]], SuppressionIndex]:
     """One file, fully analyzed: unsuppressed local-rule findings
-    (plus SUP001 suppression-hygiene warnings), the whole-program
-    file model, and the suppression index.
-
-    This is the unit the cache stores; :func:`lint_source` is the
-    findings-only view of it.
-    """
+    (plus SUP001 suppression-hygiene findings), the whole-program
+    file model, and the suppression index."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -270,38 +223,22 @@ def analyze_source(
     index = build_suppressions(source, path, tree)
     ctx = ModuleContext(tree, path, source)
     findings: List[Finding] = []
-    for rule in rules if rules is not None else ALL_RULES:
+    for rule in ALL_RULES:
         findings.extend(rule.check(ctx))
     kept = index.apply(findings) + list(index.warnings)
-    kept.sort(key=lambda f: (f.path, f.line, f.column, f.code))
-
-    from repro.lint.model import extract_model
-
+    kept.sort(key=_location)
     return kept, extract_model(tree, path, source), index
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one module's source text.
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Lint one module's source text with the per-file rules.
 
     Returns the unsuppressed findings sorted by location. Syntax
     errors surface as a single pseudo-finding (code ``PARSE``) so a
     broken file fails the gate instead of slipping through.
     """
-    findings, _, _ = analyze_source(source, path, rules)
+    findings, _, _ = analyze_source(source, path)
     return findings
-
-
-def lint_file(
-    path: str, rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Lint one file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path, rules)
 
 
 def _skip_directory(name: str) -> bool:
@@ -316,12 +253,16 @@ def python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of ``.py`` files,
     skipping caches, VCS directories, virtualenvs and build output so
     ``python -m repro.lint .`` lints the project, not its vendored or
-    installed dependencies."""
+    installed dependencies. A path that does not exist raises
+    :class:`FileNotFoundError` — a misspelled path must not pass the
+    gate by linting nothing."""
     found: List[str] = []
     for path in paths:
         if os.path.isfile(path):
             found.append(path)
             continue
+        if not os.path.isdir(path):
+            raise FileNotFoundError(f"no such file or directory: {path}")
         for dirpath, dirnames, filenames in os.walk(path):
             dirnames[:] = sorted(
                 d for d in dirnames if not _skip_directory(d)
@@ -332,19 +273,39 @@ def python_files(paths: Sequence[str]) -> List[str]:
     return sorted(set(found))
 
 
-def lint_paths(
-    paths: Sequence[str], rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``."""
+def lint_project(paths: Sequence[str]) -> List[Finding]:
+    """The gate: read every ``.py`` file under ``paths`` once, run the
+    per-file rules, link the file models into one
+    :class:`ProjectModel`, run the whole-program rules DET007–DET010
+    over it, and return every unsuppressed finding sorted by location.
+    A file that is not UTF-8 is one ``PARSE`` finding."""
     findings: List[Finding] = []
+    models: Dict[str, Dict[str, Any]] = {}
+    suppressions: Dict[str, SuppressionIndex] = {}
     for path in python_files(paths):
-        findings.extend(lint_file(path, rules))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except UnicodeDecodeError:
+            findings.append(
+                Finding("PARSE", "could not decode as UTF-8", path, 1, 0)
+            )
+            continue
+        file_findings, model, suppressions[path] = analyze_source(
+            source, path
+        )
+        findings.extend(file_findings)
+        if model is not None:
+            models[path] = model
+
+    project = ProjectModel(models)
+    whole: Set[Finding] = set()
+    for rule in WHOLE_PROGRAM_RULES:
+        for finding in rule.check_project(project, suppressions):
+            if not suppressions[finding.path].covers(
+                finding.line, finding.code
+            ):
+                whole.add(finding)
+    findings.extend(whole)
+    findings.sort(key=_location)
     return findings
-
-
-def statistics(findings: Sequence[Finding]) -> Dict[str, int]:
-    """Finding counts per rule code."""
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.code] = counts.get(finding.code, 0) + 1
-    return dict(sorted(counts.items()))

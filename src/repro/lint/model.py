@@ -1,12 +1,11 @@
 """Pass 1 — the whole-program project model.
 
 One :func:`extract_model` run per file turns an AST into a plain-data
-summary (JSON-serializable, so the on-disk cache can store it): the
-symbols a module defines, what it imports under which alias, every
-call a function makes with just enough argument shape retained, the
-wall-clock/randomness sinks it touches, the module-level state it
-reads or writes, and the timer/worker registration sites the
-whole-program rules care about.
+summary: the symbols a module defines, what it imports under which
+alias, every call a function makes with just enough argument shape
+retained, the wall-clock/randomness sinks it touches, the
+module-level state it reads or writes, and the timer/worker
+registration sites the whole-program rules care about.
 
 :class:`ProjectModel` stitches the per-file summaries together:
 name resolution through aliased imports, method resolution through
@@ -22,10 +21,6 @@ from __future__ import annotations
 
 import ast
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-#: Bump to invalidate every cached file model (schema or semantics
-#: change in extraction).
-MODEL_VERSION = 3
 
 #: ``random`` module functions that draw from the process-global RNG.
 from repro.lint.rules import GLOBAL_RANDOM_FUNCS, WALL_CLOCK_TIME_FUNCS
@@ -448,7 +443,6 @@ class _ModuleExtractor:
         self._collect_imports()
         self._collect_top_level()
         return {
-            "version": MODEL_VERSION,
             "path": self.path,
             "module": self.module,
             "imports": self.imports,

@@ -1,28 +1,16 @@
-"""Finding reports: text, JSON, SARIF — and ``--explain``.
-
-The SARIF output is deliberately minimal (SARIF 2.1.0: one run, one
-driver, one result per finding with a physical location) but valid,
-so CI can upload it as a code-scanning artifact.
-"""
+"""Rule documentation: ``--explain`` and ``--list-rules``."""
 
 from __future__ import annotations
 
 import inspect
-import json
 import textwrap
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.lint.rules import ALL_RULES, Finding, RULES_BY_CODE
-
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+from repro.lint.rules import RULES_BY_CODE
+from repro.lint.whole import WHOLE_RULES_BY_CODE
 
 
 def _all_rules_by_code() -> Dict[str, object]:
-    from repro.lint.whole import WHOLE_RULES_BY_CODE
-
     combined: Dict[str, object] = dict(RULES_BY_CODE)
     combined.update(WHOLE_RULES_BY_CODE)
     return combined
@@ -54,104 +42,3 @@ def list_rules() -> List[str]:
     return [
         f"{code}  {combined[code].summary}" for code in sorted(combined)
     ]
-
-
-def render_text(
-    findings: Sequence[Finding],
-    severities: Optional[Dict[int, str]] = None,
-) -> str:
-    return "\n".join(finding.render() for finding in findings)
-
-
-def render_json(
-    findings: Sequence[Finding],
-    severity_of=None,
-) -> str:
-    payload = [
-        {
-            "code": f.code,
-            "message": f.message,
-            "path": f.path,
-            "line": f.line,
-            "column": f.column,
-            **(
-                {"severity": severity_of(f)}
-                if severity_of is not None
-                else {}
-            ),
-        }
-        for f in findings
-    ]
-    return json.dumps(payload, indent=2)
-
-
-_SARIF_LEVEL = {"error": "error", "warning": "warning", "ignore": "none"}
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    severity_of=None,
-) -> str:
-    combined = _all_rules_by_code()
-    rules = [
-        {
-            "id": code,
-            "shortDescription": {"text": rule.summary},
-            "fullDescription": {
-                "text": inspect.getdoc(rule) or rule.summary
-            },
-        }
-        for code, rule in sorted(combined.items())
-    ]
-    rules.append(
-        {
-            "id": "SUP001",
-            "shortDescription": {
-                "text": "suppression without a justification"
-            },
-        }
-    )
-    results = []
-    for finding in findings:
-        level = "error"
-        if severity_of is not None:
-            level = _SARIF_LEVEL.get(severity_of(finding), "error")
-        results.append(
-            {
-                "ruleId": finding.code,
-                "level": level,
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": finding.path.replace("\\", "/")
-                            },
-                            "region": {
-                                "startLine": max(1, finding.line),
-                                "startColumn": finding.column + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    document = {
-        "$schema": SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": (
-                            "https://example.invalid/repro-lint"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2)

@@ -18,11 +18,22 @@ wall-time histograms, bench timing) does not taint its callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from repro.lint.engine import SuppressionIndex
 from repro.lint.model import MUTATING_METHODS, ProjectModel
 from repro.lint.rules import Finding
+
+if TYPE_CHECKING:  # the engine imports this module to run the rules
+    from repro.lint.engine import SuppressionIndex
 
 #: Packages whose call chains must stay seeded/clock-free. ``repro.trace``
 #: (the wall-clock quarantine: profiler wall-time is an audited,
@@ -447,13 +458,17 @@ class WorkerPurityRule(WholeProgramRule):
     """DET009: functions fanned out through ``parallel_map`` must be
     pure with respect to module state.
 
-    A pool worker that mutates a module-level global (directly or via
-    anything it calls, project-wide) produces results that depend on
-    which items shared a process — a race the order-preserving merge
-    cannot fix. Reading module-level *mutable* state in the worker is
-    flagged too: the fork-time copy can diverge from the parent's.
-    Lambdas and closures as workers are rejected outright — they
-    don't pickle, so ``parallel_map`` silently degrades to serial.
+    ``parallel_map`` starts a pool per call, and ``Pool.map`` hands
+    each worker process chunks of items that it runs one after
+    another. A worker that mutates a module-level global (directly or
+    via anything it calls, project-wide) carries that mutation into
+    the later items of the same process, so results depend on how the
+    items were chunked — a race the order-preserving merge cannot
+    fix. Reading module-level *mutable* state in the worker is flagged
+    too: each process reads its own copy, which earlier items in that
+    process may have changed. Lambdas and closures as workers are
+    rejected outright — they don't pickle, so ``parallel_map``
+    silently degrades to serial.
     """
 
     code = "DET009"
@@ -714,25 +729,3 @@ WHOLE_PROGRAM_RULES: Tuple[WholeProgramRule, ...] = (
 WHOLE_RULES_BY_CODE: Dict[str, WholeProgramRule] = {
     rule.code: rule for rule in WHOLE_PROGRAM_RULES
 }
-
-
-def run_whole_program(
-    project: ProjectModel,
-    suppressions: Dict[str, SuppressionIndex],
-    codes: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Run the interprocedural rules over a linked project, applying
-    per-file suppressions to the results."""
-    findings: List[Finding] = []
-    for rule in WHOLE_PROGRAM_RULES:
-        if codes is not None and rule.code not in codes:
-            continue
-        for finding in rule.check_project(project, suppressions):
-            index = suppressions.get(finding.path)
-            if index is not None and index.covers(finding.line, finding.code):
-                continue
-            findings.append(finding)
-    findings = sorted(
-        set(findings), key=lambda f: (f.path, f.line, f.column, f.code)
-    )
-    return findings

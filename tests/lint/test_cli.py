@@ -1,7 +1,7 @@
-"""The command-line contract: ``python -m repro.lint`` and its
-``python -m repro lint`` alias share flags and the 0/1/2 exit codes."""
+"""The command-line contract of ``python -m repro.lint``: one
+``path:line:col: CODE message`` line per finding and the 0/1/2 exit
+codes."""
 
-import json
 import os
 import subprocess
 import sys
@@ -20,11 +20,11 @@ DIRTY = (
 )
 
 
-def run_lint(args, cwd, module="repro.lint"):
+def run_lint(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC
     return subprocess.run(
-        [sys.executable, "-m", module] + args,
+        [sys.executable, "-m", "repro.lint"] + args,
         cwd=str(cwd),
         env=env,
         capture_output=True,
@@ -42,93 +42,58 @@ def tree(tmp_path):
 
 class TestExitCodes:
     def test_clean_exits_zero(self, tree):
-        proc = run_lint(["repro", "--no-cache"], tree)
+        proc = run_lint(["repro"], tree)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
 
     def test_findings_exit_one(self, tree):
         (tree / "repro" / "synth" / "dirty.py").write_text(DIRTY)
-        proc = run_lint(["repro", "--no-cache"], tree)
+        proc = run_lint(["repro"], tree)
         assert proc.returncode == 1
         assert "DET001" in proc.stdout
 
     def test_usage_error_exits_two(self, tree):
         assert run_lint(["--bogus-flag"], tree).returncode == 2
-        assert run_lint(
-            ["repro", "--select", "NOPE9"], tree
-        ).returncode == 2
 
-    def test_whole_program_selection_requires_the_flag(self, tree):
-        proc = run_lint(["repro", "--select", "DET008"], tree)
+    def test_missing_path_exits_two(self, tree):
+        proc = run_lint(["repro", "does-not-exist"], tree)
         assert proc.returncode == 2
-        assert "--whole-program" in proc.stderr
-
-
-class TestReproAlias:
-    def test_alias_matches_direct_module(self, tree):
-        (tree / "repro" / "synth" / "dirty.py").write_text(DIRTY)
-        direct = run_lint(["repro", "--no-cache"], tree)
-        alias = run_lint(
-            ["lint", "repro", "--no-cache"], tree, module="repro"
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "no such file or directory: does-not-exist\n"
         )
-        assert alias.returncode == direct.returncode == 1
-        assert alias.stdout == direct.stdout
 
-    def test_alias_forwards_usage_errors(self, tree):
-        assert run_lint(
-            ["lint", "--bogus-flag"], tree, module="repro"
-        ).returncode == 2
-
-    def test_alias_is_listed_in_repro_help(self, tree):
-        proc = run_lint(["--help"], tree, module="repro")
-        assert proc.returncode == 0
-        assert "lint" in proc.stdout
-        assert "0 clean, 1 findings, 2 usage" in proc.stdout
-
-
-class TestFormatsAndBaseline:
-    def test_json_format(self, tree):
-        (tree / "repro" / "synth" / "dirty.py").write_text(DIRTY)
-        proc = run_lint(
-            ["repro", "--no-cache", "--format", "json"], tree
+    def test_unjustified_suppression_fails_the_gate(self, tree):
+        (tree / "repro" / "synth" / "hushed.py").write_text(
+            "import random\n"
+            "x = random.random()  # lint: disable=DET001\n"
         )
-        payload = json.loads(proc.stdout)
-        assert any(f["code"] == "DET001" for f in payload)
-        assert all(f["severity"] == "error" for f in payload)
-
-    def test_sarif_output_file(self, tree):
-        (tree / "repro" / "synth" / "dirty.py").write_text(DIRTY)
-        proc = run_lint(
-            ["repro", "--no-cache", "--format", "sarif",
-             "--output", "lint.sarif"],
-            tree,
-        )
+        proc = run_lint(["repro"], tree)
         assert proc.returncode == 1
-        sarif = json.loads((tree / "lint.sarif").read_text())
-        assert sarif["version"] == "2.1.0"
-        results = sarif["runs"][0]["results"]
-        assert any(r["ruleId"] == "DET001" for r in results)
+        assert "SUP001" in proc.stdout
 
-    def test_baseline_ratchet_through_the_cli(self, tree):
-        (tree / "repro" / "synth" / "dirty.py").write_text(DIRTY)
-        update = run_lint(
-            ["repro", "--no-cache", "--baseline", "base.json",
-             "--update-baseline"],
-            tree,
+    def test_undecodable_file_is_a_parse_finding(self, tree):
+        target = tree / "repro" / "synth" / "latin.py"
+        target.write_bytes('x = "\xe9"\n'.encode("latin-1"))
+        proc = run_lint(["repro"], tree)
+        assert proc.returncode == 1
+        assert proc.stdout == (
+            f"{os.path.join('repro', 'synth', 'latin.py')}:1:0: "
+            "PARSE could not decode as UTF-8\n"
         )
-        assert update.returncode == 0
-        # Baselined findings no longer fail the gate...
-        tolerated = run_lint(
-            ["repro", "--no-cache", "--baseline", "base.json"], tree
-        )
-        assert tolerated.returncode == 0
-        assert "baselined" in tolerated.stderr
-        # ...but a new finding still does.
-        (tree / "repro" / "synth" / "worse.py").write_text(DIRTY)
-        regressed = run_lint(
-            ["repro", "--no-cache", "--baseline", "base.json"], tree
-        )
-        assert regressed.returncode == 1
+        assert "Traceback" not in proc.stderr
 
+    def test_interprocedural_rules_run_by_default(self, tree):
+        (tree / "repro" / "synth" / "timers.py").write_text(
+            "def arm(sim):\n"
+            "    sim.schedule(1.0, lambda: None)\n"
+        )
+        proc = run_lint(["repro"], tree)
+        assert proc.returncode == 1
+        assert "DET008" in proc.stdout
+
+
+class TestRuleDocs:
     def test_explain_and_list_rules(self, tree):
         explain = run_lint(["--explain", "DET008"], tree)
         assert explain.returncode == 0

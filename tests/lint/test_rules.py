@@ -2,16 +2,13 @@
 one positive (finding emitted), one negative (clean idiom accepted),
 and one suppressed case."""
 
-import pytest
+from repro.lint import lint_source
 
-from repro.lint import lint_source, select_rules, statistics
+def lint(source):
+    return lint_source(source, path="case.py")
 
-def lint(source, code=None):
-    rules = select_rules([code]) if code else None
-    return lint_source(source, path="case.py", rules=rules)
-
-def codes(source, code=None):
-    return [f.code for f in lint(source, code)]
+def codes(source):
+    return [f.code for f in lint(source)]
 
 class TestDet001UnseededRandom:
     def test_unseeded_random_constructor_flagged(self):
@@ -281,25 +278,6 @@ class TestEngine:
         findings = lint(source)
         assert [f.code for f in findings] == ["DET002", "DET001"]
         assert [f.line for f in findings] == [3, 4]
-
-    def test_select_unknown_rule_raises(self):
-        with pytest.raises(ValueError):
-            select_rules(["DET999"])
-
-    def test_single_rule_selection(self):
-        source = "import random\nx = random.random()\ny = []\n"
-        assert codes(source, code="DET002") == []
-        assert codes(source, code="DET001") == ["DET001"]
-
-    def test_statistics_counts_by_code(self):
-        source = (
-            "import random\n"
-            "a = random.random()\n"
-            "b = random.random()\n"
-            "def f(x=[]):\n"
-            "    pass\n"
-        )
-        assert statistics(lint(source)) == {"DET001": 2, "DET004": 1}
 
     def test_render_is_path_line_col_code(self):
         finding = lint("import random\nx = random.random()\n")[0]

@@ -5,9 +5,7 @@ module paths anchor at ``repro`` (so cross-module resolution engages)
 and asserts the whole-program pass catches exactly the planted bug.
 """
 
-import pytest
-
-from repro.lint.project import lint_project
+from repro.lint.engine import lint_project
 
 
 def write_tree(root, files):
@@ -21,9 +19,7 @@ def write_tree(root, files):
 
 
 def run_whole(root, files):
-    paths = write_tree(root, files)
-    result = lint_project(paths, whole_program=True)
-    return result.findings
+    return lint_project(write_tree(root, files))
 
 
 def by_code(findings, code):
@@ -310,28 +306,6 @@ class TestTransitiveTaint:
             ),
         })
         assert by_code(findings, "DET010") == []
-
-
-class TestSelection:
-    def test_whole_codes_restrict_the_pass(self, tmp_path):
-        files = {
-            "repro/experiments/sweep.py": (
-                "RESULTS = []\n"
-                "def worker(item):\n"
-                "    RESULTS.append(item)\n"
-                "    return item\n"
-                "def run(items):\n"
-                "    return parallel_map(worker, items)\n"
-                "def arm(sim):\n"
-                "    sim.schedule(1.0, lambda: None)\n"
-            ),
-        }
-        paths = write_tree(tmp_path, files)
-        only_009 = lint_project(
-            paths, whole_program=True, whole_codes={"DET009"}
-        )
-        assert by_code(only_009.findings, "DET009")
-        assert by_code(only_009.findings, "DET008") == []
 
 
 class TestSuppressionOfWholeProgramFindings:

@@ -49,6 +49,13 @@ class TestParser:
         assert "invalid choice: 'bench'" in err
         assert "Traceback" not in err
 
+    def test_lint_is_not_a_command(self, capsys):
+        # The gate has one entry point: python -m repro.lint.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["lint", "does-not-exist"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_fig2_runs(self, capsys):
