@@ -8,7 +8,10 @@ a shell:
 - ``demo`` — the Figure 1 end-to-end walk-through.
 - ``trace`` — an instrumented run (fig2, fig4, or a chaos scenario)
   exporting span traces, a Chrome ``trace_event`` file, and a unified
-  metrics snapshot.
+  metrics snapshot. ``trace`` and ``serve run`` take the same targets
+  and size flags from one table (:data:`repro.serve.runner.TARGETS`)
+  and run them through one function, so for the same arguments both
+  print the same fingerprint as their last stdout line.
 - ``soak`` — crash-resumable checkpointed chaos: ``soak run`` writes a
   full-world checkpoint at every segment boundary, ``soak resume``
   continues after a crash from the latest one (fingerprints are
@@ -60,6 +63,7 @@ from repro.experiments.fig2 import (
     run_figure2,
 )
 from repro.experiments.fig4 import Figure4Config, run_figure4
+from repro.serve.runner import TARGETS
 
 log = logging.getLogger("repro")
 
@@ -147,17 +151,21 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sizes(args: argparse.Namespace) -> dict:
+    """The target's size knobs, as parsed."""
+    return {name: getattr(args, name) for name in TARGETS[args.target].sizes}
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.masc.simulation import ClaimSimulation, SimulationConfig
+    import json
+
+    from repro.analysis.tracereport import render_run_report
+    from repro.serve.runner import run_target
     from repro.trace import (
-        EventLoopProfiler,
-        Tracer,
-        collect_metrics,
         write_chrome_trace,
         write_jsonl,
         write_metrics_json,
     )
-    from repro.analysis.tracereport import render_run_report
 
     # Exit-code contract (module docstring): operational failures --
     # an unwritable --out path here, failed export writes below --
@@ -168,78 +176,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except OSError as error:
         log.error("trace: cannot create --out %s: %s", out_dir, error)
         return 2
-    tracer = Tracer()
-    profiler = EventLoopProfiler()
+    sizes = _sizes(args)
+    log.info("tracing %s: seed %d, %s", args.target, args.seed, sizes)
+    outcome = run_target(args.target, args.seed, **sizes)
+    tracer, profiler = outcome.tracer, outcome.profiler
     findings = 0
-
-    if args.target == "fig2":
-        config = SimulationConfig(
-            top_count=args.tops,
-            children_per_top=args.children,
-            duration_days=args.days,
-            seed=args.seed,
+    if outcome.violations:
+        # Findings, not an operational failure: exports are still
+        # written (they are the evidence), but the exit code is 1.
+        log.warning(
+            "%s run recorded %d invariant violations",
+            args.target, len(outcome.violations),
         )
-        log.info(
-            "tracing fig2: %dx%d domains, %g days, seed %d",
-            config.top_count, config.children_per_top,
-            config.duration_days, config.seed,
-        )
-        simulation = ClaimSimulation(config, tracer=tracer)
-        profiler.attach(simulation.sim)
-        try:
-            simulation.run()
-        finally:
-            profiler.detach()
-        managers = list(simulation.tops)
-        for children in simulation.children.values():
-            managers.extend(children)
-        registry = collect_metrics(
-            masc_managers=managers, profiler=profiler
-        )
-    elif args.target == "fig4":
-        config4 = Figure4Config(
-            node_count=args.nodes,
-            trials_per_size=args.trials,
-            seed=args.seed,
-        )
-        log.info(
-            "tracing fig4: %d nodes, %d trials per size, seed %d",
-            config4.node_count, config4.trials_per_size, config4.seed,
-        )
-        run_figure4(config4, tracer=tracer)
-        registry = collect_metrics(profiler=profiler)
-    else:  # chaos
-        from repro.faults.chaos import ChaosHarness
-        from repro.faults.scenarios import figure3_chaos_scenario
-
-        log.info(
-            "tracing chaos: %d faults, seed %d", args.faults, args.seed
-        )
-
-        def factory():
-            scenario = figure3_chaos_scenario()
-            profiler.attach(scenario.sim)
-            return scenario
-
-        harness = ChaosHarness(
-            factory, n_faults=args.faults, sanitize=True, trace=True
-        )
-        try:
-            result = harness.run(args.seed)
-        finally:
-            profiler.detach()
-        tracer = result.tracer
-        registry = collect_metrics(
-            registry=result.metrics, profiler=profiler
-        )
-        if result.violations:
-            # Findings, not an operational failure: exports are still
-            # written (they are the evidence), but the exit code is 1.
-            log.warning(
-                "chaos run recorded %d invariant violations",
-                len(result.violations),
-            )
-            findings = 1
+        findings = 1
 
     jsonl_path = out_dir / f"{args.target}.trace.jsonl"
     chrome_path = out_dir / f"{args.target}.chrome.json"
@@ -247,18 +196,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         write_jsonl(tracer, jsonl_path)
         write_chrome_trace(tracer, chrome_path, profiler=profiler)
-        write_metrics_json(registry, metrics_path)
+        write_metrics_json(outcome.registry, metrics_path)
     except OSError as error:
         log.error("trace: cannot write exports: %s", error)
         return 2
     log.info("wrote %s, %s, %s", jsonl_path, chrome_path, metrics_path)
 
-    print(render_run_report(tracer, profiler, registry))
+    print(render_run_report(tracer, profiler, outcome.registry))
     print()
     print(f"spans: {len(tracer)}  events: {profiler.events}")
     print(f"trace:   {jsonl_path}")
     print(f"chrome:  {chrome_path}")
     print(f"metrics: {metrics_path}")
+    # The same fingerprint `serve run` prints for the same arguments.
+    print(json.dumps(outcome.fingerprint, sort_keys=True))
     return findings
 
 
@@ -334,46 +285,37 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
+    import math
+    import threading
 
     from repro.checkpoint import CheckpointError
-    from repro.serve import (
-        AttachOptions,
-        ServeOptions,
-        attach_serve,
-        probe_hub,
-        run_serve,
-    )
-    from repro.serve.runner import wait_forever
+    from repro.serve.attach import AttachOptions, attach_serve
+    from repro.serve.runner import ServeHook, probe_hub, run_target
 
-    def announce(hub) -> None:
-        print(f"serving on {hub.url}", file=sys.stderr)
-
+    if args.control and (args.probe or args.linger):
+        log.error("serve: --probe and --linger need the hub "
+                  "(drop --control)")
+        return 2
+    hook = None
+    if not args.control:
+        hook = ServeHook(
+            args.sample_every, args.host, args.port,
+            on_hub=lambda hub: print(
+                f"serving on {hub.url}", file=sys.stderr
+            ),
+        )
     try:
         if args.action == "attach":
             options = AttachOptions(
                 soak_dir=args.dir,
                 checkpoint=args.checkpoint,
                 segments=args.segments,
-                sample_every=args.sample_every,
-                host=args.host,
-                port=args.port,
-                serve=not args.control,
             )
-            outcome = attach_serve(options, on_hub=announce)
+            outcome = attach_serve(options, on_sources=hook)
         else:
-            options = ServeOptions(
-                target=args.target,
-                seed=args.seed,
-                sample_every=args.sample_every,
-                host=args.host,
-                port=args.port,
-                serve=not args.control,
-                faults=args.faults,
-                tops=args.tops,
-                children=args.children,
-                days=args.days,
+            outcome = run_target(
+                args.target, args.seed, on_sources=hook, **_sizes(args)
             )
-            outcome = run_serve(options, on_hub=announce)
     except (CheckpointError, OSError) as error:
         log.error("serve %s failed: %s", args.action, error)
         return 2
@@ -382,37 +324,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for violation in outcome.violations:
         log.warning("serve: invariant violation: %s", violation)
         findings = 1
-    if args.probe:
-        if outcome.hub is None:
-            log.error("serve: --probe requires serving (drop --control)")
-            return 2
-        errors, visited = probe_hub(outcome.hub.url)
-        for problem in errors:
-            log.error("probe: %s", problem)
-        print(
-            f"probe: {sum(visited.values())} payloads across "
-            f"{len(visited)} endpoints, {len(errors)} errors",
-            file=sys.stderr,
-        )
-        if errors:
-            findings = 1
-    if args.linger and outcome.hub is not None:
-        print(
-            f"finished; serving for {args.linger:g}s more "
-            "(Ctrl-C to stop)",
-            file=sys.stderr,
-        )
-        import threading
-
-        try:
-            threading.Event().wait(args.linger)
-        except KeyboardInterrupt:
-            pass
-    elif args.wait and outcome.hub is not None:
-        print("finished; serving until Ctrl-C", file=sys.stderr)
-        wait_forever()
-    if outcome.hub is not None:
-        outcome.hub.stop()
+    if hook is not None:
+        hook.finish()
+        if args.probe:
+            errors, visited = probe_hub(hook.hub.url)
+            for problem in errors:
+                log.error("probe: %s", problem)
+            print(
+                f"probe: {sum(visited.values())} payloads across "
+                f"{len(visited)} endpoints, {len(errors)} errors",
+                file=sys.stderr,
+            )
+            if errors:
+                findings = 1
+        if args.linger:
+            print("finished; still serving (Ctrl-C to stop)",
+                  file=sys.stderr)
+            try:
+                threading.Event().wait(
+                    None if math.isinf(args.linger) else args.linger
+                )
+            except KeyboardInterrupt:
+                pass
+        hook.hub.stop()
     # The fingerprint is the last stdout line by contract: the CI
     # smoke job diffs it between served and --control runs.
     print(json.dumps(outcome.fingerprint, sort_keys=True))
@@ -586,6 +520,18 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _add_target(parser: argparse.ArgumentParser, targets: dict) -> None:
+    """The positional target, ``--seed`` and every size knob of
+    ``targets`` (one default each, from the runner's table)."""
+    parser.add_argument("target", choices=tuple(targets),
+                        help="the workload to run")
+    parser.add_argument("--seed", type=int, default=0)
+    for name, target in targets.items():
+        for knob, (default, text) in target.sizes.items():
+            parser.add_argument(f"--{knob}", type=type(default),
+                                default=default, help=f"{name}: {text}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -630,25 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="instrumented run: span trace + Chrome trace + metrics",
     )
-    trace.add_argument(
-        "target", choices=("fig2", "fig4", "chaos"),
-        help="what to run under the tracer",
-    )
     trace.add_argument("--out", default="trace-out",
                        help="output directory for the export files")
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--tops", type=int, default=10,
-                       help="fig2: top-level domains")
-    trace.add_argument("--children", type=int, default=25,
-                       help="fig2: children per top")
-    trace.add_argument("--days", type=float, default=30.0,
-                       help="fig2: duration in days")
-    trace.add_argument("--nodes", type=int, default=500,
-                       help="fig4: topology size")
-    trace.add_argument("--trials", type=int, default=3,
-                       help="fig4: trials per group size")
-    trace.add_argument("--faults", type=int, default=2,
-                       help="chaos: faults per run")
+    _add_target(trace, TARGETS)
     trace.set_defaults(func=_cmd_trace)
 
     soak = sub.add_parser(
@@ -710,32 +640,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="0 = pick an ephemeral port")
         sp.add_argument("--probe", action="store_true",
                         help="self-scrape every endpoint afterwards "
-                             "and validate payload schemas (exit 1 on "
-                             "mismatch)")
+                             "and check each names its schema (exit 1 "
+                             "on mismatch)")
         sp.add_argument("--control", action="store_true",
                         help="run the identical workload with no hub "
                              "attached (the fingerprint control arm)")
         sp.add_argument("--linger", type=float, default=0.0,
                         help="keep serving this many seconds after "
-                             "the run finishes")
-        sp.add_argument("--wait", action="store_true",
-                        help="keep serving until Ctrl-C after the run "
-                             "finishes")
+                             "the run finishes (inf: until Ctrl-C)")
 
     serve_run = serve_sub.add_parser(
         "run", help="run a workload with the hub attached"
     )
-    serve_run.add_argument("target", choices=("chaos", "fig2"),
-                           help="what to run under the hub")
-    serve_run.add_argument("--seed", type=int, default=0)
-    serve_run.add_argument("--faults", type=int, default=2,
-                           help="chaos: faults per run")
-    serve_run.add_argument("--tops", type=int, default=4,
-                           help="fig2: top-level domains")
-    serve_run.add_argument("--children", type=int, default=4,
-                           help="fig2: children per top")
-    serve_run.add_argument("--days", type=float, default=10.0,
-                           help="fig2: duration in days")
+    _add_target(serve_run, {
+        name: target for name, target in TARGETS.items()
+        if target.simulated
+    })
     _serve_common(serve_run)
     serve_run.set_defaults(func=_cmd_serve)
 

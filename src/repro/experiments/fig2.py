@@ -99,13 +99,11 @@ class Figure2Result:
 def run_figure2(
     config: Optional[Figure2Config] = None,
     tracer=None,
-    profiler=None,
 ) -> Figure2Result:
     """Run the Figure 2 simulation and wrap its results.
 
-    Pass a :class:`~repro.trace.Tracer` and/or
-    :class:`~repro.trace.EventLoopProfiler` to instrument the run; both
-    default to off (no overhead).
+    Pass a :class:`~repro.trace.Tracer` to trace the run (off by
+    default, no overhead).
     """
     if config is None:
         config = Figure2Config()
@@ -119,14 +117,7 @@ def run_figure2(
         ),
         tracer=tracer,
     )
-    if profiler is not None:
-        profiler.attach(simulation.sim)
-    try:
-        result = simulation.run()
-    finally:
-        if profiler is not None:
-            profiler.detach()
-    return Figure2Result(config=config, simulation=result)
+    return Figure2Result(config=config, simulation=simulation.run())
 
 
 def run_figure2_seeds(

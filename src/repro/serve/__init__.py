@@ -1,12 +1,14 @@
 """Serve mode: a live telemetry hub over running simulations.
 
 ``python -m repro serve run`` executes a reference workload (chaos or
-fig2) with a stdlib-only HTTP hub attached; ``python -m repro serve
-attach`` joins an ongoing soak read-only at its latest boundary
-checkpoint. Either way the hub streams metric deltas, spans, and
-violations as Server-Sent Events and answers on-demand snapshot
+fig2, through :func:`run_target`, the same instrumented run
+``repro trace`` uses) with a stdlib-only HTTP hub attached; ``python
+-m repro serve attach`` joins an ongoing soak read-only at its latest
+boundary checkpoint. Either way the hub streams metric deltas, spans,
+and violations as Server-Sent Events and answers on-demand snapshot
 requests (BGMP tree, MASC claim tables, profiler histograms), every
-payload carrying a versioned schema from :mod:`repro.serve.schemas`.
+payload naming its versioned schema in a ``"schema"`` field
+(:data:`~repro.serve.runner.ENDPOINT_SCHEMAS`).
 
 The package's one invariant is **fingerprint neutrality**: a served
 run produces byte-identical determinism fingerprints to an unserved
@@ -26,44 +28,25 @@ argument.
 from .attach import AttachOptions, attach_serve, load_attached_world
 from .hub import TelemetryHub
 from .runner import (
-    ServeOptions,
-    ServeRunOutcome,
+    TARGETS,
+    RunOutcome,
+    ServeHook,
     probe_hub,
-    run_serve,
+    run_target,
 )
-from .schemas import SCHEMAS, validate
 from .sink import TelemetrySink
-from .snapshots import (
-    ServeSources,
-    claims_snapshot,
-    health_snapshot,
-    live_groups,
-    metrics_snapshot,
-    profile_snapshot,
-    spans_snapshot,
-    tree_snapshot,
-    violations_snapshot,
-)
+from .snapshots import ServeSources
 
 __all__ = [
     "AttachOptions",
-    "SCHEMAS",
-    "ServeOptions",
-    "ServeRunOutcome",
+    "RunOutcome",
+    "ServeHook",
     "ServeSources",
+    "TARGETS",
     "TelemetryHub",
     "TelemetrySink",
     "attach_serve",
-    "claims_snapshot",
-    "health_snapshot",
-    "live_groups",
     "load_attached_world",
-    "metrics_snapshot",
     "probe_hub",
-    "profile_snapshot",
-    "run_serve",
-    "spans_snapshot",
-    "tree_snapshot",
-    "validate",
-    "violations_snapshot",
+    "run_target",
 ]

@@ -20,16 +20,14 @@ approximation of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro import checkpoint as ckpt
 from repro.faults.soak import SoakHarness, SoakWorld
 from repro.trace.profiler import EventLoopProfiler
 from repro.trace.tracer import Tracer
 
-from .hub import TelemetryHub
-from .runner import ServeRunOutcome
-from .sink import TelemetrySink
+from .runner import OnSources, RunOutcome
 from .snapshots import ServeSources
 
 
@@ -40,10 +38,6 @@ class AttachOptions:
     soak_dir: str
     checkpoint: Optional[str] = None   # explicit .ckpt path
     segments: Optional[int] = None     # None = run the chain out
-    sample_every: int = 25
-    host: str = "127.0.0.1"
-    port: int = 0
-    serve: bool = True                 # False = the --control arm
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -90,34 +84,28 @@ def wire_tracer(world: SoakWorld) -> Tracer:
 
 
 def attach_serve(
-    options: AttachOptions,
-    on_hub: Optional[Callable[[TelemetryHub], None]] = None,
-) -> ServeRunOutcome:
-    """Restore, attach, run segment(s), fingerprint.
+    options: AttachOptions, on_sources: OnSources = None
+) -> RunOutcome:
+    """Restore, instrument, run segment(s), fingerprint.
 
-    With ``options.serve`` off this is the control arm: the identical
-    restore and segment run with no tracer, no sink, and no hub — its
-    fingerprint must byte-match the served one.
+    With an ``on_sources`` hook (``serve attach`` passes a
+    :class:`~repro.serve.runner.ServeHook`) the copy gets a tracer and
+    a profiler and the hook sees its sources before the first segment
+    runs. Without one this is the control arm: the identical restore
+    and segment run, uninstrumented — its fingerprint must byte-match
+    the served one.
     """
     world = load_attached_world(options)
-    sink: Optional[TelemetrySink] = None
-    hub: Optional[TelemetryHub] = None
+    tracer: Optional[Tracer] = None
     profiler: Optional[EventLoopProfiler] = None
-    if options.serve:
+    if on_sources is not None:
         tracer = wire_tracer(world)
         profiler = EventLoopProfiler().attach(world.sim)
-        sources = ServeSources.from_soak_world(
-            world, tracer=tracer, profiler=profiler
-        )
-        sources.target = "soak-attach"
-        sink = TelemetrySink(
-            sources, sample_every=options.sample_every
-        ).attach()
-        hub = TelemetryHub(
-            sink, host=options.host, port=options.port
-        ).start()
-        if on_hub is not None:
-            on_hub(hub)
+        on_sources(ServeSources.from_scenario(
+            world.scenario, "soak-attach", world.config.seed,
+            tracer=tracer, profiler=profiler,
+            injector=world.injector, sanitizer=world.sanitizer,
+        ))
     # Shadow harness: same config as the chain, but out_dir=None — it
     # can never write into the real soak directory.
     shadow = SoakHarness(config=world.config, out_dir=None)
@@ -129,14 +117,11 @@ def attach_serve(
     )
     for _ in range(max(to_run, 0)):
         shadow.run_segment(world)
-    violations: List[str] = list(world.sanitizer.violations)
     if profiler is not None:
         profiler.detach()
-    if sink is not None:
-        sink.mark_finished()
-    return ServeRunOutcome(
+    return RunOutcome(
         fingerprint=dict(world.fingerprint()),
-        violations=violations,
-        hub=hub,
-        sink=sink,
+        violations=list(world.sanitizer.violations),
+        tracer=tracer,
+        profiler=profiler,
     )

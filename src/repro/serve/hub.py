@@ -1,24 +1,12 @@
 """The telemetry hub: a stdlib HTTP server over one telemetry sink.
 
-Endpoints (all GET, all JSON unless noted):
-
-======================  ================================================
-``/``                   static HTML status page (no build step, no JS
-                        dependencies; auto-refreshing via SSE)
-``/healthz``            ``repro.health/v1`` — liveness + run identity
-``/metrics``            ``repro.metrics/v1`` — cumulative counters and
-                        gauges at an event boundary
-``/spans``              ``repro.spans/v1`` — the span record
-                        (``?limit=N`` for the newest N)
-``/stream``             ``text/event-stream`` of ``repro.frame/v1``
-                        frames (``?from=N`` to resume at seq N;
-                        ``Last-Event-ID`` honoured)
-``/tree/<group>``       ``repro.tree/v1`` — one group's BGMP tree
-                        (group in hex ``0xe0000101`` or decimal)
-``/claims``             ``repro.claims/v1`` — MASC claim tables
-``/violations``         ``repro.violations/v1`` — sanitizer feed
-``/profile``            ``repro.profile/v1`` — wall-time histograms
-======================  ================================================
+All endpoints are GET. ``/`` is a self-contained HTML status page and
+``/stream`` a ``text/event-stream`` of ``repro.frame/v1`` frames
+(``?from=N`` or ``Last-Event-ID`` resumes at seq N); every other
+endpoint answers the JSON snapshot named in
+:data:`repro.serve.runner.ENDPOINT_SCHEMAS` (``/spans?limit=N`` keeps
+the newest N spans, N >= 1; ``/tree/<group>`` takes hex or decimal).
+docs/ARCHITECTURE.md §13 describes each payload.
 
 Every snapshot endpoint routes through :meth:`TelemetrySink.snapshot`,
 so the world is only ever read at an event boundary (or at rest). The
@@ -32,7 +20,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
 from . import snapshots
@@ -56,14 +44,9 @@ class TelemetryHub:
         self._thread: Optional[threading.Thread] = None
 
     @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — port resolved when 0 was
-        requested."""
-        return self._server.server_address[:2]
-
-    @property
     def url(self) -> str:
-        host, port = self.address
+        """The bound address (port resolved when 0 was requested)."""
+        host, port = self._server.server_address[:2]
         return f"http://{host}:{port}"
 
     def start(self) -> "TelemetryHub":
@@ -86,53 +69,48 @@ class TelemetryHub:
             self._thread = None
         self._server.server_close()
 
-    # ------------------------------------------------------------------
-    # Payload builders (called from handler threads; every world read
-    # goes through sink.snapshot and thus an event boundary)
-
-    def health_payload(self) -> Dict[str, Any]:
+    def payload(self, route: str, query) -> Optional[Dict[str, Any]]:
+        """The JSON payload for ``route`` (``None``: no such endpoint).
+        Every world read goes through ``sink.snapshot`` and thus an
+        event boundary."""
         sink = self.sink
-        return sink.snapshot(lambda: snapshots.health_snapshot(
-            sink.sources,
-            state=sink.state_label(),
-            frames=sink.frames_published,
-            sample_every=sink.sample_every,
-            violation_count=len(sink.violations_seen),
-        ))
+        sources = sink.sources
+        if route == "/profile":
+            # Wall-time summary: no world state read, no boundary.
+            return snapshots.profile_snapshot(sources)
+        if route.startswith("/tree/"):
+            group = int(route[len("/tree/"):], 0)
+            return sink.snapshot(
+                lambda: snapshots.tree_snapshot(sources, group)
+            )
+        builders = {
+            "/healthz": lambda: snapshots.health_snapshot(
+                sources,
+                state=sink.state_label(),
+                frames=sink.frames_published,
+                sample_every=sink.sample_every,
+                violation_count=len(sink.violations_seen),
+            ),
+            "/metrics": lambda: snapshots.metrics_snapshot(
+                sources, seq=sink.frames_published
+            ),
+            "/spans": lambda: snapshots.spans_snapshot(
+                sources, limit=_int_param(query, "limit")
+            ),
+            "/claims": lambda: snapshots.claims_snapshot(sources),
+            "/violations": lambda: snapshots.violations_snapshot(
+                sources, seen=list(sink.violations_seen)
+            ),
+        }
+        builder = builders.get(route)
+        return None if builder is None else sink.snapshot(builder)
 
-    def metrics_payload(self) -> Dict[str, Any]:
-        sink = self.sink
-        return sink.snapshot(lambda: snapshots.metrics_snapshot(
-            sink.sources, seq=sink.frames_published,
-        ))
 
-    def spans_payload(self, limit: Optional[int]) -> Dict[str, Any]:
-        sink = self.sink
-        return sink.snapshot(lambda: snapshots.spans_snapshot(
-            sink.sources, limit=limit,
-        ))
-
-    def tree_payload(self, group: int) -> Dict[str, Any]:
-        sink = self.sink
-        return sink.snapshot(lambda: snapshots.tree_snapshot(
-            sink.sources, group,
-        ))
-
-    def claims_payload(self) -> Dict[str, Any]:
-        sink = self.sink
-        return sink.snapshot(lambda: snapshots.claims_snapshot(
-            sink.sources,
-        ))
-
-    def violations_payload(self) -> Dict[str, Any]:
-        sink = self.sink
-        return sink.snapshot(lambda: snapshots.violations_snapshot(
-            sink.sources, seen=list(sink.violations_seen),
-        ))
-
-    def profile_payload(self) -> Dict[str, Any]:
-        # Wall-time summary: no world state read, no boundary needed.
-        return snapshots.profile_snapshot(self.sink.sources)
+def _int_param(query, name) -> Optional[int]:
+    values = query.get(name)
+    if not values:
+        return None
+    return int(values[0], 0)
 
 
 def _make_handler(hub: TelemetryHub):
@@ -151,43 +129,23 @@ def _make_handler(hub: TelemetryHub):
             try:
                 if route == "/":
                     self._send_page(STATUS_PAGE)
-                elif route == "/healthz":
-                    self._send_json(hub.health_payload())
-                elif route == "/metrics":
-                    self._send_json(hub.metrics_payload())
-                elif route == "/spans":
-                    limit = self._int_param(query, "limit")
-                    self._send_json(hub.spans_payload(limit))
-                elif route.startswith("/tree/"):
-                    group = int(route[len("/tree/"):], 0)
-                    self._send_json(hub.tree_payload(group))
-                elif route == "/claims":
-                    self._send_json(hub.claims_payload())
-                elif route == "/violations":
-                    self._send_json(hub.violations_payload())
-                elif route == "/profile":
-                    self._send_json(hub.profile_payload())
                 elif route == "/stream":
                     self._stream(query)
                 else:
-                    self._send_json(
-                        {"error": f"no such endpoint: {route}"},
-                        status=404,
-                    )
+                    payload = hub.payload(route, query)
+                    if payload is None:
+                        self._send_json(
+                            {"error": f"no such endpoint: {route}"},
+                            status=404,
+                        )
+                    else:
+                        self._send_json(payload)
             except ValueError as exc:
                 self._send_json({"error": str(exc)}, status=400)
             except TimeoutError as exc:
                 self._send_json({"error": str(exc)}, status=503)
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away mid-reply
-
-        # ----------------------------------------------------------
-        @staticmethod
-        def _int_param(query, name) -> Optional[int]:
-            values = query.get(name)
-            if not values:
-                return None
-            return int(values[0], 0)
 
         def _send_json(self, payload: Dict[str, Any], status: int = 200):
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -209,7 +167,7 @@ def _make_handler(hub: TelemetryHub):
             """SSE: replay frames from the requested seq, then follow
             the live feed until the run finishes or the client
             disconnects."""
-            seq = self._int_param(query, "from")
+            seq = _int_param(query, "from")
             if seq is None:
                 last_id = self.headers.get("Last-Event-ID")
                 seq = int(last_id) + 1 if last_id else 0

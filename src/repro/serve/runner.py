@@ -1,168 +1,94 @@
-"""Drivers for ``repro serve run``: a workload with a hub attached.
+"""One instrumented run behind ``repro trace`` and ``repro serve run``.
 
-:func:`run_serve` builds one of the repo's reference workloads (the
-figure-3 chaos scenario or the fig2 MASC allocation run), attaches a
-:class:`~repro.serve.sink.TelemetrySink` + :class:`~repro.serve.hub.
-TelemetryHub` through the workload's ``on_world`` hook, executes the
-simulation on the calling thread while the hub serves, and returns the
-run's determinism fingerprint.
+:func:`run_target` builds one of the :data:`TARGETS` workloads (the
+fig2 MASC allocation run, the fig4 tree sweep, or the figure-3 chaos
+scenario), wires in a tracer and an
+:class:`~repro.trace.profiler.EventLoopProfiler`, hands the run's
+:class:`~repro.serve.snapshots.ServeSources` to an optional
+``on_sources`` hook before the simulator runs, runs it, and returns a
+:class:`RunOutcome`: determinism fingerprint, tracer, profiler,
+metrics registry and violations. ``trace`` writes its exports from the
+outcome; ``serve run`` passes a :class:`ServeHook`, which attaches a
+:class:`~repro.serve.sink.TelemetrySink` and starts a
+:class:`~repro.serve.hub.TelemetryHub` on the simulation thread.
 
 The fingerprint is the point: ``serve run --control`` executes the
-identical workload with no sink and no hub, and the two fingerprints
-must be byte-identical (the CI serve-smoke job diffs them). Anything
-the serve path changed about the simulation would show up here first.
+identical workload with no hook, and the two fingerprints must be
+byte-identical (the CI smoke job diffs them). Anything the serve path
+changed about the simulation would show up here first.
 
 :func:`probe_hub` is the self-test used by ``serve run --probe`` and
 the smoke job: scrape every endpoint of a live hub over real HTTP,
-validate each payload against its declared schema
-(:mod:`repro.serve.schemas`), and read at least one SSE frame.
+check each answers a JSON object naming the schema that endpoint must
+return (:data:`ENDPOINT_SCHEMAS`), and read at least one SSE frame.
+The exact key sets of each schema are pinned by
+``tests/serve/test_schemas.py``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
+import urllib.error
 import urllib.request
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import schemas
+from repro.trace.metrics import collect_metrics
+from repro.trace.profiler import EventLoopProfiler
+from repro.trace.tracer import Tracer
+
 from .hub import TelemetryHub
 from .sink import TelemetrySink
 from .snapshots import ServeSources
 
-
-@dataclass
-class ServeOptions:
-    """Everything ``serve run`` needs."""
-
-    target: str = "chaos"        # chaos | fig2
-    seed: int = 0
-    sample_every: int = 25
-    host: str = "127.0.0.1"
-    port: int = 0
-    serve: bool = True           # False = the --control arm
-    # chaos knobs
-    faults: int = 2
-    # fig2 knobs
-    tops: int = 4
-    children: int = 4
-    days: float = 10.0
+#: The hook a run calls with its sources before the simulator runs.
+OnSources = Optional[Callable[[ServeSources], None]]
 
 
 @dataclass
-class ServeRunOutcome:
-    """What one ``serve run`` produced."""
+class RunOutcome:
+    """What one instrumented run (or soak attach) produced."""
 
     fingerprint: Dict[str, Any]
     violations: List[str]
-    hub: Optional[TelemetryHub] = None
-    sink: Optional[TelemetrySink] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    tracer: Any = None
+    profiler: Optional[EventLoopProfiler] = None
+    registry: Any = None
 
 
-def _chaos_fingerprint(result) -> Dict[str, Any]:
-    return {
-        "target": "chaos",
-        "seed": result.seed,
-        "events": result.events,
-        "schedule": result.schedule,
-        "claim_tables": result.claim_tables,
-        "forwarding_digest": result.forwarding_digest,
-    }
-
-
-def run_chaos_serve(
-    options: ServeOptions,
-    on_hub: Optional[Callable[[TelemetryHub], None]] = None,
-) -> ServeRunOutcome:
-    """One sanitized+traced figure-3 chaos run, hub attached (unless
-    ``options.serve`` is off)."""
-    from repro.faults.chaos import ChaosHarness
-    from repro.faults.scenarios import figure3_chaos_scenario
-
-    holder: Dict[str, Any] = {}
-
-    def attach(scenario, tracer, injector, sanitizer) -> None:
-        sources = ServeSources.from_chaos(
-            scenario,
-            tracer=tracer,
-            injector=injector,
-            sanitizer=sanitizer,
-            seed=options.seed,
-        )
-        sink = TelemetrySink(
-            sources, sample_every=options.sample_every
-        ).attach()
-        hub = TelemetryHub(
-            sink, host=options.host, port=options.port
-        ).start()
-        holder["sink"], holder["hub"] = sink, hub
-        if on_hub is not None:
-            on_hub(hub)
-
-    harness = ChaosHarness(
-        figure3_chaos_scenario,
-        n_faults=options.faults,
-        sanitize=True,
-        trace=True,
-    )
-    result = harness.run(
-        options.seed, on_world=attach if options.serve else None
-    )
-    sink = holder.get("sink")
-    if sink is not None:
-        sink.mark_finished()
-    return ServeRunOutcome(
-        fingerprint=_chaos_fingerprint(result),
-        violations=list(result.violations),
-        hub=holder.get("hub"),
-        sink=sink,
-    )
-
-
-def run_fig2_serve(
-    options: ServeOptions,
-    on_hub: Optional[Callable[[TelemetryHub], None]] = None,
-) -> ServeRunOutcome:
-    """One traced fig2 MASC allocation run, hub attached (unless
-    ``options.serve`` is off)."""
+def _run_fig2(
+    seed: int, profiler: EventLoopProfiler, on_sources: OnSources,
+    tops: int, children: int, days: float,
+) -> RunOutcome:
     from repro.masc.simulation import ClaimSimulation, SimulationConfig
-    from repro.trace.tracer import Tracer
 
-    config = SimulationConfig(
-        top_count=options.tops,
-        children_per_top=options.children,
-        duration_days=options.days,
-        seed=options.seed,
+    tracer = Tracer()
+    simulation = ClaimSimulation(
+        SimulationConfig(
+            top_count=tops,
+            children_per_top=children,
+            duration_days=days,
+            seed=seed,
+        ),
+        tracer=tracer,
     )
-    simulation = ClaimSimulation(config, tracer=Tracer())
-    sink: Optional[TelemetrySink] = None
-    hub: Optional[TelemetryHub] = None
-    if options.serve:
-        sources = ServeSources.from_claim_simulation(
-            simulation, seed=options.seed
-        )
-        sink = TelemetrySink(
-            sources, sample_every=options.sample_every
-        ).attach()
-        hub = TelemetryHub(
-            sink, host=options.host, port=options.port
-        ).start()
-        if on_hub is not None:
-            on_hub(hub)
-    simulation.run()
-    if sink is not None:
-        sink.mark_finished()
     managers = list(simulation.tops)
-    for children in simulation.children.values():
-        managers.extend(children)
+    for siblings in simulation.children.values():
+        managers.extend(siblings)
+    profiler.attach(simulation.sim)
+    if on_sources is not None:
+        on_sources(ServeSources(
+            sim=simulation.sim,
+            target="fig2",
+            seed=seed,
+            tracer=tracer,
+            profiler=profiler,
+            masc_managers=tuple(managers),
+        ))
+    simulation.run()
     fingerprint = {
         "target": "fig2",
-        "seed": options.seed,
+        "seed": seed,
         "events": simulation.sim.processed,
         "time": simulation.sim.now,
         "claim_tables": {
@@ -170,25 +96,150 @@ def run_fig2_serve(
             for manager in managers
         },
     }
-    return ServeRunOutcome(
-        fingerprint=fingerprint, violations=[], hub=hub, sink=sink
+    return RunOutcome(
+        fingerprint, [], tracer, profiler,
+        collect_metrics(masc_managers=managers),
     )
 
 
-def run_serve(
-    options: ServeOptions,
-    on_hub: Optional[Callable[[TelemetryHub], None]] = None,
-) -> ServeRunOutcome:
-    """Dispatch on ``options.target``."""
-    if options.target == "chaos":
-        return run_chaos_serve(options, on_hub=on_hub)
-    if options.target == "fig2":
-        return run_fig2_serve(options, on_hub=on_hub)
-    raise ValueError(f"unknown serve target: {options.target!r}")
+def _run_fig4(
+    seed: int, profiler: EventLoopProfiler, on_sources: OnSources,
+    nodes: int, trials: int,
+) -> RunOutcome:
+    from repro.experiments.fig4 import Figure4Config, run_figure4
+
+    tracer = Tracer()
+    result = run_figure4(
+        Figure4Config(node_count=nodes, trials_per_size=trials, seed=seed),
+        tracer=tracer,
+    )
+    fingerprint = {"target": "fig4", "seed": seed,
+                   "overall": result.overall()}
+    return RunOutcome(fingerprint, [], tracer, profiler)
+
+
+def _run_chaos(
+    seed: int, profiler: EventLoopProfiler, on_sources: OnSources,
+    faults: int,
+) -> RunOutcome:
+    from repro.faults.chaos import ChaosHarness
+    from repro.faults.scenarios import figure3_chaos_scenario
+
+    def on_world(scenario, tracer, injector, sanitizer) -> None:
+        profiler.attach(scenario.sim)
+        if on_sources is not None:
+            on_sources(ServeSources.from_scenario(
+                scenario, "chaos", seed, tracer=tracer, profiler=profiler,
+                injector=injector, sanitizer=sanitizer,
+            ))
+
+    harness = ChaosHarness(
+        figure3_chaos_scenario, n_faults=faults, sanitize=True, trace=True
+    )
+    result = harness.run(seed, on_world=on_world)
+    fingerprint = {
+        "target": "chaos",
+        "seed": result.seed,
+        "events": result.events,
+        "schedule": result.schedule,
+        "claim_tables": result.claim_tables,
+        "forwarding_digest": result.forwarding_digest,
+    }
+    return RunOutcome(
+        fingerprint, list(result.violations), result.tracer, profiler,
+        result.metrics,
+    )
+
+
+class Target(NamedTuple):
+    """One runnable workload: its driver, its size knobs as
+    ``name -> (default, help)``, and whether it has a simulator (only
+    those can be served)."""
+
+    run: Callable[..., RunOutcome]
+    sizes: Dict[str, Tuple[Any, str]]
+    simulated: bool = True
+
+
+#: Every instrumented workload, by the name ``trace`` and ``serve
+#: run`` take on the command line.
+TARGETS: Dict[str, Target] = {
+    "fig2": Target(_run_fig2, {
+        "tops": (10, "top-level domains"),
+        "children": (25, "children per top"),
+        "days": (30.0, "duration in days"),
+    }),
+    "fig4": Target(_run_fig4, {
+        "nodes": (500, "topology size"),
+        "trials": (3, "trials per group size"),
+    }, simulated=False),
+    "chaos": Target(_run_chaos, {"faults": (2, "faults per run")}),
+}
+
+
+def run_target(
+    target: str, seed: int = 0, on_sources: OnSources = None, **sizes
+) -> RunOutcome:
+    """Build, instrument and run ``target``; sizes it is not given
+    take their :data:`TARGETS` defaults."""
+    spec = TARGETS[target]
+    knobs = {name: default for name, (default, _) in spec.sizes.items()}
+    knobs.update(sizes)
+    profiler = EventLoopProfiler()
+    try:
+        outcome = spec.run(seed, profiler, on_sources, **knobs)
+    finally:
+        profiler.detach()
+    outcome.registry = collect_metrics(
+        registry=outcome.registry, profiler=profiler
+    )
+    return outcome
+
+
+@dataclass
+class ServeHook:
+    """The ``on_sources`` hook that serves a run: attaches a
+    :class:`TelemetrySink` to the run's sources and starts a
+    :class:`TelemetryHub` over it (``on_hub`` sees the started hub).
+    Call :meth:`finish` once the run returns."""
+
+    sample_every: int = 25
+    host: str = "127.0.0.1"
+    port: int = 0
+    on_hub: Optional[Callable[[TelemetryHub], None]] = None
+    sink: Optional[TelemetrySink] = field(default=None, init=False)
+    hub: Optional[TelemetryHub] = field(default=None, init=False)
+
+    def __call__(self, sources: ServeSources) -> None:
+        self.sink = TelemetrySink(
+            sources, sample_every=self.sample_every
+        ).attach()
+        self.hub = TelemetryHub(
+            self.sink, host=self.host, port=self.port
+        ).start()
+        if self.on_hub is not None:
+            self.on_hub(self.hub)
+
+    def finish(self) -> None:
+        """The run returned: flush the sink's last frame and serve
+        snapshots of the world at rest."""
+        if self.sink is not None:
+            self.sink.mark_finished()
 
 
 # ----------------------------------------------------------------------
 # Probe (self-test over real HTTP)
+
+#: The schema each JSON endpoint must name in its ``"schema"`` field.
+ENDPOINT_SCHEMAS: Dict[str, str] = {
+    "/healthz": "repro.health/v1",
+    "/metrics": "repro.metrics/v1",
+    "/spans": "repro.spans/v1",
+    "/claims": "repro.claims/v1",
+    "/violations": "repro.violations/v1",
+    "/profile": "repro.profile/v1",
+    "/tree/<group>": "repro.tree/v1",
+}
 
 
 def _fetch_json(url: str, timeout: float = 10.0) -> Any:
@@ -222,36 +273,41 @@ def _read_sse_frames(
 def probe_hub(
     base_url: str, want_frames: int = 1
 ) -> Tuple[List[str], Dict[str, int]]:
-    """Scrape and validate every endpoint of a live hub.
+    """Scrape and check every endpoint of a live hub.
 
     Returns ``(errors, visited)`` where ``visited`` counts payloads
-    checked per endpoint; empty ``errors`` means the wire contract
-    holds end to end.
+    checked per endpoint; empty ``errors`` means every endpoint
+    answered 200 with the schema it must return.
     """
     errors: List[str] = []
     visited: Dict[str, int] = {}
 
-    def check(endpoint: str, payload: Any) -> None:
-        visited[endpoint] = visited.get(endpoint, 0) + 1
-        for problem in schemas.validate(payload):
-            errors.append(f"{endpoint}: {problem}")
+    def check(path: str, endpoint: str) -> Dict[str, Any]:
+        route = path.split("?")[0]
+        visited[route] = visited.get(route, 0) + 1
+        want = ENDPOINT_SCHEMAS[endpoint]
+        try:
+            payload = _fetch_json(f"{base_url}{path}")
+        except urllib.error.HTTPError as error:
+            errors.append(f"{route}: HTTP {error.code}")
+            return {}
+        if not isinstance(payload, dict) or payload.get("schema") != want:
+            errors.append(f"{route}: not a {want} object")
+            return {}
+        return payload
 
-    health = _fetch_json(f"{base_url}/healthz")
-    check("/healthz", health)
-    check("/metrics", _fetch_json(f"{base_url}/metrics"))
-    check("/spans", _fetch_json(f"{base_url}/spans?limit=100"))
-    check("/claims", _fetch_json(f"{base_url}/claims"))
-    check("/violations", _fetch_json(f"{base_url}/violations"))
-    check("/profile", _fetch_json(f"{base_url}/profile"))
+    health = check("/healthz", "/healthz")
+    for path in ("/metrics", "/spans?limit=100", "/claims",
+                 "/violations", "/profile"):
+        check(path, path.split("?")[0])
     for group in health.get("groups", []):
-        check(f"/tree/{group}", _fetch_json(f"{base_url}/tree/{group}"))
+        check(f"/tree/{group}", "/tree/<group>")
     frames = _read_sse_frames(f"{base_url}/stream?from=0", want_frames)
+    visited["/stream"] = len(frames)
     if len(frames) < want_frames:
         errors.append(
             f"/stream: wanted {want_frames} frames, got {len(frames)}"
         )
-    for frame in frames:
-        check("/stream", frame)
     # The status page itself: must serve and be HTML.
     with urllib.request.urlopen(f"{base_url}/", timeout=10.0) as response:
         page = response.read().decode("utf-8")
@@ -259,11 +315,3 @@ def probe_hub(
         if "<!DOCTYPE html>" not in page:
             errors.append("/: status page is not HTML")
     return errors, visited
-
-
-def wait_forever() -> None:
-    """Park the main thread while the hub serves (Ctrl-C returns)."""
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass

@@ -142,8 +142,7 @@ class TelemetrySink:
         snapshot requests, and switch snapshots to synchronous
         execution (the world is quiescent)."""
         self._publish_frame()
-        while self._requests:
-            self._requests.popleft().run()
+        self._drain_requests()
         with self._new_frame:
             self._finished = True
             self._new_frame.notify_all()
@@ -167,11 +166,8 @@ class TelemetrySink:
         # Simulator observer: every executed event lands here. Keep
         # the common path to one increment and one modulo.
         self.events_seen += 1
-        if self.events_seen % self.sample_every:
-            if self._requests:
-                self._drain_requests()
-            return
-        self._publish_frame()
+        if not self.events_seen % self.sample_every:
+            self._publish_frame()
         if self._requests:
             self._drain_requests()
 
@@ -263,10 +259,3 @@ class TelemetrySink:
     def state_label(self) -> str:
         """``running`` | ``finished`` — for the health payload."""
         return "finished" if self.finished else "running"
-
-    def __repr__(self) -> str:
-        return (
-            f"TelemetrySink(events={self.events_seen}, "
-            f"frames={self.frames_published}, "
-            f"state={self.state_label()})"
-        )

@@ -3,7 +3,7 @@
 :class:`ServeSources` names the live components one telemetry session
 reads — simulator, tracer, sanitizer, protocol layers — and the
 builder functions here turn them into plain, JSON-ready dicts carrying
-their versioned ``"schema"`` field (:mod:`repro.serve.schemas`).
+their versioned ``"schema"`` field (docs/ARCHITECTURE.md §13).
 
 Every builder is a pure read: it allocates fresh containers, sorts
 every iteration that could otherwise leak identity-hash order, and
@@ -16,10 +16,11 @@ it was photographed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.trace.metrics import collect_metrics, flatten_registry
+from repro.trace.profiler import EventLoopProfiler
 from repro.trace.tracer import NULL_TRACER
 
 
@@ -44,73 +45,34 @@ class ServeSources:
     overlay: Any = None
     masc_nodes: Sequence = ()
     masc_managers: Sequence = ()
-    groups: Sequence[int] = field(default_factory=tuple)
 
     @classmethod
-    def from_chaos(
+    def from_scenario(
         cls,
         scenario,
-        tracer=None,
+        target: str,
+        seed: int,
+        tracer=NULL_TRACER,
+        profiler=None,
         injector=None,
         sanitizer=None,
-        profiler=None,
-        seed: int = 0,
     ) -> "ServeSources":
-        """Sources for a :class:`~repro.faults.chaos.ChaosScenario`
-        (the shape ``ChaosHarness.run(on_world=...)`` hands out)."""
+        """Sources for a :class:`~repro.faults.chaos.ChaosScenario` —
+        a chaos run's (``ChaosHarness.run(on_world=...)``) or a soak
+        world's (built fresh or restored from a checkpoint)."""
+        bgmp = scenario.bgmp
         return cls(
             sim=scenario.sim,
-            target="chaos",
+            target=target,
             seed=seed,
-            tracer=tracer if tracer is not None else NULL_TRACER,
+            tracer=tracer,
             profiler=profiler,
             sanitizer=sanitizer,
             injector=injector,
-            bgmp=scenario.bgmp,
-            bgp=scenario.bgmp.bgp if scenario.bgmp is not None else None,
+            bgmp=bgmp,
+            bgp=bgmp.bgp if bgmp is not None else None,
             overlay=scenario.masc_overlay,
             masc_nodes=tuple(scenario.masc_nodes),
-            groups=(scenario.group,) if scenario.bgmp is not None else (),
-        )
-
-    @classmethod
-    def from_soak_world(
-        cls, world, tracer=None, profiler=None
-    ) -> "ServeSources":
-        """Sources for a :class:`~repro.faults.soak.SoakWorld` (built
-        fresh or restored from a boundary checkpoint)."""
-        scenario = world.scenario
-        return cls(
-            sim=world.sim,
-            target="soak",
-            seed=world.config.seed,
-            tracer=tracer if tracer is not None else NULL_TRACER,
-            profiler=profiler,
-            sanitizer=world.sanitizer,
-            injector=world.injector,
-            bgmp=scenario.bgmp,
-            bgp=scenario.bgmp.bgp if scenario.bgmp is not None else None,
-            overlay=scenario.masc_overlay,
-            masc_nodes=tuple(scenario.masc_nodes),
-            groups=(scenario.group,) if scenario.bgmp is not None else (),
-        )
-
-    @classmethod
-    def from_claim_simulation(
-        cls, simulation, profiler=None, seed: int = 0
-    ) -> "ServeSources":
-        """Sources for a :class:`~repro.masc.simulation.ClaimSimulation`
-        (the fig2 workload: MASC managers, no BGMP plane)."""
-        managers = list(simulation.tops)
-        for children in simulation.children.values():
-            managers.extend(children)
-        return cls(
-            sim=simulation.sim,
-            target="fig2",
-            seed=seed,
-            tracer=simulation.tracer,
-            profiler=profiler,
-            masc_managers=tuple(managers),
         )
 
     def registry_snapshot(self):
@@ -154,7 +116,9 @@ def spans_snapshot(
     sources: ServeSources, limit: Optional[int] = None
 ) -> Dict[str, Any]:
     """``repro.spans/v1``: the span record, newest last; with
-    ``limit``, only the most recent ``limit`` spans."""
+    ``limit`` (at least 1), only the most recent ``limit`` spans."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     tracer = sources.tracer
     spans = list(tracer.spans)
     open_count = sum(1 for span in spans if span.open)
@@ -176,34 +140,25 @@ def tree_snapshot(sources: ServeSources, group: int) -> Dict[str, Any]:
     entries: List[Dict[str, Any]] = []
     edges: List[List[str]] = []
     root = bgmp.root_domain_of(group) if bgmp is not None else None
-    if bgmp is not None:
-        for router in bgmp.tree_routers(group):
-            table = bgmp.router_of(router).table
-            for entry in sorted(
-                (e for e in table.entries() if e.group == group),
-                key=lambda e: (
-                    e.source_domain.name if e.source_domain else ""
-                ),
-            ):
-                entries.append({
-                    "router": router.name,
-                    "domain": router.domain.name,
-                    "source": (
-                        entry.source_domain.name
-                        if entry.source_domain else "*"
-                    ),
-                    "parent": (
-                        repr(entry.parent)
-                        if entry.parent is not None else None
-                    ),
-                    "oil": sorted(repr(c) for c in entry.children),
-                    "upstream": (
-                        entry.upstream.name
-                        if entry.upstream is not None else None
-                    ),
-                })
-                if entry.upstream is not None:
-                    edges.append([router.name, entry.upstream.name])
+    for router in bgmp.tree_routers(group) if bgmp is not None else ():
+        mine = [e for e in bgmp.router_of(router).table.entries()
+                if e.group == group]
+        mine.sort(key=lambda e: e.source_domain.name
+                  if e.source_domain else "")
+        for entry in mine:
+            upstream = entry.upstream
+            entries.append({
+                "router": router.name,
+                "domain": router.domain.name,
+                "source": (entry.source_domain.name
+                           if entry.source_domain else "*"),
+                "parent": (repr(entry.parent)
+                           if entry.parent is not None else None),
+                "oil": sorted(repr(c) for c in entry.children),
+                "upstream": None if upstream is None else upstream.name,
+            })
+            if upstream is not None:
+                edges.append([router.name, upstream.name])
     return {
         "schema": "repro.tree/v1",
         "group": f"{group:#x}",
@@ -216,12 +171,11 @@ def tree_snapshot(sources: ServeSources, group: int) -> Dict[str, Any]:
 
 def claims_snapshot(sources: ServeSources) -> Dict[str, Any]:
     """``repro.claims/v1``: per-MASC-node confirmed claim tables."""
-    nodes = []
-    for node in sorted(sources.masc_nodes, key=lambda n: n.name):
-        nodes.append({
-            "name": node.name,
-            "prefixes": [str(p) for p in node.claimed.prefixes()],
-        })
+    nodes = [
+        {"name": node.name,
+         "prefixes": [str(p) for p in node.claimed.prefixes()]}
+        for node in sorted(sources.masc_nodes, key=lambda n: n.name)
+    ]
     return {
         "schema": "repro.claims/v1",
         "time": sources.sim.now,
@@ -250,27 +204,12 @@ def violations_snapshot(
 
 
 def profile_snapshot(sources: ServeSources) -> Dict[str, Any]:
-    """``repro.profile/v1``: the profiler's wall-time summary (empty
-    when no profiler is attached)."""
+    """``repro.profile/v1``: the profiler's wall-time summary (all
+    zeros when no profiler is attached)."""
     profiler = sources.profiler
     if profiler is None:
-        return {
-            "schema": "repro.profile/v1",
-            "events": 0,
-            "wall_seconds": 0.0,
-            "events_per_second": 0.0,
-            "max_queue_depth": 0,
-            "callbacks": {},
-        }
-    summary = profiler.summary()
-    return {
-        "schema": "repro.profile/v1",
-        "events": summary["events"],
-        "wall_seconds": summary["wall_seconds"],
-        "events_per_second": summary["events_per_second"],
-        "max_queue_depth": summary["max_queue_depth"],
-        "callbacks": summary["callbacks"],
-    }
+        profiler = EventLoopProfiler()
+    return {"schema": "repro.profile/v1", **profiler.summary()}
 
 
 def health_snapshot(

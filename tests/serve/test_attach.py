@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.faults.soak import SoakConfig, SoakHarness
-from repro.serve import AttachOptions, attach_serve
+from repro.serve import AttachOptions, ServeHook, attach_serve
 
 CONFIG = SoakConfig(
     seed=5, segments=2, segment_length=15.0, faults_per_segment=1
@@ -42,18 +42,24 @@ def canonical(fingerprint):
     return json.dumps(fingerprint, sort_keys=True)
 
 
+def attach_served(options):
+    """Attach with a hub (sampling every event); returns the outcome
+    and the finished, stopped hook."""
+    hook = ServeHook(sample_every=1)
+    outcome = attach_serve(options, on_sources=hook)
+    hook.finish()
+    hook.hub.stop()
+    return outcome, hook
+
+
 class TestAttach:
     def test_attach_streams_a_full_segment(self, soak_dir):
         before = dir_digest(soak_dir)
-        outcome = attach_serve(AttachOptions(
+        _, hook = attach_served(AttachOptions(
             soak_dir=soak_dir,
-            checkpoint=os.path.join(
-                soak_dir, "soak-seed5-seg1.ckpt"
-            ),
-            sample_every=1,
+            checkpoint=os.path.join(soak_dir, "soak-seed5-seg1.ckpt"),
         ))
-        outcome.hub.stop()
-        sink = outcome.sink
+        sink = hook.sink
         # One full segment of telemetry streamed through the sink.
         assert sink.frames_published > 1
         frames = sink.frames_since(0)
@@ -67,21 +73,21 @@ class TestAttach:
 
     def test_attach_fingerprint_matches_control(self, soak_dir):
         checkpoint = os.path.join(soak_dir, "soak-seed5-seg1.ckpt")
-        served = attach_serve(AttachOptions(
-            soak_dir=soak_dir, checkpoint=checkpoint, sample_every=1
+        served, _ = attach_served(AttachOptions(
+            soak_dir=soak_dir, checkpoint=checkpoint
         ))
-        served.hub.stop()
         control = attach_serve(AttachOptions(
-            soak_dir=soak_dir, checkpoint=checkpoint, serve=False
+            soak_dir=soak_dir, checkpoint=checkpoint
         ))
-        assert control.hub is None and control.sink is None
+        assert control.tracer is None and control.profiler is None
+        assert served.profiler.events > 0
         assert canonical(served.fingerprint) == canonical(
             control.fingerprint
         )
         assert served.fingerprint["events"] > 0
 
     def test_attach_defaults_to_latest_checkpoint(self, soak_dir):
-        options = AttachOptions(soak_dir=soak_dir, serve=False)
+        options = AttachOptions(soak_dir=soak_dir)
         outcome = attach_serve(options)
         # Latest boundary = all segments done: nothing left to run,
         # but the fingerprint still reads out.
@@ -97,12 +103,10 @@ class TestAttach:
     def test_resume_identity_survives_an_attach(self, soak_dir):
         """The real chain, resumed after an attach happened, must
         fingerprint byte-identically to an uninterrupted run."""
-        attached = attach_serve(AttachOptions(
+        attach_served(AttachOptions(
             soak_dir=soak_dir,
             checkpoint=os.path.join(soak_dir, "soak-seed5-seg1.ckpt"),
-            sample_every=1,
         ))
-        attached.hub.stop()
         resumed = SoakHarness(config=CONFIG, out_dir=soak_dir).resume(
             os.path.join(soak_dir, "soak-seed5-seg1.ckpt")
         )

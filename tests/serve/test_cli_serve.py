@@ -1,10 +1,19 @@
-"""The serve CLI surface and the trace exit-code contract."""
+"""The serve CLI surface, its shared path with trace, and the trace
+exit-code contract."""
 
 import json
+import urllib.request
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import TARGETS, ServeHook, run_target
+
+#: Small sizes per simulator target, as command-line flags.
+SMALL = {
+    "chaos": ["--faults", "1"],
+    "fig2": ["--tops", "2", "--children", "2", "--days", "3"],
+}
 
 
 class TestServeParser:
@@ -16,7 +25,6 @@ class TestServeParser:
         args = build_parser().parse_args(["serve", "run", "chaos"])
         assert args.action == "run"
         assert args.target == "chaos"
-        assert args.seed == 0
         assert args.sample_every == 25
         assert args.host == "127.0.0.1"
         assert args.port == 0
@@ -55,10 +63,24 @@ class TestServeCommand:
         assert fingerprint["target"] == "chaos"
         assert fingerprint["forwarding_digest"]
 
-    def test_probe_with_control_is_a_usage_error(self):
-        assert main(
-            ["-q", "serve", "run", "chaos", "--control", "--probe"]
-        ) == 2
+    def test_probe_with_control_is_a_usage_error(
+        self, monkeypatch, capsys
+    ):
+        # --probe and --linger need the hub, so they are rejected with
+        # --control before anything is built: the workload never runs.
+        def no_run(*args, **kwargs):
+            raise AssertionError("workload ran before the usage check")
+
+        monkeypatch.setattr("repro.serve.runner.run_target", no_run)
+        monkeypatch.setattr("repro.serve.attach.attach_serve", no_run)
+        for action in (["run", "chaos"], ["attach"]):
+            for flags in (["--probe"], ["--linger", "5"],
+                          ["--linger", "inf"]):
+                code = main(["serve", *action, "--control", *flags])
+                assert code == 2
+                err = capsys.readouterr().err
+                assert len(err.strip().splitlines()) == 1
+                assert "drop --control" in err
 
     def test_served_probe_run(self, capsys):
         code = main([
@@ -76,6 +98,54 @@ class TestServeCommand:
         assert main(
             ["-q", "serve", "attach", "--dir", str(tmp_path / "nope")]
         ) == 2
+
+
+@pytest.mark.parametrize(
+    "target", [name for name, spec in TARGETS.items() if spec.simulated]
+)
+def test_trace_and_serve_share_one_run(target, tmp_path, capsys):
+    """`trace` and `serve run` are one instrumented run: the same size
+    flags with the same defaults, the same fingerprint for the same
+    arguments, and a served run's profiler fills /profile."""
+    parser = build_parser()
+    trace = parser.parse_args(["trace", target, *SMALL[target]])
+    served = parser.parse_args(["serve", "run", target, *SMALL[target]])
+    knobs = ["seed", *TARGETS[target].sizes]
+    assert {k: getattr(trace, k) for k in knobs} == {
+        k: getattr(served, k) for k in knobs
+    }
+    trace = parser.parse_args(["trace", target])
+    served = parser.parse_args(["serve", "run", target])
+    defaults = {"seed": 0, **{
+        name: default
+        for name, (default, _) in TARGETS[target].sizes.items()
+    }}
+    assert {k: getattr(trace, k) for k in knobs} == defaults
+    assert {k: getattr(served, k) for k in knobs} == defaults
+
+    args = [*SMALL[target], "--seed", "3"]
+    assert main(["-q", "trace", target, *args,
+                 "--out", str(tmp_path)]) == 0
+    traced = capsys.readouterr().out.strip().splitlines()[-1]
+    assert main(["-q", "serve", "run", target, *args, "--control"]) == 0
+    control = capsys.readouterr().out.strip().splitlines()[-1]
+    assert traced == control
+    assert json.loads(traced)["target"] == target
+
+    parsed = parser.parse_args(["serve", "run", target, *args])
+    hook = ServeHook()
+    run_target(target, parsed.seed, on_sources=hook, **{
+        k: getattr(parsed, k) for k in TARGETS[target].sizes
+    })
+    hook.finish()
+    try:
+        with urllib.request.urlopen(
+            f"{hook.hub.url}/profile", timeout=10.0
+        ) as response:
+            profile = json.loads(response.read())
+    finally:
+        hook.hub.stop()
+    assert profile["events"] > 0
 
 
 class TestTraceExitCodes:

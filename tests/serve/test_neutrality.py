@@ -3,61 +3,61 @@
 The acceptance contract for serve mode (docs §13): attaching the
 telemetry sink and hub to a workload must not change a single byte of
 its determinism fingerprint. These tests run each workload twice —
-hub attached vs. ``serve=False`` control — and compare the
-canonical-JSON fingerprints exactly.
+hub attached vs. a control with no ``on_sources`` hook — and compare
+the canonical-JSON fingerprints exactly.
 """
 
 import json
 
-from repro.serve import ServeOptions, run_serve
+from repro.serve import ServeHook, run_target
 
 
 def canonical(fingerprint):
     return json.dumps(fingerprint, sort_keys=True)
 
 
-def run_pair(**kwargs):
-    served = run_serve(ServeOptions(serve=True, **kwargs))
-    served.hub.stop()
-    control = run_serve(ServeOptions(serve=False, **kwargs))
-    assert control.hub is None and control.sink is None
-    return served, control
+def served(target, seed, sample_every, **sizes):
+    hook = ServeHook(sample_every=sample_every)
+    outcome = run_target(target, seed, on_sources=hook, **sizes)
+    hook.finish()
+    hook.hub.stop()
+    return outcome, hook.sink
+
+
+def run_pair(target, seed, sample_every, **sizes):
+    outcome, sink = served(target, seed, sample_every, **sizes)
+    control = run_target(target, seed, **sizes)
+    return outcome, sink, control
 
 
 class TestServeNeutrality:
     def test_chaos_fingerprint_byte_identical(self):
-        served, control = run_pair(
-            target="chaos", seed=7, sample_every=5
-        )
-        assert canonical(served.fingerprint) == canonical(
+        outcome, sink, control = run_pair("chaos", 7, 5)
+        assert canonical(outcome.fingerprint) == canonical(
             control.fingerprint
         )
         # The comparison is meaningful: real state was fingerprinted
         # and real telemetry was produced.
-        assert served.fingerprint["events"] > 0
-        assert served.fingerprint["forwarding_digest"]
-        assert served.sink.frames_published > 0
+        assert outcome.fingerprint["events"] > 0
+        assert outcome.fingerprint["forwarding_digest"]
+        assert sink.frames_published > 0
 
     def test_fig2_fingerprint_byte_identical(self):
-        served, control = run_pair(
-            target="fig2", seed=3, sample_every=10,
-            tops=3, children=3, days=5.0,
+        outcome, sink, control = run_pair(
+            "fig2", 3, 10, tops=3, children=3, days=5.0
         )
-        assert canonical(served.fingerprint) == canonical(
+        assert canonical(outcome.fingerprint) == canonical(
             control.fingerprint
         )
-        assert served.fingerprint["claim_tables"]
-        assert served.sink.frames_published > 0
+        assert outcome.fingerprint["claim_tables"]
+        assert sink.frames_published > 0
 
     def test_sampling_rate_does_not_matter(self):
         # Frame cadence is pure observation: wildly different
         # sample_every values must agree too.
-        fast, _ = run_pair(target="chaos", seed=11, sample_every=1)
-        slow = run_serve(ServeOptions(
-            target="chaos", seed=11, sample_every=500, serve=True
-        ))
-        slow.hub.stop()
+        fast, fast_sink = served("chaos", 11, 1)
+        slow, slow_sink = served("chaos", 11, 500)
         assert canonical(fast.fingerprint) == canonical(
             slow.fingerprint
         )
-        assert fast.sink.frames_published > slow.sink.frames_published
+        assert fast_sink.frames_published > slow_sink.frames_published

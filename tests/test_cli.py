@@ -28,8 +28,6 @@ class TestParser:
         args = build_parser().parse_args(["trace", "chaos"])
         assert args.target == "chaos"
         assert args.out == "trace-out"
-        assert args.seed == 0
-        assert args.faults == 2
 
     def test_trace_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
