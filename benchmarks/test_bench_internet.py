@@ -1,22 +1,27 @@
-"""The internet-scale workload: where a route-views-scale run spends
-its time.
+"""The route-views-shape churn workload: where an internet-scale run
+spends its time.
 
-One serial seed of :func:`repro.experiments.internet.run_internet_workload`
-— the whole architecture on a route-views-like AS graph: thousands of
-groups, membership churn, root flaps and router faults — printed as
-``setup_seconds`` (entry to the timed loop), ``converge_seconds`` (the
-initial BGP convergence inside it) and ``seconds`` (the timed loop)
-beside the event count and forwarding-state size. The default is the
-800-domain CI smoke shape; ``REPRO_PAPER_SCALE=1`` runs the full
-3326-domain configuration.
+One serial seed of :func:`repro.experiments.churn.run_churn_workload`
+in its route-views shape — the whole architecture on a route-views-like
+AS graph: thousands of groups, membership churn, root flaps and router
+faults — printed as ``setup_seconds`` (entry to the timed loop),
+``converge_seconds`` (the initial BGP convergence inside it) and
+``seconds`` (the timed loop) beside the event count and
+forwarding-state size. The default is the 800-domain CI smoke shape,
+whose fingerprint is pinned; ``REPRO_PAPER_SCALE=1`` runs the full
+3326-domain :data:`~repro.experiments.churn.ROUTE_VIEWS` configuration.
 """
+
+import dataclasses
+import hashlib
 
 from conftest import emit, paper_scale
 
 from repro.analysis.report import format_table
-from repro.experiments.internet import (
-    InternetConfig,
-    run_internet_workload,
+from repro.experiments.churn import (
+    ROUTE_VIEWS,
+    ChurnConfig,
+    run_churn_workload,
 )
 
 #: Wall-clock ceiling for the timed loop at smoke scale. The loop runs
@@ -26,12 +31,16 @@ from repro.experiments.internet import (
 #: flaky on slow CI runners.
 SMOKE_SECONDS_PER_SEED = 180.0
 
+#: sha256(repr(fingerprint())) of the smoke-scale run, seed 0.
+SMOKE_SHA = "e7e4ba3a3bf278d3d045fae5cc2f7d7ca90fca7a3fe921529a0b6fbf40d6627c"
 
-def _bench_config() -> InternetConfig:
+
+def _bench_config() -> ChurnConfig:
     if paper_scale():
-        return InternetConfig()
+        return ROUTE_VIEWS
     # CI smoke scale: same shape, quarter-size graph.
-    return InternetConfig(
+    return dataclasses.replace(
+        ROUTE_VIEWS,
         domains=800,
         group_domains=24,
         groups_per_domain=24,
@@ -42,7 +51,7 @@ def _bench_config() -> InternetConfig:
 def test_bench_internet_scale(benchmark):
     config = _bench_config()
     run = benchmark.pedantic(
-        run_internet_workload,
+        run_churn_workload,
         args=(config, 0),
         rounds=1,
         iterations=1,
@@ -63,6 +72,9 @@ def test_bench_internet_scale(benchmark):
     assert run.events > 0
     assert run.state_size > 0
     assert len(run.phase_digests) == 2 * config.phases
+    if not paper_scale():
+        digest = hashlib.sha256(repr(run.fingerprint()).encode())
+        assert digest.hexdigest() == SMOKE_SHA
     # The full-scale budget scales with the configured graph.
     budget = SMOKE_SECONDS_PER_SEED * (config.domains / 800.0)
     assert run.seconds <= budget, (

@@ -53,9 +53,10 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.experiments.fig2 import (
     Figure2Config,
@@ -520,6 +521,37 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _number(
+    kind: type, low: float, high: float = math.inf, *, strict: bool = False
+) -> Callable[[str], float]:
+    """An argparse ``type=`` parsing ``kind`` within ``[low, high]``
+    (``(low, high]`` when ``strict``): out of range is a usage error,
+    exit 2 naming the flag, not a traceback or a silent no-op inside
+    the run."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if not (value > low if strict else value >= low) or value > high:
+            wanted = (f"> {low}" if strict else f">= {low}") + (
+                f" and <= {high}" if high < math.inf else ""
+            )
+            raise argparse.ArgumentTypeError(
+                f"must be {wanted}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value"
+    return parse
+
+
+_COUNT = _number(int, 1)
+#: ``as_graph`` needs three domains.
+_NODES = _number(int, 3)
+#: The trace/serve size knobs that have a floor; the rest take their
+#: default's type.
+_KNOB_TYPES = {"nodes": _NODES, "trials": _COUNT, "faults": _COUNT}
+
+
 def _add_target(parser: argparse.ArgumentParser, targets: dict) -> None:
     """The positional target, ``--seed`` and every size knob of
     ``targets`` (one default each, from the runner's table)."""
@@ -528,8 +560,10 @@ def _add_target(parser: argparse.ArgumentParser, targets: dict) -> None:
     parser.add_argument("--seed", type=int, default=0)
     for name, target in targets.items():
         for knob, (default, text) in target.sizes.items():
-            parser.add_argument(f"--{knob}", type=type(default),
-                                default=default, help=f"{name}: {text}")
+            parser.add_argument(
+                f"--{knob}", type=_KNOB_TYPES.get(knob, type(default)),
+                default=default, help=f"{name}: {text}",
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig2 = sub.add_parser("fig2", help="Figure 2: MASC allocation run")
     fig2.add_argument("--tops", type=int, default=10)
     fig2.add_argument("--children", type=int, default=25)
-    fig2.add_argument("--days", type=float, default=200.0)
-    fig2.add_argument("--every", type=int, default=20,
+    fig2.add_argument("--days", type=_number(float, 1), default=200.0)
+    fig2.add_argument("--every", type=_COUNT, default=20,
                       help="table row spacing in days")
     fig2.add_argument("--seed", type=int, default=0)
     fig2.add_argument("--paper", action="store_true",
@@ -563,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.set_defaults(func=_cmd_fig2)
 
     fig4 = sub.add_parser("fig4", help="Figure 4: tree path lengths")
-    fig4.add_argument("--nodes", type=int, default=3326)
-    fig4.add_argument("--trials", type=int, default=5)
+    fig4.add_argument("--nodes", type=_NODES, default=3326)
+    fig4.add_argument("--trials", type=_COUNT, default=5)
     fig4.add_argument("--seed", type=int, default=0)
     fig4.set_defaults(func=_cmd_fig4)
 
@@ -591,10 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
     soak_run = soak_sub.add_parser(
         "run", help="fresh soak chain with boundary checkpoints"
     )
+    segment_length = _number(float, 0, strict=True)
     soak_run.add_argument("--seed", type=int, default=0)
-    soak_run.add_argument("--segments", type=int, default=3)
-    soak_run.add_argument("--segment-length", type=float, default=30.0)
-    soak_run.add_argument("--faults", type=int, default=2,
+    soak_run.add_argument("--segments", type=_COUNT, default=3)
+    soak_run.add_argument("--segment-length", type=segment_length,
+                          default=30.0)
+    soak_run.add_argument("--faults", type=_number(int, 0), default=2,
                           help="faults drawn per segment")
     soak_run.add_argument("--dir", default="soak-out",
                           help="checkpoint/dump output directory")
@@ -609,9 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue from the latest boundary checkpoint in --dir",
     )
     soak_resume.add_argument("--seed", type=int, default=0)
-    soak_resume.add_argument("--segments", type=int, default=3)
-    soak_resume.add_argument("--segment-length", type=float, default=30.0)
-    soak_resume.add_argument("--faults", type=int, default=2)
+    soak_resume.add_argument("--segments", type=_COUNT, default=3)
+    soak_resume.add_argument("--segment-length", type=segment_length,
+                             default=30.0)
+    soak_resume.add_argument("--faults", type=_number(int, 0), default=2)
     soak_resume.add_argument("--dir", default="soak-out")
     soak_resume.set_defaults(func=_cmd_soak, kill_at=None)
 
@@ -633,10 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_sub = serve.add_subparsers(dest="action", required=True)
 
     def _serve_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--sample-every", type=int, default=25,
+        sp.add_argument("--sample-every", type=_COUNT, default=25,
                         help="events between published frames")
         sp.add_argument("--host", default="127.0.0.1")
-        sp.add_argument("--port", type=int, default=0,
+        sp.add_argument("--port", type=_number(int, 0, 65535), default=0,
                         help="0 = pick an ephemeral port")
         sp.add_argument("--probe", action="store_true",
                         help="self-scrape every endpoint afterwards "

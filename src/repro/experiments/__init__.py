@@ -11,33 +11,25 @@ One module per figure:
 
 Each driver returns structured results and can render the series as a
 text table; the ``benchmarks/`` suite wires them into pytest-benchmark.
-Multi-seed sweeps (``run_figure2_seeds`` / ``run_figure4_seeds``) fan
-out over :mod:`repro.experiments.runner` with a deterministic merge.
-:mod:`repro.experiments.churn` and :mod:`repro.experiments.internet`
-are the whole-stack workloads (the latter at route-views scale, one
-``run_internet_workload(config, seed)`` call that reports setup and
-loop seconds); performance is measured by ``bench/`` against
-``BENCHMARK.json``.
+:mod:`repro.experiments.churn` is the whole-stack workload: one
+``run_churn_workload(config, seed)`` call that reports setup, converge
+and loop seconds, at 100 domains by default or at route-views scale
+with ``ROUTE_VIEWS``. A multi-seed sweep is one call to
+:func:`~repro.experiments.runner.parallel_map`, which merges in input
+order: ``parallel_map(partial(run_churn_workload, config), seeds)``,
+or ``parallel_map(run_figure2, [replace(config, seed=s) for s in
+seeds])`` for the figure drivers, whose configs carry the seed.
+Performance is measured by ``bench/`` against ``BENCHMARK.json``.
 """
 
-from repro.experiments.fig2 import (
-    Figure2Result,
-    run_figure2,
-    run_figure2_seeds,
-)
-from repro.experiments.fig4 import (
-    Figure4Result,
-    run_figure4,
-    run_figure4_seeds,
-)
+from repro.experiments.fig2 import Figure2Result, run_figure2
+from repro.experiments.fig4 import Figure4Result, run_figure4
 from repro.experiments.runner import parallel_map
 
 __all__ = [
     "Figure2Result",
     "run_figure2",
-    "run_figure2_seeds",
     "Figure4Result",
     "run_figure4",
-    "run_figure4_seeds",
     "parallel_map",
 ]

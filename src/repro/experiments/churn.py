@@ -8,39 +8,57 @@ the covering range's root domain, then re-anchors back when the /20
 returns (the paper's "addresses could be obtained from the parent's
 address space" dynamics under failure).
 
-Everything observable — repair counters, per-flap forwarding digests,
-delivery counts, control traffic — is a function of (config, seed)
-alone and is folded into :meth:`ChurnRunResult.fingerprint`, which the
+:attr:`ChurnConfig.internet` picks one of two shapes. By default (100
+domains) the AS graph is a function of the workload seed and every
+domain runs its default MIGP. The route-views shape
+(:data:`ROUTE_VIEWS`, the paper's 3326 domains) builds its graph from
+:data:`TOPOLOGY_SEED` alone, so seeds vary the schedule over the
+*same* graph; it follows every root flap with a router fault (crash +
+restore one transit border router); and every domain runs the static
+MIGP with unicast auto-origination off — at this scale interior
+dynamics are out of scope, and full unicast tables would be ~11M
+routes modelling nothing the multicast layer reads.
+
+The timed loop runs on a :class:`~repro.sim.Simulator` under stable
+event names (``churn.join``, ``churn.flap``, ...). Everything
+observable — repair counters, per-phase forwarding digests, delivery
+counts, control traffic — is a function of (config, seed) alone and
+is folded into :meth:`ChurnRunResult.fingerprint`, which the
 determinism tests pin across processes and the equivalence tests
-compare against the recompute-everything oracle. Wall-clock timing is
-inherently nondeterministic; it stays in the result's ``seconds`` and
-never feeds simulation state.
+compare against the recompute-everything oracle. Wall-clock timings
+stay in the ``*seconds`` fields and never feed simulation state. A
+seed sweep is ``parallel_map(partial(run_churn_workload, config),
+seeds)``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import itertools
 import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.experiments.runner import parallel_map
+from repro.sim.engine import Simulator
 from repro.topology.network import Topology
 from repro.trace.metrics import collect_metrics
 
 
 def _wall() -> float:
-    return time.perf_counter()  # lint: disable=DET002 — bench wall-clock timing; recorded in bench artifacts only, never in simulation state
+    return time.perf_counter()  # lint: disable=DET002 — wall-clock timing; reported beside the result, never in simulation state or the fingerprint
 
 
 #: The range every group address lives under; its originating domain
 #: is the fallback root while a more specific /20 is withdrawn.
 COVERING_RANGE = Prefix((224 << 24), 4)
+#: The route-views shape's AS graph seed (the paper's year).
+TOPOLOGY_SEED = 1998
+#: Members every group starts with, joined during untimed setup.
+INITIAL_MEMBERS = 2
 
 
 @dataclass(frozen=True)
@@ -50,26 +68,35 @@ class ChurnConfig:
     ``group_domains`` domains each originate a /20 out of 224/4 and
     own ``groups_per_domain`` group addresses under it; domain 0
     originates the covering 224/4 so withdrawn ranges always have a
-    fallback root. Membership churn and source arrivals run between
-    root flaps; every flap withdraws one /20, converges + repairs,
-    re-originates it, and converges + repairs again.
+    fallback root. Each of the ``phases`` runs ``churn_per_phase``
+    join/leave/send events, then a root flap: withdraw one /20,
+    converge + repair, re-originate it, converge + repair again.
+    ``internet`` selects the route-views shape (module docstring),
+    which follows every flap with a router fault.
     """
 
     domains: int = 100
     group_domains: int = 24
     groups_per_domain: int = 40
-    initial_members: int = 2
-    churn_per_flap: int = 40
-    flaps: int = 2
+    churn_per_phase: int = 40
+    phases: int = 2
     #: A periodic maintenance sweep (``repair_trees``) runs after every
     #: this-many churn events — the steady-state timer-driven tree
     #: verification the paper's soft-state refresh implies: between
     #: flaps, membership churn dirties only the touched groups.
     maintain_every: int = 3
+    internet: bool = False
 
     @property
     def total_groups(self) -> int:
         return self.group_domains * self.groups_per_domain
+
+
+#: The route-views-scale run: the paper's 3326-domain AS graph.
+ROUTE_VIEWS = ChurnConfig(
+    domains=3326, group_domains=48, groups_per_domain=44,
+    churn_per_phase=400, phases=2, maintain_every=25, internet=True,
+)
 
 
 def group_prefix(domain_id: int) -> Prefix:
@@ -77,77 +104,92 @@ def group_prefix(domain_id: int) -> Prefix:
     return Prefix((224 << 24) | (domain_id << 12), 20)
 
 
-def build_churn_topology(seed: int, domains: int) -> Topology:
-    """The churn substrate: a route-views-like AS graph."""
+def build_topology(config: ChurnConfig, seed: int) -> Topology:
+    """The substrate: a route-views-like AS graph."""
     from repro.topology.generators import as_graph
 
-    return as_graph(random.Random(seed), node_count=domains)
+    graph_seed = TOPOLOGY_SEED if config.internet else seed
+    return as_graph(random.Random(graph_seed), node_count=config.domains)
 
 
-def build_churn_schedule(
-    config: ChurnConfig, seed: int
-) -> List[Tuple]:
+def build_network(config: ChurnConfig, topology: Topology) -> BgmpNetwork:
+    """The BGMP network over ``topology`` with the covering range and
+    every group domain's /20 originated (not yet converged)."""
+    static = (lambda _domain: "static") if config.internet else None
+    network = BgmpNetwork(
+        topology, migp_selector=static, auto_unicast=not config.internet
+    )
+    network.originate_group_range(topology.domains[0], COVERING_RANGE)
+    for domain in topology.domains[1 : 1 + config.group_domains]:
+        network.originate_group_range(
+            domain, group_prefix(domain.domain_id)
+        )
+    return network
+
+
+def build_schedule(config: ChurnConfig, seed: int) -> List[Tuple]:
     """The seeded event schedule.
 
     Events are plain tuples (picklable, comparable):
 
     - ``("join", domain_index, group, host)`` — a new member
     - ``("leave", domain_index, group, host)`` — an existing member
-      (generated against a shadow membership model, so every leave is
-      valid)
+      (drawn from the live members, so every leave is valid)
     - ``("send", domain_index, group)`` — a source arrival
     - ``("repair",)`` — a periodic maintenance sweep
     - ``("flap", domain_index)`` — withdraw/restore that domain's /20
+    - ``("fault", domain_index)`` — crash/restore that transit domain's
+      border router (route-views shape only)
 
     Identical (config, seed) pairs produce identical schedules — the
     determinism the churn tests pin down.
     """
-    rng = random.Random((seed << 8) ^ 0x5EED)
-    group_domain_indexes = list(range(1, 1 + config.group_domains))
-    groups: List[Tuple[int, int]] = []
-    for index in group_domain_indexes:
-        base = (224 << 24) | (index << 12)
-        for offset in range(config.groups_per_domain):
-            groups.append((index, base | offset))
+    if config.domains <= 1 + config.group_domains:
+        raise ValueError(
+            "churn config needs transit domains beyond the "
+            f"{config.group_domains} group domains"
+        )
+    salt = 0x1A7E5CA1 if config.internet else 0x5EED
+    rng = random.Random((seed << 8) ^ salt)
+    groups: List[int] = [
+        (224 << 24) | (index << 12) | offset
+        for index in range(1, 1 + config.group_domains)
+        for offset in range(config.groups_per_domain)
+    ]
     schedule: List[Tuple] = []
-    members: Dict[Tuple[int, int], List[str]] = {}
     active: List[Tuple[int, int, str]] = []
-    serial = 0
+    serials = itertools.count(1)
 
     def add_member(group: int) -> None:
-        nonlocal serial
         domain_index = rng.randrange(config.domains)
-        serial += 1
-        host = f"h{serial}"
+        host = f"h{next(serials)}"
         schedule.append(("join", domain_index, group, host))
-        members.setdefault((group, domain_index), []).append(host)
         active.append((group, domain_index, host))
 
-    for _owner, group in groups:
-        for _ in range(config.initial_members):
+    for group in groups:
+        for _ in range(INITIAL_MEMBERS):
             add_member(group)
-    for _flap in range(config.flaps):
-        for step in range(config.churn_per_flap):
+    for _phase in range(config.phases):
+        for step in range(config.churn_per_phase):
             roll = rng.random()
             if roll < 0.45 or not active:
-                _owner, group = groups[rng.randrange(len(groups))]
-                add_member(group)
+                add_member(groups[rng.randrange(len(groups))])
             elif roll < 0.75:
-                index = rng.randrange(len(active))
-                group, domain_index, host = active.pop(index)
-                members[(group, domain_index)].remove(host)
+                group, domain_index, host = active.pop(
+                    rng.randrange(len(active))
+                )
                 schedule.append(("leave", domain_index, group, host))
             else:
-                _owner, group = groups[rng.randrange(len(groups))]
+                group = groups[rng.randrange(len(groups))]
                 schedule.append(
                     ("send", rng.randrange(config.domains), group)
                 )
             if (step + 1) % config.maintain_every == 0:
                 schedule.append(("repair",))
-        flapped = group_domain_indexes[
-            rng.randrange(len(group_domain_indexes))
-        ]
-        schedule.append(("flap", flapped))
+        schedule.append(("flap", 1 + rng.randrange(config.group_domains)))
+        if config.internet:
+            transit = rng.randrange(1 + config.group_domains, config.domains)
+            schedule.append(("fault", transit))
     return schedule
 
 
@@ -159,15 +201,22 @@ def schedule_digest(schedule: Sequence[Tuple]) -> str:
 
 @dataclass
 class ChurnRunResult:
-    """One run over one seed's churn schedule."""
+    """One seed's workload outcome."""
 
     seed: int
+    #: Wall-clock timings (nondeterministic, outside the fingerprint):
+    #: entry to the start of the timed loop; the initial
+    #: ``network.converge()`` inside that; the timed loop itself.
+    setup_seconds: float
+    converge_seconds: float
     seconds: float
+    #: Simulator events executed in the timed loop (deterministic).
+    events: int
     schedule_sha: str
     #: (migrations, rejoined, pruned) for every repair pass, in order.
     repairs: List[Tuple[int, int, int]]
-    #: Forwarding digest after each flap completed (withdraw+restore).
-    flap_digests: List[str]
+    #: Forwarding digest after each flap and each fault completed.
+    phase_digests: List[str]
     final_digest: str
     rib_digest: str
     deliveries: List[int]
@@ -177,15 +226,16 @@ class ChurnRunResult:
     #: Full labelled metrics snapshot (includes the dirty-set
     #: counters, so it is compared across *processes*, not against the
     #: walk-everything oracle).
-    metrics_json: str = ""
+    metrics_json: str
 
     def fingerprint(self) -> Tuple:
         """Everything that must match across runs and against the
         oracle (not the time, not the dirty-set metrics)."""
         return (
             self.schedule_sha,
+            self.events,
             tuple(self.repairs),
-            tuple(self.flap_digests),
+            tuple(self.phase_digests),
             self.final_digest,
             self.rib_digest,
             tuple(self.deliveries),
@@ -196,114 +246,98 @@ class ChurnRunResult:
 
 
 def run_churn_workload(config: ChurnConfig, seed: int) -> ChurnRunResult:
-    """Run one seeded churn schedule.
+    """Run one seeded schedule.
 
-    Setup (originations, initial joins, the draining repair) is
-    untimed and the clock covers exactly the churn + flap/repair loop.
+    Setup (topology build, originations, the initial convergence,
+    initial joins, one draining repair) is reported as
+    ``setup_seconds``, with the convergence alone as
+    ``converge_seconds``; ``seconds`` covers exactly the
+    simulator-driven churn + flap/fault loop.
     """
-    topology = build_churn_topology(seed, config.domains)
-    network = BgmpNetwork(topology)
-    covering_domain = topology.domains[0]
-    network.originate_group_range(covering_domain, COVERING_RANGE)
-    group_domains = topology.domains[1 : 1 + config.group_domains]
-    for domain in group_domains:
-        network.originate_group_range(
-            domain, group_prefix(domain.domain_id)
-        )
+    entered = _wall()
+    topology = build_topology(config, seed)
+    network = build_network(config, topology)
+    converge_started = _wall()
     network.converge()
-    schedule = build_churn_schedule(config, seed)
-    sha = schedule_digest(schedule)
-    setup: List[Tuple] = []
-    timed: List[Tuple] = []
-    boundary = config.total_groups * config.initial_members
-    for index, event in enumerate(schedule):
-        (setup if index < boundary else timed).append(event)
-    for event in setup:
-        _kind, domain_index, group, host = event
-        network.join(
-            topology.domains[domain_index].host(host), group
-        )
+    converge_seconds = _wall() - converge_started
+    schedule = build_schedule(config, seed)
+    boundary = config.total_groups * INITIAL_MEMBERS
+    for _kind, domain_index, group, host in schedule[:boundary]:
+        network.join(topology.domains[domain_index].host(host), group)
     # Drain the dirty set the setup joins accumulated so the timed
     # loop starts from a repaired steady state.
     network.repair_trees()
 
     repairs: List[Tuple[int, int, int]] = []
-    flap_digests: List[str] = []
+    phase_digests: List[str] = []
     deliveries: List[int] = []
 
     def repair() -> None:
         counters = network.repair_trees()
-        repairs.append(
-            (
-                counters["migrations"],
-                counters["rejoined"],
-                counters["pruned"],
-            )
-        )
+        repairs.append(tuple(
+            counters[name] for name in ("migrations", "rejoined", "pruned")
+        ))
 
+    def on_join(domain_index: int, group: int, host: str) -> None:
+        network.join(topology.domains[domain_index].host(host), group)
+
+    def on_leave(domain_index: int, group: int, host: str) -> None:
+        network.leave(topology.domains[domain_index].host(host), group)
+
+    def on_send(domain_index: int, group: int) -> None:
+        report = network.send(
+            topology.domains[domain_index].host("src"), group
+        )
+        deliveries.append(report.total_deliveries)
+
+    def on_flap(domain_index: int) -> None:
+        domain = topology.domains[domain_index]
+        prefix = group_prefix(domain.domain_id)
+        network.bgp.withdraw(domain.router(), prefix)
+        network.converge()
+        repair()
+        network.originate_group_range(domain, prefix)
+        network.converge()
+        repair()
+        phase_digests.append(network.forwarding_digest())
+
+    def on_fault(domain_index: int) -> None:
+        router = topology.domains[domain_index].router()
+        network.bgp.fail_router(router)
+        network.converge()
+        repair()
+        network.bgp.restore_router(router)
+        network.converge()
+        repair()
+        phase_digests.append(network.forwarding_digest())
+
+    handlers = {"join": on_join, "leave": on_leave, "send": on_send,
+                "repair": repair, "flap": on_flap, "fault": on_fault}
+    sim = Simulator()
+    for index, (kind, *args) in enumerate(schedule[boundary:]):
+        sim.schedule_at(
+            float(index), handlers[kind], *args, name=f"churn.{kind}"
+        )
     started = _wall()
-    for event in timed:
-        kind = event[0]
-        if kind == "join":
-            _kind, domain_index, group, host = event
-            network.join(
-                topology.domains[domain_index].host(host), group
-            )
-        elif kind == "leave":
-            _kind, domain_index, group, host = event
-            network.leave(
-                topology.domains[domain_index].host(host), group
-            )
-        elif kind == "send":
-            _kind, domain_index, group = event
-            report = network.send(
-                topology.domains[domain_index].host("src"), group
-            )
-            deliveries.append(report.total_deliveries)
-        elif kind == "repair":
-            repair()
-        else:  # flap
-            _kind, domain_index = event
-            domain = topology.domains[domain_index]
-            prefix = group_prefix(domain.domain_id)
-            network.bgp.withdraw(domain.router(), prefix)
-            network.converge()
-            repair()
-            network.originate_group_range(domain, prefix)
-            network.converge()
-            repair()
-            flap_digests.append(network.forwarding_digest())
+    executed = sim.run()
     seconds = _wall() - started
 
+    routers = network.bgmp_routers()
     metrics = collect_metrics(bgp=network.bgp, bgmp=network)
     return ChurnRunResult(
         seed=seed,
+        setup_seconds=started - entered,
+        converge_seconds=converge_seconds,
         seconds=seconds,
-        schedule_sha=sha,
+        events=executed,
+        schedule_sha=schedule_digest(schedule),
         repairs=repairs,
-        flap_digests=flap_digests,
+        phase_digests=phase_digests,
         final_digest=network.forwarding_digest(),
         rib_digest=network.bgp.rib_digest(),
         deliveries=deliveries,
         state_size=network.forwarding_state_size(),
-        joins_sent=sum(
-            b.joins_sent for b in network.bgmp_routers()
-        ),
-        prunes_sent=sum(
-            b.prunes_sent for b in network.bgmp_routers()
-        ),
+        joins_sent=sum(b.joins_sent for b in routers),
+        prunes_sent=sum(b.prunes_sent for b in routers),
         metrics_json=metrics.to_json(),
     )
-
-
-def run_churn_seeds(
-    seeds: Sequence[int],
-    config: Optional[ChurnConfig] = None,
-    processes: Optional[int] = None,
-) -> List[ChurnRunResult]:
-    """Run the churn workload across seeds through the parallel
-    runner (order-preserving; ``processes=1`` forces serial)."""
-    if config is None:
-        config = ChurnConfig()
-    worker = functools.partial(run_churn_workload, config)
-    return parallel_map(worker, list(seeds), processes=processes)

@@ -22,8 +22,8 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
 from repro.masc.config import HOURS_PER_DAY, MascConfig
@@ -118,23 +118,6 @@ def run_figure2(
         tracer=tracer,
     )
     return Figure2Result(config=config, simulation=simulation.run())
-
-
-def run_figure2_seeds(
-    seeds: Sequence[int],
-    config: Optional[Figure2Config] = None,
-    processes: Optional[int] = None,
-) -> List[Figure2Result]:
-    """Run the Figure 2 simulation once per seed, in seed order.
-
-    Seeds are independent runs, so they fan out over the parallel
-    runner (:mod:`repro.experiments.runner`); the result list matches
-    a serial loop exactly. ``processes=1`` forces serial."""
-    from repro.experiments.runner import parallel_map
-
-    base = config if config is not None else Figure2Config()
-    configs = [replace(base, seed=seed) for seed in seeds]
-    return parallel_map(run_figure2, configs, processes=processes)
 
 
 def paper_scale_config(seed: int = 0) -> Figure2Config:

@@ -14,7 +14,7 @@ stay within ~30% on average (max ~4.5x); hybrid trees within ~20%
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
@@ -173,20 +173,3 @@ def run_figure4(
             )
         sweep.finish(status="ok", sizes=len(result.points))
     return result
-
-
-def run_figure4_seeds(
-    seeds: Sequence[int],
-    config: Optional[Figure4Config] = None,
-    processes: Optional[int] = None,
-) -> List[Figure4Result]:
-    """Run the Figure 4 sweep once per seed, in seed order.
-
-    Seeds are independent runs, so they fan out over the parallel
-    runner (:mod:`repro.experiments.runner`); the result list matches
-    a serial loop exactly. ``processes=1`` forces serial."""
-    from repro.experiments.runner import parallel_map
-
-    base = config if config is not None else Figure4Config()
-    configs = [replace(base, seed=seed) for seed in seeds]
-    return parallel_map(run_figure4, configs, processes=processes)

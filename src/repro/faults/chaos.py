@@ -308,20 +308,3 @@ class ChaosHarness:
             tracer=tracer,
             metrics=metrics,
         )
-
-    def run_many(
-        self,
-        seeds: Sequence[int],
-        processes: Optional[int] = None,
-    ) -> List[ChaosResult]:
-        """One run per seed, in seed order.
-
-        Runs are seed-deterministic and independent, so they fan out
-        over the parallel runner (:mod:`repro.experiments.runner`);
-        the merged list is identical to a serial loop. The runner
-        falls back to serial when the scenario factory or the results
-        cannot cross a process boundary. ``processes=1`` forces
-        serial."""
-        from repro.experiments.runner import parallel_map
-
-        return parallel_map(self.run, seeds, processes=processes)

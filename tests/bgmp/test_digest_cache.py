@@ -14,12 +14,11 @@ import random
 
 import pytest
 
-from repro.bgmp.network import BgmpNetwork
 from repro.experiments.churn import (
-    COVERING_RANGE,
     ChurnConfig,
-    build_churn_schedule,
-    build_churn_topology,
+    build_network,
+    build_schedule,
+    build_topology,
     group_prefix,
 )
 from tests.conftest import recompute_everything
@@ -28,21 +27,15 @@ CONFIG = ChurnConfig(
     domains=40,
     group_domains=5,
     groups_per_domain=4,
-    initial_members=2,
-    churn_per_flap=25,
-    flaps=2,
+    churn_per_phase=25,
+    phases=2,
     maintain_every=5,
 )
 
 
 def _build_network() -> tuple:
-    topology = build_churn_topology(0, CONFIG.domains)
-    network = BgmpNetwork(topology)
-    network.originate_group_range(topology.domains[0], COVERING_RANGE)
-    for domain in topology.domains[1 : 1 + CONFIG.group_domains]:
-        network.originate_group_range(
-            domain, group_prefix(domain.domain_id)
-        )
+    topology = build_topology(CONFIG, seed=0)
+    network = build_network(CONFIG, topology)
     network.converge()
     return topology, network
 
@@ -56,7 +49,7 @@ def walk_everything(request):
 
 def test_digest_matches_reference_through_churn(walk_everything):
     topology, network = _build_network()
-    schedule = build_churn_schedule(CONFIG, seed=0)
+    schedule = build_schedule(CONFIG, seed=0)
 
     def check():
         assert network.forwarding_digest() == (

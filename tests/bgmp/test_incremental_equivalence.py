@@ -16,7 +16,7 @@ from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
 from repro.experiments.churn import (
     ChurnConfig,
-    build_churn_schedule,
+    build_schedule,
     run_churn_workload,
 )
 from repro.faults.chaos import ChaosHarness
@@ -33,9 +33,8 @@ SMALL = ChurnConfig(
     domains=16,
     group_domains=5,
     groups_per_domain=4,
-    initial_members=2,
-    churn_per_flap=12,
-    flaps=2,
+    churn_per_phase=12,
+    phases=2,
     maintain_every=4,
 )
 
@@ -79,8 +78,8 @@ class TestChurnWorkloadEquivalence:
         # The schedule is built before the network runs; both arms of
         # every seed replayed the same event list.
         for seed in SEEDS:
-            schedule = build_churn_schedule(SMALL, seed)
-            assert schedule == build_churn_schedule(SMALL, seed)
+            schedule = build_schedule(SMALL, seed)
+            assert schedule == build_schedule(SMALL, seed)
             kinds = {event[0] for event in schedule}
             assert {"join", "flap", "repair"} <= kinds
 

@@ -1,13 +1,14 @@
 """The parallel sweep runner: deterministic merge and graceful
-serial fallback, plus the fig2/fig4/chaos sweeps built on it."""
+serial fallback, plus fig2/fig4/chaos seed sweeps run through it."""
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.fig2 import Figure2Config, run_figure2_seeds
-from repro.experiments.fig4 import Figure4Config, run_figure4_seeds
+from repro.experiments.fig2 import Figure2Config, run_figure2
+from repro.experiments.fig4 import Figure4Config, run_figure4
 from repro.experiments.runner import (
     WorkerItemError,
     default_processes,
@@ -121,11 +122,16 @@ class TestParallelMap:
         assert default_processes(10_000) >= 1
 
 
+def _seeded(config, seeds):
+    return [replace(config, seed=seed) for seed in seeds]
+
+
 class TestSweepDeterminism:
     def test_fig2_parallel_matches_serial(self):
         seeds = (0, 1, 2)
-        serial = run_figure2_seeds(seeds, SMALL_FIG2, processes=1)
-        parallel = run_figure2_seeds(seeds, SMALL_FIG2, processes=3)
+        configs = _seeded(SMALL_FIG2, seeds)
+        serial = parallel_map(run_figure2, configs, processes=1)
+        parallel = parallel_map(run_figure2, configs, processes=3)
         assert [r.config.seed for r in parallel] == list(seeds)
         assert [r.table() for r in serial] == [
             r.table() for r in parallel
@@ -135,9 +141,9 @@ class TestSweepDeterminism:
         ]
 
     def test_fig4_parallel_matches_serial(self):
-        seeds = (0, 1, 2)
-        serial = run_figure4_seeds(seeds, SMALL_FIG4, processes=1)
-        parallel = run_figure4_seeds(seeds, SMALL_FIG4, processes=3)
+        configs = _seeded(SMALL_FIG4, (0, 1, 2))
+        serial = parallel_map(run_figure4, configs, processes=1)
+        parallel = parallel_map(run_figure4, configs, processes=3)
         assert [r.table() for r in serial] == [
             r.table() for r in parallel
         ]
@@ -146,8 +152,8 @@ class TestSweepDeterminism:
         harness = ChaosHarness(
             figure3_chaos_scenario, n_faults=1, sanitize=True
         )
-        serial = harness.run_many(range(3), processes=1)
-        parallel = harness.run_many(range(3))
+        serial = parallel_map(harness.run, range(3), processes=1)
+        parallel = parallel_map(harness.run, range(3))
         assert [r.forwarding_digest for r in serial] == [
             r.forwarding_digest for r in parallel
         ]

@@ -3,6 +3,7 @@
 import random
 
 from repro.addressing.prefix import Prefix
+from repro.experiments.runner import parallel_map
 from repro.faults.chaos import (
     ChaosHarness,
     ChaosScenario,
@@ -60,12 +61,12 @@ def build_scenario():
 class TestChaosRuns:
     def test_single_fault_seeds_pass_invariants(self):
         harness = ChaosHarness(build_scenario, n_faults=1)
-        for result in harness.run_many(range(5)):
+        for result in parallel_map(harness.run, range(5)):
             assert result.ok, (result.schedule, result.violations)
 
     def test_double_fault_seeds_pass_invariants(self):
         harness = ChaosHarness(build_scenario, n_faults=2)
-        for result in harness.run_many(range(5)):
+        for result in parallel_map(harness.run, range(5)):
             assert result.ok, (result.schedule, result.violations)
 
     def test_same_seed_is_deterministic(self):
@@ -78,7 +79,7 @@ class TestChaosRuns:
 
     def test_reconvergence_is_bounded(self):
         harness = ChaosHarness(build_scenario, n_faults=1)
-        for result in harness.run_many(range(5)):
+        for result in parallel_map(harness.run, range(5)):
             assert result.recoveries, result.schedule
             for record in result.recoveries:
                 assert record.converged

@@ -3,6 +3,7 @@ run twice under the invariant sanitizer, must agree on every
 observable — event counts, the fault log, final MASC claim tables,
 and a stable hash of the full BGMP forwarding state."""
 
+from repro.experiments.runner import parallel_map
 from repro.faults.chaos import ChaosHarness
 from repro.faults.scenarios import figure3_chaos_scenario as build_scenario
 
@@ -25,7 +26,7 @@ class TestSanitizedDoubleRun:
 
     def test_sanitized_runs_pass_invariants_across_seeds(self):
         harness = ChaosHarness(build_scenario, n_faults=1, sanitize=True)
-        for result in harness.run_many(range(5)):
+        for result in parallel_map(harness.run, range(5)):
             assert result.ok, (result.schedule, result.violations)
 
     def test_sanitize_off_leaves_fingerprints_populated(self):

@@ -7,6 +7,20 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: (argv, the flag its usage error names): numeric flags out of range.
+OUT_OF_RANGE = [
+    (["fig2", "--days", "-1"], "--days"),
+    (["fig2", "--every", "0"], "--every"),
+    (["fig4", "--trials", "0"], "--trials"),
+    (["fig4", "--nodes", "1"], "--nodes"),
+    (["trace", "chaos", "--faults", "-1"], "--faults"),
+    (["serve", "run", "chaos", "--sample-every", "0"], "--sample-every"),
+    (["serve", "run", "chaos", "--port", "99999"], "--port"),
+    (["soak", "run", "--segment-length", "-5"], "--segment-length"),
+    (["soak", "run", "--faults", "-2"], "--faults"),
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -53,6 +67,20 @@ class TestParser:
             main(["lint", "does-not-exist"])
         assert exc_info.value.code == 2
         assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag", OUT_OF_RANGE,
+        ids=[" ".join(argv) for argv, _flag in OUT_OF_RANGE],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, argv, flag, capsys):
+        # Rejected at parse time: none of these reaches the run, where
+        # each used to raise or silently do nothing.
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:
