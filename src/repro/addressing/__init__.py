@@ -2,9 +2,9 @@
 
 This package provides the CIDR machinery that MASC (section 4 of the
 paper) operates on: IPv4 address parsing/formatting, the :class:`Prefix`
-value type, binary prefix tries for free-space search, the claim-space
-allocator implementing the paper's "first sub-prefix of the shortest
-available mask" rule, and lifetime (lease) bookkeeping.
+value type and block sizing, binary prefix tries for free-space search
+(the candidate set of the claim rule, which :mod:`repro.masc.spaces`
+applies), and lifetime (lease) bookkeeping.
 """
 
 from repro.addressing.ipv4 import (
@@ -20,7 +20,6 @@ from repro.addressing.prefix import (
     coalesce,
 )
 from repro.addressing.trie import PrefixTrie
-from repro.addressing.allocator import AllocationError, PrefixAllocator
 from repro.addressing.leases import Lease, LeaseTable
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "aggregate_prefixes",
     "coalesce",
     "PrefixTrie",
-    "AllocationError",
-    "PrefixAllocator",
     "Lease",
     "LeaseTable",
 ]

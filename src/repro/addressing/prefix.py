@@ -214,6 +214,26 @@ class Prefix:
 MULTICAST_SPACE = Prefix(parse_address("224.0.0.0"), 4)
 
 
+def mask_length_for(address_count: int) -> int:
+    """Smallest mask length whose block holds ``address_count`` addresses.
+
+    >>> mask_length_for(1024)
+    22
+    >>> mask_length_for(1)
+    32
+    """
+    if address_count <= 0:
+        raise ValueError(f"address count must be positive: {address_count}")
+    size = 1
+    length = ADDRESS_BITS
+    while size < address_count:
+        size <<= 1
+        length -= 1
+        if length < 0:
+            raise ValueError(f"address count too large: {address_count}")
+    return length
+
+
 def coalesce(prefixes: Iterable[Prefix]) -> List[Prefix]:
     """Return the minimal sorted list of prefixes covering the same
     addresses as the input.

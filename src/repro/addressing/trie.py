@@ -202,11 +202,16 @@ class PrefixTrie:
                 stack.append((node.low, network, length))
         return found
 
-    def _free(self, limit: int) -> Iterator[Tuple[int, int]]:
+    def _free(
+        self, limit: int, narrow: bool = False
+    ) -> Iterator[Tuple[int, int]]:
         """(network, length) of every maximal free block no longer than
         /``limit``, in address order. A subtree is entered only while
         it is shorter than the limit and has a /``limit`` worth of
-        addresses unallocated."""
+        addresses unallocated. With ``narrow``, each block found lowers
+        the limit to its own length, so every later block is at least
+        as large and no subtree is entered that holds only smaller
+        ones."""
         space = self._space
         if limit < space.length:
             return
@@ -215,7 +220,10 @@ class PrefixTrie:
         while stack:
             node, network, length = stack.pop()
             if node is None or not node.used:
-                yield network, length
+                if length <= limit:
+                    yield network, length
+                    if narrow:
+                        limit, need = length, 1 << (32 - length)
             elif length < limit and node.used + need <= 1 << (32 - length):
                 length += 1
                 high = network | 1 << (32 - length)
@@ -246,8 +254,8 @@ class PrefixTrie:
         finds all the remaining prefixes of the shortest possible mask
         length, and randomly chooses one of them".
         """
-        blocks = list(self._free(needed_length))
-        best = min((length for _, length in blocks), default=None)
+        blocks = list(self._free(needed_length, narrow=True))
+        best = blocks[-1][1] if blocks else None
         return [Prefix(*block) for block in blocks if block[1] == best]
 
     def utilized(self) -> int:

@@ -109,10 +109,6 @@ class ForwardingEntry:
             return []
         return [t for t in self.targets() if t != arrived_from]
 
-    def has_target(self, target: Target) -> bool:
-        """True if ``target`` is the parent or a child."""
-        return target in self.targets()
-
     def __repr__(self) -> str:
         kind = (
             f"({self.source_domain.name},G)"

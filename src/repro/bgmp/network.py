@@ -72,16 +72,6 @@ class DeliveryReport:
         """True when any member in ``domain`` got the packet."""
         return self.deliveries.get(domain, 0) > 0
 
-    def visited_routers(self) -> List[BorderRouter]:
-        """Routers that processed the packet, in stable (domain id,
-        name) order — never the raw set, whose iteration order depends
-        on identity hashes and would leak nondeterminism into reports.
-        """
-        return sorted(
-            self._visited_routers,
-            key=lambda r: (r.domain.domain_id, r.name),
-        )
-
     def __repr__(self) -> str:
         return (
             f"DeliveryReport(deliveries={self.total_deliveries}, "

@@ -61,11 +61,6 @@ class BgmpRouter:
             group
         )
 
-    def in_root_domain(self, group: int) -> bool:
-        """True when this domain originated the covering group route."""
-        route = self.group_route(group)
-        return route is not None and route.is_local_origin
-
     def _parent_target(self, route: Optional[Route]) -> Optional[Target]:
         """The next hop towards the group's root domain, given this
         router's group route.

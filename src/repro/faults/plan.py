@@ -257,13 +257,6 @@ class FaultPlan:
         self.add(MessageLoss(at, until=at + duration, rate=rate))
         return self
 
-    def jittery_window(
-        self, at: float, duration: float, jitter: float
-    ) -> "FaultPlan":
-        """Schedule a delay-jitter window on the overlay."""
-        self.add(DelayJitter(at, until=at + duration, jitter=jitter))
-        return self
-
     # ------------------------------------------------------------------
     # Randomized schedules
 

@@ -11,8 +11,9 @@ Layers in this package:
 
 - :mod:`repro.masc.config` — tunables (occupancy threshold, waiting
   period, claim policy, block parameters).
-- :mod:`repro.masc.spaces` — a domain's claimed address spaces and the
-  allocations (MAAS blocks, child claims) living inside them.
+- :mod:`repro.masc.spaces` — a domain's claimed address spaces, the
+  allocations (MAAS blocks, child claims) living inside them, and
+  ``select_claim``, the claim rule's one selection step.
 - :mod:`repro.masc.manager` — the claim algorithm of section 4.3.3:
   sizing, doubling vs. new-prefix expansion, active/inactive prefixes,
   release of drained space.

@@ -25,15 +25,10 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional
 
-from repro.addressing.allocator import (
-    AllocationError,
-    PrefixAllocator,
-    mask_length_for,
-)
 from repro.addressing.leases import LeaseTable
-from repro.addressing.prefix import MULTICAST_SPACE, Prefix
+from repro.addressing.prefix import MULTICAST_SPACE, Prefix, mask_length_for
 from repro.masc.config import MascConfig
-from repro.masc.spaces import AddressPool, ClaimedSpace
+from repro.masc.spaces import AddressPool, ClaimedSpace, select_claim
 from repro.sim.randomness import default_stream
 from repro.trace.tracer import NULL_TRACER
 
@@ -89,55 +84,36 @@ class RootClaimSource(ClaimSource):
 
     def __init__(self, space: Prefix = MULTICAST_SPACE):
         self.space = space
-        self._allocator = PrefixAllocator(space)
+        self._claims = ClaimedSpace(space)
 
     def select_claim(self, length, rng, policy):
-        allocator = self._allocator
-        candidates = allocator.candidates(length)
-        if not candidates:
-            return None
-        if policy == "first":
-            block = min(candidates)
-        else:
-            block = rng.choice(candidates)
-        return block.first_subprefix(length)
+        return select_claim((self._claims,), length, rng, policy)
 
     def commit_claim(self, prefix):
-        if not self._allocator.is_free(prefix):
-            return False
-        self._allocator.claim_exact(prefix)
-        return True
+        return self._claims.allocate_exact(prefix)
 
     def grow_claim(self, prefix):
-        if not self._allocator.can_double(prefix):
-            return False
-        self._allocator.double(prefix)
-        return True
+        return self._claims.double_allocation(prefix)
 
     def can_grow_claim(self, prefix):
-        return self._allocator.can_double(prefix)
+        return self._claims.can_double_allocation(prefix)
 
     def release_claim(self, prefix):
-        self._allocator.release(prefix)
+        self._claims.free(prefix)
 
     def renew_claim(self, prefix):
         return True
 
     def shrink_claim(self, prefix):
-        if prefix.length >= 32 or prefix not in self._allocator.trie:
-            return False
-        low, _ = prefix.children()
-        self._allocator.release(prefix)
-        self._allocator.claim_exact(low)
-        return True
+        return self._claims.halve_allocation(prefix)
 
     def allocated(self) -> List[Prefix]:
         """All top-level claims currently outstanding."""
-        return self._allocator.allocations()
+        return self._claims.allocations()
 
     def allocated_total(self) -> int:
         """Total addresses claimed out of the root space."""
-        return self._allocator.utilized()
+        return self._claims.used
 
 
 class DomainSpaceManager(ClaimSource):
@@ -553,12 +529,14 @@ class DomainSpaceManager(ClaimSource):
     # ClaimSource role (this manager as a parent of child domains)
 
     def select_claim(self, length, rng, policy):
-        candidate = self.pool.select_range(length, rng, policy)
+        candidate = select_claim(
+            self.pool.active_spaces(), length, rng, policy
+        )
         if candidate is not None:
             return candidate
         if not self.expand(length):
             return None
-        return self.pool.select_range(length, rng, policy)
+        return select_claim(self.pool.active_spaces(), length, rng, policy)
 
     def commit_claim(self, prefix):
         if not self.pool.allocate_exact(prefix):
@@ -577,16 +555,10 @@ class DomainSpaceManager(ClaimSource):
             # as demand ramps).
             if not self._grow_own_space(space):
                 return False
-        if prefix.length <= space.prefix.length:
+        if not space.double_allocation(prefix):
             return False
-        space.free(prefix)
-        if space.allocate_exact(prefix.parent()):
-            self.maybe_proactive_expand()
-            return True
-        # Buddy taken: restore the original claim.
-        if not space.allocate_exact(prefix):
-            raise RuntimeError(f"failed to restore claim {prefix}")
-        return False
+        self.maybe_proactive_expand()
+        return True
 
     def can_grow_claim(self, prefix):
         space = self.pool.space_of(prefix)
@@ -595,9 +567,7 @@ class DomainSpaceManager(ClaimSource):
         if prefix == space.prefix:
             # Growing would require doubling our own space first.
             return self.source.can_grow_claim(space.prefix)
-        if prefix.length <= space.prefix.length:
-            return False
-        return space.is_free(prefix.buddy())
+        return space.can_double_allocation(prefix)
 
     def release_claim(self, prefix):
         self.pool.free(prefix)
@@ -608,16 +578,8 @@ class DomainSpaceManager(ClaimSource):
         return space is not None and space.active
 
     def shrink_claim(self, prefix):
-        if prefix.length >= 32:
-            return False
         space = self.pool.space_of(prefix)
-        if space is None or not space.is_allocated(prefix):
-            return False
-        low, _ = prefix.children()
-        space.free(prefix)
-        if not space.allocate_exact(low):
-            raise RuntimeError(f"failed to halve claim {prefix}")
-        return True
+        return space is not None and space.halve_allocation(prefix)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -40,6 +40,7 @@ from repro.masc.messages import (
     RenewalMessage,
     SpaceAdvertisement,
 )
+from repro.masc.spaces import ClaimedSpace, select_claim
 from repro.sim.engine import Event, Simulator
 from repro.trace.tracer import NULL_SPAN, NULL_TRACER
 
@@ -409,36 +410,19 @@ class MascNode:
     def _select(self, length: int) -> Optional[Prefix]:
         """The claim algorithm's selection step against this node's
         *local view*: parent spaces minus heard claims, own claims, and
-        own pending claims."""
+        own pending claims. Each range is booked into a throwaway view
+        of each parent space; one outside a view, or overlapping a range
+        already booked there, is skipped."""
         taken = list(self.heard_claims)
         taken.extend(self.claimed.prefixes())
         taken.extend(p.prefix for p in self._pending)
-        candidates: List[Prefix] = []
-        for space in self.parent_spaces:
-            candidates.extend(
-                self._free_blocks_in(space, taken, length)
-            )
-        if not candidates:
-            return None
-        best = min(p.length for p in candidates)
-        shortlist = [p for p in candidates if p.length == best]
-        if self.config.claim_policy == "first":
-            block = min(shortlist)
-        else:
-            block = self.rng.choice(shortlist)
-        return block.first_subprefix(length)
-
-    @staticmethod
-    def _free_blocks_in(
-        space: Prefix, taken: List[Prefix], length: int
-    ) -> List[Prefix]:
-        from repro.addressing.trie import PrefixTrie
-
-        trie = PrefixTrie(space)
-        for prefix in taken:
-            if space.contains(prefix) and not trie.overlapping(prefix):
-                trie.insert(prefix)
-        return trie.shortest_free_prefixes(length)
+        views = [ClaimedSpace(space) for space in self.parent_spaces]
+        for view in views:
+            for prefix in taken:
+                view.allocate_exact(prefix)
+        return select_claim(
+            views, length, self.rng, self.config.claim_policy
+        )
 
     def _confirm(self, prefix: Prefix, serial: int) -> None:
         pending = self._find_pending(serial)

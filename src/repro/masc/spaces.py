@@ -1,26 +1,29 @@
-"""A domain's claimed address spaces.
+"""Claimed address spaces and the MASC claim rule.
 
 A :class:`ClaimedSpace` is one prefix a domain has successfully claimed
 from its parent, together with the allocations living inside it (MAAS
-blocks and child-domain claims). A space is *active* while new
-allocations may be placed in it; consolidation marks old spaces
-inactive, and drained inactive spaces are released back to the parent
-(section 4.3.3: "the old prefixes are made inactive and will timeout
-when the currently allocated addresses timeout").
+blocks and child-domain claims), and the in-place doubling and halving
+of those allocations. A space is *active* while new allocations may be
+placed in it; consolidation marks old spaces inactive, and drained
+inactive spaces are released back to the parent (section 4.3.3: "the
+old prefixes are made inactive and will timeout when the currently
+allocated addresses timeout").
 
 :class:`AddressPool` is the set of a domain's spaces with pool-wide
-queries (live addresses, total size, selection of a free range across
-all active spaces).
+queries (live addresses, total size, first-fit block placement).
+
+:func:`select_claim` is the selection step of section 4.3.3, the one
+copy of it: the root space, a manager's pool and a protocol node's
+local view of its parent's ranges all select through it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import PrefixTrie
-from repro.sim.randomness import default_stream
 
 
 class ClaimedSpace:
@@ -54,45 +57,15 @@ class ClaimedSpace:
         """Interior allocations, sorted."""
         return self._trie.allocations()
 
-    def can_fit(self, length: int) -> bool:
-        """True if a /``length`` range fits in this space's free gaps."""
-        return bool(self._trie.shortest_free_prefixes(length))
-
-    def candidates(self, length: int) -> List[Prefix]:
-        """Shortest-mask free blocks that can host a /``length``."""
-        return self._trie.shortest_free_prefixes(length)
-
     def lowest_fit(self, length: int) -> Optional[Prefix]:
         """The lowest-addressed free /``length`` range, if any
         (without allocating it)."""
         return self._trie.lowest_fit(length)
 
-    def allocate_first_fit(self, length: int) -> Optional[Prefix]:
-        """Allocate the lowest-addressed free /``length`` range.
-
-        Used for MAAS block placement: packing low keeps spaces dense
-        so doubling and release work well.
-        """
-        block = self.lowest_fit(length)
-        if block is not None:
-            self._trie.insert(block)
-        return block
-
     def upper_half_empty(self) -> bool:
         """True when no interior allocation touches the buddy (upper)
         half of this space — the precondition for halving in place."""
         return self._trie.upper_half_empty()
-
-    def is_free(self, prefix: Prefix) -> bool:
-        """True when ``prefix`` lies in this space and overlaps no
-        interior allocation."""
-        return self.prefix.contains(prefix) and not self._trie.overlapping(
-            prefix
-        )
-
-    def is_allocated(self, prefix: Prefix) -> bool:
-        """True when exactly ``prefix`` is an interior allocation."""
-        return prefix in self._trie
 
     def allocate_exact(self, prefix: Prefix) -> bool:
         """Allocate a specific interior range (a child's chosen claim).
@@ -109,6 +82,36 @@ class ClaimedSpace:
     def free(self, prefix: Prefix) -> None:
         """Release an interior allocation."""
         self._trie.remove(prefix)
+
+    def can_double_allocation(self, prefix: Prefix) -> bool:
+        """True when interior allocation ``prefix`` can grow in place
+        to ``prefix.parent()``: it is allocated, smaller than this
+        space, and its buddy is free."""
+        return (
+            prefix.length > self.prefix.length
+            and prefix in self._trie
+            and not self._trie.overlapping(prefix.buddy())
+        )
+
+    def double_allocation(self, prefix: Prefix) -> bool:
+        """Replace interior allocation ``prefix`` by its parent (the
+        paper's "double one of its active prefixes"). False, changing
+        nothing, unless :meth:`can_double_allocation`."""
+        if not self.can_double_allocation(prefix):
+            return False
+        self._trie.remove(prefix)
+        self._trie.insert(prefix.parent())
+        return True
+
+    def halve_allocation(self, prefix: Prefix) -> bool:
+        """Replace interior allocation ``prefix`` by its lower half,
+        freeing the upper half. False when ``prefix`` is not allocated
+        here or is a /32."""
+        if prefix.length >= 32 or prefix not in self._trie:
+            return False
+        self._trie.remove(prefix)
+        self._trie.insert(prefix.children()[0])
+        return True
 
     def contains(self, prefix: Prefix) -> bool:
         """True if ``prefix`` lies inside this space."""
@@ -203,33 +206,6 @@ class AddressPool:
         space.prefix = space._trie.halve()
         return space
 
-    def select_range(
-        self,
-        length: int,
-        rng: Optional[random.Random] = None,
-        policy: str = "random",
-    ) -> Optional[Prefix]:
-        """Pick a free /``length`` range across all active spaces using
-        the paper's claim rule: collect the free blocks of the shortest
-        available mask over every active space, choose one (randomly by
-        default), take its first sub-prefix. Returns None when nothing
-        fits. Does not allocate.
-        """
-        candidates: List[Prefix] = []
-        for space in self.active_spaces():
-            candidates.extend(space.candidates(length))
-        if not candidates:
-            return None
-        best = min(p.length for p in candidates)
-        shortlist = [p for p in candidates if p.length == best]
-        if policy == "first":
-            block = min(shortlist)
-        else:
-            if rng is None:
-                rng = default_stream("masc/spaces/select")
-            block = rng.choice(shortlist)
-        return block.first_subprefix(length)
-
     def allocate_exact(self, prefix: Prefix) -> bool:
         """Allocate a specific range in whichever space contains it."""
         space = self.space_of(prefix)
@@ -265,3 +241,33 @@ class AddressPool:
         """Inactive spaces with no interior allocations left (ready to
         be released to the parent)."""
         return [s for s in self._spaces if not s.active and s.is_empty]
+
+
+def select_claim(
+    spaces: Iterable[ClaimedSpace],
+    length: int,
+    rng: random.Random,
+    policy: str,
+) -> Optional[Prefix]:
+    """The claim algorithm's selection step (section 4.3.3): "it finds
+    all the remaining prefixes of the shortest possible mask length,
+    and randomly chooses one of them", then returns the first
+    /``length`` sub-prefix of the chosen block. Allocates nothing.
+
+    Free blocks are gathered space by space in the order given, each
+    space's in address order, and one ``rng.choice`` picks among them;
+    the ``"first"`` policy takes the lowest instead. None when no
+    space has room.
+    """
+    candidates: List[Prefix] = []
+    for space in spaces:
+        candidates.extend(space._trie.shortest_free_prefixes(length))
+    if not candidates:
+        return None
+    best = min(p.length for p in candidates)
+    shortlist = [p for p in candidates if p.length == best]
+    if policy == "first":
+        block = min(shortlist)
+    else:
+        block = rng.choice(shortlist)
+    return block.first_subprefix(length)

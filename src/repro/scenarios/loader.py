@@ -797,7 +797,7 @@ def load_scenario(path) -> ScenarioSpec:
     file_path = Path(path)
     try:
         text = file_path.read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ScenarioError(
             f"cannot read scenario: {error}", str(path)
         ) from None

@@ -10,7 +10,7 @@ seed from the spec, never from global state.
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.scenarios.spec import ScenarioError, TopologySpec
 from repro.topology.domain import BorderRouter, Domain, DomainKind
@@ -120,14 +120,3 @@ def router_index(topology: Topology) -> Dict[str, BorderRouter]:
 def domain_index(topology: Topology) -> Dict[str, Domain]:
     """Domain name -> domain."""
     return {domain.name: domain for domain in topology.domains}
-
-
-def resolve_host(topology: Topology, ref: str) -> Tuple[Domain, str]:
-    """Split a ``DOMAIN:HOST`` reference (hosts are created on
-    demand, so only the domain part must already exist)."""
-    domain_name, sep, host_name = ref.partition(":")
-    if not sep or not host_name:
-        raise ScenarioError(
-            f"host reference {ref!r} must be DOMAIN:HOST"
-        )
-    return topology.domain(domain_name), host_name

@@ -419,10 +419,6 @@ class StatRegistry:
         """All gauges by key."""
         return dict(self._gauges)
 
-    def all_histograms(self) -> Dict[str, Histogram]:
-        """All histograms by key."""
-        return dict(self._histograms)
-
     def merge_counts(self, counts: Dict[str, int], **labels: Any) -> None:
         """Absorb a ``{name: count}`` mapping (the shape the protocol
         layers expose ad-hoc counters in) as labelled counters."""

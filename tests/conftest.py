@@ -1,6 +1,7 @@
 """Shared pytest options and the recompute-everything oracle."""
 
 import contextlib
+import logging
 
 import pytest
 
@@ -22,6 +23,18 @@ def pytest_addoption(parser):
 def regen_golden(request):
     """True when the run should rewrite golden snapshots."""
     return request.config.getoption("--regen-golden")
+
+
+@pytest.fixture(autouse=True)
+def restore_repro_logger():
+    """Put the ``repro`` logger back after each test. ``repro.cli.main``
+    gives it a handler on the current (captured, later closed) stderr
+    and stops propagation, which would hide every later test's records
+    from ``caplog``."""
+    logger = logging.getLogger("repro")
+    saved = (logger.handlers[:], logger.level, logger.propagate)
+    yield
+    logger.handlers[:], logger.level, logger.propagate = saved
 
 
 @contextlib.contextmanager

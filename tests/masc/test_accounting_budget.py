@@ -49,7 +49,7 @@ def _family():
     assert parent.commit_claim(claim)
     space = child.pool.add(claim)
     for _ in range(BLOCKS):
-        assert space.allocate_first_fit(24) is not None
+        assert child.pool.allocate_block(24) is not None
     return parent, child, space
 
 

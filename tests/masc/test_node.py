@@ -65,6 +65,26 @@ class TestBasicClaim:
         second = b.start_claim(6)
         assert not first.overlaps(second)
 
+    def test_top_level_claim_follows_paper_example(self):
+        # Section 4.3.3's example through the protocol: with 224.0.1/24
+        # and 239/8 heard, a /22 is the first /22 of 228/6 or 232/6.
+        # A heard range overlapping one already booked is skipped.
+        heard = ("224.0.1.0/24", "239.0.0.0/8", "239.1.0.0/16")
+        choices = {Prefix.parse("228.0.0.0/22"), Prefix.parse("232.0.0.0/22")}
+        seen = set()
+        for node_id in range(20):
+            sim, overlay = make_overlay()
+            policy = "first" if node_id == 0 else "random"
+            node = make_node(node_id, "T", overlay, claim_policy=policy)
+            for text in heard:
+                node.heard_claims[Prefix.parse(text)] = 99
+            prefix = node.start_claim(22)
+            if node_id == 0:
+                assert prefix == Prefix.parse("228.0.0.0/22")
+            assert node.pending_claims() == [(prefix, 1)]
+            seen.add(prefix)
+        assert seen == choices
+
     def test_no_space_fails_immediately(self):
         sim, overlay = make_overlay()
         node = make_node(0, "A", overlay)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.addressing.prefix import Prefix
-from repro.masc.spaces import AddressPool, ClaimedSpace
+from repro.masc.spaces import AddressPool, ClaimedSpace, select_claim
 
 
 P16 = Prefix.parse("224.1.0.0/16")
@@ -43,25 +43,29 @@ class TestClaimedSpace:
         assert space.lowest_fit(24) == P24B
 
     def test_allocate_first_fit_packs_low(self):
-        space = ClaimedSpace(P16)
-        first = space.allocate_first_fit(24)
-        second = space.allocate_first_fit(24)
+        pool = AddressPool()
+        pool.add(P16)
+        first = pool.allocate_block(24)
+        second = pool.allocate_block(24)
         assert first == P24A
         assert second == P24B
 
     def test_first_fit_reuses_gap(self):
-        space = ClaimedSpace(P16)
-        a = space.allocate_first_fit(24)
-        space.allocate_first_fit(24)
-        space.free(a)
-        assert space.allocate_first_fit(24) == a
+        pool = AddressPool()
+        pool.add(P16)
+        a = pool.allocate_block(24)
+        pool.allocate_block(24)
+        pool.free(a)
+        assert pool.allocate_block(24) == a
 
     def test_can_fit(self):
         space = ClaimedSpace(Prefix.parse("224.1.0.0/24"))
-        assert space.can_fit(24)
+        assert select_claim([space], 24, None, "first") is not None
         space.allocate_exact(Prefix.parse("224.1.0.0/25"))
-        assert not space.can_fit(24)
-        assert space.can_fit(25)
+        assert select_claim([space], 24, None, "first") is None
+        assert select_claim([space], 25, None, "first") == Prefix.parse(
+            "224.1.0.128/25"
+        )
 
     def test_full_space_has_no_fit(self):
         space = ClaimedSpace(Prefix.parse("224.1.0.0/24"))
@@ -74,8 +78,9 @@ class TestClaimedSpace:
             raise AssertionError("ClaimedSpace built a random.Random")
 
         monkeypatch.setattr(random, "Random", refuse)
-        space = ClaimedSpace(P16)
-        assert space.allocate_first_fit(24) == P24A
+        pool = AddressPool()
+        pool.add(P16)
+        assert pool.allocate_block(24) == P24A
 
 
 class TestAddressPool:
@@ -125,30 +130,36 @@ class TestAddressPool:
         space.active = True
         assert pool.allocate_block(24) is not None
 
-    def test_select_range_shortest_mask_rule(self):
+    def test_select_claim_shortest_mask_rule(self):
         pool = AddressPool()
         pool.add(Prefix.parse("224.0.0.0/16"))
+        pool.add(Prefix.parse("226.0.0.0/18"))
         pool.allocate_exact(Prefix.parse("224.0.0.0/17"))
-        # Largest free block is 224.0.128.0/17; first /24 inside it.
-        choice = pool.select_range(24, policy="first")
+        # Largest free block over both spaces is 224.0.128.0/17 (the
+        # /18 loses); first /24 inside it.
+        choice = select_claim(pool.active_spaces(), 24, None, "first")
         assert choice == Prefix.parse("224.0.128.0/24")
 
-    def test_select_range_random_spans_spaces(self):
+    def test_select_claim_random_spans_spaces(self):
         pool = AddressPool()
         pool.add(Prefix.parse("224.0.0.0/24"))
         pool.add(Prefix.parse("226.0.0.0/24"))
         rng = random.Random(1)
-        seen = {pool.select_range(26, rng=rng) for _ in range(50)}
+        seen = {
+            select_claim(pool.active_spaces(), 26, rng, "random")
+            for _ in range(50)
+        }
         assert seen == {
             Prefix.parse("224.0.0.0/26"),
             Prefix.parse("226.0.0.0/26"),
         }
 
-    def test_select_range_none_when_full(self):
+    def test_select_claim_none_when_full(self):
         pool = AddressPool()
         pool.add(Prefix.parse("224.0.0.0/24"))
         pool.allocate_exact(Prefix.parse("224.0.0.0/24"))
-        assert pool.select_range(24) is None
+        rng = random.Random(0)
+        assert select_claim(pool.active_spaces(), 24, rng, "random") is None
 
     def test_grow_space_preserves_allocations(self):
         pool = AddressPool()

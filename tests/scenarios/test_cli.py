@@ -179,6 +179,17 @@ class TestValidateAndList:
         assert "1 invalid" in captured.out
         assert f"{path}:7:" in captured.err
 
+    def test_validate_undecodable_file_counts_as_invalid(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.toml"
+        path.write_bytes(b'[scenario]\nname = "x\xff"\n')
+        assert main(["scenarios", "validate", ONE_SCENARIO, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "2 scenario file(s): 1 valid, 1 invalid" in captured.out
+        assert f"ERROR {path}: cannot read scenario:" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_list_names_every_scenario(self, capsys):
         assert main(
             ["scenarios", "list", "--dir", str(SCENARIO_DIR)]
