@@ -60,8 +60,8 @@ class EventDrivenBgp(BgpNetwork):
         self._export_dirty.clear()
 
     # ------------------------------------------------------------------
-    # Origination (schedules propagation instead of waiting for a
-    # synchronous converge call)
+    # Origination and faults (schedule propagation instead of waiting
+    # for a synchronous converge call)
 
     def inject(
         self,
@@ -86,16 +86,31 @@ class EventDrivenBgp(BgpNetwork):
             self._propagate()
         return changed
 
+    def set_session_state(
+        self, a: BorderRouter, b: BorderRouter, up: bool
+    ) -> None:
+        super().set_session_state(a, b, up)
+        self._propagate()
+
+    def fail_router(self, router: BorderRouter) -> None:
+        super().fail_router(router)
+        self._propagate()
+
+    def restore_router(self, router: BorderRouter) -> None:
+        super().restore_router(router)
+        self._propagate()
+
     # ------------------------------------------------------------------
     # Event flow
 
     def _propagate(self) -> None:
-        """Rerun every pending decision, then schedule a send on each
-        live session of every speaker left with keys to export; keys
-        that move while a send is pending join it."""
+        """Rerun every pending decision of a live router, then schedule
+        a send on each live session of every speaker left with keys to
+        export; keys that move while a send is pending join it."""
         rank = {
             speaker: (speaker.domain.domain_id, speaker.router.name)
             for speaker in (*self._dirty, *self._export_dirty)
+            if self.router_up(speaker.router)
         }
         for speaker, keys in self._run_decisions(rank):
             router = speaker.router
@@ -110,9 +125,12 @@ class EventDrivenBgp(BgpNetwork):
 
     def _send_update(self, router: BorderRouter, peer: BorderRouter) -> None:
         keys = self._pending_send.pop((router, peer))
-        update = self._session_update(
-            router, peer, self._best_routes(self.speaker(router), keys, [peer])
-        )
+        if not self.session_up(router, peer):
+            return
+        terms = self._session_terms(router, peer)
+        bests = self._best_routes(self.speaker(router), keys, [peer])
+        exports = self._exports(router, terms, bests)
+        update = self._session_diff(router, peer, exports)
         if update.is_empty:
             return
         self.updates_sent += 1
@@ -134,6 +152,9 @@ class EventDrivenBgp(BgpNetwork):
         receiver: BorderRouter,
         update: UpdateMessage,
     ) -> None:
+        # A session that went down took its UPDATEs in flight with it.
+        if not self.session_up(sender, receiver):
+            return
         self._apply_update(sender, receiver, update)
         self._propagate()
 

@@ -43,6 +43,8 @@ from repro.trace.tracer import NULL_TRACER
 
 #: A directed peering session: (sender router, receiver router).
 Session = Tuple[BorderRouter, BorderRouter]
+#: What an export depends on besides route and sender (``None``: iBGP).
+Terms = Optional[Tuple[bool, str, str]]
 
 
 def mark_pending(
@@ -132,6 +134,8 @@ class BgpNetwork:
         #: receiver-relative form and before its loop check. A session
         #: without an entry has advertised nothing.
         self._advertised: Dict[Session, Dict[Key, Route]] = {}
+        #: Per router, its live (peer, terms) sessions; cleared on change.
+        self._sessions: Dict[BorderRouter, List] = {}
         #: Per-domain cache of originated prefixes by type, and the
         #: network-wide longest-match index of GROUP origins; both are
         #: invalidated by :meth:`origins_changed`.
@@ -200,6 +204,7 @@ class BgpNetwork:
         receivers hold, and the full re-export is diffed against them."""
         self._own_prefix_cache.clear()
         self._origin_index = None
+        self._sessions.clear()
         for speaker in self.speakers.values():
             self.speaker_dirty(speaker)
         # Delta subscribers cannot trust the stream across a topology
@@ -258,6 +263,7 @@ class BgpNetwork:
             found = self._new_speaker(router)
             self.speakers[router] = found
             # Existing neighbors must send to the newcomer.
+            self._sessions.clear()
             self._reexport_peers(router)
         return found
 
@@ -348,14 +354,13 @@ class BgpNetwork:
         tables, so no explicit replay is needed.
         """
         key = frozenset((a, b))
+        if up == (key not in self._down_sessions):
+            return
+        self._sessions.clear()
         if up:
-            if key not in self._down_sessions:
-                return
             self._down_sessions.discard(key)
             for router in (a, b):
                 self.speaker_dirty(self.speaker(router))
-            return
-        if key in self._down_sessions:
             return
         self._down_sessions.add(key)
         self.speaker(a).drop_session(b)
@@ -374,6 +379,7 @@ class BgpNetwork:
         if router in self._down_routers:
             return
         self._down_routers.add(router)
+        self._sessions.clear()
         for peer in self._peers(router):
             peer_speaker = self.speakers.get(peer)
             if peer_speaker is not None:
@@ -387,6 +393,7 @@ class BgpNetwork:
         if router not in self._down_routers:
             return
         self._down_routers.discard(router)
+        self._sessions.clear()
         self.speaker_dirty(self.speaker(router))
         self._reexport_peers(router)
 
@@ -419,14 +426,13 @@ class BgpNetwork:
         """Run synchronous update rounds, reporting rather than raising
         on a budget overrun.
 
-        Each round: the exporting speakers re-evaluate the exports of
-        their pending keys on every live session, every key whose
-        export differs from the session's advertised table is
-        delivered (one UPDATE per session that carried any, counted in
-        :attr:`updates_sent`), then every speaker that received one
-        reruns the decision process for the delivered keys. Crashed
-        routers and down sessions carry nothing — their routes were
-        withdrawn when the fault hit.
+        Each round: the exporting speakers export their pending keys
+        once per distinct session terms, every key whose export differs
+        from a live session's advertised table is delivered (one UPDATE
+        per session that carried any, counted in :attr:`updates_sent`),
+        then every speaker that received one reruns the decision process
+        for the delivered keys. Crashed routers and down sessions carry
+        nothing — their routes were withdrawn when the fault hit.
 
         The first round exports the keys left pending by mutation
         hooks plus whatever the initial decision pass moves; later
@@ -451,12 +457,18 @@ class BgpNetwork:
                     round_updates = 0
                     for speaker, keys in exporters:
                         router = speaker.router
-                        peers = self._live_peers(router)
-                        bests = self._best_routes(speaker, keys, peers)
-                        for peer in peers:
-                            update = self._session_update(
-                                router, peer, bests
-                            )
+                        sessions = self._live_sessions(router)
+                        bests = self._best_routes(
+                            speaker, keys, (peer for peer, _ in sessions)
+                        )
+                        exports = {}
+                        for peer, terms in sessions:
+                            routes = exports.get(terms)
+                            if routes is None:
+                                routes = exports[terms] = self._exports(
+                                    router, terms, bests
+                                )
+                            update = self._session_diff(router, peer, routes)
                             if not update.is_empty:
                                 self._apply_update(router, peer, update)
                                 round_updates += 1
@@ -514,16 +526,22 @@ class BgpNetwork:
         ordered.extend(r for r in self.speakers if r not in known)
         return ordered
 
+    def _live_sessions(self, router: BorderRouter) -> List:
+        """``router``'s live sessions as (peer, terms), cached."""
+        if router not in self._sessions:
+            self._sessions[router] = [
+                (peer, self._session_terms(router, peer))
+                for peer in self._peers(router)
+                if self.session_up(router, peer)
+            ]
+        return self._sessions[router]
+
     def _live_peers(self, router: BorderRouter) -> List[BorderRouter]:
-        return [
-            peer
-            for peer in self._peers(router)
-            if self.session_up(router, peer)
-        ]
+        return [peer for peer, _ in self._live_sessions(router)]
 
     # ------------------------------------------------------------------
-    # Export and delivery, one key at a time (shared with the
-    # event-driven schedule in ``repro.bgp.events``)
+    # Export once per terms class, diff and deliver per session (shared
+    # with the event-driven schedule in ``repro.bgp.events``)
 
     def _best_routes(
         self,
@@ -544,22 +562,23 @@ class BgpNetwork:
             for key in sorted(keys, key=key_order)
         ]
 
-    def _session_update(
-        self,
-        router: BorderRouter,
-        peer: BorderRouter,
-        bests: List[Tuple[Key, Optional[Route]]],
+    def _exports(
+        self, router: BorderRouter, terms: Terms, bests: List
+    ) -> List[Tuple[Key, Optional[Route]]]:
+        """``bests`` as the sessions of ``router`` with ``terms`` get them."""
+        return [
+            (key, None if best is None else self._export(best, router, terms))
+            for key, best in bests
+        ]
+
+    def _session_diff(
+        self, router: BorderRouter, peer: BorderRouter, exports: List
     ) -> UpdateMessage:
-        """Re-evaluate the exports of ``bests`` on the session to
-        ``peer``, bring the advertised table up to date and return the
-        difference as the UPDATE to deliver."""
+        """Bring the advertised table of the session to ``peer`` up to
+        date with ``exports``; the difference is the UPDATE to deliver."""
         table = self._advertised.get((router, peer), {})
-        terms = self._session_terms(router, peer)
         update = UpdateMessage()
-        for key, best in bests:
-            route = (
-                None if best is None else self._export(best, router, terms)
-            )
+        for key, route in exports:
             if route == table.get(key):
                 continue
             if route is None:
@@ -588,7 +607,7 @@ class BgpNetwork:
 
     def _session_terms(
         self, router: BorderRouter, peer: BorderRouter
-    ) -> Optional[Tuple[bool, str, str]]:
+    ) -> Terms:
         """What an export on the external session router -> peer
         depends on besides the route: whether the link carries
         multicast, what the peer's domain is to ours (export policy)
@@ -607,7 +626,7 @@ class BgpNetwork:
         self,
         route: Route,
         router: BorderRouter,
-        terms: Optional[Tuple[bool, str, str]],
+        terms: Terms,
     ) -> Optional[Route]:
         """The best route ``route`` of ``router`` as the peer of a
         session with ``terms`` receives it, or ``None`` when it is not
@@ -713,8 +732,8 @@ class BgpNetwork:
     # Fingerprints
 
     def rib_digest(self) -> str:
-        """SHA-256 over every live Loc-RIB in canonical order — the
-        fingerprint the equivalence tests compare against the oracle."""
+        """SHA-256 over every router's Loc-RIB in canonical order; a
+        crashed router contributes its header line only."""
         digest = hashlib.sha256()
         for router in self._ordered_routers():
             speaker = self.speakers[router]

@@ -17,8 +17,8 @@ from repro.addressing.prefix import Prefix
 from repro.topology.domain import BorderRouter
 
 
-class RouteType(Enum):
-    """Logical routing-table view a route belongs to."""
+class RouteType(str, Enum):
+    """Logical routing-table view of a route (``str``: keys hash in C)."""
 
     UNICAST = "unicast"
     MRIB = "mrib"

@@ -78,7 +78,8 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "_search",
     }),
     # The topology identity classes reconstruct via __reduce__ (hash
-    # attributes first, remaining state second).
+    # attributes first, remaining state second). A router's _hash is
+    # left out of its pickled state and recomputed by _restore_keyed.
     "repro.topology.domain:Domain": frozenset({
         "domain_id",
         "name",
@@ -93,6 +94,7 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "name",
         "domain",
         "external_neighbors",
+        "_hash",
     }),
     "repro.topology.domain:Host": frozenset({
         "name",

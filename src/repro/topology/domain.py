@@ -21,10 +21,14 @@ def _restore_keyed(cls: type, identity: Dict[str, object]) -> object:
     (cyclic) state, so the default pickle path can try to hash a
     half-restored instance. Reconstructing through this helper sets the
     identity attributes before any container re-insertion happens; the
-    remaining state follows through ``__setstate__`` as usual.
+    remaining state follows through ``__setstate__`` as usual. A
+    router's cached hash is recomputed here, never unpickled: string
+    hashes differ between processes.
     """
     obj = cls.__new__(cls)
     obj.__dict__.update(identity)
+    if cls is BorderRouter:
+        obj._hash = hash((obj.domain.domain_id, obj.name))
     return obj
 
 
@@ -151,6 +155,7 @@ class BorderRouter:
         self.name = name
         self.domain = domain
         self.external_neighbors: List["BorderRouter"] = []
+        self._hash = hash((domain.domain_id, name))
 
     def add_external_neighbor(self, other: "BorderRouter") -> None:
         """Record a direct inter-domain adjacency (both directions are
@@ -178,7 +183,7 @@ class BorderRouter:
         return f"BorderRouter({self.name}@{self.domain.name})"
 
     def __hash__(self) -> int:
-        return hash((self.domain.domain_id, self.name))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BorderRouter):
@@ -186,10 +191,12 @@ class BorderRouter:
         return self.domain == other.domain and self.name == other.name
 
     def __reduce__(self):
+        state = dict(self.__dict__)
+        del state["_hash"]
         return (
             _restore_keyed,
             (type(self), {"name": self.name, "domain": self.domain}),
-            self.__dict__,
+            state,
         )
 
 

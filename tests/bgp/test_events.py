@@ -238,6 +238,125 @@ class TestEquivalenceWithSynchronousEngine:
                 assert sync_hop == event_hop
 
 
+class TestFaultsReachTheSynchronousFixpoint:
+    """A crash, a restore and a session going down or up, each run to
+    quiescence, leave the event-driven engine on the Loc-RIBs the
+    synchronous engine converges to."""
+
+    FIRST = Prefix.parse("226.1.0.0/20")
+    SECOND = Prefix.parse("226.2.0.0/20")
+
+    @staticmethod
+    def _engines(mrai=0.0):
+        return (
+            BgpNetwork(as_graph(random.Random(7), node_count=12)),
+            EventDrivenBgp(
+                as_graph(random.Random(7), node_count=12),
+                Simulator(),
+                mrai=mrai,
+            ),
+        )
+
+    @staticmethod
+    def _settle(engine):
+        if isinstance(engine, EventDrivenBgp):
+            engine.run_to_quiescence()
+        else:
+            engine.converge()
+
+    @staticmethod
+    def _originate(engine, domain_index, prefix):
+        router = engine.topology.domains[domain_index].router()
+        if isinstance(engine, EventDrivenBgp):
+            engine.inject(router, prefix)
+        else:
+            engine.originate(router, prefix)
+
+    def _step(self, engines, action):
+        for engine in engines:
+            action(engine, engine.topology.domains)
+            self._settle(engine)
+        sync, event = engines
+        assert event.rib_digest() == sync.rib_digest()
+
+    def test_crash_restore_and_session_flap(self):
+        engines = self._engines()
+
+        def session(engine, up):
+            domains = engine.topology.domains
+            engine.set_session_state(
+                domains[3].router("AS3-to-AS0"),
+                domains[0].router("AS0-to-AS3"),
+                up,
+            )
+
+        self._step(
+            engines,
+            lambda engine, _domains: self._originate(engine, 3, self.FIRST),
+        )
+        self._step(
+            engines, lambda engine, domains: engine.fail_router(
+                domains[3].router()
+            )
+        )
+        _sync, event = engines
+        # Nobody routes to the crashed origin any more.
+        assert all(
+            event.group_next_hop(router, self.FIRST.network) is None
+            for router in event.topology.routers()
+        )
+        self._step(
+            engines,
+            lambda engine, _domains: self._originate(engine, 5, self.SECOND),
+        )
+        # The crashed router ran no decision process while down.
+        crashed = event.topology.domains[3].router()
+        assert len(event.speaker(crashed).loc_rib) == 0
+        self._step(
+            engines, lambda engine, domains: engine.restore_router(
+                domains[3].router()
+            )
+        )
+        assert event.group_next_hop(
+            event.topology.domains[9].router(), self.FIRST.network
+        ) is not None
+        self._step(engines, lambda engine, _domains: session(engine, False))
+        self._step(engines, lambda engine, _domains: session(engine, True))
+
+    @pytest.mark.parametrize(
+        "crash_at, withdrawn",
+        [(0.01, None), (0.05, FIRST)],
+        ids=["pending", "in-flight"],
+    )
+    def test_crash_with_an_update_pending_or_in_flight(
+        self, crash_at, withdrawn
+    ):
+        """The origin's first UPDATE to AS0's router facing it waits
+        for MRAI until 0.03 and is on the wire until 0.08; the router
+        crashes at ``crash_at``, and whatever was pending or in flight
+        to it must not survive into its restart."""
+        sync, event = self._engines(mrai=0.03)
+        for engine in (sync, event):
+            self._originate(engine, 3, self.FIRST)
+            self._originate(engine, 5, self.SECOND)
+        sync.converge()
+        event.sim.run(until=crash_at)
+        for engine in (sync, event):
+            crashed = engine.topology.domains[0].router("AS0-to-AS3")
+            engine.fail_router(crashed)
+            self._settle(engine)
+            if withdrawn is not None:
+                origin = engine.topology.domains[3].router()
+                if isinstance(engine, EventDrivenBgp):
+                    engine.retract(origin, withdrawn)
+                else:
+                    engine.withdraw(origin, withdrawn)
+                self._settle(engine)
+            engine.restore_router(crashed)
+            self._settle(engine)
+        assert event.rib_digest() == sync.rib_digest()
+
+
 class TestMrai:
     def test_batching_reduces_updates(self):
         def run(mrai):

@@ -102,8 +102,9 @@ def test_every_route_built_carries_the_flapped_prefix(flap):
     assert set(built) == {FLAPPED}
     # Two alternatives announced while the withdrawal hunts (the rest
     # of it carries keys, not routes), then the returning origin and
-    # one route per announcement of it that crossed a session.
-    assert len(built) == 91
+    # one route per (speaker, session terms) class it was exported to:
+    # sessions with equal terms share one route object, not one each.
+    assert len(built) == 52
 
 
 def test_entries_under_other_keys_are_the_same_objects(flap):

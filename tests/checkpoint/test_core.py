@@ -1,15 +1,22 @@
 """Checkpoint primitives: capture/restore, file round trips, digest
-verification, and the simulator-specific snapshot details (cancelled
-compaction, FIFO tie-break survival)."""
+verification, the simulator-specific snapshot details (cancelled
+compaction, FIFO tie-break survival) and restores under another
+string-hash seed."""
 
 import dataclasses
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import checkpoint as ckpt
 from repro.sim.engine import Simulator
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _append(log, value):
@@ -74,12 +81,24 @@ def save_version_4_checkpoint(path):
     )
 
 
+def save_version_5_checkpoint(path):
+    """A checkpoint file from version 5, whose ``BgpNetwork`` has no
+    cached per-router session list — it would unpickle, into a network
+    whose next round dies on a missing attribute. The payload names
+    the per-session export version 6 split into a per-terms export and
+    a per-session diff."""
+    _save_old_checkpoint(
+        path, 5, b"\x80\x04crepro.bgp.network\nBgpNetwork._session_update\n."
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
 OLD_VERSIONS = {
     2: save_version_2_checkpoint,
     3: save_version_3_checkpoint,
     4: save_version_4_checkpoint,
+    5: save_version_5_checkpoint,
 }
 
 
@@ -171,7 +190,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 5",
+            match=f"checkpoint version {version} != supported 6",
         ):
             ckpt.load(path)
 
@@ -234,6 +253,71 @@ class TestSimulatorSnapshot:
         assert restored.now == sim.now
         assert restored.processed == sim.processed
         assert restored.pending == sim.pending
+
+
+#: Builds a converged 12-domain BGP world (the test runs it in-process
+#: too).
+_BUILD_WORLD = """
+import random
+from repro.addressing.prefix import Prefix
+from repro.bgp.network import BgpNetwork
+from repro.topology.generators import as_graph
+
+network = BgpNetwork(as_graph(random.Random(7), node_count=12))
+network.originate_from_domain(
+    network.topology.domains[3], Prefix.parse("226.1.0.0/20")
+)
+network.converge()
+"""
+
+#: Checkpoints that world to the path given as the first argument.
+_SAVE_WORLD = _BUILD_WORLD + """
+import sys
+from repro import checkpoint as ckpt
+ckpt.save(ckpt.capture(network), sys.argv[1])
+"""
+
+#: Restores that world, looks every router up by a freshly built equal
+#: one, crashes AS0's first router and prints the converged digest.
+_RESUME_WORLD = """
+import sys
+from repro import checkpoint as ckpt
+from repro.topology.domain import BorderRouter, Domain
+
+network = ckpt.restore(ckpt.load(sys.argv[1]))
+for router, speaker in network.speakers.items():
+    fresh = BorderRouter(router.name, Domain(router.domain.domain_id))
+    assert network.speakers[fresh] is speaker, router
+network.fail_router(network.topology.domains[0].router())
+network.converge()
+print(network.rib_digest())
+"""
+
+
+class TestHashSeedIndependence:
+    def _python(self, code, seed, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(ROOT / "src")
+        env["PYTHONHASHSEED"] = str(seed)
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        ).stdout
+
+    def test_routers_rehash_under_the_restoring_seed(self, tmp_path):
+        """Router hashes are cached per object; a checkpoint written
+        under one string-hash seed must rebuild them under the seed of
+        the process that restores it, and continue to the same RIBs."""
+        path = tmp_path / "world.ckpt"
+        self._python(_SAVE_WORLD, 1, str(path))
+        resumed = self._python(_RESUME_WORLD, 2, str(path)).strip()
+        scope = {}
+        exec(_BUILD_WORLD, scope)
+        network = scope["network"]
+        network.fail_router(network.topology.domains[0].router())
+        network.converge()
+        assert resumed == network.rib_digest()
 
 
 class TestViolationDump:
