@@ -129,6 +129,9 @@ class ForwardingTable:
         #: (\*,G) groups by their entry's anchor: what a moved G-RIB
         #: key at this router sends back to ``update_parent``.
         self.anchored: Dict[Optional[Prefix], Set[int]] = {}
+        #: (S,G) source domains by group, in creation order: what a
+        #: (\*,G) teardown removes without walking every entry.
+        self._sources: Dict[int, Dict[Domain, None]] = {}
         #: Optional change hook, called with the group when an entry
         #: appears or disappears.
         #: :class:`~repro.bgmp.network.BgmpNetwork` uses it to flag the
@@ -173,6 +176,8 @@ class ForwardingTable:
             if source_domain is None:
                 entry.anchor = anchor
                 self.anchored.setdefault(anchor, set()).add(group)
+            else:
+                self._sources.setdefault(group, {})[source_domain] = None
             self.version += 1
             if self.on_change is not None:
                 self.on_change(group)
@@ -200,10 +205,20 @@ class ForwardingTable:
             return False
         if source_domain is None:
             self._unanchor(entry)
+        else:
+            sources = self._sources[group]
+            del sources[source_domain]
+            if not sources:
+                del self._sources[group]
         self.version += 1
         if self.on_change is not None:
             self.on_change(group)
         return True
+
+    def remove_sources(self, group: int) -> None:
+        """Drop every (S,G) entry of ``group``, in creation order."""
+        for source_domain in list(self._sources.get(group, ())):
+            self.remove(group, source_domain)
 
     def entries(self) -> List[ForwardingEntry]:
         """All entries."""

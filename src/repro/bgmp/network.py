@@ -159,12 +159,15 @@ class BgmpNetwork:
         #: routers, both fixed at construction: the repair candidates
         #: below name domains and routers by these indexes, so sorting
         #: them is the order a walk over every tree would act in.
-        self._domains: List[Domain] = topology.domains
+        self._domains: Tuple[Domain, ...] = topology.domains
         self._domain_index: Dict[Domain, int] = {
             domain: index for index, domain in enumerate(self._domains)
         }
         self._router_seq: Dict[BgmpRouter, int] = {}
         self._router_list: List[BgmpRouter] = []
+        #: Each domain's BGMP components in router-name order: the
+        #: order exits, prunes and RPF checks try them in.
+        self._routers_by_name: Dict[Domain, Tuple[BgmpRouter, ...]] = {}
         for domain in self._domains:
             migp = make_migp(
                 selector(domain), domain,
@@ -172,10 +175,15 @@ class BgmpNetwork:
             )
             self._migps[domain] = migp
             for router in domain.routers.values():
-                bgmp = BgmpRouter(router, self)
+                bgmp = BgmpRouter(router, self, migp)
                 self._routers[router] = bgmp
                 self._router_seq[bgmp] = len(self._router_list)
                 self._router_list.append(bgmp)
+            self._routers_by_name[domain] = tuple(
+                self._routers[router]
+                for router in sorted(domain.routers.values(),
+                                     key=lambda r: r.name)
+            )
         #: Digest cache: router -> (table version, serialized lines).
         self._digest_cache: Dict[
             BorderRouter, Tuple[int, List[str]]
@@ -279,7 +287,7 @@ class BgmpNetwork:
                 seq = self._router_seq[bgmp]
                 anchored = bgmp.table.anchored
                 index = self._domain_index[router.domain]
-                members = self._migps[router.domain].member_groups()
+                members = bgmp.migp.member_groups()
             if not anchored and not members:
                 continue
             first, last = span
@@ -419,10 +427,9 @@ class BgmpNetwork:
         """
         self.bgp.fail_router(router)
         dead = self.router_of(router)
-        migp = self.migp_of(router.domain)
         for entry in list(dead.table.entries()):
             dead.table.remove(entry.group, entry.source_domain)
-            migp.detach(router, entry.group)
+            dead.migp.detach(router, entry.group)
         dead_child = PeerTarget(router)
         # Only an external neighbor can hold the dead router as a child
         # (interior children are MIGP targets).
@@ -523,10 +530,10 @@ class BgmpNetwork:
             return 0
         pruned = 0
         interior = MigpTarget(domain)
-        for router in sorted(domain.routers.values(), key=lambda r: r.name):
-            if router == best_exit or not self.router_up(router):
+        for bgmp in self._routers_by_name[domain]:
+            router = bgmp.router
+            if bgmp is best_exit or not self.router_up(router):
                 continue
-            bgmp = self.router_of(router)
             entry = bgmp.table.get(group)
             if entry is None or interior not in entry.children:
                 continue
@@ -544,10 +551,10 @@ class BgmpNetwork:
         """True when the domain's membership is already served: some
         live border router holds (\\*,G) state, or the domain is the
         group's root domain (membership is an interior matter there)."""
-        for router in domain.routers.values():
-            if not self.router_up(router):
+        for bgmp in self._routers_by_name[domain]:
+            if not self.router_up(bgmp.router):
                 continue
-            if self.router_of(router).table.get(group) is not None:
+            if bgmp.table.get(group) is not None:
                 return True
         route = self._best_exit(domain, group)[1]
         return route is not None and route.is_local_origin
@@ -567,7 +574,7 @@ class BgmpNetwork:
         exists.
         """
         prefix = self.domain_unicast_prefix(target_domain)
-        speaker = self.bgp.speaker(router)
+        speaker = self._routers[router].speaker
         route = speaker.loc_rib.lookup(RouteType.MRIB, prefix.network)
         if route is not None:
             return route
@@ -580,15 +587,15 @@ class BgmpNetwork:
     ) -> Optional[BorderRouter]:
         """The border router of ``domain`` on the best unicast path to
         ``source_domain`` (interior RPF checks point at it)."""
-        for router in sorted(domain.routers.values(), key=lambda r: r.name):
-            route = self.unicast_route(router, source_domain)
+        for bgmp in self._routers_by_name[domain]:
+            route = self.unicast_route(bgmp.router, source_domain)
             if route is None:
                 continue
             if route.is_local_origin:
                 return None
             if route.from_internal:
                 return route.next_hop
-            return router
+            return bgmp.router
         return None
 
     # ------------------------------------------------------------------
@@ -628,9 +635,7 @@ class BgmpNetwork:
                 # an external join arrives.
                 span.finish(status="root-domain")
                 return True
-            joined = self.router_of(best_exit).join(
-                group, MigpTarget(domain), route
-            )
+            joined = best_exit.join(group, MigpTarget(domain), route)
             span.finish(status="grafted" if joined else "failed")
             return joined
 
@@ -677,34 +682,28 @@ class BgmpNetwork:
             # some *other* border router of the domain reaches its own
             # parent through the interior via this router (transit),
             # even with no local members left.
-            for router in sorted(
-                domain.routers.values(), key=lambda r: r.name
-            ):
-                bgmp = self.router_of(router)
+            interior = MigpTarget(domain)
+            for bgmp in self._routers_by_name[domain]:
                 entry = bgmp.table.get(group)
-                if (
-                    entry is None
-                    or MigpTarget(domain) not in entry.children
-                ):
+                if entry is None or interior not in entry.children:
                     continue
-                if self.interior_transit_needed(domain, group, router):
+                if self.interior_transit_needed(domain, group, bgmp.router):
                     continue
-                bgmp.prune(group, MigpTarget(domain))
+                bgmp.prune(group, interior)
 
     def interior_transit_needed(
         self, domain: Domain, group: int, via: BorderRouter
     ) -> bool:
         """True when another border router of ``domain`` parents its
         (\\*,G) entry through the interior at ``via``."""
-        for other in domain.routers.values():
-            if other == via:
-                continue
-            entry = self.router_of(other).table.get(group)
+        for other in self._routers_by_name[domain]:
+            entry = other.table.get(group)
             if entry is None:
                 continue
             if (
                 isinstance(entry.parent, MigpTarget)
                 and entry.upstream == via
+                and other.router != via
             ):
                 return True
         return False
@@ -714,20 +713,22 @@ class BgmpNetwork:
     ) -> Optional[BorderRouter]:
         """The domain's best exit router for a group: the router whose
         chosen group route is external (or locally originated)."""
-        return self._best_exit(domain, group)[0]
+        best_exit = self._best_exit(domain, group)[0]
+        return best_exit.router if best_exit is not None else None
 
     def _best_exit(
         self, domain: Domain, group: int
-    ) -> Tuple[Optional[BorderRouter], Optional[Route]]:
-        """The best exit router together with the group route that
-        makes it so (both None when the domain has no exit), so callers
-        deciding on that route do not look it up a second time."""
-        for router in sorted(domain.routers.values(), key=lambda r: r.name):
-            route = self.bgp.speaker(router).next_hop_for_group(group)
+    ) -> Tuple[Optional[BgmpRouter], Optional[Route]]:
+        """The best exit router's BGMP component together with the
+        group route that makes it so (both None when the domain has no
+        exit), so callers deciding on that route do not look it up a
+        second time."""
+        for bgmp in self._routers_by_name[domain]:
+            route = bgmp.speaker.next_hop_for_group(group)
             if route is None:
                 continue
             if route.is_local_origin or not route.from_internal:
-                return router, route
+                return bgmp, route
         return None, None
 
     def send(self, host: Host, group: int) -> DeliveryReport:
@@ -754,13 +755,13 @@ class BgmpNetwork:
                         group, domain, MigpTarget(domain), report
                     )
             else:
-                best_exit = self.best_exit_router(domain, group)
+                best_exit = self._best_exit(domain, group)[0]
                 if best_exit is None:
                     report.dropped += 1
                     span.finish(status="dropped")
                     return report
                 report.migp_transits += 1
-                self.router_of(best_exit).receive(
+                best_exit.receive(
                     group, domain, MigpTarget(domain), report
                 )
             self._maybe_graft_branches(group, domain, report)

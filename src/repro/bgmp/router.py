@@ -23,28 +23,29 @@ from repro.topology.domain import BorderRouter, Domain
 
 if TYPE_CHECKING:
     from repro.bgmp.network import BgmpNetwork, DeliveryReport
+    from repro.migp.base import MigpComponent
 
 
 class BgmpRouter:
     """BGMP state machine for one border router."""
 
-    def __init__(self, router: BorderRouter, network: "BgmpNetwork"):
+    def __init__(
+        self,
+        router: BorderRouter,
+        network: "BgmpNetwork",
+        migp: "MigpComponent",
+    ):
         self.router = router
         self.network = network
+        #: The router's domain, its MIGP component and its BGP speaker,
+        #: resolved once instead of per hop.
+        self.domain: Domain = router.domain
+        self.migp = migp
+        self.speaker = network.bgp.speaker(router)
         self.table = ForwardingTable()
         #: Control-plane counters.
         self.joins_sent = 0
         self.prunes_sent = 0
-
-    @property
-    def domain(self) -> Domain:
-        """The router's domain."""
-        return self.router.domain
-
-    @property
-    def migp(self):
-        """The MIGP component of this router's domain."""
-        return self.network.migp_of(self.domain)
 
     def entry_changed(self, group: int) -> None:
         """Forwarding-table ``on_change`` adapter: forward to the
@@ -57,9 +58,7 @@ class BgmpRouter:
 
     def group_route(self, group: int) -> Optional[Route]:
         """This router's best group route covering ``group``."""
-        return self.network.bgp.speaker(self.router).next_hop_for_group(
-            group
-        )
+        return self.speaker.next_hop_for_group(group)
 
     def _parent_target(self, route: Optional[Route]) -> Optional[Target]:
         """The next hop towards the group's root domain, given this
@@ -211,9 +210,7 @@ class BgmpRouter:
         self.table.remove(group)
         self.migp.detach(self.router, group)
         # Tear down any source-specific state hanging off this entry.
-        for specific in list(self.table.entries()):
-            if specific.group == group and specific.is_source_specific:
-                self.table.remove(group, specific.source_domain)
+        self.table.remove_sources(group)
         self._prune_upstream(group, parent, upstream)
 
     def _prune_upstream(

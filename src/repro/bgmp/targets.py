@@ -26,9 +26,11 @@ class PeerTarget(Target):
         self.router = router
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, PeerTarget):
             return NotImplemented
-        return self.router == other.router
+        return self.router is other.router or self.router == other.router
 
     def __hash__(self) -> int:
         return hash(("peer", self.router))
@@ -52,9 +54,11 @@ class MigpTarget(Target):
         self.domain = domain
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, MigpTarget):
             return NotImplemented
-        return self.domain == other.domain
+        return self.domain is other.domain or self.domain == other.domain
 
     def __hash__(self) -> int:
         return hash(("migp", self.domain))

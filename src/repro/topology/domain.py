@@ -131,6 +131,8 @@ class Domain:
         return hash(self.domain_id)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Domain):
             return NotImplemented
         return self.domain_id == other.domain_id
@@ -186,9 +188,12 @@ class BorderRouter:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, BorderRouter):
             return NotImplemented
-        return self.domain == other.domain and self.name == other.name
+        # Names first: they differ far more often than domains do.
+        return self.name == other.name and self.domain == other.domain
 
     def __reduce__(self):
         state = dict(self.__dict__)

@@ -19,6 +19,7 @@ class Topology:
 
     def __init__(self) -> None:
         self._domains: Dict[int, Domain] = {}
+        self._domain_order: Tuple[Domain, ...] = ()
         self._by_name: Dict[str, Domain] = {}
         self._links: List[Tuple[BorderRouter, BorderRouter]] = []
         self._adjacency: Dict[Domain, Set[Domain]] = {}
@@ -49,6 +50,10 @@ class Topology:
         self._domains[domain_id] = domain
         self._by_name[domain.name] = domain
         self._adjacency[domain] = set()
+        order = self._domain_order + (domain,)
+        if len(order) > 1 and domain_id < order[-2].domain_id:
+            order = tuple(sorted(order, key=lambda d: d.domain_id))
+        self._domain_order = order
         return domain
 
     def connect(
@@ -75,7 +80,12 @@ class Topology:
     def set_multicast_capable(
         self, a: BorderRouter, b: BorderRouter, capable: bool
     ) -> None:
-        """Toggle multicast capability of an existing link."""
+        """Toggle multicast capability of an existing link.
+
+        A :class:`~repro.bgp.network.BgpNetwork` caches each router's
+        session terms, which include this flag, so a toggle under a
+        live network must be followed by ``bgp.invalidate()``.
+        """
         key = frozenset((a, b))
         if capable:
             self._unicast_only.discard(key)
@@ -124,9 +134,14 @@ class Topology:
     # Lookup
 
     @property
-    def domains(self) -> List[Domain]:
-        """All domains, in id order."""
-        return [self._domains[key] for key in sorted(self._domains)]
+    def domains(self) -> Tuple[Domain, ...]:
+        """All domains, in id order.
+
+        A cached tuple: every read returns the same object until
+        :meth:`add_domain` builds the next one, so indexing it per
+        event costs nothing.
+        """
+        return self._domain_order
 
     @property
     def links(self) -> List[Tuple[BorderRouter, BorderRouter]]:

@@ -92,6 +92,18 @@ def save_version_5_checkpoint(path):
     )
 
 
+def save_version_6_checkpoint(path):
+    """A checkpoint file from version 6, whose topology has no cached
+    domain tuple, whose forwarding tables have no (S,G) index and whose
+    BGMP routers hold no MIGP or speaker handle — it would unpickle,
+    into a network whose next join dies on a missing attribute. The
+    payload names the per-hop ``migp`` property version 7 replaced with
+    a handle resolved at construction."""
+    _save_old_checkpoint(
+        path, 6, b"\x80\x04crepro.bgmp.router\nBgmpRouter.migp\n."
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
 OLD_VERSIONS = {
@@ -99,6 +111,7 @@ OLD_VERSIONS = {
     3: save_version_3_checkpoint,
     4: save_version_4_checkpoint,
     5: save_version_5_checkpoint,
+    6: save_version_6_checkpoint,
 }
 
 
@@ -190,7 +203,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 6",
+            match=f"checkpoint version {version} != supported 7",
         ):
             ckpt.load(path)
 
