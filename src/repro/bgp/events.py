@@ -2,7 +2,7 @@
 
 :class:`EventDrivenBgp` is a second *schedule* over the synchronous
 :class:`BgpNetwork`'s machinery — same speakers, per-key decision
-process, export function, advertised tables and per-key delivery —
+process, export function, table diff and batched delivery —
 that propagates routing information as timed UPDATE messages over the
 discrete-event simulator instead of in lock-step rounds: per-session
 link delays and MRAI-style batching (at most one pending UPDATE per
@@ -114,7 +114,9 @@ class EventDrivenBgp(BgpNetwork):
         }
         for speaker, keys in self._run_decisions(rank):
             router = speaker.router
-            for peer in self._live_peers(router):
+            for peer in self._peers(router):
+                if not self.session_up(router, peer):
+                    continue
                 session = (router, peer)
                 if session not in self._pending_send:
                     self.sim.schedule(
@@ -127,10 +129,12 @@ class EventDrivenBgp(BgpNetwork):
         keys = self._pending_send.pop((router, peer))
         if not self.session_up(router, peer):
             return
+        # MRAI batching is per session, so every session keeps a
+        # private advertised table here: there are no update groups.
+        table = self._advertised.setdefault((router, peer), {})
+        bests = self._best_routes(self.speaker(router), keys, [table])
         terms = self._session_terms(router, peer)
-        bests = self._best_routes(self.speaker(router), keys, [peer])
-        exports = self._exports(router, terms, bests)
-        update = self._session_diff(router, peer, exports)
+        update = self._diff(table, self._exports(router, terms, bests))
         if update.is_empty:
             return
         self.updates_sent += 1
@@ -155,7 +159,7 @@ class EventDrivenBgp(BgpNetwork):
         # A session that went down took its UPDATEs in flight with it.
         if not self.session_up(sender, receiver):
             return
-        self._apply_update(sender, receiver, update)
+        self.speaker(receiver).deliver(sender, update)
         self._propagate()
 
     # ------------------------------------------------------------------

@@ -10,11 +10,11 @@ border.
 The (type, prefix) key is the unit of work. Speaker mutation hooks
 report which keys' decision inputs moved; the decision process reruns
 for those keys only and patches the Loc-RIB in place; each round
-exports only the keys whose best route moved, diffed against the
-per-session *advertised table* (what the receiver holds from us), and
-a changed key is delivered straight into the receiver's Adj-RIB-In,
-dirtying that key there. A key whose export equals the table sends
-nothing — which is why treating *every* key of every speaker as dirty
+exports only the keys whose best route moved, diffed once per *update
+group* against the *advertised table* its members' receivers hold, and
+the difference is delivered as one batch into each member's
+Adj-RIB-In, dirtying those keys there. A key whose export equals the
+table sends nothing — which is why treating *every* key as dirty
 walks the identical rounds, Loc-RIBs and update counts, the property
 ``tests/bgp/test_incremental_equivalence.py`` checks against the
 recompute-everything oracle in ``tests/conftest.py`` (see
@@ -58,6 +58,18 @@ def mark_pending(
     pending = table.setdefault(owner, set())
     if pending is not None:
         pending.update(keys)
+
+
+class UpdateGroup:
+    """The sessions of one router with equal terms whose receivers
+    hold exactly ``table`` (``None`` until the first announcement):
+    one diff per round serves every member."""
+
+    __slots__ = ("table", "members")
+
+    def __init__(self) -> None:
+        self.table: Optional[Dict[Key, Route]] = None
+        self.members: List[BorderRouter] = []
 
 
 class ConvergenceError(Exception):
@@ -119,9 +131,9 @@ class BgpNetwork:
         #: key. A key whose export equals the advertised table is
         #: suppressed — a real speaker does not re-announce a stable route.
         self.updates_sent = 0
-        #: Administratively/faulted-down sessions (router pairs) and
-        #: crashed routers — maintained by the fault layer.
-        self._down_sessions: Set[frozenset] = set()
+        #: Down sessions (both orderings of the router pair) and crashed
+        #: routers — maintained by the fault layer.
+        self._down_sessions: Set[Session] = set()
         self._down_routers: Set[BorderRouter] = set()
         #: Per speaker, the keys whose decision inputs changed since
         #: the decision process last ran for them, and the keys whose
@@ -129,13 +141,18 @@ class BgpNetwork:
         #: not move. ``None`` stands for every key.
         self._dirty: Dict[BgpSpeaker, Optional[Set[Key]]] = {}
         self._export_dirty: Dict[BgpSpeaker, Optional[Set[Key]]] = {}
-        #: The advertised table of each directed session: what the
-        #: receiver currently holds from the sender, in
-        #: receiver-relative form and before its loop check. A session
-        #: without an entry has advertised nothing.
+        #: Per router, its update groups by terms. A live session that
+        #: is no group's member is *private*: its advertised table —
+        #: what the receiver holds from the sender, in receiver-relative
+        #: form and before its loop check — is its own entry in
+        #: ``_advertised`` (none: it has advertised nothing).
+        self._groups: Dict[BorderRouter, Dict[Terms, UpdateGroup]] = {}
         self._advertised: Dict[Session, Dict[Key, Route]] = {}
-        #: Per router, its live (peer, terms) sessions; cleared on change.
+        #: Per router, its live sessions by update group; the live
+        #: speakers' canonical rank. Dropped when a session or router
+        #: comes or goes (see :meth:`_sessions_changed`).
         self._sessions: Dict[BorderRouter, List] = {}
+        self._rank: Optional[Dict[BgpSpeaker, int]] = None
         #: Per-domain cache of originated prefixes by type, and the
         #: network-wide longest-match index of GROUP origins; both are
         #: invalidated by :meth:`origins_changed`.
@@ -201,10 +218,19 @@ class BgpNetwork:
         """Mark every key of every speaker dirty and drop every cache
         — the big hammer for callers that mutate the topology after
         construction. The advertised tables stay: they record what
-        receivers hold, and the full re-export is diffed against them."""
+        receivers hold, and the full re-export is diffed against them;
+        a member whose terms changed leaves its group with a private
+        copy of the group's table."""
         self._own_prefix_cache.clear()
         self._origin_index = None
-        self._sessions.clear()
+        self._sessions_changed()
+        for router, groups in self._groups.items():
+            for terms, group in groups.items():
+                table = group.table or {}
+                for peer in list(group.members):
+                    if self._session_terms(router, peer) != terms:
+                        group.members.remove(peer)
+                        self._advertised[router, peer] = dict(table)
         for speaker in self.speakers.values():
             self.speaker_dirty(speaker)
         # Delta subscribers cannot trust the stream across a topology
@@ -263,7 +289,7 @@ class BgpNetwork:
             found = self._new_speaker(router)
             self.speakers[router] = found
             # Existing neighbors must send to the newcomer.
-            self._sessions.clear()
+            self._sessions_changed()
             self._reexport_peers(router)
         return found
 
@@ -323,11 +349,10 @@ class BgpNetwork:
     def session_up(self, a: BorderRouter, b: BorderRouter) -> bool:
         """True when the a-b session can carry updates: both endpoints
         up and the session itself not administratively down."""
-        return (
-            self.router_up(a)
-            and self.router_up(b)
-            and frozenset((a, b)) not in self._down_sessions
-        )
+        down = self._down_routers
+        if down and (a in down or b in down):
+            return False
+        return not self._down_sessions or (a, b) not in self._down_sessions
 
     @staticmethod
     def _peers(router: BorderRouter) -> List[BorderRouter]:
@@ -353,24 +378,27 @@ class BgpNetwork:
         re-evaluate every export against the now-empty advertised
         tables, so no explicit replay is needed.
         """
-        key = frozenset((a, b))
-        if up == (key not in self._down_sessions):
+        if up == ((a, b) not in self._down_sessions):
             return
-        self._sessions.clear()
+        self._sessions_changed()
         if up:
-            self._down_sessions.discard(key)
+            self._down_sessions.difference_update(((a, b), (b, a)))
             for router in (a, b):
                 self.speaker_dirty(self.speaker(router))
             return
-        self._down_sessions.add(key)
+        self._down_sessions.update(((a, b), (b, a)))
         self.speaker(a).drop_session(b)
         self.speaker(b).drop_session(a)
         self._forget_session(a, b)
 
     def _forget_session(self, a: BorderRouter, b: BorderRouter) -> None:
-        """The session's Adj-RIB-Ins are gone: so is what was advertised."""
-        self._advertised.pop((a, b), None)
-        self._advertised.pop((b, a), None)
+        """The Adj-RIB-Ins are gone: so are both directions' tables and
+        group memberships."""
+        for sender, receiver in ((a, b), (b, a)):
+            self._advertised.pop((sender, receiver), None)
+            for group in self._groups.get(sender, {}).values():
+                if receiver in group.members:
+                    group.members.remove(receiver)
 
     def fail_router(self, router: BorderRouter) -> None:
         """Crash a border router: every peer withdraws the routes it
@@ -379,12 +407,13 @@ class BgpNetwork:
         if router in self._down_routers:
             return
         self._down_routers.add(router)
-        self._sessions.clear()
+        self._sessions_changed()
         for peer in self._peers(router):
             peer_speaker = self.speakers.get(peer)
             if peer_speaker is not None:
                 peer_speaker.drop_session(router)
             self._forget_session(router, peer)
+        self._groups.pop(router, None)
         self.speaker(router).reset()
 
     def restore_router(self, router: BorderRouter) -> None:
@@ -393,9 +422,14 @@ class BgpNetwork:
         if router not in self._down_routers:
             return
         self._down_routers.discard(router)
-        self._sessions.clear()
+        self._sessions_changed()
         self.speaker_dirty(self.speaker(router))
         self._reexport_peers(router)
+
+    def _sessions_changed(self) -> None:
+        """Drop the session cache and rank; group membership stays."""
+        self._sessions.clear()
+        self._rank = None
 
     def down_routers(self) -> List[BorderRouter]:
         """Currently crashed routers (sorted for determinism)."""
@@ -441,37 +475,20 @@ class BgpNetwork:
         to the same route and a suppressed advertisement, so skipping
         it changes neither the delivered updates nor the round count.
         """
-        ordered = [
-            self.speakers[r]
-            for r in self._ordered_routers()
-            if self.router_up(r)
-        ]
-        rank = {speaker: index for index, speaker in enumerate(ordered)}
+        if self._rank is None:
+            live = [r for r in self._ordered_routers() if self.router_up(r)]
+            self._rank = {self.speakers[r]: i for i, r in enumerate(live)}
+        rank = self._rank
         tracer = self.tracer
         try:
             with tracer.span(
-                "bgp.converge", layer="bgp", speakers=len(ordered)
+                "bgp.converge", layer="bgp", speakers=len(rank)
             ) as span:
                 exporters = self._run_decisions(rank)
                 for round_index in range(1, max_rounds + 1):
                     round_updates = 0
                     for speaker, keys in exporters:
-                        router = speaker.router
-                        sessions = self._live_sessions(router)
-                        bests = self._best_routes(
-                            speaker, keys, (peer for peer, _ in sessions)
-                        )
-                        exports = {}
-                        for peer, terms in sessions:
-                            routes = exports.get(terms)
-                            if routes is None:
-                                routes = exports[terms] = self._exports(
-                                    router, terms, bests
-                                )
-                            update = self._session_diff(router, peer, routes)
-                            if not update.is_empty:
-                                self._apply_update(router, peer, update)
-                                round_updates += 1
+                        round_updates += self._send_round(speaker, keys)
                     self.updates_sent += round_updates
                     exporters = self._run_decisions(rank)
                     if tracer.enabled:
@@ -526,37 +543,78 @@ class BgpNetwork:
         ordered.extend(r for r in self.speakers if r not in known)
         return ordered
 
-    def _live_sessions(self, router: BorderRouter) -> List:
-        """``router``'s live sessions as (peer, terms), cached."""
-        if router not in self._sessions:
-            self._sessions[router] = [
-                (peer, self._session_terms(router, peer))
-                for peer in self._peers(router)
-                if self.session_up(router, peer)
-            ]
-        return self._sessions[router]
-
-    def _live_peers(self, router: BorderRouter) -> List[BorderRouter]:
-        return [peer for peer, _ in self._live_sessions(router)]
+    def _update_groups(self, router: BorderRouter) -> List:
+        """``router``'s live sessions as (terms, update group, private
+        peers) in first-seen peer order (external, then iBGP); cached."""
+        classes = self._sessions.get(router)
+        if classes is None:
+            groups = self._groups.setdefault(router, {})
+            found: Dict[Terms, List[BorderRouter]] = {}
+            for peer in self._peers(router):
+                if self.session_up(router, peer):
+                    terms = self._session_terms(router, peer)
+                    found.setdefault(terms, []).append(peer)
+            classes = self._sessions[router] = []
+            for terms, peers in found.items():
+                group = groups.setdefault(terms, UpdateGroup())
+                joined = set(group.members)
+                private = [peer for peer in peers if peer not in joined]
+                classes.append((terms, group, private))
+        return classes
 
     # ------------------------------------------------------------------
-    # Export once per terms class, diff and deliver per session (shared
-    # with the event-driven schedule in ``repro.bgp.events``)
+    # Export once per terms class, diff once per update group, deliver
+    # in one batch (shared with the schedule in ``repro.bgp.events``)
+
+    def _send_round(
+        self, speaker: BgpSpeaker, keys: Optional[Set[Key]]
+    ) -> int:
+        """``speaker``'s turn in a round; returns the UPDATEs sent. After
+        a full export (``keys`` None) every private table provably
+        equals its group's, so the private sessions join it."""
+        router = speaker.router
+        advertised = self._advertised
+        groups = self._update_groups(router)
+        held = []  # what a full export must cover besides the Loc-RIB
+        for _terms, group, private in groups if keys is None else ():
+            held.append(group.table or {})
+            held.extend(advertised.get((router, p), {}) for p in private)
+        bests = self._best_routes(speaker, keys, held)
+        sent = 0
+        for terms, group, private in groups:
+            exports = self._exports(router, terms, bests)
+            table = group.table or {}
+            update = self._diff(table, exports)
+            if update.announcements:
+                group.table = table
+            if not update.is_empty:
+                for peer in group.members:
+                    self.speaker(peer).deliver(router, update)
+                sent += len(group.members)
+            for peer in private:
+                table = advertised.setdefault((router, peer), {})
+                update = self._diff(table, exports)
+                if not update.is_empty:
+                    self.speaker(peer).deliver(router, update)
+                    sent += 1
+            if keys is None and private:
+                for peer in private:
+                    del advertised[router, peer]
+                group.members.extend(private)
+                private.clear()
+        return sent
 
     def _best_routes(
         self,
         speaker: BgpSpeaker,
         keys: Optional[Iterable[Key]],
-        peers: Iterable[BorderRouter],
+        tables: Iterable[Dict[Key, Route]],
     ) -> List[Tuple[Key, Optional[Route]]]:
         """``keys`` (None: every key the speaker holds or has
-        advertised to any of ``peers``) in canonical order, each with
+        advertised in any of ``tables``) in canonical order, each with
         the speaker's best route for it."""
         if keys is None:
-            router = speaker.router
-            keys = set(speaker.loc_rib.keys()).union(
-                *(self._advertised.get((router, peer), ()) for peer in peers)
-            )
+            keys = set(speaker.loc_rib.keys()).union(*tables)
         return [
             (key, speaker.loc_rib.get(*key))
             for key in sorted(keys, key=key_order)
@@ -571,12 +629,10 @@ class BgpNetwork:
             for key, best in bests
         ]
 
-    def _session_diff(
-        self, router: BorderRouter, peer: BorderRouter, exports: List
-    ) -> UpdateMessage:
-        """Bring the advertised table of the session to ``peer`` up to
-        date with ``exports``; the difference is the UPDATE to deliver."""
-        table = self._advertised.get((router, peer), {})
+    @staticmethod
+    def _diff(table: Dict[Key, Route], exports: List) -> UpdateMessage:
+        """Bring the advertised table ``table`` up to date with
+        ``exports``; the difference is the UPDATE to deliver."""
         update = UpdateMessage()
         for key, route in exports:
             if route == table.get(key):
@@ -587,23 +643,7 @@ class BgpNetwork:
             else:
                 table[key] = route
                 update.announcements.append(route)
-        if update.announcements:
-            self._advertised[router, peer] = table
         return update
-
-    def _apply_update(
-        self,
-        sender: BorderRouter,
-        receiver: BorderRouter,
-        update: UpdateMessage,
-    ) -> None:
-        """Deliver an UPDATE key by key into the receiver's Adj-RIB-In
-        for the session (which dirties exactly those keys there)."""
-        speaker = self.speaker(receiver)
-        for route in update.announcements:
-            speaker.deliver(sender, route.key(), route)
-        for key in update.withdrawals:
-            speaker.deliver(sender, key, None)
 
     def _session_terms(
         self, router: BorderRouter, peer: BorderRouter
@@ -733,29 +773,32 @@ class BgpNetwork:
 
     def rib_digest(self) -> str:
         """SHA-256 over every router's Loc-RIB in canonical order; a
-        crashed router contributes its header line only."""
+        crashed router contributes its header line only. One pass:
+        each prefix and next hop is formatted once, each shared route
+        once per domain."""
         digest = hashlib.sha256()
+        texts: Dict[object, str] = {None: "-"}
+        domain, lines = None, {}
         for router in self._ordered_routers():
-            speaker = self.speakers[router]
-            digest.update(
-                f"@{router.domain.domain_id}/{router.name}".encode()
-            )
-            for route in speaker.loc_rib.routes():
-                hop = route.next_hop
-                hop_label = (
-                    f"{hop.domain.domain_id}/{hop.name}" if hop else "-"
-                )
-                digest.update(
-                    "|".join(
-                        (
-                            str(route.prefix),
-                            route.route_type.value,
-                            hop_label,
-                            ",".join(map(str, route.as_path)),
-                            str(route.local_pref),
-                            str(route.from_internal),
-                            str(route.learned_from),
-                        )
+            # A domain's routers share most routes over the iBGP mesh;
+            # lines kept across domains would pile up every route's.
+            if router.domain is not domain:
+                domain, lines = router.domain, {}
+            parts = [f"@{router.domain.domain_id}/{router.name}".encode()]
+            for route in self.speakers[router].loc_rib.routes():
+                line = lines.get(id(route))
+                if line is None:
+                    prefix, hop = route.prefix, route.next_hop
+                    if prefix not in texts:
+                        texts[prefix] = str(prefix)
+                    if hop not in texts:
+                        texts[hop] = f"{hop.domain.domain_id}/{hop.name}"
+                    path = ",".join(map(str, route.as_path))
+                    line = lines[id(route)] = (
+                        f"{texts[prefix]}|{route.route_type.value}|"
+                        f"{texts[hop]}|{path}|{route.local_pref}|"
+                        f"{route.from_internal}|{route.learned_from}"
                     ).encode()
-                )
+                parts.append(line)
+            digest.update(b"".join(parts))
         return digest.hexdigest()

@@ -15,7 +15,7 @@ from typing import Dict, KeysView, List, Optional
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
-from repro.bgp.routes import Key, Route, RouteType
+from repro.bgp.routes import Key, Route, RouteType, key_order
 from repro.topology.domain import BorderRouter
 
 
@@ -24,30 +24,31 @@ class AdjRibIn:
 
     def __init__(self, peer: BorderRouter):
         self.peer = peer
-        self._routes: Dict[Key, Route] = {}
+        #: The table; delivery and the decision process use it directly.
+        self.routes: Dict[Key, Route] = {}
 
     def update(self, route: Route) -> None:
         """Install or replace the peer's route for its (type, prefix)."""
-        self._routes[route.key()] = route
+        self.routes[route.key()] = route
 
     def withdraw(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Remove the peer's route; True if one was present."""
-        return self._routes.pop((route_type, prefix), None) is not None
+        return self.routes.pop((route_type, prefix), None) is not None
 
     def keys(self) -> KeysView[Key]:
         """The (type, prefix) pairs the peer currently advertises."""
-        return self._routes.keys()
+        return self.routes.keys()
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """The peer's route for (type, prefix), if any."""
-        return self._routes.get((route_type, prefix))
+        return self.routes.get((route_type, prefix))
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self.routes)
 
     def snapshot(self) -> Dict[Key, Route]:
         """A copy of the table (used by convergence checks)."""
-        return dict(self._routes)
+        return dict(self.routes)
 
 
 class LocRib:
@@ -92,12 +93,11 @@ class LocRib:
     def routes(self, route_type: Optional[RouteType] = None) -> List[Route]:
         """All routes, optionally filtered by type, in canonical
         (prefix, type) order — independent of insertion history."""
-        found = [
-            route
-            for route in self._routes.values()
-            if route_type is None or route.route_type is route_type
+        return [
+            self._routes[key]
+            for key in sorted(self._routes, key=key_order)
+            if route_type is None or key[0] is route_type
         ]
-        return sorted(found, key=lambda r: (r.prefix, r.route_type.value))
 
     def group_routes(self) -> List[Route]:
         """The G-RIB: all group routes, sorted by prefix."""

@@ -32,9 +32,10 @@ Key = Tuple[RouteType, Prefix]
 
 def key_order(key: Key) -> Tuple[int, int, str]:
     """Canonical sort key for :data:`Key` collections (network, mask
-    length, type): key sets are always walked in this order, which is
-    also the order of the G-RIB delta stream."""
-    return (key[1].network, key[1].length, key[0].value)
+    length, type — a ``str``, so no ``value`` lookup): key sets are
+    always walked in this order, which is also the order of the G-RIB
+    delta stream."""
+    return (key[1].network, key[1].length, key[0])
 
 
 class Route:
@@ -136,6 +137,8 @@ class Route:
         return domain_id in self.as_path
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Route):
             return NotImplemented
         return (

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
+from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import preference_for
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Key, Route, RouteType, key_order
@@ -123,43 +124,32 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     # Delivery and decision process
 
-    def deliver(
-        self, peer: BorderRouter, key: Key, route: Optional[Route]
-    ) -> None:
-        """Apply one key of an UPDATE from ``peer``: ``route`` replaces
-        whatever the peer advertised under ``key`` before. ``None``
-        withdraws it, and so does an external route whose AS path
-        already holds this domain — the peer's best path now runs
-        through us, so its previous one is gone all the same."""
-        if (
-            route is not None
-            and not route.from_internal
-            and route.has_loop(self.domain.domain_id)
-        ):
-            route = None
-        rib = self.session_with(peer)
-        if route is not None:
-            rib.update(route)
-        elif not rib.withdraw(*key):
-            return
-        self._mark_dirty((key,))
+    def deliver(self, peer: BorderRouter, update: UpdateMessage) -> None:
+        """Apply an UPDATE from ``peer`` to its Adj-RIB-In as one batch:
+        each announced route replaces whatever the peer advertised under
+        its key before, each withdrawal removes it, and so does an
+        external route whose AS path already holds this domain — the
+        peer's best path now runs through us, so its previous one is
+        gone all the same. The keys that changed are dirtied at once."""
+        routes = self.session_with(peer).routes
+        domain_id = self.router.domain.domain_id
+        changed: List[Key] = []
+        for route in update.announcements:
+            key = route.key()
+            if route.from_internal or domain_id not in route.as_path:
+                routes[key] = route
+            elif routes.pop(key, None) is None:
+                continue
+            changed.append(key)
+        for key in update.withdrawals:
+            if routes.pop(key, None) is not None:
+                changed.append(key)
+        if changed:
+            self._mark_dirty(changed)
 
     def receive(self, peer: BorderRouter, route: Route) -> None:
         """Deliver one announced route from ``peer``."""
-        self.deliver(peer, route.key(), route)
-
-    def replace_session_routes(
-        self, peer: BorderRouter, routes: List[Route]
-    ) -> None:
-        """Session (re-)establishment: ``routes`` is the peer's whole
-        table, so whatever it advertised before and no longer does is
-        withdrawn."""
-        announced = {route.key() for route in routes}
-        stale = self.session_with(peer).keys() - announced
-        for key in sorted(stale, key=key_order):
-            self.deliver(peer, key, None)
-        for route in routes:
-            self.receive(peer, route)
+        self.deliver(peer, UpdateMessage([route]))
 
     def recompute(self, keys: Optional[Iterable[Key]] = None) -> List[Key]:
         """Run the decision process for ``keys`` (None: for every key
@@ -176,15 +166,14 @@ class BgpSpeaker:
                 self._origins, *(rib.keys() for rib in self._adj_in.values())
             )
         moved: List[Key] = []
+        tables = [rib.routes for rib in self._adj_in.values()]
         for key in sorted(keys, key=key_order):
             best = self._origins.get(key)
             if best is None:
                 learned = [
                     route
-                    for route in (
-                        rib.get(*key) for rib in self._adj_in.values()
-                    )
-                    if route is not None
+                    for table in tables
+                    if (route := table.get(key)) is not None
                 ]
                 best = min(learned, key=self._rank) if learned else None
             old = self.loc_rib.get(*key)

@@ -1,7 +1,10 @@
 """The synchronous round exports once per (speaker, session terms) and
-reads each router's live sessions from a cached list: the list must
-match a fresh computation after every point that can change it, and
-sessions with equal terms must hold the very same route objects."""
+diffs once per update group: the sessions of a router with equal terms
+whose receivers hold the group's advertised table. The cached session
+classes must match a fresh computation after every point that can
+change them, and every live session must be in exactly one group or
+hold a private table that its receiver holds — across the six
+mutations that move sessions out of their groups and back."""
 
 import random
 
@@ -10,6 +13,7 @@ import pytest
 from repro.addressing.prefix import Prefix
 from repro.bgp.network import BgpNetwork
 from repro.topology.generators import as_graph
+from tests.conftest import recompute_everything
 
 ORIGINS = {
     index: Prefix((224 << 24) | (index << 12), 20) for index in range(12)
@@ -26,20 +30,66 @@ def _converged(node_count=12):
 
 
 def _recomputed(network, router):
-    return [
-        (peer, network._session_terms(router, peer))
+    return {
+        peer: network._session_terms(router, peer)
         for peer in network._peers(router)
         if network.session_up(router, peer)
-    ]
+    }
 
 
 def _assert_cache_fresh(network):
-    """Every router's session list, cached or rebuilt, equals one
-    recomputed from the topology and the session state."""
+    """Every router's cached sessions, members and private peers
+    alike, are its live sessions with their terms, each once."""
     for router in network.speakers:
-        assert network._live_sessions(router) == _recomputed(
-            network, router
-        )
+        cached = [
+            (peer, terms)
+            for terms, group, private in network._update_groups(router)
+            for peer in (*group.members, *private)
+        ]
+        assert len(cached) == len(dict(cached))
+        assert dict(cached) == _recomputed(network, router)
+
+
+def _received(network, sender, receiver):
+    """What ``receiver``'s Adj-RIB-In holds from ``sender``."""
+    rib = network.speaker(receiver)._adj_in.get(sender)
+    return rib.snapshot() if rib is not None else {}
+
+
+def _assert_groups_hold(network, identical=False):
+    """Every live session is a member of the one group of its terms or
+    private, and its receiver holds that group's table (or its private
+    table), minus the routes its loop check turned into withdrawals.
+    ``identical``: the very same route objects, not only equal ones."""
+    members = 0
+    for router in network.speakers:
+        if not network.router_up(router):
+            continue
+        groups = network._groups.get(router, {})
+        live = _recomputed(network, router)
+        for terms, group in groups.items():
+            for peer in group.members:
+                assert peer in live and live[peer] == terms
+        for peer, terms in live.items():
+            joined = [t for t, g in groups.items() if peer in g.members]
+            assert joined in ([], [terms])
+            if joined:
+                table = groups[terms].table or {}
+                members += 1
+            else:
+                table = network._advertised.get((router, peer), {})
+            expected = {
+                key: route
+                for key, route in table.items()
+                if route.from_internal
+                or not route.has_loop(peer.domain.domain_id)
+            }
+            held = _received(network, router, peer)
+            assert held == expected
+            if identical:
+                for key, route in held.items():
+                    assert route is expected[key]
+    assert members > 0
 
 
 def _session_down(network):
@@ -50,6 +100,7 @@ def _session_up(network):
     _session_down(network)
     network.converge()
     _assert_cache_fresh(network)
+    _assert_groups_hold(network)
     network.set_session_state(*network.topology.links[0], up=True)
 
 
@@ -61,6 +112,7 @@ def _restore(network):
     _fail(network)
     network.converge()
     _assert_cache_fresh(network)
+    _assert_groups_hold(network)
     network.restore_router(network.topology.domains[0].router())
 
 
@@ -77,11 +129,14 @@ def _invalidate(network):
     network.invalidate()
 
 
-@pytest.mark.parametrize(
+MUTATIONS = pytest.mark.parametrize(
     "mutate",
     [_session_down, _session_up, _fail, _restore, _late_speaker, _invalidate],
     ids=lambda mutate: mutate.__name__.lstrip("_"),
 )
+
+
+@MUTATIONS
 def test_cached_sessions_follow_every_change(mutate):
     network = _converged()
     # Every router exported in the first round, so each has a list to
@@ -93,26 +148,34 @@ def test_cached_sessions_follow_every_change(mutate):
     _assert_cache_fresh(network)
 
 
-def test_equal_terms_share_one_route_object():
-    network = _converged(node_count=40)
-    shared = 0
-    for router in network.speakers:
-        by_terms = {}
-        for peer, terms in network._live_sessions(router):
-            by_terms.setdefault(terms, []).append(peer)
-        for peers in by_terms.values():
-            tables = [network._advertised.get((router, p), {}) for p in peers]
-            for table in tables[1:]:
-                assert table.keys() == tables[0].keys()
-                for key, route in table.items():
-                    assert route is tables[0][key]
-                    shared += 1
-            # ... and so does every receiver's Adj-RIB-In, unless its
-            # loop check turned the route into a withdrawal.
-            for peer, table in zip(peers, tables):
-                held = network.speaker(peer).session_with(router)
-                for key, route in table.items():
-                    assert held.get(*key) is route or (
-                        route.has_loop(peer.domain.domain_id)
-                    )
-    assert shared > 100
+@MUTATIONS
+def test_update_groups_hold_what_receivers_hold(mutate):
+    def run():
+        network = _converged(node_count=40)
+        _assert_groups_hold(network, identical=True)
+        mutate(network)
+        _assert_groups_hold(network)
+        network.converge()
+        _assert_groups_hold(network)
+        return network.updates_sent, network.rib_digest()
+
+    with recompute_everything(bgmp=False):
+        expected = run()
+    assert run() == expected
+
+
+def test_private_session_joins_at_a_full_export_only():
+    """A session whose terms changed leaves its group with a private
+    copy of the table; a partial export cannot prove the copy equal to
+    the group's again, the next full export does."""
+    network = _converged()
+    _invalidate(network)
+    router, peer = network.topology.links[0]
+    assert (router, peer) in network._advertised
+    speaker = network.speaker(router)
+    some_key = next(iter(speaker.loc_rib.keys()))
+    network._send_round(speaker, {some_key})
+    assert (router, peer) in network._advertised
+    network.converge()
+    assert (router, peer) not in network._advertised
+    _assert_groups_hold(network)

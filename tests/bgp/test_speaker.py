@@ -3,6 +3,7 @@
 import pytest
 
 from repro.addressing.prefix import Prefix
+from repro.bgp.messages import UpdateMessage
 from repro.bgp.routes import Route, RouteType
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import Domain
@@ -117,14 +118,40 @@ class TestDecisionProcess:
         assert speaker.recompute()
         assert not speaker.recompute()  # stable now
 
-    def test_replace_session_routes_withdraws_implicitly(self):
+    def test_update_is_delivered_as_one_batch(self):
+        """One UPDATE is one dirty mark, naming exactly the keys whose
+        Adj-RIB-In entry changed: a looped announcement withdraws what
+        was held, and withdrawing a key never held changes nothing."""
         home, router, speaker = make_speaker()
         peer = Domain(1, name="P").router("P1")
+        held = Prefix.parse("227.0.0.0/16")
+        never = Prefix.parse("228.0.0.0/16")
+        fresh = Prefix.parse("229.0.0.0/16")
+        speaker.receive(peer, Route(held, RouteType.GROUP, peer, (1,)))
         speaker.receive(peer, external_route(peer, (1,)))
-        speaker.recompute()
-        speaker.replace_session_routes(peer, [])
-        speaker.recompute()
-        assert speaker.loc_rib.get(RouteType.GROUP, PREFIX) is None
+        marks = []
+
+        class Listener:
+            def speaker_dirty(self, _speaker, keys=None):
+                marks.append(sorted(keys))
+
+        speaker._listener = Listener()
+        speaker.deliver(peer, UpdateMessage(
+            announcements=[
+                external_route(peer, (1, 0)),  # looped: withdraws PREFIX
+                Route(fresh, RouteType.GROUP, peer, (1,)),
+            ],
+            withdrawals=[
+                (RouteType.GROUP, held),
+                (RouteType.GROUP, never),
+            ],
+        ))
+        assert marks == [sorted(
+            (RouteType.GROUP, p) for p in (PREFIX, fresh, held)
+        )]
+        assert set(speaker.session_with(peer).keys()) == {
+            (RouteType.GROUP, fresh)
+        }
 
     def test_withdraw_origin(self):
         home, router, speaker = make_speaker()

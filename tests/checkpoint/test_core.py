@@ -104,6 +104,17 @@ def save_version_6_checkpoint(path):
     )
 
 
+def save_version_7_checkpoint(path):
+    """A checkpoint file from version 7, whose ``BgpNetwork`` keeps one
+    advertised table per session, no update groups and frozenset-keyed
+    down sessions — it would unpickle, into a network whose next round
+    dies on a missing attribute. The payload names the per-session
+    diff version 8 replaced with one diff per update group."""
+    _save_old_checkpoint(
+        path, 7, b"\x80\x04crepro.bgp.network\nBgpNetwork._session_diff\n."
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
 OLD_VERSIONS = {
@@ -112,6 +123,7 @@ OLD_VERSIONS = {
     4: save_version_4_checkpoint,
     5: save_version_5_checkpoint,
     6: save_version_6_checkpoint,
+    7: save_version_7_checkpoint,
 }
 
 
@@ -203,7 +215,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 7",
+            match=f"checkpoint version {version} != supported 8",
         ):
             ckpt.load(path)
 
