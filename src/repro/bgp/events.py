@@ -55,8 +55,7 @@ class EventDrivenBgp(BgpNetwork):
         self.routes_announced = 0
         self.routes_withdrawn = 0
         # Nothing is originated yet: the fresh speakers have nothing to
-        # decide or export, so no send needs scheduling for them.
-        self._dirty.clear()
+        # export, so no send needs scheduling for them.
         self._export_dirty.clear()
 
     # ------------------------------------------------------------------
@@ -135,7 +134,7 @@ class EventDrivenBgp(BgpNetwork):
         bests = self._best_routes(self.speaker(router), keys, [table])
         terms = self._session_terms(router, peer)
         update = self._diff(table, self._exports(router, terms, bests))
-        if update.is_empty:
+        if update is None:
             return
         self.updates_sent += 1
         self.routes_announced += len(update.announcements)

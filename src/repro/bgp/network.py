@@ -7,14 +7,15 @@ Loc-RIB is stable. Aggregation of covered customer group routes
 (section 4.3.2 of the paper) is applied at the domain's external
 border.
 
-The (type, prefix) key is the unit of work. Speaker mutation hooks
-report which keys' decision inputs moved; the decision process reruns
-for those keys only and patches the Loc-RIB in place; each round
+The (type, prefix) key is the unit of work. Each speaker records the
+decisions its mutations made due — a delivered route weighed against
+the best so far, a rescan only where that best left — and settles
+those only, patching the Loc-RIB in place; each round
 exports only the keys whose best route moved, diffed once per *update
 group* against the *advertised table* its members' receivers hold, and
 the difference is delivered as one batch into each member's
-Adj-RIB-In, dirtying those keys there. A key whose export equals the
-table sends nothing — which is why treating *every* key as dirty
+Adj-RIB-In, where the receiver weighs each change. A key whose export
+equals the table sends nothing — which is why treating *every* key as due
 walks the identical rounds, Loc-RIBs and update counts, the property
 ``tests/bgp/test_incremental_equivalence.py`` checks against the
 recompute-everything oracle in ``tests/conftest.py`` (see
@@ -135,11 +136,10 @@ class BgpNetwork:
         #: routers — maintained by the fault layer.
         self._down_sessions: Set[Session] = set()
         self._down_routers: Set[BorderRouter] = set()
-        #: Per speaker, the keys whose decision inputs changed since
-        #: the decision process last ran for them, and the keys whose
-        #: exports must be re-evaluated although their best route did
-        #: not move. ``None`` stands for every key.
-        self._dirty: Dict[BgpSpeaker, Optional[Set[Key]]] = {}
+        #: The speakers with decisions due (each keeps which keys), and
+        #: per speaker the keys whose exports must be re-evaluated
+        #: although their best route did not move (``None``: every key).
+        self._dirty: Set[BgpSpeaker] = set()
         self._export_dirty: Dict[BgpSpeaker, Optional[Set[Key]]] = {}
         #: Per router, its update groups by terms. A live session that
         #: is no group's member is *private*: its advertised table —
@@ -171,22 +171,25 @@ class BgpNetwork:
     def _new_speaker(self, router: BorderRouter) -> BgpSpeaker:
         speaker = BgpSpeaker(router)
         speaker._listener = self
-        self.speaker_dirty(speaker)
+        # Nothing to decide yet; the first full export seats its
+        # sessions in their update groups.
+        self._export_dirty[speaker] = None
         return speaker
 
     # ------------------------------------------------------------------
-    # Dirty-key bookkeeping (called by BgpSpeaker mutation hooks)
+    # Dirty bookkeeping (called by BgpSpeaker mutation hooks)
 
-    def speaker_dirty(
-        self, speaker: BgpSpeaker, keys: Optional[Iterable[Key]] = None
-    ) -> None:
-        """A speaker's decision inputs under ``keys`` changed: the
-        decision process must rerun for them (and whatever moves is
-        exported). With no keys, everything about the speaker is
-        suspect: every key is re-decided *and* re-exported."""
-        mark_pending(self._dirty, speaker, keys)
-        if keys is None:
-            self._export_dirty[speaker] = None
+    def decisions_due(self, speaker: BgpSpeaker) -> None:
+        """``speaker`` recorded decisions due: it reruns the decision
+        process for them, and whatever moves is exported."""
+        self._dirty.add(speaker)
+
+    def speaker_dirty(self, speaker: BgpSpeaker) -> None:
+        """Everything about ``speaker`` is suspect: every key is
+        re-decided *and* re-exported."""
+        speaker.redecide_all()
+        self._dirty.add(speaker)
+        self._export_dirty[speaker] = None
 
     def origins_changed(self, speaker: BgpSpeaker, key: Key) -> None:
         """A speaker started or stopped originating ``key``: the
@@ -517,13 +520,15 @@ class BgpNetwork:
         self, rank: Dict[BgpSpeaker, object]
     ) -> List[Tuple[BgpSpeaker, Optional[Set[Key]]]]:
         """Every speaker in ``rank`` (the live ones, by canonical
-        position) with dirty keys reruns the decision process for
-        them; returns the speakers left with keys to export — moved
-        just now or pending from mutation hooks — in rank order."""
+        position) with decisions due settles them; returns the speakers
+        left with keys to export — moved just now or pending from
+        mutation hooks — in rank order."""
+        dirty = self._dirty
         for speaker in sorted(
-            (s for s in self._dirty if s in rank), key=rank.__getitem__
+            (s for s in dirty if s in rank), key=rank.__getitem__
         ):
-            moved = speaker.recompute(self._dirty.pop(speaker))
+            dirty.discard(speaker)
+            moved = speaker.recompute()
             if moved:
                 mark_pending(self._export_dirty, speaker, moved)
         ready = sorted(
@@ -585,16 +590,16 @@ class BgpNetwork:
             exports = self._exports(router, terms, bests)
             table = group.table or {}
             update = self._diff(table, exports)
-            if update.announcements:
-                group.table = table
-            if not update.is_empty:
+            if update is not None:
+                if update.announcements:
+                    group.table = table
                 for peer in group.members:
                     self.speaker(peer).deliver(router, update)
                 sent += len(group.members)
             for peer in private:
                 table = advertised.setdefault((router, peer), {})
                 update = self._diff(table, exports)
-                if not update.is_empty:
+                if update is not None:
                     self.speaker(peer).deliver(router, update)
                     sent += 1
             if keys is None and private:
@@ -613,11 +618,11 @@ class BgpNetwork:
         """``keys`` (None: every key the speaker holds or has
         advertised in any of ``tables``) in canonical order, each with
         the speaker's best route for it."""
+        installed = speaker.loc_rib.best
         if keys is None:
-            keys = set(speaker.loc_rib.keys()).union(*tables)
+            keys = set(installed).union(*tables)
         return [
-            (key, speaker.loc_rib.get(*key))
-            for key in sorted(keys, key=key_order)
+            (key, installed.get(key)) for key in sorted(keys, key=key_order)
         ]
 
     def _exports(
@@ -630,20 +635,26 @@ class BgpNetwork:
         ]
 
     @staticmethod
-    def _diff(table: Dict[Key, Route], exports: List) -> UpdateMessage:
+    def _diff(
+        table: Dict[Key, Route], exports: List
+    ) -> Optional[UpdateMessage]:
         """Bring the advertised table ``table`` up to date with
-        ``exports``; the difference is the UPDATE to deliver."""
-        update = UpdateMessage()
+        ``exports``; the difference is the UPDATE to deliver (None when
+        there is none)."""
+        announcements: List[Route] = []
+        withdrawals: List[Key] = []
         for key, route in exports:
             if route == table.get(key):
                 continue
             if route is None:
                 del table[key]
-                update.withdrawals.append(key)
+                withdrawals.append(key)
             else:
                 table[key] = route
-                update.announcements.append(route)
-        return update
+                announcements.append(route)
+        if announcements or withdrawals:
+            return UpdateMessage(announcements, withdrawals)
+        return None
 
     def _session_terms(
         self, router: BorderRouter, peer: BorderRouter

@@ -63,19 +63,22 @@ class LocRib:
     """
 
     def __init__(self) -> None:
-        self._routes: Dict[Key, Route] = {}
+        #: The selected route per key: read it directly, change it only
+        #: through :meth:`install`, :meth:`remove` and :meth:`clear`,
+        #: which keep the lookup index in step.
+        self.best: Dict[Key, Route] = {}
         self._lpm: Dict[RouteType, LpmTrie] = {}
 
     def install(self, route: Route) -> None:
         """Install the winning route for its (type, prefix)."""
-        self._routes[route.key()] = route
+        self.best[route.key()] = route
         index = self._lpm.get(route.route_type)
         if index is not None:
             index.insert(route.prefix, route)
 
     def remove(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Drop the entry; True if one was present."""
-        if self._routes.pop((route_type, prefix), None) is None:
+        if self.best.pop((route_type, prefix), None) is None:
             return False
         index = self._lpm.get(route_type)
         if index is not None:
@@ -84,18 +87,18 @@ class LocRib:
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """Exact-prefix lookup."""
-        return self._routes.get((route_type, prefix))
+        return self.best.get((route_type, prefix))
 
     def keys(self) -> KeysView[Key]:
         """The (type, prefix) pairs that currently have a best route."""
-        return self._routes.keys()
+        return self.best.keys()
 
     def routes(self, route_type: Optional[RouteType] = None) -> List[Route]:
         """All routes, optionally filtered by type, in canonical
         (prefix, type) order — independent of insertion history."""
         return [
-            self._routes[key]
-            for key in sorted(self._routes, key=key_order)
+            self.best[key]
+            for key in sorted(self.best, key=key_order)
             if route_type is None or key[0] is route_type
         ]
 
@@ -110,7 +113,7 @@ class LocRib:
         index = self._lpm.get(route_type)
         if index is None:
             index = LpmTrie()
-            for (kind, prefix), route in self._routes.items():
+            for (kind, prefix), route in self.best.items():
                 if kind is route_type:
                     index.insert(prefix, route)
             self._lpm[route_type] = index
@@ -118,16 +121,16 @@ class LocRib:
 
     def count(self, route_type: RouteType) -> int:
         """Number of routes of one type."""
-        return sum(1 for kind, _prefix in self._routes if kind is route_type)
+        return sum(1 for kind, _prefix in self.best if kind is route_type)
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self.best)
 
     def clear(self) -> None:
         """Drop everything (a crashed router's volatile state)."""
-        self._routes.clear()
+        self.best.clear()
         self._lpm.clear()
 
     def snapshot(self) -> Dict[Key, Route]:
         """A copy of the table (used by convergence checks)."""
-        return dict(self._routes)
+        return dict(self.best)

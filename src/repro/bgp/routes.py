@@ -141,14 +141,16 @@ class Route:
             return True
         if not isinstance(other, Route):
             return NotImplemented
+        # The next hop first: routes from different peers differ there,
+        # and routers compare by identity, unlike prefixes.
         return (
-            self.prefix == other.prefix
-            and self.route_type == other.route_type
-            and self.next_hop == other.next_hop
+            self.next_hop == other.next_hop
             and self.as_path == other.as_path
             and self.local_pref == other.local_pref
             and self.from_internal == other.from_internal
             and self.learned_from == other.learned_from
+            and self.route_type == other.route_type
+            and self.prefix == other.prefix
         )
 
     def __hash__(self) -> int:

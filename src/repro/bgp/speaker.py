@@ -4,14 +4,14 @@ Each border router runs one speaker. A speaker holds locally-originated
 routes, one Adj-RIB-In per peering session (external sessions over the
 router's inter-domain links plus an iBGP full mesh with the other
 border routers of its domain), and a Loc-RIB kept by the standard
-decision process. The (type, prefix) key is the unit of work: every
-mutation tells the listener which keys it touched, and
-:meth:`BgpSpeaker.recompute` reselects exactly those.
+decision process. The (type, prefix) key is the unit of work: each
+mutation records the keys whose best route may move, and
+:meth:`BgpSpeaker.recompute` settles exactly those.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgp.messages import UpdateMessage
@@ -19,6 +19,9 @@ from repro.bgp.policy import preference_for
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Key, Route, RouteType, key_order
 from repro.topology.domain import BorderRouter
+
+#: A key with no decision due: its Loc-RIB entry stands.
+_DECIDED = object()
 
 
 class BgpSpeaker:
@@ -29,26 +32,30 @@ class BgpSpeaker:
         self.loc_rib = LocRib()
         self._origins: Dict[Key, Route] = {}
         self._adj_in: Dict[BorderRouter, AdjRibIn] = {}
+        #: The decisions due, per key: the new best route when the
+        #: changes alone settle it, ``None`` when the key's Adj-RIB-Ins
+        #: must be rescanned (its best left, or an origin moved).
+        #: ``None`` in place of the map: every key is due.
+        self._pending: Optional[Dict[Key, Optional[Route]]] = {}
         #: Change listener (set by :class:`~repro.bgp.network.BgpNetwork`
-        #: to drive its dirty keys): an object with ``speaker_dirty``,
-        #: ``origins_changed`` and ``grib_moved`` methods, called
-        #: whenever this speaker's decision inputs, origin set or
-        #: G-RIB change. ``None`` for standalone speakers.
+        #: to schedule decisions and exports): an object with
+        #: ``decisions_due``, ``speaker_dirty``, ``origins_changed`` and
+        #: ``grib_moved`` methods, called when this speaker has decisions
+        #: due, lost its volatile state, changed its origin set or moved
+        #: a G-RIB entry. ``None`` for standalone speakers.
         self._listener = None
 
-    def _mark_dirty(self, keys: Optional[Iterable[Key]] = None) -> None:
-        """Decision inputs under ``keys`` changed (None: under any)."""
-        if self._listener is not None:
-            self._listener.speaker_dirty(self, keys)
+    def redecide_all(self) -> None:
+        """Make every key's decision due: the next :meth:`recompute`
+        rescans them all."""
+        self._pending = None
 
     def _mark_origin_changed(self, key: Key) -> None:
+        if self._pending is not None:
+            self._pending[key] = None
         if self._listener is not None:
-            self._listener.speaker_dirty(self, (key,))
+            self._listener.decisions_due(self)
             self._listener.origins_changed(self, key)
-
-    def _mark_grib_moved(self, key: Key, kind: str) -> None:
-        if self._listener is not None and key[0] is RouteType.GROUP:
-            self._listener.grib_moved(self, key[1], kind)
 
     @property
     def domain(self):
@@ -72,12 +79,14 @@ class BgpSpeaker:
 
     def drop_session(self, peer: BorderRouter) -> bool:
         """Tear down the session with ``peer``: every route learned
-        from it is withdrawn (the Adj-RIB-In vanishes). True when a
+        from it is withdrawn (the Adj-RIB-In vanishes), so only the
+        keys it held the best route for are rescanned. True when a
         session existed."""
-        rib = self._adj_in.pop(peer, None)
+        rib = self._adj_in.get(peer)
         if rib is None:
             return False
-        self._mark_dirty(rib.keys())
+        self.deliver(peer, UpdateMessage(withdrawals=list(rib.routes)))
+        del self._adj_in[peer]
         return True
 
     def reset(self) -> None:
@@ -85,10 +94,14 @@ class BgpSpeaker:
         is lost; configuration (locally-originated routes) survives and
         is re-announced on the next decision round."""
         self._adj_in.clear()
-        for key in sorted(self.loc_rib.keys(), key=key_order):
-            self._mark_grib_moved(key, "withdrawn")
+        self.redecide_all()
+        listener = self._listener
+        if listener is not None:
+            for kind, prefix in sorted(self.loc_rib.keys(), key=key_order):
+                if kind is RouteType.GROUP:
+                    listener.grib_moved(self, prefix, "withdrawn")
+            listener.speaker_dirty(self)
         self.loc_rib.clear()
-        self._mark_dirty()
 
     # ------------------------------------------------------------------
     # Origination
@@ -130,53 +143,94 @@ class BgpSpeaker:
         its key before, each withdrawal removes it, and so does an
         external route whose AS path already holds this domain — the
         peer's best path now runs through us, so its previous one is
-        gone all the same. The keys that changed are dirtied at once."""
+        gone all the same. One notice says decisions are due."""
         routes = self.session_with(peer).routes
         domain_id = self.router.domain.domain_id
-        changed: List[Key] = []
+        weigh = self._weigh
+        due = False
         for route in update.announcements:
             key = route.key()
             if route.from_internal or domain_id not in route.as_path:
+                displaced = routes.get(key)
                 routes[key] = route
-            elif routes.pop(key, None) is None:
-                continue
-            changed.append(key)
+            else:
+                displaced = routes.pop(key, None)
+                if displaced is None:
+                    continue
+                route = None
+            due = weigh(key, displaced, route) or due
         for key in update.withdrawals:
-            if routes.pop(key, None) is not None:
-                changed.append(key)
-        if changed:
-            self._mark_dirty(changed)
+            displaced = routes.pop(key, None)
+            if displaced is not None:
+                due = weigh(key, displaced, None) or due
+        if due and self._listener is not None:
+            self._listener.decisions_due(self)
+
+    def _weigh(
+        self, key: Key, displaced: Optional[Route], route: Optional[Route]
+    ) -> bool:
+        """Weigh ``displaced`` replaced by ``route`` (either may be
+        None) against the best so far — the settled route due, else the
+        Loc-RIB's: a better route is settled as the new best, and a
+        rescan is due only when that best is displaced. True when the
+        best route may move."""
+        pending = self._pending
+        if pending is None:
+            return False  # every key is due
+        best = pending.get(key, _DECIDED)
+        if best is None:
+            return False  # a rescan is already due
+        if best is _DECIDED:
+            best = self.loc_rib.best.get(key)
+        if displaced is not None and displaced == best:
+            pending[key] = None
+        elif route is None or best is not None and (
+            best.next_hop is None  # an origin beats every learned route
+            or self._rank(route) >= self._rank(best)
+        ):
+            return False
+        else:
+            pending[key] = route
+        return True
 
     def receive(self, peer: BorderRouter, route: Route) -> None:
         """Deliver one announced route from ``peer``."""
         self.deliver(peer, UpdateMessage([route]))
 
-    def recompute(self, keys: Optional[Iterable[Key]] = None) -> List[Key]:
-        """Run the decision process for ``keys`` (None: for every key
-        this speaker holds any route under) and patch the Loc-RIB;
-        returns the keys whose best route moved, in canonical order.
+    def recompute(self) -> List[Key]:
+        """Settle the decisions due and patch the Loc-RIB; returns the
+        keys whose best route moved, in canonical order.
 
         Selection per (type, prefix): local origin first, then highest
         local_pref, shortest AS path, eBGP over iBGP, and finally the
         lowest (domain id, router name) of the advertising router for a
-        deterministic tie-break.
+        deterministic tie-break. A key the delivered routes settled
+        takes that route; any other key due rescans every Adj-RIB-In.
         """
-        if keys is None:
-            keys = set(self.loc_rib.keys()).union(
-                self._origins, *(rib.keys() for rib in self._adj_in.values())
+        pending, origins = self._pending, self._origins
+        installed = self.loc_rib.best
+        self._pending = {}
+        if pending is None:
+            pending = dict.fromkeys(
+                set(installed).union(
+                    origins, *(rib.routes for rib in self._adj_in.values())
+                )
             )
+        listener = self._listener
         moved: List[Key] = []
-        tables = [rib.routes for rib in self._adj_in.values()]
-        for key in sorted(keys, key=key_order):
-            best = self._origins.get(key)
+        tables = None
+        for key in sorted(pending, key=key_order):
+            best = origins.get(key, pending[key])
             if best is None:
+                if tables is None:
+                    tables = [rib.routes for rib in self._adj_in.values()]
                 learned = [
                     route
                     for table in tables
                     if (route := table.get(key)) is not None
                 ]
                 best = min(learned, key=self._rank) if learned else None
-            old = self.loc_rib.get(*key)
+            old = installed.get(key)
             if best is old or best == old:
                 continue
             if best is None:
@@ -186,7 +240,8 @@ class BgpSpeaker:
                 self.loc_rib.install(best)
                 kind = "added" if old is None else "changed"
             moved.append(key)
-            self._mark_grib_moved(key, kind)
+            if listener is not None and key[0] is RouteType.GROUP:
+                listener.grib_moved(self, key[1], kind)
         return moved
 
     @staticmethod

@@ -106,8 +106,9 @@ class MigpComponent:
         return bool(self._members.get(group))
 
     def member_groups(self) -> List[int]:
-        """Groups with at least one local member (sorted)."""
-        return sorted(g for g, members in self._members.items() if members)
+        """Groups with at least one local member (sorted); a group's
+        entry goes when its last member leaves."""
+        return sorted(self._members)
 
     def _on_membership_change(self, group: int, joined: bool) -> None:
         """Protocol hook: control traffic emitted on join/leave."""
@@ -160,13 +161,10 @@ class MigpComponent:
         that must also see the packet; protocol subclasses layer their
         data-path quirks on top.
         """
-        forward = [
-            router
-            for router in sorted(
-                self.attached_routers(group), key=lambda r: r.name
-            )
-            if router != via
-        ]
+        forward = sorted(
+            (r for r in self._attached.get(group, ()) if r is not via),
+            key=lambda r: r.name,
+        )
         return InjectionResult(
             local_members=len(self._members.get(group, ())),
             forward_routers=forward,

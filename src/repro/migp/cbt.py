@@ -26,13 +26,14 @@ class Cbt(MigpComponent):
     def core(self, group: int) -> Optional[BorderRouter]:
         """The core router for a group (hashed over the domain's
         routers, as in intra-domain core selection)."""
-        routers = sorted(self.domain.routers.values(), key=lambda r: r.name)
-        if not routers:
-            return None
         found = self._cores.get(group)
         if found is None:
-            found = routers[group % len(routers)]
-            self._cores[group] = found
+            routers = sorted(
+                self.domain.routers.values(), key=lambda r: r.name
+            )
+            if not routers:
+                return None
+            found = self._cores[group] = routers[group % len(routers)]
         return found
 
     def _on_membership_change(self, group: int, joined: bool) -> None:

@@ -29,13 +29,14 @@ class PimSparse(MigpComponent):
         """The RP for a group, assigned by hashing the group address
         over the domain's routers (the intra-domain custom the paper
         contrasts with BGMP's root-domain selection, section 5.1)."""
-        routers = sorted(self.domain.routers.values(), key=lambda r: r.name)
-        if not routers:
-            return None
         rp = self._rps.get(group)
         if rp is None:
-            rp = routers[group % len(routers)]
-            self._rps[group] = rp
+            routers = sorted(
+                self.domain.routers.values(), key=lambda r: r.name
+            )
+            if not routers:
+                return None
+            rp = self._rps[group] = routers[group % len(routers)]
         return rp
 
     def _on_membership_change(self, group: int, joined: bool) -> None:

@@ -4,6 +4,7 @@ export code: every router's best route class and AS-path length must
 be the one the domain graph implies, after the initial converge, a
 withdrawal and re-origination, and a crash and restore."""
 
+import os
 import random
 
 import pytest
@@ -87,4 +88,15 @@ def test_three_hundred_domains():
     # A tenth of the domains originate: the whole set converges in
     # seconds, more than tier-1 affords.
     network = _world(300, stride=10)
+    _assert_closed_form(network)
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_PAPER_SCALE", "") in ("", "0"),
+    reason="route-views scale: set REPRO_PAPER_SCALE=1",
+)
+def test_route_views_scale():
+    # The 3326-domain graph of the route-views workload; every 33rd
+    # domain originates (101 prefixes), far beyond the tier-1 budget.
+    network = _world(3326, stride=33)
     _assert_closed_form(network)

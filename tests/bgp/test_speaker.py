@@ -119,9 +119,10 @@ class TestDecisionProcess:
         assert not speaker.recompute()  # stable now
 
     def test_update_is_delivered_as_one_batch(self):
-        """One UPDATE is one dirty mark, naming exactly the keys whose
-        Adj-RIB-In entry changed: a looped announcement withdraws what
-        was held, and withdrawing a key never held changes nothing."""
+        """One UPDATE is one notice that decisions are due, and the
+        speaker records exactly the keys whose best may move: a looped
+        announcement withdraws what was held, and withdrawing a key
+        never held changes nothing."""
         home, router, speaker = make_speaker()
         peer = Domain(1, name="P").router("P1")
         held = Prefix.parse("227.0.0.0/16")
@@ -129,26 +130,32 @@ class TestDecisionProcess:
         fresh = Prefix.parse("229.0.0.0/16")
         speaker.receive(peer, Route(held, RouteType.GROUP, peer, (1,)))
         speaker.receive(peer, external_route(peer, (1,)))
-        marks = []
+        speaker.recompute()
+        notices = []
 
         class Listener:
-            def speaker_dirty(self, _speaker, keys=None):
-                marks.append(sorted(keys))
+            def decisions_due(self, due_speaker):
+                notices.append(due_speaker)
 
         speaker._listener = Listener()
+        announced = Route(fresh, RouteType.GROUP, peer, (1,))
         speaker.deliver(peer, UpdateMessage(
             announcements=[
                 external_route(peer, (1, 0)),  # looped: withdraws PREFIX
-                Route(fresh, RouteType.GROUP, peer, (1,)),
+                announced,
             ],
             withdrawals=[
                 (RouteType.GROUP, held),
                 (RouteType.GROUP, never),
             ],
         ))
-        assert marks == [sorted(
-            (RouteType.GROUP, p) for p in (PREFIX, fresh, held)
-        )]
+        assert notices == [speaker]
+        # The withdrawn bests are rescanned, the new key is settled.
+        assert speaker._pending == {
+            (RouteType.GROUP, PREFIX): None,
+            (RouteType.GROUP, held): None,
+            (RouteType.GROUP, fresh): announced,
+        }
         assert set(speaker.session_with(peer).keys()) == {
             (RouteType.GROUP, fresh)
         }

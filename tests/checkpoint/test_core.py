@@ -115,6 +115,17 @@ def save_version_7_checkpoint(path):
     )
 
 
+def save_version_8_checkpoint(path):
+    """A checkpoint file from version 8, whose ``BgpNetwork`` keeps
+    dirty key sets per speaker and whose speakers keep no decisions due
+    — it would unpickle, into a network whose next delivery dies on a
+    missing attribute. The payload names the per-key dirty hook version
+    9 replaced with the speaker's own record of the decisions due."""
+    _save_old_checkpoint(
+        path, 8, b"\x80\x04crepro.bgp.speaker\nBgpSpeaker._mark_dirty\n."
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
 OLD_VERSIONS = {
@@ -124,6 +135,7 @@ OLD_VERSIONS = {
     5: save_version_5_checkpoint,
     6: save_version_6_checkpoint,
     7: save_version_7_checkpoint,
+    8: save_version_8_checkpoint,
 }
 
 
@@ -215,7 +227,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 8",
+            match=f"checkpoint version {version} != supported 9",
         ):
             ckpt.load(path)
 

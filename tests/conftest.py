@@ -7,6 +7,7 @@ import pytest
 
 from repro.bgmp.network import BgmpNetwork
 from repro.bgp.network import BgpNetwork
+from repro.bgp.speaker import BgpSpeaker
 
 
 def pytest_addoption(parser):
@@ -44,21 +45,30 @@ def recompute_everything(bgp=True, bgmp=True):
 
     Driven purely through hooks the product has for its own callers:
     every speaker is marked through ``BgpNetwork.speaker_dirty`` (the
-    speaker mutation hook) with no keys — every key re-decided and
-    re-exported — before each ``try_converge``, and
-    ``BgmpNetwork.grib_reset`` (what ``BgpNetwork.invalidate`` sends on
-    a continuity loss) precedes each repair/refresh so it walks every
-    tree. A key whose export equals the advertised table is still
-    suppressed, so rounds, ``updates_sent``, digests, repair counters
-    and delivery reports must equal the dirty-key engines' byte for
-    byte.
+    hook a crashed speaker calls) — every key re-decided and
+    re-exported — before each ``try_converge``; every speaker that
+    receives an UPDATE, whatever it weighed, rescans every key
+    (``BgpSpeaker.redecide_all``, announced through the
+    ``decisions_due`` hook); and ``BgmpNetwork.grib_reset`` (what
+    ``BgpNetwork.invalidate`` sends on a continuity loss) precedes each
+    repair/refresh so it walks every tree. A key whose export equals
+    the advertised table is still suppressed, so rounds,
+    ``updates_sent``, digests, repair counters and delivery reports
+    must equal the dirty-key engines' byte for byte.
     """
     converge = BgpNetwork.try_converge
+    deliver = BgpSpeaker.deliver
 
     def try_converge(self, max_rounds=200):
         for speaker in self.speakers.values():
             self.speaker_dirty(speaker)
         return converge(self, max_rounds)
+
+    def deliver_and_rescan(self, peer, update):
+        deliver(self, peer, update)
+        self.redecide_all()
+        if self._listener is not None:
+            self._listener.decisions_due(self)
 
     def walk_everything(method):
         def wrapper(self, *args, **kwargs):
@@ -69,6 +79,7 @@ def recompute_everything(bgp=True, bgmp=True):
     with pytest.MonkeyPatch.context() as patch:
         if bgp:
             patch.setattr(BgpNetwork, "try_converge", try_converge)
+            patch.setattr(BgpSpeaker, "deliver", deliver_and_rescan)
         if bgmp:
             for name in ("repair_trees", "refresh_trees"):
                 method = getattr(BgmpNetwork, name)
