@@ -104,6 +104,8 @@ class LeaseTable:
 
     def expire(self, now: float) -> List[Lease]:
         """Remove and return every lease with ``expires_at <= now``."""
+        if not self._heap or self._heap[0][0] > now:
+            return []
         expired: List[Lease] = []
         self._discard_stale()
         while self._heap and self._heap[0][0] <= now:

@@ -69,62 +69,62 @@ class PrefixTrie:
         return self._count
 
     def __contains__(self, prefix: Prefix) -> bool:
-        path, reached = self._descend(prefix)
-        return reached and path[-1].allocated
+        node, length = self._reach(prefix)
+        return length == prefix._length and node.allocated
 
-    def _descend(self, prefix: Prefix) -> Tuple[List[_Node], bool]:
-        """The existing nodes from the root toward ``prefix`` (none when
-        it lies outside the space), and whether the last of them is
-        ``prefix``'s own node. The walk ends early at an allocated
-        node, which has no children."""
+    def _reach(self, prefix: Prefix) -> Tuple[Optional[_Node], int]:
+        """The deepest existing node from the root toward ``prefix``
+        and its mask length; (None, -1) when ``prefix`` lies outside
+        the space. The walk ends early at an allocated node, which has
+        no children."""
         space = self._space
-        if not space.contains(prefix):
-            return [], False
-        node: Optional[_Node] = self._root
-        path = [node]
-        network = prefix.network
-        for shift in range(31 - space.length, 31 - prefix.length, -1):
-            node = node.high if (network >> shift) & 1 else node.low
-            if node is None:
-                return path, False
-            path.append(node)
-        return path, True
+        base, network, length = space._length, prefix._network, prefix._length
+        if length < base or (network ^ space._network) >> (32 - base):
+            return None, -1
+        node = self._root
+        for shift in range(31 - base, 31 - length, -1):
+            child = node.high if (network >> shift) & 1 else node.low
+            if child is None:
+                return node, 31 - shift
+            node = child
+        return node, length
 
     def covering_allocation(self, prefix: Prefix) -> Optional[Prefix]:
         """The allocated prefix covering ``prefix``, if any (including
         ``prefix`` itself)."""
-        path, _ = self._descend(prefix)
-        if not path or not path[-1].allocated:
+        node, length = self._reach(prefix)
+        if node is None or not node.allocated:
             return None
-        length = self._space.length + len(path) - 1
-        return Prefix(prefix.network & mask_bits(length), length)
+        return Prefix(prefix._network & mask_bits(length), length)
 
     def overlapping(self, prefix: Prefix) -> bool:
         """True if any allocated prefix overlaps ``prefix``."""
-        path, reached = self._descend(prefix)
-        return bool(path) and (
-            path[-1].allocated or (reached and path[-1].used > 0)
+        node, length = self._reach(prefix)
+        return node is not None and (
+            node.allocated or (length == prefix._length and node.used > 0)
         )
 
     def insert(self, prefix: Prefix) -> None:
         """Allocate ``prefix``. Raises ValueError on any overlap."""
-        path, reached = self._descend(prefix)
-        if not path:
+        node, depth = self._reach(prefix)
+        if node is None:
             raise ValueError(f"{prefix} outside space {self._space}")
-        node = path[-1]
-        if node.allocated or (reached and node.used):
+        network, length = prefix._network, prefix._length
+        if node.allocated or (depth == length and node.used):
             raise ValueError(f"{prefix} overlaps an existing allocation")
-        size = prefix.size
-        for seen in path:
-            seen.used += size
-        network = prefix.network
-        first = 32 - self._space.length - len(path)
-        for shift in range(first, 31 - prefix.length, -1):
-            child = _Node(size)
-            if (network >> shift) & 1:
-                node.high = child
-            else:
-                node.low = child
+        size = 1 << (32 - length)
+        node = self._root
+        node.used += size
+        for shift in range(31 - self._space._length, 31 - length, -1):
+            high = (network >> shift) & 1
+            child = node.high if high else node.low
+            if child is None:
+                child = _Node()
+                if high:
+                    node.high = child
+                else:
+                    node.low = child
+            child.used += size
             node = child
         node.allocated = True
         self._count += 1
@@ -132,24 +132,27 @@ class PrefixTrie:
     def remove(self, prefix: Prefix) -> None:
         """Release an exact allocation. Raises KeyError if absent
         (which any prefix outside the space is)."""
-        path, reached = self._descend(prefix)
-        if not reached or not path[-1].allocated:
+        node, length = self._reach(prefix)
+        if length != prefix._length or not node.allocated:
             raise KeyError(str(prefix))
-        path[-1].allocated = False
         self._count -= 1
-        size = prefix.size
-        parent: Optional[_Node] = None
-        for node in path:
-            node.used -= size
-            if parent is not None and not node.used:
+        network, size = prefix._network, 1 << (32 - length)
+        node = self._root
+        node.used -= size
+        for shift in range(31 - self._space._length, 31 - length, -1):
+            high = (network >> shift) & 1
+            child = node.high if high else node.low
+            child.used -= size
+            if not child.used:
                 # Unlink the emptied subtree: free-space walks read a
                 # missing child as a free block.
-                if parent.low is node:
-                    parent.low = None
+                if high:
+                    node.high = None
                 else:
-                    parent.high = None
+                    node.low = None
                 return
-            parent = node
+            node = child
+        node.allocated = False
 
     def grow(self) -> Prefix:
         """Double the space in place and return it: a new root adopts
@@ -204,7 +207,7 @@ class PrefixTrie:
 
     def _free(
         self, limit: int, narrow: bool = False
-    ) -> Iterator[Tuple[int, int]]:
+    ) -> List[Tuple[int, int]]:
         """(network, length) of every maximal free block no longer than
         /``limit``, in address order. A subtree is entered only while
         it is shorter than the limit and has a /``limit`` worth of
@@ -213,15 +216,16 @@ class PrefixTrie:
         as large and no subtree is entered that holds only smaller
         ones."""
         space = self._space
-        if limit < space.length:
-            return
+        found: List[Tuple[int, int]] = []
+        if limit < space._length:
+            return found
         need = 1 << (32 - limit)
-        stack = [(self._root, space.network, space.length)]
+        stack = [(self._root, space._network, space._length)]
         while stack:
             node, network, length = stack.pop()
             if node is None or not node.used:
                 if length <= limit:
-                    yield network, length
+                    found.append((network, length))
                     if narrow:
                         limit, need = length, 1 << (32 - length)
             elif length < limit and node.used + need <= 1 << (32 - length):
@@ -229,6 +233,7 @@ class PrefixTrie:
                 high = network | 1 << (32 - length)
                 stack.append((node.high, high, length))
                 stack.append((node.low, network, length))
+        return found
 
     def free_prefixes(self, max_length: Optional[int] = None) -> List[Prefix]:
         """Maximal free blocks (free prefixes whose parent is not free),
@@ -242,8 +247,19 @@ class PrefixTrie:
     def lowest_fit(self, length: int) -> Optional[Prefix]:
         """The lowest-addressed free /``length`` range, if any: the
         head of the first free block that can hold it."""
-        for network, _ in self._free(length):
-            return Prefix(network, length)
+        space = self._space
+        if length < space._length:
+            return None
+        need = 1 << (32 - length)
+        stack = [(self._root, space._network, space._length)]
+        while stack:
+            node, network, depth = stack.pop()
+            if node is None or not node.used:
+                return Prefix(network, length)
+            if depth < length and node.used + need <= 1 << (32 - depth):
+                depth += 1
+                stack.append((node.high, network | 1 << (32 - depth), depth))
+                stack.append((node.low, network, depth))
         return None
 
     def shortest_free_prefixes(self, needed_length: int) -> List[Prefix]:
@@ -254,7 +270,7 @@ class PrefixTrie:
         finds all the remaining prefixes of the shortest possible mask
         length, and randomly chooses one of them".
         """
-        blocks = list(self._free(needed_length, narrow=True))
+        blocks = self._free(needed_length, narrow=True)
         best = blocks[-1][1] if blocks else None
         return [Prefix(*block) for block in blocks if block[1] == best]
 

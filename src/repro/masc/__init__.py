@@ -22,54 +22,7 @@ Layers in this package:
 - :mod:`repro.masc.node` / :mod:`repro.masc.messages` — the
   message-level claim-collide protocol state machine.
 - :mod:`repro.masc.simulation` — the Figure 2 experiment engine.
+
+Import from the modules themselves: the package re-exports nothing, so
+importing one layer does not compile the rest.
 """
-
-from repro.masc.config import LifetimePools, MascConfig
-from repro.masc.bootstrap import (
-    ExchangePoint,
-    assign_exchanges,
-    make_exchanges,
-    partition_space,
-)
-from repro.masc.kampai import KampaiDomain, KampaiRoot, KampaiSimulation
-from repro.masc.auth import (
-    Adversary,
-    AuthenticatedOverlay,
-    KeyRegistry,
-)
-from repro.masc.sdr import FlatRandomAllocator, SessionDirectory
-from repro.masc.spaces import AddressPool, ClaimedSpace
-from repro.masc.manager import (
-    ClaimSource,
-    DomainSpaceManager,
-    RootClaimSource,
-)
-from repro.masc.maas import MaasServer
-from repro.masc.node import MascNode
-from repro.masc.simulation import ClaimSimulation, SimulationConfig
-
-__all__ = [
-    "LifetimePools",
-    "MascConfig",
-    "ExchangePoint",
-    "assign_exchanges",
-    "make_exchanges",
-    "partition_space",
-    "KampaiDomain",
-    "KampaiRoot",
-    "KampaiSimulation",
-    "Adversary",
-    "AuthenticatedOverlay",
-    "KeyRegistry",
-    "FlatRandomAllocator",
-    "SessionDirectory",
-    "AddressPool",
-    "ClaimedSpace",
-    "ClaimSource",
-    "DomainSpaceManager",
-    "RootClaimSource",
-    "MaasServer",
-    "MascNode",
-    "ClaimSimulation",
-    "SimulationConfig",
-]

@@ -85,10 +85,14 @@ class MaasServer:
         expired = self.leases.expire(now)
         for lease in expired:
             self.manager.release_block(lease.prefix)
+        if expired and self._assigned:
             self._assigned = {
                 address
                 for address in self._assigned
-                if not lease.prefix.contains_address(address)
+                if not any(
+                    lease.prefix.contains_address(address)
+                    for lease in expired
+                )
             }
         return expired
 

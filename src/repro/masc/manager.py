@@ -363,7 +363,10 @@ class DomainSpaceManager(ClaimSource):
         current ranges, re-packing the hierarchy (section 4.3.3's
         recycling).
         """
-        self._release_drained()
+        for space in self.pool:
+            if not space.active:
+                self._release_drained()
+                break
         self.shed_excess()
         now = self.clock()
         for lease in self.claim_leases.expire(now):
@@ -400,6 +403,8 @@ class DomainSpaceManager(ClaimSource):
         occupancy reaches the threshold or nothing can halve. Returns
         the number of halvings performed.
         """
+        if self.pool.nothing_to_shed(self.config.shrink_low_water):
+            return 0
         halvings = 0
         # Release idle active spaces outright: an empty space is pure
         # over-claim whenever the remaining spaces still meet the

@@ -37,17 +37,17 @@ class ClaimedSpace:
     @property
     def size(self) -> int:
         """Number of addresses in this space."""
-        return self.prefix.size
+        return 1 << (32 - self.prefix._length)
 
     @property
     def used(self) -> int:
         """Addresses covered by interior allocations."""
-        return self._trie.utilized()
+        return self._trie._root.used
 
     @property
     def is_empty(self) -> bool:
         """True when nothing is allocated inside."""
-        return self.used == 0
+        return not self._trie._root.used
 
     def utilization(self) -> float:
         """Fraction of this space allocated."""
@@ -149,11 +149,17 @@ class AddressPool:
 
     def total_size(self) -> int:
         """Total addresses claimed (active + inactive)."""
-        return sum(s.size for s in self._spaces)
+        total = 0
+        for space in self._spaces:
+            total += 1 << (32 - space.prefix._length)
+        return total
 
     def live_addresses(self) -> int:
         """Total addresses covered by interior allocations."""
-        return sum(s.used for s in self._spaces)
+        live = 0
+        for space in self._spaces:
+            live += space._trie._root.used
+        return live
 
     def utilization(self) -> float:
         """live / total, or 0.0 with no space."""
@@ -181,8 +187,12 @@ class AddressPool:
 
     def space_of(self, prefix: Prefix) -> Optional[ClaimedSpace]:
         """The space containing ``prefix``, if any."""
+        network, length = prefix._network, prefix._length
         for space in self._spaces:
-            if space.contains(prefix):
+            held = space.prefix
+            if length >= held._length and not (
+                (network ^ held._network) >> (32 - held._length)
+            ):
                 return space
         return None
 
@@ -217,17 +227,16 @@ class AddressPool:
         """First-fit allocation of a /``length`` block in active
         spaces (lowest-addressed active space gap first)."""
         best: Optional[Prefix] = None
-        best_space: Optional[ClaimedSpace] = None
-        for space in self.active_spaces():
-            lowest = space.lowest_fit(length)
+        for space in self._spaces:
+            if not space.active:
+                continue
+            lowest = space._trie.lowest_fit(length)
             if lowest is None:
                 continue
-            if best is None or lowest.network < best.network:
-                best = lowest
-                best_space = space
-        if best is None or best_space is None:
-            return None
-        best_space.allocate_exact(best)
+            if best is None or lowest._network < best._network:
+                best, trie = lowest, space._trie
+        if best is not None:
+            trie.insert(best)
         return best
 
     def free(self, prefix: Prefix) -> None:
@@ -240,7 +249,28 @@ class AddressPool:
     def drained_inactive(self) -> List[ClaimedSpace]:
         """Inactive spaces with no interior allocations left (ready to
         be released to the parent)."""
-        return [s for s in self._spaces if not s.active and s.is_empty]
+        return [
+            s for s in self._spaces if not s.active and not s._trie._root.used
+        ]
+
+    def nothing_to_shed(self, low_water: float) -> bool:
+        """One pass that rules out every shedding rule of
+        :meth:`~repro.masc.manager.DomainSpaceManager.shed_excess`:
+        no active space is idle, no draining space with allocations
+        left has an empty upper half, and the active spaces are at
+        least ``low_water`` full (or hold nothing). False means some
+        rule may fire."""
+        live = active_total = 0
+        for space in self._spaces:
+            used = space._trie._root.used
+            live += used
+            if space.active:
+                if not used:
+                    return False
+                active_total += 1 << (32 - space.prefix._length)
+            elif used and space._trie.upper_half_empty():
+                return False
+        return not live or not active_total or live / active_total >= low_water
 
 
 def select_claim(

@@ -13,7 +13,11 @@ import pytest
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import PrefixTrie
-from repro.masc.manager import DomainSpaceManager, RootClaimSource
+from repro.masc.manager import (
+    ClaimSource,
+    DomainSpaceManager,
+    RootClaimSource,
+)
 
 BLOCKS = 50
 
@@ -22,7 +26,7 @@ BLOCKS = 50
 def calls(monkeypatch):
     """Counts of ``PrefixTrie.allocations`` / ``insert`` calls from
     here on, by method name."""
-    counts = {"allocations": 0, "insert": 0}
+    counts = {"allocations": 0, "insert": 0, "_free": 0}
 
     def counted(name):
         method = getattr(PrefixTrie, name)
@@ -88,3 +92,49 @@ def test_doubling_and_halving_do_not_reinsert(calls):
     assert shrunk.allocations() == held
     assert calls["insert"] == 0
     assert shrunk.used == BLOCKS * 256
+
+
+class _AskedSource(ClaimSource):
+    """A parent that records every :class:`ClaimSource` call made to
+    it and forwards it to a real one."""
+
+    def __init__(self, inner):
+        self.asked = []
+        self._inner = inner
+
+    def __getattribute__(self, name):
+        if name.startswith("_") or name == "asked":
+            return object.__getattribute__(self, name)
+        self.asked.append(name)
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("draining", [False, True])
+def test_maintain_with_nothing_due_asks_and_walks_nothing(calls, draining):
+    """A day with no claim lease due, no drained space and nothing to
+    shed: ``maintain`` is one pass over the spaces. With ``draining``
+    the domain also holds an inactive space whose allocations sit in
+    its upper half, so the drained-space check runs and finds nothing
+    to release or halve."""
+    parent, _child, _space = _family()
+    source = _AskedSource(parent)
+    child = DomainSpaceManager("C2", source, clock=lambda: 0.0)
+    claim = Prefix.parse("224.0.64.0/22")
+    assert parent.commit_claim(claim)
+    space = child.pool.add(claim)
+    child.claim_leases.add(claim, child.config.claim_lifetime)
+    for _ in range(3):
+        assert child.pool.allocate_block(24) is not None
+    if draining:
+        old = Prefix.parse("224.0.72.0/23")
+        assert parent.commit_claim(old)
+        child.pool.add(old, active=False)
+        assert child.pool.allocate_exact(Prefix.parse("224.0.73.0/24"))
+    for name in calls:
+        calls[name] = 0
+    source.asked.clear()
+    child.maintain()
+    assert source.asked == []
+    assert calls == {"allocations": 0, "insert": 0, "_free": 0}
+    assert len(child.pool) == 1 + draining
+    assert space.prefix == claim

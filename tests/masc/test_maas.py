@@ -107,6 +107,22 @@ class TestAddressAssignment:
         maas.expire_blocks(720.0)
         assert address not in maas.assigned_addresses()
 
+    def test_two_blocks_expiring_together_drop_exactly_theirs(self):
+        maas = make_maas()
+        blocks = [
+            maas.request_block(0.0, size=4, lifetime=lifetime).prefix
+            for lifetime in (10.0, 20.0, 10.0)
+        ]
+        addresses = [maas.assign_group_address(0.0) for _ in range(12)]
+        assert maas.requests_served == 3
+        expired = maas.expire_blocks(10.0)
+        assert sorted(lease.prefix for lease in expired) == sorted(
+            [blocks[0], blocks[2]]
+        )
+        kept = {a for a in addresses if blocks[1].contains_address(a)}
+        assert len(kept) == 4
+        assert maas.assigned_addresses() == kept
+
     def test_assignment_from_domain_range(self):
         maas = make_maas()
         address = maas.assign_group_address(0.0)
