@@ -16,8 +16,8 @@ from repro.bgp.routes import Key, Route
 
 @dataclass
 class UpdateMessage:
-    """One BGP UPDATE: routes announced and (type, prefix) pairs
-    withdrawn."""
+    """One BGP UPDATE: routes announced and the (network, length,
+    type) keys withdrawn."""
 
     announcements: List[Route] = field(default_factory=list)
     withdrawals: List[Key] = field(default_factory=list)

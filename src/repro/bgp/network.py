@@ -7,10 +7,10 @@ Loc-RIB is stable. Aggregation of covered customer group routes
 (section 4.3.2 of the paper) is applied at the domain's external
 border.
 
-The (type, prefix) key is the unit of work. Each speaker records the
-decisions its mutations made due — a delivered route weighed against
-the best so far, a rescan only where that best left — and settles
-those only, patching the Loc-RIB in place; each round
+The (network, length, type) key is the unit of work. Each speaker
+records the decisions its mutations made due — a delivered route
+weighed against the best so far, a rescan only where that best left —
+and settles those only, patching the Loc-RIB in place; each round
 exports only the keys whose best route moved, diffed once per *update
 group* against the *advertised table* its members' receivers hold, and
 the difference is delivered as one batch into each member's
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
+from repro.addressing.ipv4 import ADDRESS_BITS
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
 from repro.bgp.messages import UpdateMessage
@@ -36,7 +37,7 @@ from repro.bgp.policy import (
     GaoRexfordPolicy,
     preference_for,
 )
-from repro.bgp.routes import Key, Route, RouteType, key_order
+from repro.bgp.routes import Key, Route, RouteType
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import BorderRouter, Domain
 from repro.topology.network import Topology
@@ -82,8 +83,7 @@ class ConvergenceError(Exception):
         self.rounds = rounds
 
 
-@dataclass(frozen=True)
-class GribDelta:
+class GribDelta(NamedTuple):
     """One structured G-RIB change at one router.
 
     ``kind`` is ``"added"``, ``"withdrawn"`` or ``"changed"`` (the
@@ -157,7 +157,7 @@ class BgpNetwork:
         #: network-wide longest-match index of GROUP origins; both are
         #: invalidated by :meth:`origins_changed`.
         self._own_prefix_cache: Dict[
-            Domain, Dict[RouteType, List[Prefix]]
+            Domain, Dict[RouteType, List[Tuple[int, int]]]
         ] = {}
         self._origin_index: Optional[LpmTrie] = None
         #: G-RIB delta subscribers (the BGMP tree-maintenance engine)
@@ -202,7 +202,8 @@ class BgpNetwork:
         self._origin_index = None
         if not self.aggregate:
             return
-        route_type, prefix = key
+        network, length, route_type = key
+        shift = ADDRESS_BITS - length
         for router in domain.routers.values():
             peer_speaker = self.speakers.get(router)
             if peer_speaker is None:
@@ -210,9 +211,9 @@ class BgpNetwork:
             covered = [
                 held
                 for held in peer_speaker.loc_rib.keys()
-                if held[0] is route_type
-                and held != key
-                and prefix.contains(held[1])
+                if held[2] is route_type
+                and held[1] > length
+                and (held[0] ^ network) >> shift == 0
             ]
             if covered:
                 mark_pending(self._export_dirty, peer_speaker, covered)
@@ -621,18 +622,61 @@ class BgpNetwork:
         installed = speaker.loc_rib.best
         if keys is None:
             keys = set(installed).union(*tables)
-        return [
-            (key, installed.get(key)) for key in sorted(keys, key=key_order)
-        ]
+        return [(key, installed.get(key)) for key in sorted(keys)]
 
     def _exports(
         self, router: BorderRouter, terms: Terms, bests: List
     ) -> List[Tuple[Key, Optional[Route]]]:
-        """``bests`` as the sessions of ``router`` with ``terms`` get them."""
-        return [
-            (key, None if best is None else self._export(best, router, terms))
-            for key, best in bests
-        ]
+        """``bests`` as the sessions of ``router`` with ``terms`` get
+        them (``None``: not advertised there), in one pass: the export
+        policy, the multicast capability of the link and the aggregation
+        filter, each route built in the receiver-relative form of
+        :meth:`Route.advertised_by`."""
+        if terms is None:
+            # iBGP redistributes what was learned outside the domain.
+            return [
+                (key, None if best is None or best.from_internal else Route(
+                    best.prefix, key[2], router, best.as_path,
+                    best.local_pref, True, best.learned_from,
+                ))
+                for key, best in bests
+            ]
+        multicast_ok, exporting_to, learned_from = terms
+        domain = router.domain
+        allows = self.policy.allows
+        own = self._own_prefixes_by_type(domain) if self.aggregate else {}
+        # Receiver-relative form: local_pref and learned_from reflect
+        # the receiver's relationship to us (customer routes preferred).
+        local_pref = preference_for(learned_from)
+        head = (domain.domain_id,)
+        unicast = RouteType.UNICAST
+        exports = []
+        for key, best in bests:
+            route = None
+            # Unicast-only links carry no multicast routing state: group
+            # and M-RIB routes detour around them, making the multicast
+            # topology incongruent with the unicast one (sections 2-3 of
+            # the paper).
+            if best is not None and (multicast_ok or key[2] is unicast) and (
+                allows(domain, best, best.learned_from, exporting_to)
+            ):
+                network, length, kind = key
+                # A learned route strictly inside one of the domain's
+                # own prefixes is covered by the aggregate (section 4.3.2).
+                for own_network, own_length in (
+                    own.get(kind, ()) if best.next_hop is not None else ()
+                ):
+                    if own_length < length and not (
+                        (network ^ own_network) >> (ADDRESS_BITS - own_length)
+                    ):
+                        break
+                else:
+                    route = Route(
+                        best.prefix, kind, router, head + best.as_path,
+                        local_pref, False, learned_from,
+                    )
+            exports.append((key, route))
+        return exports
 
     @staticmethod
     def _diff(
@@ -644,12 +688,12 @@ class BgpNetwork:
         announcements: List[Route] = []
         withdrawals: List[Key] = []
         for key, route in exports:
-            if route == table.get(key):
-                continue
+            held = table.get(key)
             if route is None:
-                del table[key]
-                withdrawals.append(key)
-            else:
+                if held is not None:
+                    del table[key]
+                    withdrawals.append(key)
+            elif held is None or route != held:
                 table[key] = route
                 announcements.append(route)
         if announcements or withdrawals:
@@ -673,46 +717,11 @@ class BgpNetwork:
             peer.domain.relationship_to(domain),
         )
 
-    def _export(
-        self,
-        route: Route,
-        router: BorderRouter,
-        terms: Terms,
-    ) -> Optional[Route]:
-        """The best route ``route`` of ``router`` as the peer of a
-        session with ``terms`` receives it, or ``None`` when it is not
-        advertised there."""
-        if terms is None:
-            # iBGP redistributes what was learned outside the domain.
-            if route.from_internal:
-                return None
-            return route.advertised_by(router, internal=True)
-        multicast_ok, exporting_to, learned_from = terms
-        # Unicast-only links carry no multicast routing state: group
-        # and M-RIB routes detour around them, making the multicast
-        # topology incongruent with the unicast one (sections 2-3 of
-        # the paper).
-        if not multicast_ok and route.route_type in (
-            RouteType.GROUP,
-            RouteType.MRIB,
-        ):
-            return None
-        domain = router.domain
-        if not self.policy.allows(
-            domain, route, route.learned_from, exporting_to
-        ):
-            return None
-        if self.aggregate and self._covered_by_own(domain, route):
-            return None
-        # Receiver-relative form: local_pref and learned_from reflect
-        # the receiver's relationship to us (customer routes preferred).
-        return route.advertised_by(
-            router, preference_for(learned_from), learned_from=learned_from
-        )
-
     def _own_prefixes_by_type(
         self, domain: Domain
-    ) -> Dict[RouteType, List[Prefix]]:
+    ) -> Dict[RouteType, List[Tuple[int, int]]]:
+        """The (network, length) of each prefix originated in
+        ``domain``, by type; cached."""
         found = self._own_prefix_cache.get(domain)
         if found is None:
             found = {}
@@ -720,24 +729,10 @@ class BgpNetwork:
                 speaker = self.speakers.get(router)
                 if speaker is None:
                     continue
-                for route in speaker.origins():
-                    found.setdefault(
-                        route.route_type, []
-                    ).append(route.prefix)
+                for network, length, kind in speaker._origins:
+                    found.setdefault(kind, []).append((network, length))
             self._own_prefix_cache[domain] = found
         return found
-
-    def _covered_by_own(self, domain: Domain, route: Route) -> bool:
-        """True when a learned route is subsumed by one of the domain's
-        own originated prefixes, so the aggregate makes propagating the
-        specific unnecessary (section 4.3.2)."""
-        if route.is_local_origin:
-            return False
-        own = self._own_prefixes_by_type(domain).get(route.route_type, ())
-        for prefix in own:
-            if prefix != route.prefix and prefix.contains(route.prefix):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Queries

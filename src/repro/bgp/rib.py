@@ -2,9 +2,9 @@
 
 Each speaker keeps one :class:`AdjRibIn` per peering session (the routes
 that peer advertised) and one :class:`LocRib` (the selected best route
-per (type, prefix) after the decision process). Both are patched one
-key at a time — an UPDATE carries the keys that changed, and the
-decision process reruns for exactly those. The G-RIB of the paper is
+per key after the decision process). Both are patched one key at a
+time — an UPDATE carries the keys that changed, and the decision
+process reruns for exactly those. The G-RIB of the paper is
 the Loc-RIB filtered to :attr:`RouteType.GROUP` with longest-match
 lookup.
 """
@@ -15,12 +15,12 @@ from typing import Dict, KeysView, List, Optional
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
-from repro.bgp.routes import Key, Route, RouteType, key_order
+from repro.bgp.routes import Key, Route, RouteType, key_for
 from repro.topology.domain import BorderRouter
 
 
 class AdjRibIn:
-    """Routes received from one peer, keyed by (type, prefix)."""
+    """Routes received from one peer, keyed by (network, length, type)."""
 
     def __init__(self, peer: BorderRouter):
         self.peer = peer
@@ -33,15 +33,15 @@ class AdjRibIn:
 
     def withdraw(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Remove the peer's route; True if one was present."""
-        return self.routes.pop((route_type, prefix), None) is not None
+        return self.routes.pop(key_for(route_type, prefix), None) is not None
 
     def keys(self) -> KeysView[Key]:
-        """The (type, prefix) pairs the peer currently advertises."""
+        """The keys the peer currently advertises."""
         return self.routes.keys()
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """The peer's route for (type, prefix), if any."""
-        return self.routes.get((route_type, prefix))
+        return self.routes.get(key_for(route_type, prefix))
 
     def __len__(self) -> int:
         return len(self.routes)
@@ -52,7 +52,7 @@ class AdjRibIn:
 
 
 class LocRib:
-    """Selected best routes, one per (type, prefix).
+    """Selected best routes, one per (network, length, type) key.
 
     Longest-match lookups go through a per-type :class:`LpmTrie` index
     built on first use; from then on :meth:`install` and :meth:`remove`
@@ -71,14 +71,14 @@ class LocRib:
 
     def install(self, route: Route) -> None:
         """Install the winning route for its (type, prefix)."""
-        self.best[route.key()] = route
+        self.best[route._key] = route
         index = self._lpm.get(route.route_type)
         if index is not None:
             index.insert(route.prefix, route)
 
     def remove(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Drop the entry; True if one was present."""
-        if self.best.pop((route_type, prefix), None) is None:
+        if self.best.pop(key_for(route_type, prefix), None) is None:
             return False
         index = self._lpm.get(route_type)
         if index is not None:
@@ -87,19 +87,19 @@ class LocRib:
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """Exact-prefix lookup."""
-        return self.best.get((route_type, prefix))
+        return self.best.get(key_for(route_type, prefix))
 
     def keys(self) -> KeysView[Key]:
-        """The (type, prefix) pairs that currently have a best route."""
+        """The keys that currently have a best route."""
         return self.best.keys()
 
     def routes(self, route_type: Optional[RouteType] = None) -> List[Route]:
-        """All routes, optionally filtered by type, in canonical
-        (prefix, type) order — independent of insertion history."""
+        """All routes, optionally filtered by type, in canonical key
+        order — independent of insertion history."""
         return [
             self.best[key]
-            for key in sorted(self.best, key=key_order)
-            if route_type is None or key[0] is route_type
+            for key in sorted(self.best)
+            if route_type is None or key[2] is route_type
         ]
 
     def group_routes(self) -> List[Route]:
@@ -113,15 +113,15 @@ class LocRib:
         index = self._lpm.get(route_type)
         if index is None:
             index = LpmTrie()
-            for (kind, prefix), route in self.best.items():
-                if kind is route_type:
-                    index.insert(prefix, route)
+            for key, route in self.best.items():
+                if key[2] is route_type:
+                    index.insert(route.prefix, route)
             self._lpm[route_type] = index
         return index.lookup(address)
 
     def count(self, route_type: RouteType) -> int:
         """Number of routes of one type."""
-        return sum(1 for kind, _prefix in self.best if kind is route_type)
+        return sum(1 for key in self.best if key[2] is route_type)
 
     def __len__(self) -> int:
         return len(self.best)

@@ -25,17 +25,17 @@ class RouteType(str, Enum):
     GROUP = "group"
 
 
-#: The (type, prefix) pair routes are selected, advertised and
-#: withdrawn per — the unit of work of the whole BGP layer.
-Key = Tuple[RouteType, Prefix]
+#: The (network, mask length, type) triple routes are selected,
+#: advertised and withdrawn per — the unit of work of the whole BGP
+#: layer. Plain data, so it hashes and compares in C; its natural order
+#: is the canonical one key sets are walked in, which is also the order
+#: of the G-RIB delta stream.
+Key = Tuple[int, int, RouteType]
 
 
-def key_order(key: Key) -> Tuple[int, int, str]:
-    """Canonical sort key for :data:`Key` collections (network, mask
-    length, type — a ``str``, so no ``value`` lookup): key sets are
-    always walked in this order, which is also the order of the G-RIB
-    delta stream."""
-    return (key[1].network, key[1].length, key[0])
+def key_for(route_type: RouteType, prefix: Prefix) -> Key:
+    """The key of a ``route_type`` route for ``prefix``."""
+    return (prefix._network, prefix._length, route_type)
 
 
 class Route:
@@ -81,7 +81,7 @@ class Route:
         #: across iBGP redistribution so export policy can be applied at
         #: every border router of the domain.
         self.learned_from = learned_from
-        self._key = (route_type, prefix)
+        self._key = (prefix._network, prefix._length, route_type)
 
     @property
     def origin_domain_id(self) -> Optional[int]:
@@ -94,8 +94,8 @@ class Route:
         return self.next_hop is None
 
     def key(self) -> Key:
-        """The (type, prefix) pair routes are selected per (one tuple
-        per route, shared by every table that holds the route)."""
+        """The (network, length, type) triple routes are selected per
+        (one tuple per route, shared by every table that holds it)."""
         return self._key
 
     def advertised_by(
@@ -110,7 +110,8 @@ class Route:
         External advertisement prepends the advertiser's domain to the
         AS path and rewrites the next hop to the advertising router;
         internal (iBGP) redistribution keeps the AS path and points the
-        next hop at the exit router.
+        next hop at the exit router. ``BgpNetwork._exports`` builds
+        this form for a whole key list in one pass.
         """
         if internal:
             return Route(

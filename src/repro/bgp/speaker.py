@@ -4,8 +4,8 @@ Each border router runs one speaker. A speaker holds locally-originated
 routes, one Adj-RIB-In per peering session (external sessions over the
 router's inter-domain links plus an iBGP full mesh with the other
 border routers of its domain), and a Loc-RIB kept by the standard
-decision process. The (type, prefix) key is the unit of work: each
-mutation records the keys whose best route may move, and
+decision process. The (network, length, type) key is the unit of
+work: each mutation records the keys whose best route may move, and
 :meth:`BgpSpeaker.recompute` settles exactly those.
 """
 
@@ -17,7 +17,7 @@ from repro.addressing.prefix import Prefix
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import preference_for
 from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.routes import Key, Route, RouteType, key_order
+from repro.bgp.routes import Key, Route, RouteType, key_for
 from repro.topology.domain import BorderRouter
 
 #: A key with no decision due: its Loc-RIB entry stands.
@@ -97,9 +97,8 @@ class BgpSpeaker:
         self.redecide_all()
         listener = self._listener
         if listener is not None:
-            for kind, prefix in sorted(self.loc_rib.keys(), key=key_order):
-                if kind is RouteType.GROUP:
-                    listener.grib_moved(self, prefix, "withdrawn")
+            for route in self.loc_rib.group_routes():
+                listener.grib_moved(self, route.prefix, "withdrawn")
             listener.speaker_dirty(self)
         self.loc_rib.clear()
 
@@ -117,17 +116,18 @@ class BgpSpeaker:
             as_path=(),
             local_pref=preference_for("origin"),
         )
-        self._origins[route.key()] = route
-        self._mark_origin_changed(route.key())
+        self._origins[route._key] = route
+        self._mark_origin_changed(route._key)
         return route
 
     def withdraw_origin(
         self, prefix: Prefix, route_type: RouteType = RouteType.GROUP
     ) -> bool:
         """Stop originating a route; True if it was originated here."""
-        if self._origins.pop((route_type, prefix), None) is None:
+        key = key_for(route_type, prefix)
+        if self._origins.pop(key, None) is None:
             return False
-        self._mark_origin_changed((route_type, prefix))
+        self._mark_origin_changed(key)
         return True
 
     def origins(self) -> List[Route]:
@@ -143,13 +143,17 @@ class BgpSpeaker:
         its key before, each withdrawal removes it, and so does an
         external route whose AS path already holds this domain — the
         peer's best path now runs through us, so its previous one is
-        gone all the same. One notice says decisions are due."""
-        routes = self.session_with(peer).routes
+        gone all the same. One notice says decisions are due; while
+        every key is due already, nothing is weighed."""
+        rib = self._adj_in.get(peer)
+        if rib is None:
+            rib = self._adj_in[peer] = AdjRibIn(peer)
+        routes = rib.routes
         domain_id = self.router.domain.domain_id
-        weigh = self._weigh
+        weigh = None if self._pending is None else self._weigh
         due = False
         for route in update.announcements:
-            key = route.key()
+            key = route._key
             if route.from_internal or domain_id not in route.as_path:
                 displaced = routes.get(key)
                 routes[key] = route
@@ -158,11 +162,14 @@ class BgpSpeaker:
                 if displaced is None:
                     continue
                 route = None
-            due = weigh(key, displaced, route) or due
+            if weigh is not None and weigh(key, displaced, route):
+                due = True
         for key in update.withdrawals:
             displaced = routes.pop(key, None)
-            if displaced is not None:
-                due = weigh(key, displaced, None) or due
+            if displaced is not None and weigh is not None and weigh(
+                key, displaced, None
+            ):
+                due = True
         if due and self._listener is not None:
             self._listener.decisions_due(self)
 
@@ -173,10 +180,8 @@ class BgpSpeaker:
         None) against the best so far — the settled route due, else the
         Loc-RIB's: a better route is settled as the new best, and a
         rescan is due only when that best is displaced. True when the
-        best route may move."""
+        best route may move. Only while not every key is due."""
         pending = self._pending
-        if pending is None:
-            return False  # every key is due
         best = pending.get(key, _DECIDED)
         if best is None:
             return False  # a rescan is already due
@@ -219,7 +224,7 @@ class BgpSpeaker:
         listener = self._listener
         moved: List[Key] = []
         tables = None
-        for key in sorted(pending, key=key_order):
+        for key in sorted(pending):
             best = origins.get(key, pending[key])
             if best is None:
                 if tables is None:
@@ -231,17 +236,21 @@ class BgpSpeaker:
                 ]
                 best = min(learned, key=self._rank) if learned else None
             old = installed.get(key)
-            if best is old or best == old:
+            if best is old or (
+                best is not None and old is not None and best == old
+            ):
                 continue
             if best is None:
-                self.loc_rib.remove(*key)
+                self.loc_rib.remove(old.route_type, old.prefix)
                 kind = "withdrawn"
             else:
                 self.loc_rib.install(best)
                 kind = "added" if old is None else "changed"
             moved.append(key)
-            if listener is not None and key[0] is RouteType.GROUP:
-                listener.grib_moved(self, key[1], kind)
+            if listener is not None and key[2] is RouteType.GROUP:
+                listener.grib_moved(
+                    self, (old if best is None else best).prefix, kind
+                )
         return moved
 
     @staticmethod

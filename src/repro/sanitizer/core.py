@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.engine import Event, Simulator
 
@@ -382,26 +382,36 @@ class InvariantSanitizer:
         return details
 
     def _check_loop_free(self) -> List[str]:
-        """Upstream walks from every on-tree router terminate."""
+        """Upstream walks from every on-tree router terminate.
+
+        A walk that reaches a router whose own walk ended without a
+        loop ends there too: the rest of its chain is that walk's. So
+        each chain is walked once per group; a walk that finds a loop
+        is reported as such, whatever walks came before it."""
         if self.bgmp is None:
             return []
         details: List[str] = []
         for group in self.groups:
+            loop_free: Set = set()
             for start in self.bgmp.tree_routers(group):
                 visited = {start}
-                current = start
-                while True:
+                current, looped = start, None
+                while current not in loop_free:
                     entry = self.bgmp.router_of(current).table.get(group)
                     if entry is None or entry.upstream is None:
                         break
                     current = entry.upstream
                     if current in visited:
-                        details.append(
-                            f"upstream loop through {current.name} "
-                            f"from {start.name} for group {group:#x}"
-                        )
+                        looped = current
                         break
                     visited.add(current)
+                if looped is None:
+                    loop_free |= visited
+                else:
+                    details.append(
+                        f"upstream loop through {looped.name} "
+                        f"from {start.name} for group {group:#x}"
+                    )
         return details
 
     # ------------------------------------------------------------------

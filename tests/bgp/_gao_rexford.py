@@ -59,13 +59,15 @@ def _adjacency(network: BgpNetwork, route_type: RouteType):
 def stable_routes(
     network: BgpNetwork, key: Tuple[RouteType, object]
 ) -> Dict[Domain, Best]:
-    """Every domain's best route for ``key`` (absent: no route)."""
+    """Every domain's best route for ``key``, a (type, prefix) pair
+    (absent: no route)."""
     related = _adjacency(network, key[0])
     best: Dict[Domain, Best] = {}
     queue = deque()
     for router, speaker in network.speakers.items():
         if network.router_up(router) and any(
-            route.key() == key for route in speaker.origins()
+            (route.route_type, route.prefix) == key
+            for route in speaker.origins()
         ):
             best[router.domain] = ("origin", 0)
             queue.append(router.domain)

@@ -18,9 +18,9 @@ from repro.bgp.routes import Route, RouteType
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import Domain
 
+PREFIXES = [Prefix.parse(f"226.{index}.0.0/16") for index in range(4)]
 KEYS = [
-    (RouteType.GROUP, Prefix.parse(f"226.{index}.0.0/16"))
-    for index in range(4)
+    (prefix.network, prefix.length, RouteType.GROUP) for prefix in PREFIXES
 ]
 
 
@@ -59,8 +59,8 @@ def _speaker():
 
 def _route(key, peer, as_path, local_pref=100):
     return Route(
-        key[1],
-        key[0],
+        Prefix(key[0], key[1]),
+        key[2],
         peer,
         as_path,
         local_pref=local_pref,
@@ -111,9 +111,9 @@ def _mutate(rng, speaker, peers):
     elif kind < 0.85:
         speaker.drop_session(peer)
     elif kind < 0.92:
-        speaker.originate(rng.choice(KEYS)[1])
+        speaker.originate(rng.choice(PREFIXES))
     elif kind < 0.99:
-        speaker.withdraw_origin(rng.choice(KEYS)[1])
+        speaker.withdraw_origin(rng.choice(PREFIXES))
     else:
         speaker.reset()
 

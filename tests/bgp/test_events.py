@@ -26,7 +26,9 @@ ADDRESS = parse_address("226.1.2.3")
 class TestUpdateMessage:
     def test_empty(self):
         assert UpdateMessage().is_empty
-        assert not UpdateMessage(withdrawals=[(RouteType.GROUP, PREFIX)]).is_empty
+        assert not UpdateMessage(
+            withdrawals=[(PREFIX.network, PREFIX.length, RouteType.GROUP)]
+        ).is_empty
 
 
 class TestPropagation:

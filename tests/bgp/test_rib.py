@@ -94,10 +94,13 @@ class TestLocRib:
 
 
 def _longest_covering(snapshot, route_type, address):
-    """The reference lookup: scan every key of a Loc-RIB snapshot."""
+    """The reference lookup: scan every route of a Loc-RIB snapshot."""
     best = None
-    for (kind, prefix), candidate in snapshot.items():
-        if kind is route_type and prefix.contains_address(address):
+    for candidate in snapshot.values():
+        prefix = candidate.prefix
+        if candidate.route_type is route_type and prefix.contains_address(
+            address
+        ):
             if best is None or prefix.length > best.prefix.length:
                 best = candidate
     return best

@@ -1,5 +1,8 @@
 """Tests for routes and path attributes."""
 
+from hypothesis import given, strategies as st
+
+from repro.addressing.ipv4 import mask_bits
 from repro.addressing.prefix import Prefix
 from repro.bgp.routes import Route, RouteType
 from repro.topology.domain import Domain
@@ -22,7 +25,7 @@ class TestRoute:
 
     def test_key(self):
         route = origin_route()
-        assert route.key() == (RouteType.GROUP, P24)
+        assert route.key() == (P24.network, P24.length, RouteType.GROUP)
 
     def test_external_advertisement_prepends_as_path(self):
         b = Domain(1, name="B")
@@ -70,3 +73,39 @@ class TestRoute:
         unicast = Route(P24, RouteType.UNICAST, None)
         assert group != unicast
         assert group.key() != unicast.key()
+
+
+#: (address, mask length, type): any prefix, of any route type.
+route_specs = st.tuples(
+    st.integers(0, (1 << 32) - 1),
+    st.integers(0, 32),
+    st.sampled_from(list(RouteType)),
+)
+
+
+@given(st.lists(route_specs, max_size=40))
+def test_keys_are_plain_data_in_canonical_order(specs):
+    """A key is (network, length, type) — ints and the enum itself, so
+    it hashes and compares in C — and sorting keys is the canonical
+    (network, length, type-name) order of the routes they belong to."""
+    routes = [
+        Route(Prefix(address & mask_bits(length), length), kind, None)
+        for address, length, kind in specs
+    ]
+    for route in routes:
+        network, length, kind = key = route.key()
+        assert type(key) is tuple
+        assert type(network) is int and type(length) is int
+        assert kind is route.route_type
+        assert Prefix(network, length) is route.prefix
+    canonical = sorted(
+        routes,
+        key=lambda route: (
+            route.prefix.network,
+            route.prefix.length,
+            route.route_type.value,
+        ),
+    )
+    assert sorted(route.key() for route in routes) == [
+        route.key() for route in canonical
+    ]

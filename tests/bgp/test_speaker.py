@@ -12,6 +12,11 @@ from repro.topology.domain import Domain
 PREFIX = Prefix.parse("226.0.0.0/16")
 
 
+def _key(prefix):
+    """The speaker's key for a group route of ``prefix``."""
+    return (prefix.network, prefix.length, RouteType.GROUP)
+
+
 def make_speaker():
     home = Domain(0, name="HOME")
     router = home.router("R1")
@@ -144,21 +149,16 @@ class TestDecisionProcess:
                 external_route(peer, (1, 0)),  # looped: withdraws PREFIX
                 announced,
             ],
-            withdrawals=[
-                (RouteType.GROUP, held),
-                (RouteType.GROUP, never),
-            ],
+            withdrawals=[_key(held), _key(never)],
         ))
         assert notices == [speaker]
         # The withdrawn bests are rescanned, the new key is settled.
         assert speaker._pending == {
-            (RouteType.GROUP, PREFIX): None,
-            (RouteType.GROUP, held): None,
-            (RouteType.GROUP, fresh): announced,
+            _key(PREFIX): None,
+            _key(held): None,
+            _key(fresh): announced,
         }
-        assert set(speaker.session_with(peer).keys()) == {
-            (RouteType.GROUP, fresh)
-        }
+        assert set(speaker.session_with(peer).keys()) == {_key(fresh)}
 
     def test_withdraw_origin(self):
         home, router, speaker = make_speaker()

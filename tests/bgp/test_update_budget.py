@@ -1,7 +1,8 @@
-"""What one flapped prefix may cost: BGP reconverges per (type, prefix)
-key, so withdrawing and re-originating a single /20 builds routes for
-that prefix only, leaves every other RIB entry untouched — the very
-same object — and keeps each Loc-RIB's in-place lookup index exact."""
+"""What one flapped prefix may cost: BGP reconverges per (network,
+length, type) key, so withdrawing and re-originating a single /20
+builds routes for that prefix only, leaves every other RIB entry
+untouched — the very same object — and keeps each Loc-RIB's in-place
+lookup index exact."""
 
 import random
 
@@ -44,13 +45,13 @@ def _stale_lookups(network):
         table = speaker.loc_rib.snapshot()
         for address in PROBES:
             covering = [
-                key
-                for key in table
-                if key[0] is RouteType.GROUP
-                and key[1].contains_address(address)
+                route
+                for route in table.values()
+                if route.route_type is RouteType.GROUP
+                and route.prefix.contains_address(address)
             ]
             expected = (
-                table[max(covering, key=lambda key: key[1].length)]
+                max(covering, key=lambda route: route.prefix.length)
                 if covering
                 else None
             )
@@ -114,7 +115,7 @@ def test_entries_under_other_keys_are_the_same_objects(flap):
     for holder, table in before.items():
         assert table.keys() == after[holder].keys()
         for key, route in table.items():
-            if key[1] != FLAPPED:
+            if route.prefix != FLAPPED:
                 assert after[holder][key] is route
                 others += 1
     assert others > 500

@@ -126,6 +126,17 @@ def save_version_8_checkpoint(path):
     )
 
 
+def save_version_9_checkpoint(path):
+    """A checkpoint file from version 9, whose BGP tables are keyed by
+    (type, prefix) pairs where version 10 keys them by (network,
+    length, type) triples — it would unpickle, into speakers whose
+    next lookup misses every route. The payload names the canonical
+    sort key version 10 replaced with the triple's natural order."""
+    _save_old_checkpoint(
+        path, 9, b"\x80\x04crepro.bgp.routes\nkey_order\n."
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
 OLD_VERSIONS = {
@@ -136,6 +147,7 @@ OLD_VERSIONS = {
     6: save_version_6_checkpoint,
     7: save_version_7_checkpoint,
     8: save_version_8_checkpoint,
+    9: save_version_9_checkpoint,
 }
 
 
@@ -227,7 +239,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 9",
+            match=f"checkpoint version {version} != supported 10",
         ):
             ckpt.load(path)
 
