@@ -109,7 +109,6 @@ class EventDrivenBgp(BgpNetwork):
         rank = {
             speaker: (speaker.domain.domain_id, speaker.router.name)
             for speaker in (*self._dirty, *self._export_dirty)
-            if self.router_up(speaker.router)
         }
         for speaker, keys in self._run_decisions(rank):
             router = speaker.router

@@ -115,6 +115,10 @@ class ConvergenceResult:
 class BgpNetwork:
     """All BGP speakers of a topology plus the propagation engine."""
 
+    #: Per key lost outright in the synchronous convergence under way, the
+    #: domains that moved it since; between convergences only this default.
+    _lost: Optional[Dict[Key, Set[int]]] = None
+
     def __init__(
         self,
         topology: Topology,
@@ -148,9 +152,9 @@ class BgpNetwork:
         #: ``_advertised`` (none: it has advertised nothing).
         self._groups: Dict[BorderRouter, Dict[Terms, UpdateGroup]] = {}
         self._advertised: Dict[Session, Dict[Key, Route]] = {}
-        #: Per router, its live sessions by update group; the live
-        #: speakers' canonical rank. Dropped when a session or router
-        #: comes or goes (see :meth:`_sessions_changed`).
+        #: Per router, its live sessions by update group, dropped when a
+        #: session or router comes or goes (group membership stays);
+        #: every speaker's canonical rank, dropped when one is added.
         self._sessions: Dict[BorderRouter, List] = {}
         self._rank: Optional[Dict[BgpSpeaker, int]] = None
         #: Per-domain cache of originated prefixes by type, and the
@@ -183,6 +187,11 @@ class BgpNetwork:
         """``speaker`` recorded decisions due: it reruns the decision
         process for them, and whatever moves is exported."""
         self._dirty.add(speaker)
+
+    def key_lost(self, speaker: BgpSpeaker, key: Key) -> None:
+        """``speaker`` lost its last route for ``key``."""
+        if self._lost is not None and key not in self._lost:
+            self._lost[key] = set()
 
     def speaker_dirty(self, speaker: BgpSpeaker) -> None:
         """Everything about ``speaker`` is suspect: every key is
@@ -227,7 +236,8 @@ class BgpNetwork:
         copy of the group's table."""
         self._own_prefix_cache.clear()
         self._origin_index = None
-        self._sessions_changed()
+        self._sessions.clear()
+        self._rank = None
         for router, groups in self._groups.items():
             for terms, group in groups.items():
                 table = group.table or {}
@@ -292,8 +302,9 @@ class BgpNetwork:
         if found is None:
             found = self._new_speaker(router)
             self.speakers[router] = found
+            self._rank = None
             # Existing neighbors must send to the newcomer.
-            self._sessions_changed()
+            self._sessions.clear()
             self._reexport_peers(router)
         return found
 
@@ -384,7 +395,7 @@ class BgpNetwork:
         """
         if up == ((a, b) not in self._down_sessions):
             return
-        self._sessions_changed()
+        self._sessions.clear()
         if up:
             self._down_sessions.difference_update(((a, b), (b, a)))
             for router in (a, b):
@@ -411,7 +422,7 @@ class BgpNetwork:
         if router in self._down_routers:
             return
         self._down_routers.add(router)
-        self._sessions_changed()
+        self._sessions.clear()
         for peer in self._peers(router):
             peer_speaker = self.speakers.get(peer)
             if peer_speaker is not None:
@@ -426,14 +437,9 @@ class BgpNetwork:
         if router not in self._down_routers:
             return
         self._down_routers.discard(router)
-        self._sessions_changed()
+        self._sessions.clear()
         self.speaker_dirty(self.speaker(router))
         self._reexport_peers(router)
-
-    def _sessions_changed(self) -> None:
-        """Drop the session cache and rank; group membership stays."""
-        self._sessions.clear()
-        self._rank = None
 
     def down_routers(self) -> List[BorderRouter]:
         """Currently crashed routers (sorted for determinism)."""
@@ -480,13 +486,14 @@ class BgpNetwork:
         it changes neither the delivered updates nor the round count.
         """
         if self._rank is None:
-            live = [r for r in self._ordered_routers() if self.router_up(r)]
-            self._rank = {self.speakers[r]: i for i, r in enumerate(live)}
+            routers = self._ordered_routers()
+            self._rank = {self.speakers[r]: i for i, r in enumerate(routers)}
         rank = self._rank
-        tracer = self.tracer
+        self._lost = self._lost or {}  # kept by a budget-exhausted call
+        tracer, live = self.tracer, len(rank) - len(self._down_routers)
         try:
             with tracer.span(
-                "bgp.converge", layer="bgp", speakers=len(rank)
+                "bgp.converge", layer="bgp", speakers=live
             ) as span:
                 exporters = self._run_decisions(rank)
                 for round_index in range(1, max_rounds + 1):
@@ -503,6 +510,7 @@ class BgpNetwork:
                             changed=bool(exporters),
                         )
                     if not exporters:
+                        del self._lost
                         span.finish(
                             status="converged", rounds=round_index
                         )
@@ -520,23 +528,27 @@ class BgpNetwork:
     def _run_decisions(
         self, rank: Dict[BgpSpeaker, object]
     ) -> List[Tuple[BgpSpeaker, Optional[Set[Key]]]]:
-        """Every speaker in ``rank`` (the live ones, by canonical
-        position) with decisions due settles them; returns the speakers
-        left with keys to export — moved just now or pending from
-        mutation hooks — in rank order."""
-        dirty = self._dirty
-        for speaker in sorted(
-            (s for s in dirty if s in rank), key=rank.__getitem__
-        ):
+        """Every live speaker in ``rank`` (by canonical position) with
+        decisions due settles them; returns the live speakers left with
+        keys to export — moved just now or pending from mutation hooks
+        — in rank order."""
+        dirty, lost = self._dirty, self._lost
+        for speaker in self._live(dirty, rank):
             dirty.discard(speaker)
             moved = speaker.recompute()
             if moved:
                 mark_pending(self._export_dirty, speaker, moved)
-        ready = sorted(
-            (s for s in self._export_dirty if s in rank),
-            key=rank.__getitem__,
-        )
+                for key in lost.keys() & moved if lost else ():
+                    lost[key].add(speaker.router.domain.domain_id)
+        ready = self._live(self._export_dirty, rank)
         return [(s, self._export_dirty.pop(s)) for s in ready]
+
+    def _live(self, speakers: Iterable[BgpSpeaker], rank: Dict) -> List:
+        """``speakers`` in ``rank`` whose router is up, in rank order."""
+        found = [s for s in speakers if s in rank]
+        if self._down_routers:
+            found = [s for s in found if s.router not in self._down_routers]
+        return sorted(found, key=rank.__getitem__)
 
     def _ordered_routers(self) -> List[BorderRouter]:
         ordered: List[BorderRouter] = []
@@ -586,11 +598,12 @@ class BgpNetwork:
             held.append(group.table or {})
             held.extend(advertised.get((router, p), {}) for p in private)
         bests = self._best_routes(speaker, keys, held)
+        stale = self._superseded(speaker, bests) if self._lost else None
         sent = 0
         for terms, group, private in groups:
             exports = self._exports(router, terms, bests)
             table = group.table or {}
-            update = self._diff(table, exports)
+            update = self._diff(table, exports, stale)
             if update is not None:
                 if update.announcements:
                     group.table = table
@@ -599,7 +612,7 @@ class BgpNetwork:
                 sent += len(group.members)
             for peer in private:
                 table = advertised.setdefault((router, peer), {})
-                update = self._diff(table, exports)
+                update = self._diff(table, exports, stale)
                 if update is not None:
                     self.speaker(peer).deliver(router, update)
                     sent += 1
@@ -623,6 +636,31 @@ class BgpNetwork:
         if keys is None:
             keys = set(installed).union(*tables)
         return [(key, installed.get(key)) for key in sorted(keys)]
+
+    def _superseded(self, speaker: BgpSpeaker, bests: List) -> Set[Key]:
+        """The keys of ``bests`` whose route was built from one a router
+        on its next-hop chain no longer holds, left pending; a walk stops
+        where no domain left on the path moved the key this convergence."""
+        lost, speakers, stale = self._lost, self.speakers, set()
+        for key, route in bests:
+            if route is None or key not in lost:
+                continue
+            moved, holder = lost[key], speaker
+            while route.next_hop and not moved.isdisjoint(route.as_path):
+                hop, path = route.next_hop, route.as_path
+                held = holder._adj_in[hop].routes.get(key)
+                holder, internal = speakers[hop], route.from_internal
+                upstream = holder.loc_rib.best.get(key)
+                if held is not route or upstream is None or (
+                    upstream.as_path != (path if internal else path[1:])
+                    or internal and upstream.from_internal
+                ):
+                    stale.add(key)
+                    break
+                route = upstream
+        if stale:
+            mark_pending(self._export_dirty, speaker, stale)
+        return stale
 
     def _exports(
         self, router: BorderRouter, terms: Terms, bests: List
@@ -680,16 +718,16 @@ class BgpNetwork:
 
     @staticmethod
     def _diff(
-        table: Dict[Key, Route], exports: List
+        table: Dict[Key, Route], exports: List, stale=None
     ) -> Optional[UpdateMessage]:
         """Bring the advertised table ``table`` up to date with
         ``exports``; the difference is the UPDATE to deliver (None when
-        there is none)."""
+        there is none). A ``stale`` key is withdrawn, not announced anew."""
         announcements: List[Route] = []
         withdrawals: List[Key] = []
         for key, route in exports:
             held = table.get(key)
-            if route is None:
+            if route is None or stale and key in stale and route != held:
                 if held is not None:
                     del table[key]
                     withdrawals.append(key)

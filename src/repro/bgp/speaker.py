@@ -39,10 +39,10 @@ class BgpSpeaker:
         self._pending: Optional[Dict[Key, Optional[Route]]] = {}
         #: Change listener (set by :class:`~repro.bgp.network.BgpNetwork`
         #: to schedule decisions and exports): an object with
-        #: ``decisions_due``, ``speaker_dirty``, ``origins_changed`` and
-        #: ``grib_moved`` methods, called when this speaker has decisions
-        #: due, lost its volatile state, changed its origin set or moved
-        #: a G-RIB entry. ``None`` for standalone speakers.
+        #: ``decisions_due``, ``speaker_dirty``, ``key_lost``,
+        #: ``origins_changed`` and ``grib_moved`` methods: decisions are
+        #: due, volatile state or a key's last route was lost, the origin
+        #: set changed, a G-RIB entry moved. ``None`` when standalone.
         self._listener = None
 
     def redecide_all(self) -> None:
@@ -243,6 +243,8 @@ class BgpSpeaker:
             if best is None:
                 self.loc_rib.remove(old.route_type, old.prefix)
                 kind = "withdrawn"
+                if listener is not None:
+                    listener.key_lost(self, key)
             else:
                 self.loc_rib.install(best)
                 kind = "added" if old is None else "changed"

@@ -38,7 +38,7 @@ from typing import Any, Optional, Tuple
 
 #: Bump when the snapshot semantics change incompatibly (restoring a
 #: checkpoint written by a different version raises CheckpointError).
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 #: Bump when the violation-dump layout changes incompatibly.
 DUMP_VERSION = 1

@@ -39,6 +39,9 @@ class Listener:
     def origins_changed(self, _speaker, _key):
         pass
 
+    def key_lost(self, _speaker, _key):
+        pass
+
     def grib_moved(self, _speaker, _prefix, _kind):
         pass
 

@@ -195,8 +195,9 @@ class TestEquivalenceWithSynchronousEngine:
         assert normalized(sync) == normalized(event)
         assert sync.rib_digest() == event.rib_digest()
 
-        # ... and back: the withdrawal hunts through every alternative
-        # path before the prefix is gone everywhere.
+        # ... and back: the event-driven withdrawal still hunts through
+        # alternative paths before the prefix is gone everywhere (the
+        # synchronous engine withholds superseded ones); both end empty.
         sync.withdraw(topo_a.domain(origin_index).router(), PREFIX)
         sync.converge()
         assert event.retract(topo_b.domain(origin_index).router(), PREFIX)

@@ -101,10 +101,12 @@ def flap():
 def test_every_route_built_carries_the_flapped_prefix(flap):
     built, _before, _after, _stale = flap
     assert set(built) == {FLAPPED}
-    # Two alternatives announced while the withdrawal hunts (the rest
-    # of it carries keys, not routes), then the returning origin and
-    # one route per (speaker, session terms) class it was exported to:
-    # sessions with equal terms share one route object, not one each.
+    # Two alternatives exported while the withdrawal settles, both
+    # withheld because their next-hop chains are already superseded
+    # (the withdrawal announces nothing; it carries keys, not routes),
+    # then the returning origin and one route per (speaker, session
+    # terms) class it was exported to: sessions with equal terms share
+    # one route object, not one each.
     assert len(built) == 52
 
 

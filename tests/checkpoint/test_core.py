@@ -137,6 +137,18 @@ def save_version_9_checkpoint(path):
     )
 
 
+def save_version_10_checkpoint(path):
+    """A checkpoint file from version 10, whose ``BgpNetwork`` may keep
+    a speaker rank that leaves out the routers crashed at capture —
+    it would unpickle, into a network that never again settles a
+    restored router's decisions. The payload names the hook version 11
+    deleted: it dropped that rank on every session or router change."""
+    _save_old_checkpoint(
+        path, 10,
+        b"\x80\x04crepro.bgp.network\nBgpNetwork._sessions_changed\n.",
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
 OLD_VERSIONS = {
@@ -148,6 +160,7 @@ OLD_VERSIONS = {
     7: save_version_7_checkpoint,
     8: save_version_8_checkpoint,
     9: save_version_9_checkpoint,
+    10: save_version_10_checkpoint,
 }
 
 
@@ -239,7 +252,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 10",
+            match=f"checkpoint version {version} != supported 11",
         ):
             ckpt.load(path)
 
