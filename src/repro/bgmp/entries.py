@@ -107,7 +107,7 @@ class ForwardingEntry:
         """
         if self.is_source_specific and not self.children:
             return []
-        return [t for t in self.targets() if t != arrived_from]
+        return [t for t in self.targets() if t is not arrived_from]
 
     def __repr__(self) -> str:
         kind = (

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.router import BgmpRouter
-from repro.bgmp.targets import MigpTarget, PeerTarget
+from repro.bgmp.targets import MigpTarget
 from repro.bgp.network import BgpNetwork, GribDelta
 from repro.bgp.routes import Route, RouteType
 from repro.migp import make_migp
@@ -430,7 +430,7 @@ class BgmpNetwork:
         for entry in list(dead.table.entries()):
             dead.table.remove(entry.group, entry.source_domain)
             dead.migp.detach(router, entry.group)
-        dead_child = PeerTarget(router)
+        dead_child = dead.as_peer
         # Only an external neighbor can hold the dead router as a child
         # (interior children are MIGP targets).
         for live in sorted(
@@ -529,7 +529,7 @@ class BgmpNetwork:
             # legitimately serves the interior.
             return 0
         pruned = 0
-        interior = MigpTarget(domain)
+        interior = best_exit.interior
         for bgmp in self._routers_by_name[domain]:
             router = bgmp.router
             if bgmp is best_exit or not self.router_up(router):
@@ -635,7 +635,7 @@ class BgmpNetwork:
                 # an external join arrives.
                 span.finish(status="root-domain")
                 return True
-            joined = best_exit.join(group, MigpTarget(domain), route)
+            joined = best_exit.join(group, best_exit.interior, route)
             span.finish(status="grafted" if joined else "failed")
             return joined
 
@@ -682,14 +682,13 @@ class BgmpNetwork:
             # some *other* border router of the domain reaches its own
             # parent through the interior via this router (transit),
             # even with no local members left.
-            interior = MigpTarget(domain)
             for bgmp in self._routers_by_name[domain]:
                 entry = bgmp.table.get(group)
-                if entry is None or interior not in entry.children:
+                if entry is None or bgmp.interior not in entry.children:
                     continue
                 if self.interior_transit_needed(domain, group, bgmp.router):
                     continue
-                bgmp.prune(group, interior)
+                bgmp.prune(group, bgmp.interior)
 
     def interior_transit_needed(
         self, domain: Domain, group: int, via: BorderRouter
@@ -702,8 +701,8 @@ class BgmpNetwork:
                 continue
             if (
                 isinstance(entry.parent, MigpTarget)
-                and entry.upstream == via
-                and other.router != via
+                and entry.upstream is via
+                and other.router is not via
             ):
                 return True
         return False
@@ -751,9 +750,8 @@ class BgmpNetwork:
             if result.forward_routers:
                 for router in result.forward_routers:
                     report.migp_transits += 1
-                    self.router_of(router).receive(
-                        group, domain, MigpTarget(domain), report
-                    )
+                    bgmp = self.router_of(router)
+                    bgmp.receive(group, domain, bgmp.interior, report)
             else:
                 best_exit = self._best_exit(domain, group)[0]
                 if best_exit is None:
@@ -762,7 +760,7 @@ class BgmpNetwork:
                     return report
                 report.migp_transits += 1
                 best_exit.receive(
-                    group, domain, MigpTarget(domain), report
+                    group, domain, best_exit.interior, report
                 )
             self._maybe_graft_branches(group, domain, report)
             span.finish(
@@ -804,13 +802,11 @@ class BgmpNetwork:
         """Graft an (S,G) branch at ``router`` towards the source and
         optionally prune the now-redundant shared-tree delivery (the
         paper's F2/F1 sequence)."""
-        grafted = self.router_of(router).join_source(
-            group, source_domain, MigpTarget(router.domain)
-        )
+        bgmp = self.router_of(router)
+        grafted = bgmp.join_source(group, source_domain, bgmp.interior)
         if grafted and prune_shared_at is not None:
-            self.router_of(prune_shared_at).prune_source(
-                group, source_domain, MigpTarget(prune_shared_at.domain)
-            )
+            bgmp = self.router_of(prune_shared_at)
+            bgmp.prune_source(group, source_domain, bgmp.interior)
         return grafted
 
     # ------------------------------------------------------------------

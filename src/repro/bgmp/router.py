@@ -42,6 +42,11 @@ class BgmpRouter:
         self.domain: Domain = router.domain
         self.migp = migp
         self.speaker = network.bgp.speaker(router)
+        #: The two targets this router is known by: to its BGMP peers
+        #: in other domains, and to the routers of its own domain
+        #: (whose MIGP child or parent target it is).
+        self.as_peer = PeerTarget(router)
+        self.interior = MigpTarget(self.domain)
         self.table = ForwardingTable()
         #: Control-plane counters.
         self.joins_sent = 0
@@ -72,10 +77,10 @@ class BgmpRouter:
         if route is None:
             return None
         if route.is_local_origin:
-            return MigpTarget(self.domain)
-        if route.next_hop.domain == self.domain or route.from_internal:
-            return MigpTarget(self.domain)
-        return PeerTarget(route.next_hop)
+            return self.interior
+        if route.next_hop.domain is self.domain or route.from_internal:
+            return self.interior
+        return self.network.router_of(route.next_hop).as_peer
 
     # ------------------------------------------------------------------
     # Shared-tree joins and prunes
@@ -134,7 +139,7 @@ class BgmpRouter:
                     to=parent.router.name,
                 )
             self.network.router_of(parent.router).join(
-                group, PeerTarget(self.router)
+                group, self.as_peer
             )
             return
         # Parent through the MIGP: either the best exit router of this
@@ -160,9 +165,7 @@ class BgmpRouter:
                 to=exit_router.name,
                 via="migp",
             )
-        self.network.router_of(exit_router).join(
-            group, MigpTarget(self.domain)
-        )
+        self.network.router_of(exit_router).join(group, self.interior)
 
     def prune(self, group: int, child: Target) -> None:
         """Remove ``child`` from the (\\*,G) entry; when the child list
@@ -195,7 +198,7 @@ class BgmpRouter:
         entry = self.table.get(group)
         if entry is None:
             return
-        entry.remove_child(MigpTarget(self.domain))
+        entry.remove_child(self.interior)
         self._teardown_if_childless(group, entry)
 
     def _teardown_if_childless(
@@ -228,11 +231,11 @@ class BgmpRouter:
                 # side's state is wiped by the crash handler or aged
                 # out by the repair pass.
                 return
-            child: Target = PeerTarget(self.router)
+            child = self.as_peer
         else:
             if not self.network.router_up(upstream):
                 return
-            child = MigpTarget(self.domain)
+            child = self.interior
         self.prunes_sent += 1
         if self.network.tracer.enabled:
             self.network.tracer.event(
@@ -264,7 +267,7 @@ class BgmpRouter:
             new_upstream = new_parent.router
         elif route is not None and not route.is_local_origin:
             new_upstream = route.next_hop
-        if new_parent == entry.parent and new_upstream == entry.upstream:
+        if new_parent is entry.parent and new_upstream is entry.upstream:
             return False
         old_parent = entry.parent
         old_upstream = entry.upstream
@@ -309,12 +312,10 @@ class BgmpRouter:
             if child is not None:
                 entry.add_child(child)
             return True
-        if self.domain == source_domain:
+        if self.domain is source_domain:
             # Terminus inside the source domain: data comes in via the
             # MIGP from the source host.
-            entry = self.table.create(
-                group, MigpTarget(self.domain), source_domain
-            )
+            entry = self.table.create(group, self.interior, source_domain)
             self.migp.attach(self.router, group)
             if child is not None:
                 entry.add_child(child)
@@ -324,18 +325,17 @@ class BgmpRouter:
             return False
         if route.is_local_origin:
             return False
-        if route.from_internal or route.next_hop.domain == self.domain:
+        upstream = self.network.router_of(route.next_hop)
+        if route.from_internal or route.next_hop.domain is self.domain:
             if not self.network.router_up(route.next_hop):
                 return False
-            parent: Target = MigpTarget(self.domain)
-            upstream = self.network.router_of(route.next_hop)
-            upstream_child: Target = MigpTarget(self.domain)
+            parent: Target = self.interior
+            upstream_child: Target = self.interior
         else:
             if not self.network.session_up(self.router, route.next_hop):
                 return False
-            parent = PeerTarget(route.next_hop)
-            upstream = self.network.router_of(route.next_hop)
-            upstream_child = PeerTarget(self.router)
+            parent = upstream.as_peer
+            upstream_child = self.as_peer
         entry = self.table.create(group, parent, source_domain)
         self.migp.attach(self.router, group)
         if child is not None:
@@ -365,7 +365,7 @@ class BgmpRouter:
         if isinstance(parent, PeerTarget):
             self.prunes_sent += 1
             self.network.router_of(parent.router).prune_source(
-                group, source_domain, PeerTarget(self.router)
+                group, source_domain, self.as_peer
             )
 
     # ------------------------------------------------------------------
@@ -409,10 +409,7 @@ class BgmpRouter:
                 return
             report.external_hops += 1
             self.network.router_of(target.router).receive(
-                group,
-                source_domain,
-                PeerTarget(self.router),
-                report,
+                group, source_domain, self.as_peer, report
             )
             return
         self._inject(group, source_domain, report)
@@ -443,9 +440,7 @@ class BgmpRouter:
             if peer.table.match(group, source_domain) is None:
                 continue
             report.migp_transits += 1
-            peer.receive(
-                group, source_domain, MigpTarget(self.domain), report
-            )
+            peer.receive(group, source_domain, self.interior, report)
 
     def _forward_off_tree(
         self,
@@ -466,7 +461,7 @@ class BgmpRouter:
             # deliver to any local members and stop.
             self._inject(group, source_domain, report)
             return
-        if route.from_internal or route.next_hop.domain == self.domain:
+        if route.from_internal or route.next_hop.domain is self.domain:
             if not self.network.router_up(route.next_hop):
                 report.dropped += 1
                 return
@@ -480,7 +475,7 @@ class BgmpRouter:
                     return
             report.migp_transits += 1
             self.network.router_of(route.next_hop).receive(
-                group, source_domain, MigpTarget(self.domain), report
+                group, source_domain, self.interior, report
             )
             return
         if not self.network.session_up(self.router, route.next_hop):
@@ -488,7 +483,7 @@ class BgmpRouter:
             return
         report.external_hops += 1
         self.network.router_of(route.next_hop).receive(
-            group, source_domain, PeerTarget(self.router), report
+            group, source_domain, self.as_peer, report
         )
 
     def __repr__(self) -> str:

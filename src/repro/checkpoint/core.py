@@ -16,9 +16,9 @@ What makes the pickle sufficient:
 * every scheduled callback is a bound method or module-level function
   (closures are banned from the event queue — they cannot cross the
   pickle boundary, and the injector/MASC timers were converted);
-* identity-hashed graph nodes (``Domain``, ``BorderRouter``, ``Host``)
-  reconstruct their hash-bearing attributes *before* container
-  re-insertion via ``__reduce__``;
+* graph nodes (``Domain``, ``BorderRouter``, ``Host``, BGMP targets)
+  hash by identity, so a restored table rehashes its keys in the
+  restoring process with no hook at all;
 * the simulator compacts cancelled timers and stores its queue in
   canonical (time, seq) order, so FIFO tie-breaking survives exactly;
 * nothing in the graph reads the wall clock or a process-global RNG
@@ -38,7 +38,7 @@ from typing import Any, Optional, Tuple
 
 #: Bump when the snapshot semantics change incompatibly (restoring a
 #: checkpoint written by a different version raises CheckpointError).
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 #: Bump when the violation-dump layout changes incompatibly.
 DUMP_VERSION = 1

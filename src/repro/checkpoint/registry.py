@@ -77,29 +77,11 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "_tables",
         "_search",
     }),
-    # The topology identity classes reconstruct via __reduce__ (hash
-    # attributes first, remaining state second). A router's _hash is
-    # left out of its pickled state and recomputed by _restore_keyed.
-    "repro.topology.domain:Domain": frozenset({
-        "domain_id",
-        "name",
-        "kind",
-        "routers",
-        "hosts",
-        "providers",
-        "customers",
-        "peers",
-    }),
-    "repro.topology.domain:BorderRouter": frozenset({
-        "name",
-        "domain",
-        "external_neighbors",
-        "_hash",
-    }),
-    "repro.topology.domain:Host": frozenset({
-        "name",
-        "domain",
-    }),
+    # BGMP targets are __slots__ classes whose __reduce__ rebuilds
+    # through the interning constructor; the one slot each is the
+    # constructor's argument, so it alone is a complete snapshot.
+    "repro.bgmp.targets:PeerTarget": frozenset({"router"}),
+    "repro.bgmp.targets:MigpTarget": frozenset({"domain"}),
     # The sanitizer's __getstate__ drops its process-local violation
     # listeners (serve-layer callbacks bound to thread primitives);
     # every other attribute rides along verbatim.

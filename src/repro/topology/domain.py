@@ -5,31 +5,19 @@ administration (section 1 of the paper). It owns border routers (which
 run BGP/BGMP) and hosts (which join and send to multicast groups), and
 records its provider / customer / peer relationships with neighbouring
 domains.
+
+All three compare and hash by identity: an object equals only itself.
+The get-or-create constructors (:meth:`Domain.router`,
+:meth:`Domain.host`, the topology generators) are the one way to obtain
+one, so a name never stands for two objects. Sets of them iterate in
+address order, which differs between processes: iterate a sorted list
+or a dict instead (lint rule DET003).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import Dict, List, Optional, Set
-
-
-def _restore_keyed(cls: type, identity: Dict[str, object]) -> object:
-    """Rebuild a hash-carrying object for pickle.
-
-    Domains, routers, and hosts define ``__hash__`` over identity
-    attributes and appear as dict keys / set elements inside their own
-    (cyclic) state, so the default pickle path can try to hash a
-    half-restored instance. Reconstructing through this helper sets the
-    identity attributes before any container re-insertion happens; the
-    remaining state follows through ``__setstate__`` as usual. A
-    router's cached hash is recomputed here, never unpickled: string
-    hashes differ between processes.
-    """
-    obj = cls.__new__(cls)
-    obj.__dict__.update(identity)
-    if cls is BorderRouter:
-        obj._hash = hash((obj.domain.domain_id, obj.name))
-    return obj
 
 
 class DomainKind(Enum):
@@ -127,23 +115,6 @@ class Domain:
     def __repr__(self) -> str:
         return f"Domain({self.name}, id={self.domain_id}, {self.kind.value})"
 
-    def __hash__(self) -> int:
-        return hash(self.domain_id)
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, Domain):
-            return NotImplemented
-        return self.domain_id == other.domain_id
-
-    def __reduce__(self):
-        return (
-            _restore_keyed,
-            (type(self), {"domain_id": self.domain_id}),
-            self.__dict__,
-        )
-
 
 class BorderRouter:
     """A border router of a domain.
@@ -157,7 +128,6 @@ class BorderRouter:
         self.name = name
         self.domain = domain
         self.external_neighbors: List["BorderRouter"] = []
-        self._hash = hash((domain.domain_id, name))
 
     def add_external_neighbor(self, other: "BorderRouter") -> None:
         """Record a direct inter-domain adjacency (both directions are
@@ -184,26 +154,6 @@ class BorderRouter:
     def __repr__(self) -> str:
         return f"BorderRouter({self.name}@{self.domain.name})"
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, BorderRouter):
-            return NotImplemented
-        # Names first: they differ far more often than domains do.
-        return self.name == other.name and self.domain == other.domain
-
-    def __reduce__(self):
-        state = dict(self.__dict__)
-        del state["_hash"]
-        return (
-            _restore_keyed,
-            (type(self), {"name": self.name, "domain": self.domain}),
-            state,
-        )
-
 
 class Host:
     """An end host inside a domain: a group member and/or sender."""
@@ -214,18 +164,3 @@ class Host:
 
     def __repr__(self) -> str:
         return f"Host({self.name}@{self.domain.name})"
-
-    def __hash__(self) -> int:
-        return hash((self.domain.domain_id, self.name))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Host):
-            return NotImplemented
-        return self.domain == other.domain and self.name == other.name
-
-    def __reduce__(self):
-        return (
-            _restore_keyed,
-            (type(self), {"name": self.name, "domain": self.domain}),
-            self.__dict__,
-        )

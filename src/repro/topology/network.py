@@ -158,7 +158,7 @@ class Topology:
         return len(self._domains)
 
     def __contains__(self, domain: Domain) -> bool:
-        return domain.domain_id in self._domains
+        return self._domains.get(domain.domain_id) is domain
 
     def neighbors(self, domain: Domain) -> List[Domain]:
         """Domains adjacent to ``domain``, sorted by id."""

@@ -1,8 +1,15 @@
 """Tests for BGMP forwarding entries and targets."""
 
+import gc
+import pickle
+import random
+import weakref
+
 from repro.bgmp.entries import ForwardingEntry, ForwardingTable
+from repro.bgmp.network import BgmpNetwork
 from repro.bgmp.targets import MigpTarget, PeerTarget
 from repro.topology.domain import Domain
+from repro.topology.generators import as_graph
 
 
 GROUP = 0xE0008001
@@ -32,6 +39,33 @@ class TestTargets:
     def test_hashable(self):
         a, _ = make_domains()
         assert len({MigpTarget(a), MigpTarget(a)}) == 1
+
+    def test_interned_per_object_and_rebuilt_on_restore(self):
+        """One target per router or domain; a copy made through pickle
+        holds its own targets, interned around its own objects, and
+        never the original's."""
+        a, _ = make_domains()
+        peer, interior = PeerTarget(a.router("A1")), MigpTarget(a)
+        assert PeerTarget(a.router("A1")) is peer
+        assert MigpTarget(a) is interior
+        copy_peer, copy_interior = pickle.loads(
+            pickle.dumps((peer, interior))
+        )
+        assert copy_peer is not peer and copy_interior is not interior
+        assert copy_peer.router.domain is copy_interior.domain
+        assert PeerTarget(copy_peer.router) is copy_peer
+        assert MigpTarget(copy_interior.domain) is copy_interior
+
+    def test_the_intern_keeps_no_world_alive(self):
+        """A discarded world goes in one collection: the intern table
+        holds neither its targets nor the routers and domains they
+        name, so it cannot keep the world for a second one."""
+        topology = as_graph(random.Random(1), node_count=6)
+        network = BgmpNetwork(topology)
+        probe = weakref.ref(topology.domains[0])
+        del topology, network
+        gc.collect()
+        assert probe() is None
 
 
 class TestForwardingEntry:

@@ -23,6 +23,9 @@ from repro.addressing.prefix import Prefix
 from repro.bgp.network import BgpNetwork
 from repro.bgp.routes import RouteType
 from repro.topology.generators import as_graph
+from repro.topology.network import Topology
+
+from tests.bgp._gao_rexford import mismatches
 
 FLAPPED = range(1, 5)
 
@@ -94,3 +97,52 @@ def test_a_withdrawal_changes_each_loc_rib_about_once(halves, index):
 def test_a_withdrawal_costs_no_more_updates_than_the_return(halves, index):
     (_changes, _net, down), (_up_changes, _up_net, up) = halves[index]
     assert down <= up, (down, up)
+
+
+def test_a_withheld_route_is_announced_once_its_chain_settles():
+    """A route withheld because its next-hop chain was superseded stays
+    pending for export. The chain may settle on a route with the same
+    AS path from another next hop; then the speaker receives nothing,
+    and only the pending key makes it announce the route it withheld.
+
+    Domain ids in brackets; each arrow points from provider to
+    customer: N[1] -> O[2], U[3] -> N, N -> S[4], U -> S, N -> T[0],
+    S -> C[5]. O originates at o1. N's n1 and n2 both peer with o1; n3
+    is interior. U's e1 and e2 reach n1 and n2, and U's u serves S. S
+    also reaches n1, and T reaches only n1. Crashing n1 makes T lose the
+    route (the key counts as lost) and moves n3 and e1 (so N and U
+    moved it). S falls back on its route via u. In the same round, e1
+    withdraws from u before S's turn, so S withholds the route and
+    withdraws it from C. Then u picks e2's route, which has the same AS
+    path, and sends S nothing. S announces to C only because the key
+    is still pending.
+    """
+    topology = Topology()
+    t, n, o, u, s, c = (
+        topology.add_domain(name) for name in ("T", "N", "O", "U", "S", "C")
+    )
+    for provider, customer in ((n, o), (u, n), (n, s), (u, s), (n, t),
+                               (s, c)):
+        provider.add_customer(customer)
+    n1, n2 = n.router("n1"), n.router("n2")
+    n.router("n3")
+    for a, b in (
+        (n1, o.router("o1")), (n2, o.router("o1")),
+        (u.router("e1"), n1), (u.router("e2"), n2),
+        (u.router("u"), s.router("s")), (s.router("s"), n1),
+        (t.router("t1"), n1), (c.router("c1"), s.router("s")),
+    ):
+        topology.connect(a, b)
+    network = BgpNetwork(topology)
+    prefix = Prefix.parse("226.1.0.0/20")
+    network.originate_from_domain(o, prefix)
+    network.converge()
+    sent = network.updates_sent
+    network.fail_router(n1)
+    rounds = network.converge()
+    route = network.speaker(c.router("c1")).loc_rib.get(
+        RouteType.GROUP, prefix
+    )
+    assert route is not None and route.as_path == (4, 3, 1, 2)
+    assert mismatches(network, (RouteType.GROUP, prefix)) == []
+    assert (rounds, network.updates_sent - sent) == (3, 4)

@@ -92,7 +92,7 @@ class TestSoakCliCrashResume:
         )
         assert result.returncode == 2
         assert (
-            f"checkpoint version {version} != supported 11" in result.stderr
+            f"checkpoint version {version} != supported 12" in result.stderr
         )
         assert "Traceback" not in result.stderr
 

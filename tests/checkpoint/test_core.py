@@ -149,6 +149,17 @@ def save_version_10_checkpoint(path):
     )
 
 
+def save_version_11_checkpoint(path):
+    """A checkpoint file from version 11, whose domains, routers and
+    hosts compare by value and unpickle through a hook that sets their
+    identity attributes first. The payload names that hook, which
+    version 12 deleted: those objects now compare by identity."""
+    _save_old_checkpoint(
+        path, 11,
+        b"\x80\x04crepro.topology.domain\n_restore_keyed\n.",
+    )
+
+
 #: Writers of files from versions this build must refuse, by version
 #: (version 1 has its own tests: its message interpolates the constant).
 OLD_VERSIONS = {
@@ -161,6 +172,7 @@ OLD_VERSIONS = {
     8: save_version_8_checkpoint,
     9: save_version_9_checkpoint,
     10: save_version_10_checkpoint,
+    11: save_version_11_checkpoint,
 }
 
 
@@ -252,7 +264,7 @@ class TestCheckpointFiles:
         OLD_VERSIONS[version](path)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 11",
+            match=f"checkpoint version {version} != supported 12",
         ):
             ckpt.load(path)
 
@@ -339,17 +351,17 @@ from repro import checkpoint as ckpt
 ckpt.save(ckpt.capture(network), sys.argv[1])
 """
 
-#: Restores that world, looks every router up by a freshly built equal
-#: one, crashes AS0's first router and prints the converged digest.
+#: Restores that world, looks every router up through the restored
+#: topology, crashes AS0's first router and prints the converged digest.
 _RESUME_WORLD = """
 import sys
 from repro import checkpoint as ckpt
-from repro.topology.domain import BorderRouter, Domain
 
 network = ckpt.restore(ckpt.load(sys.argv[1]))
+topology = network.topology
 for router, speaker in network.speakers.items():
-    fresh = BorderRouter(router.name, Domain(router.domain.domain_id))
-    assert network.speakers[fresh] is speaker, router
+    found = topology.domain(router.domain.domain_id).router(router.name)
+    assert network.speakers[found] is speaker, router
 network.fail_router(network.topology.domains[0].router())
 network.converge()
 print(network.rib_digest())
@@ -368,9 +380,9 @@ class TestHashSeedIndependence:
         ).stdout
 
     def test_routers_rehash_under_the_restoring_seed(self, tmp_path):
-        """Router hashes are cached per object; a checkpoint written
-        under one string-hash seed must rebuild them under the seed of
-        the process that restores it, and continue to the same RIBs."""
+        """Routers hash by identity; a checkpoint written under one
+        string-hash seed must rebuild its router-keyed tables in the
+        process that restores it, and continue to the same RIBs."""
         path = tmp_path / "world.ckpt"
         self._python(_SAVE_WORLD, 1, str(path))
         resumed = self._python(_RESUME_WORLD, 2, str(path)).strip()

@@ -68,7 +68,10 @@ class TestDomain:
         assert not customer.is_top_level
 
     def test_equality_by_id(self):
-        assert Domain(3, name="x") == Domain(3, name="y")
+        """A domain equals only itself, whatever its id."""
+        a = Domain(3)
+        assert a == a
+        assert Domain(3, name="x") != Domain(3, name="y")
         assert Domain(3) != Domain(4)
         assert Domain(3) != "AS3"
 
@@ -106,12 +109,14 @@ class TestBorderRouter:
 
     def test_equality(self):
         a = Domain(0, name="A")
-        assert a.router("A1") == BorderRouter("A1", a)
+        assert a.router("A1") is a.router("A1")
+        assert a.router("A1") != BorderRouter("A1", a)
         assert a.router("A1") != a.router("A2")
 
 
 class TestHost:
     def test_identity(self):
         a = Domain(0, name="A")
-        assert Host("h", a) == Host("h", a)
-        assert Host("h", a) != Host("g", a)
+        assert a.host("h") is a.host("h")
+        assert Host("h", a) != Host("h", a)
+        assert a.host("h") != a.host("g")
