@@ -3,7 +3,7 @@ Multicast Routing" (SIGCOMM 1998).
 
 Top-level entry points:
 
-- :class:`repro.core.MulticastInternet` — the assembled architecture.
+- :class:`repro.core.system.MulticastInternet` — the assembled architecture.
 - :mod:`repro.experiments` — drivers for the paper's figures.
 - ``python -m repro`` — the command-line interface.
 

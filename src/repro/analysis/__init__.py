@@ -6,59 +6,3 @@ bidirectional shared, hybrid with source-specific branches) at domain
 granularity. :mod:`repro.analysis.report` renders experiment results
 as fixed-width text tables matching the paper's presentation.
 """
-
-from repro.analysis.trees import (
-    BidirectionalTree,
-    GroupScenario,
-    PathLengthComparison,
-    bidirectional_lengths,
-    compare_trees,
-    hybrid_lengths,
-    shortest_path_lengths,
-    unidirectional_lengths,
-)
-from repro.analysis.report import format_table
-from repro.analysis.related import (
-    BroadcastCost,
-    HpimTree,
-    bgmp_cost,
-    hdvmrp_cost,
-    hpim_lengths,
-)
-from repro.analysis.reconvergence import (
-    ProbeSample,
-    ReconvergenceProbe,
-    ReconvergenceReport,
-    build_report,
-)
-from repro.analysis.render import (
-    render_bgmp_tree,
-    render_domain_tree,
-    render_masc_hierarchy,
-)
-from repro.analysis.trees import root_transit_fraction
-
-__all__ = [
-    "BroadcastCost",
-    "HpimTree",
-    "ProbeSample",
-    "ReconvergenceProbe",
-    "ReconvergenceReport",
-    "build_report",
-    "bgmp_cost",
-    "hdvmrp_cost",
-    "hpim_lengths",
-    "render_bgmp_tree",
-    "render_domain_tree",
-    "render_masc_hierarchy",
-    "root_transit_fraction",
-    "BidirectionalTree",
-    "GroupScenario",
-    "PathLengthComparison",
-    "bidirectional_lengths",
-    "compare_trees",
-    "hybrid_lengths",
-    "shortest_path_lengths",
-    "unidirectional_lengths",
-    "format_table",
-]

@@ -12,19 +12,3 @@ domains.
 Intra-domain multicast (the MIGP) is abstracted behind
 :mod:`repro.migp`; BGMP composes with any of its implementations.
 """
-
-from repro.bgmp.entries import ForwardingEntry, ForwardingTable
-from repro.bgmp.targets import MigpTarget, PeerTarget, Target
-from repro.bgmp.router import BgmpRouter
-from repro.bgmp.network import BgmpNetwork, DeliveryReport
-
-__all__ = [
-    "ForwardingEntry",
-    "ForwardingTable",
-    "MigpTarget",
-    "PeerTarget",
-    "Target",
-    "BgmpRouter",
-    "BgmpNetwork",
-    "DeliveryReport",
-]

@@ -174,8 +174,9 @@ class BgmpNetwork:
                 unicast_resolver=self._rpf_resolver,
             )
             self._migps[domain] = migp
+            interior = MigpTarget(domain)
             for router in domain.routers.values():
-                bgmp = BgmpRouter(router, self, migp)
+                bgmp = BgmpRouter(router, self, migp, interior)
                 self._routers[router] = bgmp
                 self._router_seq[bgmp] = len(self._router_list)
                 self._router_list.append(bgmp)

@@ -34,6 +34,7 @@ class BgmpRouter:
         router: BorderRouter,
         network: "BgmpNetwork",
         migp: "MigpComponent",
+        interior: MigpTarget,
     ):
         self.router = router
         self.network = network
@@ -42,11 +43,12 @@ class BgmpRouter:
         self.domain: Domain = router.domain
         self.migp = migp
         self.speaker = network.bgp.speaker(router)
-        #: The two targets this router is known by: to its BGMP peers
-        #: in other domains, and to the routers of its own domain
-        #: (whose MIGP child or parent target it is).
+        #: The two targets this router is known by: its own, to its
+        #: BGMP peers in other domains, and its domain's, shared by the
+        #: routers of the domain (whose MIGP child or parent target it
+        #: is).
         self.as_peer = PeerTarget(router)
-        self.interior = MigpTarget(self.domain)
+        self.interior = interior
         self.table = ForwardingTable()
         #: Control-plane counters.
         self.joins_sent = 0

@@ -12,31 +12,3 @@ This package implements route/path-attribute types, per-router RIBs
 style export policies, iBGP full-mesh redistribution, and aggregation
 of covered customer routes.
 """
-
-from repro.bgp.routes import Route, RouteType
-from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.policy import (
-    ExportPolicy,
-    GaoRexfordPolicy,
-    PromiscuousPolicy,
-    RouteFilterPolicy,
-)
-from repro.bgp.speaker import BgpSpeaker
-from repro.bgp.network import BgpNetwork
-from repro.bgp.events import EventDrivenBgp
-from repro.bgp.messages import UpdateMessage
-
-__all__ = [
-    "EventDrivenBgp",
-    "UpdateMessage",
-    "Route",
-    "RouteType",
-    "AdjRibIn",
-    "LocRib",
-    "ExportPolicy",
-    "GaoRexfordPolicy",
-    "PromiscuousPolicy",
-    "RouteFilterPolicy",
-    "BgpSpeaker",
-    "BgpNetwork",
-]

@@ -26,7 +26,10 @@ What makes the pickle sufficient:
   snapshot coverage, DET006).
 
 The payload digest is checked on restore, so a truncated or corrupted
-checkpoint file fails loudly instead of resuming from garbage.
+checkpoint file fails loudly instead of resuming from garbage. The
+version is the digest of the code that wrote the checkpoint
+(:func:`code_version`), so a file from any other code is refused before
+its payload is unpickled.
 """
 
 from __future__ import annotations
@@ -34,14 +37,36 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from pathlib import Path
 from typing import Any, Optional, Tuple
 
-#: Bump when the snapshot semantics change incompatibly (restoring a
-#: checkpoint written by a different version raises CheckpointError).
-CHECKPOINT_VERSION = 12
 
-#: Bump when the violation-dump layout changes incompatibly.
-DUMP_VERSION = 1
+@lru_cache(maxsize=None)
+def code_version() -> str:
+    """The version checkpoints and violation dumps carry: the sha256 of
+    the ``repro`` package's ``*.py`` sources (sorted relative paths plus
+    bytes), computed once per process. A file is valid only for the
+    code that wrote it; any other code refuses it."""
+    package = Path(__file__).resolve().parents[1]
+    sources = sorted(
+        (path.relative_to(package).as_posix(), path)
+        for path in package.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for relative, path in sources:
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _version_error(what: str, version) -> str:
+    """The refusal message, both versions cut to 12 characters."""
+    return (
+        f"{what} version {str(version)[:12]} != supported "
+        f"{code_version()[:12]}"
+    )
 
 
 class CheckpointError(Exception):
@@ -76,7 +101,7 @@ class Checkpoint:
 
     payload: bytes
     digest: str
-    version: int
+    version: str
     time: float
     events: int
     label: str = ""
@@ -84,11 +109,8 @@ class Checkpoint:
     def verify(self) -> None:
         """Raise :class:`CheckpointError` on version or digest
         mismatch (corruption, truncation, foreign writer)."""
-        if self.version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {self.version} != supported "
-                f"{CHECKPOINT_VERSION}"
-            )
+        if self.version != code_version():
+            raise CheckpointError(_version_error("checkpoint", self.version))
         actual = _payload_digest(self.payload)
         if actual != self.digest:
             raise CheckpointError(
@@ -121,7 +143,7 @@ def capture(world: Any, label: str = "") -> Checkpoint:
     return Checkpoint(
         payload=payload,
         digest=_payload_digest(payload),
-        version=CHECKPOINT_VERSION,
+        version=code_version(),
         time=sim.now if sim is not None else 0.0,
         events=sim.processed if sim is not None else 0,
         label=label,
@@ -191,7 +213,7 @@ def roundtrip(world: Any) -> Any:
 @dataclass(frozen=True)
 class ViolationDump:
     """Everything needed to deterministically re-trigger an
-    :class:`~repro.sanitizer.InvariantViolation`.
+    :class:`~repro.sanitizer.core.InvariantViolation`.
 
     ``checkpoint`` is the nearest checkpoint *before* the violation
     (the segment boundary under the soak harness); ``replay_until``
@@ -208,7 +230,7 @@ class ViolationDump:
     replay_until: float
     checkpoint: Optional[Checkpoint] = None
     context: dict = field(default_factory=dict)
-    version: int = DUMP_VERSION
+    version: str = field(default_factory=code_version)
 
     def render(self) -> str:
         """Human-readable dump summary."""
@@ -264,10 +286,9 @@ def load_dump(path) -> ViolationDump:
         raise CheckpointError(
             f"{path}: contains {type(dump).__name__}, not a ViolationDump"
         )
-    if dump.version != DUMP_VERSION:
+    if dump.version != code_version():
         raise CheckpointError(
-            f"{path}: dump version {dump.version} != supported "
-            f"{DUMP_VERSION}"
+            f"{path}: {_version_error('dump', dump.version)}"
         )
     if dump.checkpoint is not None:
         dump.checkpoint.verify()

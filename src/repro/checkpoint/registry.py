@@ -77,9 +77,9 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "_tables",
         "_search",
     }),
-    # BGMP targets are __slots__ classes whose __reduce__ rebuilds
-    # through the interning constructor; the one slot each is the
-    # constructor's argument, so it alone is a complete snapshot.
+    # BGMP targets are __slots__ classes owned by the routers (and, for
+    # the MIGP target, the domain's routers together) that hold them;
+    # the one slot each names the router or domain, a complete snapshot.
     "repro.bgmp.targets:PeerTarget": frozenset({"router"}),
     "repro.bgmp.targets:MigpTarget": frozenset({"domain"}),
     # The sanitizer's __getstate__ drops its process-local violation

@@ -162,7 +162,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.analysis.tracereport import render_run_report
     from repro.serve.runner import run_target
-    from repro.trace import (
+    from repro.trace.export import (
         write_chrome_trace,
         write_jsonl,
         write_metrics_json,
@@ -221,16 +221,16 @@ def _soak_fingerprint_json(result) -> str:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from repro.checkpoint import CheckpointError
+    from repro.checkpoint.core import CheckpointError
     from repro.faults.soak import (
         SoakConfig,
         SoakHarness,
         replay_dump,
     )
-    from repro.sanitizer import InvariantViolation
+    from repro.sanitizer.core import InvariantViolation
 
     if args.action == "replay":
-        from repro.checkpoint import load_dump
+        from repro.checkpoint.core import load_dump
 
         try:
             dump = load_dump(args.dump)
@@ -289,7 +289,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import math
     import threading
 
-    from repro.checkpoint import CheckpointError
+    from repro.checkpoint.core import CheckpointError
     from repro.serve.attach import AttachOptions, attach_serve
     from repro.serve.runner import ServeHook, probe_hub, run_target
 
@@ -373,13 +373,9 @@ def _parse_shard(text: str) -> tuple:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     import json
 
-    from repro.scenarios import (
-        ScenarioError,
-        discover_scenarios,
-        load_scenario,
-        run_scenario,
-        run_scenario_path,
-    )
+    from repro.scenarios.spec import ScenarioError
+    from repro.scenarios.loader import discover_scenarios, load_scenario
+    from repro.scenarios.engine import run_scenario, run_scenario_path
 
     # Resolve the file set: explicit files win over --dir discovery.
     # Selection problems (missing files, bad shard spec) are usage
@@ -682,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--control", action="store_true",
                         help="run the identical workload with no hub "
                              "attached (the fingerprint control arm)")
-        sp.add_argument("--linger", type=float, default=0.0,
+        sp.add_argument("--linger", type=_number(float, 0), default=0.0,
                         help="keep serving this many seconds after "
                              "the run finishes (inf: until Ctrl-C)")
 
@@ -707,7 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_attach.add_argument("--checkpoint", default=None,
                               help="attach from this .ckpt instead of "
                                    "the latest")
-    serve_attach.add_argument("--segments", type=int, default=None,
+    serve_attach.add_argument("--segments", type=_number(int, 0),
+                              default=None,
                               help="segments to run while attached "
                                    "(default: the chain's remainder)")
     _serve_common(serve_attach)
@@ -747,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite the goldens in --golden-dir from this run",
     )
     scenarios_run.add_argument(
-        "--processes", type=int, default=0,
+        "--processes", type=_number(int, 0), default=0,
         help="fan runs out over a process pool (0/1 = serial; "
              "pooled fingerprints are byte-identical to serial)",
     )

@@ -8,7 +8,3 @@ to domains; claimed ranges are injected into BGP as group routes
 initiators; and BGMP builds the bidirectional shared tree for each
 group, rooted at the domain whose range covers the group's address.
 """
-
-from repro.core.system import GroupSession, MulticastInternet
-
-__all__ = ["GroupSession", "MulticastInternet"]

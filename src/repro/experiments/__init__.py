@@ -21,15 +21,3 @@ or ``parallel_map(run_figure2, [replace(config, seed=s) for s in
 seeds])`` for the figure drivers, whose configs carry the seed.
 Performance is measured by ``bench/`` against ``BENCHMARK.json``.
 """
-
-from repro.experiments.fig2 import Figure2Result, run_figure2
-from repro.experiments.fig4 import Figure4Result, run_figure4
-from repro.experiments.runner import parallel_map
-
-__all__ = [
-    "Figure2Result",
-    "run_figure2",
-    "Figure4Result",
-    "run_figure4",
-    "parallel_map",
-]

@@ -19,7 +19,7 @@ MIGP with unicast auto-origination off — at this scale interior
 dynamics are out of scope, and full unicast tables would be ~11M
 routes modelling nothing the multicast layer reads.
 
-The timed loop runs on a :class:`~repro.sim.Simulator` under stable
+The timed loop runs on a :class:`~repro.sim.engine.Simulator` under stable
 event names (``churn.join``, ``churn.flap``, ...). Everything
 observable — repair counters, per-phase forwarding digests, delivery
 counts, control traffic — is a function of (config, seed) alone and

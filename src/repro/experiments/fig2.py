@@ -102,7 +102,7 @@ def run_figure2(
 ) -> Figure2Result:
     """Run the Figure 2 simulation and wrap its results.
 
-    Pass a :class:`~repro.trace.Tracer` to trace the run (off by
+    Pass a :class:`~repro.trace.tracer.Tracer` to trace the run (off by
     default, no overhead).
     """
     if config is None:

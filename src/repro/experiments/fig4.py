@@ -117,7 +117,7 @@ def run_figure4(
     """Run the Figure 4 sweep.
 
     Pass a prebuilt ``topology`` to amortize graph construction across
-    runs (the bench suite does). A :class:`~repro.trace.Tracer` traces
+    runs (the bench suite does). A :class:`~repro.trace.tracer.Tracer` traces
     the sweep on an ordinal clock (one tick per group size).
     """
     if config is None:

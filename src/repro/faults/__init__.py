@@ -12,64 +12,3 @@ trees, members reachable). :mod:`repro.faults.soak` chains long chaos
 runs as crash-resumable checkpointed segments (see
 :mod:`repro.checkpoint`).
 """
-
-from repro.faults.chaos import (
-    ChaosHarness,
-    ChaosResult,
-    ChaosScenario,
-    check_loop_free_trees,
-    check_members_reachable,
-    check_no_overlapping_claims,
-)
-from repro.faults.injector import FaultInjector, RecoveryRecord
-from repro.faults.soak import (
-    SoakConfig,
-    SoakHarness,
-    SoakResult,
-    SoakWorld,
-    replay_dump,
-)
-from repro.faults.plan import (
-    DelayJitter,
-    Fault,
-    FaultCandidate,
-    FaultPlan,
-    Heal,
-    LinkDown,
-    LinkUp,
-    MascCrash,
-    MascRestart,
-    MessageLoss,
-    Partition,
-    RouterCrash,
-    RouterRestart,
-)
-
-__all__ = [
-    "ChaosHarness",
-    "ChaosResult",
-    "ChaosScenario",
-    "DelayJitter",
-    "Fault",
-    "FaultCandidate",
-    "FaultInjector",
-    "FaultPlan",
-    "Heal",
-    "LinkDown",
-    "LinkUp",
-    "MascCrash",
-    "MascRestart",
-    "MessageLoss",
-    "Partition",
-    "RecoveryRecord",
-    "RouterCrash",
-    "RouterRestart",
-    "SoakConfig",
-    "SoakHarness",
-    "SoakResult",
-    "SoakWorld",
-    "check_loop_free_trees",
-    "check_members_reachable",
-    "check_no_overlapping_claims",
-    "replay_dump",
-]

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultInjector, RecoveryRecord
 from repro.faults.plan import FaultCandidate, FaultPlan
-from repro.sanitizer import InvariantSanitizer
+from repro.sanitizer.core import InvariantSanitizer
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.trace.metrics import collect_metrics
@@ -155,7 +155,7 @@ class ChaosHarness:
     window, and repair delay parameterize the schedule.
 
     With ``sanitize=True`` every run executes under an
-    :class:`~repro.sanitizer.InvariantSanitizer` attached to the
+    :class:`~repro.sanitizer.core.InvariantSanitizer` attached to the
     scenario's simulator: safety invariants are checked after every
     ``check_every``-th event (not just post-recovery), any breakage is
     recorded into the result's violations with its event trace, and

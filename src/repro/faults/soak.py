@@ -5,8 +5,8 @@ over days, BGMP trees live through continuous churn — but a one-shot
 process run dies with its first crash or CI timeout. The soak harness
 splits one long simulated chaos schedule into *segments*: each segment
 draws a fault plan from a persistent random stream, runs it under a
-**raising** :class:`~repro.sanitizer.InvariantSanitizer`, and writes a
-:class:`~repro.checkpoint.Checkpoint` of the entire world at the
+**raising** :class:`~repro.sanitizer.core.InvariantSanitizer`, and writes a
+:class:`~repro.checkpoint.core.Checkpoint` of the entire world at the
 segment boundary.
 
 Crash-resume semantics: kill the process anywhere mid-segment, then
@@ -32,11 +32,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from repro.faults.chaos import ChaosScenario
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.sanitizer import InvariantSanitizer, InvariantViolation
+from repro.sanitizer.core import InvariantSanitizer, InvariantViolation
 from repro.sim.randomness import RandomStreams
 
 #: Stream name all segment fault schedules draw from. One persistent
@@ -216,10 +216,18 @@ class SoakHarness:
         ``kill_at`` schedules a hard process death (``os._exit``) at
         that simulation time — the CI soak job's crash injection. The
         kill event is scheduled *before* the first boundary save so it
-        rides along in checkpoints, and :meth:`resume` cancels it.
+        rides along in checkpoints, and :meth:`resume` cancels it. A
+        kill time before the world's start raises
+        :class:`~repro.checkpoint.core.CheckpointError`: no boundary
+        checkpoint could precede it.
         """
         world = self.build_world()
         if kill_at is not None:
+            if kill_at < world.sim.now:
+                raise ckpt.CheckpointError(
+                    f"--kill-at {kill_at:g} is before the world's start "
+                    f"time {world.sim.now:g}"
+                )
             world.sim.schedule_at(
                 kill_at, _hard_exit, name=KILL_EVENT_NAME
             )

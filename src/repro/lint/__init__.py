@@ -32,34 +32,3 @@ whole file opts out with ``# lint: disable-file=CODE — why``. See
 and ``docs/ARCHITECTURE.md`` §12 for the analyzer design (project
 model, call graph).
 """
-
-from repro.lint.engine import (
-    SuppressionIndex,
-    analyze_source,
-    build_suppressions,
-    lint_project,
-    lint_source,
-    python_files,
-    suppressed_codes,
-)
-from repro.lint.model import ProjectModel, extract_model
-from repro.lint.rules import ALL_RULES, Finding, ModuleContext, Rule
-from repro.lint.whole import WHOLE_PROGRAM_RULES, WholeProgramRule
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "ModuleContext",
-    "ProjectModel",
-    "Rule",
-    "SuppressionIndex",
-    "WHOLE_PROGRAM_RULES",
-    "WholeProgramRule",
-    "analyze_source",
-    "build_suppressions",
-    "extract_model",
-    "lint_project",
-    "lint_source",
-    "python_files",
-    "suppressed_codes",
-]

@@ -21,24 +21,21 @@ data-path behaviour:
   single-router stub domains.
 """
 
-from repro.migp.base import InjectionResult, MigpComponent
-from repro.migp.dvmrp import Dvmrp
-from repro.migp.pim import PimDense, PimSparse
-from repro.migp.cbt import Cbt
-from repro.migp.mospf import Mospf
-from repro.migp.static import StaticMigp
+from repro.migp import base, cbt, dvmrp, mospf, pim, static
 
 MIGP_KINDS = {
-    "dvmrp": Dvmrp,
-    "pim-sm": PimSparse,
-    "pim-dm": PimDense,
-    "cbt": Cbt,
-    "mospf": Mospf,
-    "static": StaticMigp,
+    "dvmrp": dvmrp.Dvmrp,
+    "pim-sm": pim.PimSparse,
+    "pim-dm": pim.PimDense,
+    "cbt": cbt.Cbt,
+    "mospf": mospf.Mospf,
+    "static": static.StaticMigp,
 }
 
 
-def make_migp(kind: str, domain, unicast_resolver=None) -> MigpComponent:
+def make_migp(
+    kind: str, domain, unicast_resolver=None
+) -> base.MigpComponent:
     """Instantiate an MIGP by name (see :data:`MIGP_KINDS`)."""
     try:
         cls = MIGP_KINDS[kind]
@@ -46,16 +43,3 @@ def make_migp(kind: str, domain, unicast_resolver=None) -> MigpComponent:
         raise ValueError(f"unknown MIGP kind {kind!r}") from None
     return cls(domain, unicast_resolver=unicast_resolver)
 
-
-__all__ = [
-    "InjectionResult",
-    "MigpComponent",
-    "Dvmrp",
-    "PimSparse",
-    "PimDense",
-    "Cbt",
-    "Mospf",
-    "StaticMigp",
-    "MIGP_KINDS",
-    "make_migp",
-]

@@ -7,7 +7,7 @@ claims, loop-free BGMP trees) checked after every executed event, with
 quiescence checks (trees rooted in the covering domain) available at
 settle points::
 
-    from repro.sanitizer import InvariantSanitizer
+    from repro.sanitizer.core import InvariantSanitizer
 
     san = InvariantSanitizer(
         bgmp=network, groups=(GROUP,), masc_siblings=[siblings]
@@ -18,15 +18,3 @@ settle points::
 
 The chaos harness wires this up via ``ChaosHarness(..., sanitize=True)``.
 """
-
-from repro.sanitizer.core import (
-    InvariantSanitizer,
-    InvariantViolation,
-    TraceEntry,
-)
-
-__all__ = [
-    "InvariantSanitizer",
-    "InvariantViolation",
-    "TraceEntry",
-]

@@ -260,7 +260,7 @@ class InvariantSanitizer:
 
         With a directory set, any violation this sanitizer reports —
         whether raised or recorded — first writes a
-        :class:`~repro.checkpoint.ViolationDump` there, pairing the
+        :class:`~repro.checkpoint.core.ViolationDump` there, pairing the
         violation and its event window with the checkpoint at
         ``checkpoint_path`` (the nearest checkpoint *before* the
         violation; loaded lazily at dump time, so arming costs
@@ -279,7 +279,7 @@ class InvariantSanitizer:
         return self
 
     def _write_dump(self, violation: "InvariantViolation") -> None:
-        from repro import checkpoint as ckpt
+        from repro.checkpoint import core as ckpt
 
         nearest = None
         if self.dump_checkpoint_path and os.path.exists(

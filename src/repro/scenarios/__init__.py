@@ -11,54 +11,11 @@ invariant sanitizer and emits a deterministic state fingerprint.
 See ARCHITECTURE.md §15 for the format, verbs, and assertion catalog;
 ``scenarios/`` at the repo root holds the shipped suite; run it with
 ``python -m repro scenarios run``.
+
+Import from the modules; ``discover_scenarios``, ``load_scenario``
+and ``run_scenario`` are also names of this package only because
+``bench/`` reaches them here.
 """
 
-from repro.scenarios.engine import (
-    ScenarioOutcome,
-    ScenarioRunner,
-    fingerprint,
-    render_target,
-    run_scenario,
-    run_scenario_path,
-)
-from repro.scenarios.fixtures import (
-    FIGURE3_GROUP,
-    FIGURE3_RANGE,
-    figure3_bgmp_network,
-    small_masc_tree,
-)
-from repro.scenarios.loader import (
-    discover_scenarios,
-    load_scenario,
-    parse_scenario,
-)
-from repro.scenarios.spec import (
-    ASSERT_VERBS,
-    STEP_VERBS,
-    ScenarioError,
-    ScenarioSpec,
-    Step,
-)
-from repro.scenarios.topologies import build_topology
-
-__all__ = [
-    "ASSERT_VERBS",
-    "FIGURE3_GROUP",
-    "FIGURE3_RANGE",
-    "STEP_VERBS",
-    "ScenarioError",
-    "ScenarioOutcome",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "Step",
-    "build_topology",
-    "discover_scenarios",
-    "figure3_bgmp_network",
-    "fingerprint",
-    "load_scenario",
-    "parse_scenario",
-    "render_target",
-    "run_scenario",
-    "run_scenario_path",
-    "small_masc_tree",
-]
+from repro.scenarios.engine import run_scenario
+from repro.scenarios.loader import discover_scenarios, load_scenario

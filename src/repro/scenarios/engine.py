@@ -43,7 +43,7 @@ from repro.faults.plan import (
 )
 from repro.masc.config import MascConfig
 from repro.masc.node import MascNode, MascOverlay
-from repro.sanitizer import InvariantSanitizer
+from repro.sanitizer.core import InvariantSanitizer
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.scenarios.loader import load_scenario

@@ -24,29 +24,3 @@ one. The pieces that enforce it:
 See docs/ARCHITECTURE.md §13 for the full design and the neutrality
 argument.
 """
-
-from .attach import AttachOptions, attach_serve, load_attached_world
-from .hub import TelemetryHub
-from .runner import (
-    TARGETS,
-    RunOutcome,
-    ServeHook,
-    probe_hub,
-    run_target,
-)
-from .sink import TelemetrySink
-from .snapshots import ServeSources
-
-__all__ = [
-    "AttachOptions",
-    "RunOutcome",
-    "ServeHook",
-    "ServeSources",
-    "TARGETS",
-    "TelemetryHub",
-    "TelemetrySink",
-    "attach_serve",
-    "load_attached_world",
-    "probe_hub",
-    "run_target",
-]

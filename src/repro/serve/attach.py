@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from repro.faults.soak import SoakHarness, SoakWorld
 from repro.trace.profiler import EventLoopProfiler
 from repro.trace.tracer import Tracer

@@ -1,7 +1,7 @@
 """The telemetry sink: the only bridge between the simulation thread
 and the HTTP hub.
 
-:class:`TelemetrySink` registers as a :class:`~repro.sim.Simulator`
+:class:`TelemetrySink` registers as a :class:`~repro.sim.engine.Simulator`
 observer and, every ``sample_every``-th executed event, builds one
 immutable **frame** — counter deltas since the previous frame, current
 gauges, the span tail, newly reported violations, queue depth — and

@@ -5,30 +5,3 @@ cancellable timers, named seeded random streams, and time-series /
 counter statistics collection. All protocol machinery in this library
 (BGP sessions, MASC claim timers, BGMP joins) is driven by this kernel.
 """
-
-from repro.sim.engine import Event, Simulator
-from repro.sim.randomness import RandomStreams
-from repro.sim.stats import (
-    Counter,
-    Gauge,
-    Histogram,
-    StatRegistry,
-    SummaryStats,
-    TimeSeries,
-    percentile,
-    summarize,
-)
-
-__all__ = [
-    "Event",
-    "Simulator",
-    "RandomStreams",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "StatRegistry",
-    "SummaryStats",
-    "TimeSeries",
-    "percentile",
-    "summarize",
-]

@@ -80,7 +80,7 @@ class Simulator:
         Observers run synchronously with the event that just fired (the
         clock still reads the event's time), in registration order.
         They are the attachment point for runtime checkers such as
-        :class:`repro.sanitizer.InvariantSanitizer`; an observer that
+        :class:`repro.sanitizer.core.InvariantSanitizer`; an observer that
         raises aborts the run with its exception. Registering the same
         observer twice is a no-op.
         """
@@ -112,7 +112,7 @@ class Simulator:
         ``profiler.record(event, token, queue_depth)`` after every
         executed event, so per-callback cost is measurable. With no
         profiler attached (the default) the loop takes a branch-only
-        fast path. See :class:`repro.trace.EventLoopProfiler`.
+        fast path. See :class:`repro.trace.profiler.EventLoopProfiler`.
         """
         self._profiler = profiler
 
@@ -141,7 +141,7 @@ class Simulator:
         Unlike :attr:`pending` — which compacts cancelled entries off
         the front of the heap as a side effect — this read mutates
         nothing, so telemetry observers (the serve-mode
-        :class:`repro.serve.TelemetrySink`) can sample it at event
+        :class:`repro.serve.sink.TelemetrySink`) can sample it at event
         boundaries without perturbing checkpoint or fingerprint state.
         """
         return len(self._heap) - self._cancelled_pending
@@ -180,27 +180,6 @@ class Simulator:
         event._owner = self
         heapq.heappush(self._heap, (time, next(self._sequence), event))
         return event
-
-    def step(self) -> bool:
-        """Execute the next pending event. Returns False when idle."""
-        while self._heap:
-            time, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            if time > self._now:
-                self._now = time
-            self._processed += 1
-            if self._profiler is None:
-                event.callback(*event.args)
-            else:
-                token = self._profiler.begin()
-                event.callback(*event.args)
-                self._profiler.record(event, token, len(self._heap))
-            if self._observers:
-                self._notify(event)
-            return True
-        return False
 
     def run(
         self,

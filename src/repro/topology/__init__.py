@@ -9,33 +9,3 @@ Generators build the two topology families the paper evaluates on:
 a k-ary provider hierarchy (Figure 2's 50 top-level x 50 children) and
 a route-views-like sparse AS graph of ~3326 nodes (Figure 4).
 """
-
-from repro.topology.domain import BorderRouter, Domain, DomainKind, Host
-from repro.topology.network import Topology
-from repro.topology.generators import (
-    as_graph,
-    heterogeneous_hierarchy,
-    kary_hierarchy,
-    linear_chain,
-    paper_figure1_topology,
-    paper_figure3_topology,
-    transit_stub,
-)
-from repro.topology.hierarchy import MascHierarchy, build_masc_hierarchy
-
-__all__ = [
-    "BorderRouter",
-    "Domain",
-    "DomainKind",
-    "Host",
-    "Topology",
-    "as_graph",
-    "heterogeneous_hierarchy",
-    "kary_hierarchy",
-    "linear_chain",
-    "paper_figure1_topology",
-    "paper_figure3_topology",
-    "transit_stub",
-    "MascHierarchy",
-    "build_masc_hierarchy",
-]

@@ -14,44 +14,3 @@ Exporters cover JSONL (:func:`trace_to_jsonl`), Chrome
 ``trace_event`` / Perfetto (:func:`trace_to_chrome`), and canonical
 metrics JSON (:func:`repro.trace.export.write_metrics_json`).
 """
-
-from repro.trace.export import (
-    trace_to_chrome,
-    trace_to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_metrics_json,
-)
-from repro.trace.metrics import (
-    collect_metrics,
-    flatten_registry,
-    metrics_delta,
-)
-from repro.trace.profiler import CallbackStats, EventLoopProfiler
-from repro.trace.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanEvent,
-    Tracer,
-)
-
-__all__ = [
-    "Tracer",
-    "Span",
-    "SpanEvent",
-    "NullTracer",
-    "NULL_TRACER",
-    "NULL_SPAN",
-    "EventLoopProfiler",
-    "CallbackStats",
-    "collect_metrics",
-    "flatten_registry",
-    "metrics_delta",
-    "trace_to_jsonl",
-    "trace_to_chrome",
-    "write_jsonl",
-    "write_chrome_trace",
-    "write_metrics_json",
-]

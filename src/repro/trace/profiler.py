@@ -1,7 +1,7 @@
 """Event-loop profiler.
 
-Attaches to a :class:`repro.sim.Simulator` via
-:meth:`~repro.sim.Simulator.set_profiler` and brackets every executed
+Attaches to a :class:`repro.sim.engine.Simulator` via
+:meth:`~repro.sim.engine.Simulator.set_profiler` and brackets every executed
 callback, recording:
 
 * **wall time per callback name** — count, total seconds, and a

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.addressing.prefix import Prefix, interned_count
 from repro.addressing.trie import LpmTrie
-from repro.checkpoint import capture, restore
+from repro.checkpoint.core import capture, restore
 
 
 class TestCanonicalIdentity:

@@ -21,16 +21,41 @@ def make_domains():
     return a, b
 
 
+def make_network():
+    return BgmpNetwork(as_graph(random.Random(1), node_count=6))
+
+
+def multi_router_domain(network):
+    return next(
+        domain for domain in network.topology.domains
+        if len(domain.routers) > 1
+    )
+
+
 class TestTargets:
     def test_peer_target_equality(self):
-        a, b = make_domains()
-        assert PeerTarget(a.router("A1")) == PeerTarget(a.router("A1"))
-        assert PeerTarget(a.router("A1")) != PeerTarget(b.router("B1"))
+        """Each router owns one peer target and hands out only it."""
+        network = make_network()
+        first, second = network.bgmp_routers()[:2]
+        assert first.as_peer.router is first.router
+        assert first.as_peer is network.router_of(first.router).as_peer
+        assert first.as_peer != second.as_peer
 
     def test_migp_target_equality(self):
-        a, b = make_domains()
-        assert MigpTarget(a) == MigpTarget(a)
-        assert MigpTarget(a) != MigpTarget(b)
+        """A domain's routers share one interior target (tree pruning
+        tests a best exit's against other routers' entries); another
+        domain's is another target."""
+        network = make_network()
+        domain = multi_router_domain(network)
+        interiors = {
+            id(network.router_of(router).interior)
+            for router in domain.routers.values()
+        }
+        assert len(interiors) == 1
+        interior = network.router_of(domain.router()).interior
+        assert interior.domain is domain
+        other = next(d for d in network.topology.domains if d is not domain)
+        assert network.router_of(other.router()).interior != interior
 
     def test_cross_kind_inequality(self):
         a, _ = make_domains()
@@ -38,28 +63,31 @@ class TestTargets:
 
     def test_hashable(self):
         a, _ = make_domains()
-        assert len({MigpTarget(a), MigpTarget(a)}) == 1
+        interior = MigpTarget(a)
+        assert len({interior, interior, MigpTarget(a)}) == 2
 
-    def test_interned_per_object_and_rebuilt_on_restore(self):
-        """One target per router or domain; a copy made through pickle
-        holds its own targets, interned around its own objects, and
-        never the original's."""
-        a, _ = make_domains()
-        peer, interior = PeerTarget(a.router("A1")), MigpTarget(a)
-        assert PeerTarget(a.router("A1")) is peer
-        assert MigpTarget(a) is interior
-        copy_peer, copy_interior = pickle.loads(
-            pickle.dumps((peer, interior))
-        )
-        assert copy_peer is not peer and copy_interior is not interior
-        assert copy_peer.router.domain is copy_interior.domain
-        assert PeerTarget(copy_peer.router) is copy_peer
-        assert MigpTarget(copy_interior.domain) is copy_interior
+    def test_owned_per_router_and_rebuilt_on_restore(self):
+        """A copy made through pickle owns its own targets, never the
+        original's, and its domain's routers still share one interior
+        target."""
+        network = make_network()
+        domain = multi_router_domain(network)
+        copy = pickle.loads(pickle.dumps(network))
+        copy_domain = copy.topology.domain(domain.domain_id)
+        originals = network.bgmp_routers()
+        for original, restored in zip(originals, copy.bgmp_routers()):
+            assert restored.as_peer is not original.as_peer
+            assert restored.interior is not original.interior
+            assert restored.as_peer.router is restored.router
+        assert len({
+            id(copy.router_of(router).interior)
+            for router in copy_domain.routers.values()
+        }) == 1
 
-    def test_the_intern_keeps_no_world_alive(self):
-        """A discarded world goes in one collection: the intern table
-        holds neither its targets nor the routers and domains they
-        name, so it cannot keep the world for a second one."""
+    def test_no_table_keeps_a_world_alive(self):
+        """A discarded world goes in one collection: no module-level
+        table holds its targets or the routers and domains they name,
+        so nothing keeps the world for a second one."""
         topology = as_graph(random.Random(1), node_count=6)
         network = BgmpNetwork(topology)
         probe = weakref.ref(topology.domains[0])
@@ -71,26 +99,26 @@ class TestTargets:
 class TestForwardingEntry:
     def test_target_list(self):
         a, b = make_domains()
-        entry = ForwardingEntry(GROUP, PeerTarget(b.router("B1")))
-        entry.add_child(MigpTarget(a))
-        assert entry.targets() == [
-            PeerTarget(b.router("B1")),
-            MigpTarget(a),
-        ]
+        parent, child = PeerTarget(b.router("B1")), MigpTarget(a)
+        entry = ForwardingEntry(GROUP, parent)
+        entry.add_child(child)
+        assert entry.targets() == [parent, child]
 
     def test_add_child_idempotent(self):
         a, _ = make_domains()
         entry = ForwardingEntry(GROUP, None)
-        assert entry.add_child(MigpTarget(a))
-        assert not entry.add_child(MigpTarget(a))
+        child = MigpTarget(a)
+        assert entry.add_child(child)
+        assert not entry.add_child(child)
         assert len(entry.children) == 1
 
     def test_remove_child(self):
         a, _ = make_domains()
         entry = ForwardingEntry(GROUP, None)
-        entry.add_child(MigpTarget(a))
-        assert entry.remove_child(MigpTarget(a))
-        assert not entry.remove_child(MigpTarget(a))
+        child = MigpTarget(a)
+        entry.add_child(child)
+        assert entry.remove_child(child)
+        assert not entry.remove_child(child)
 
     def test_bidirectional_outputs(self):
         # Data is forwarded to every target except the arrival target.

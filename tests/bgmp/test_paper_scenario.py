@@ -10,7 +10,6 @@ import pytest
 from repro.addressing.ipv4 import parse_address
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.bgmp.targets import MigpTarget, PeerTarget
 from repro.topology.generators import paper_figure3_topology
 from tests.conftest import recompute_everything
 
@@ -54,20 +53,20 @@ class TestTreeConstruction:
         c = top.domain("C")
         # C1: parent A2, child = its MIGP component.
         c1 = network.router_of(c.router("C1")).table.get(GROUP)
-        assert c1.parent == PeerTarget(a.router("A2"))
-        assert c1.children == [MigpTarget(c)]
+        assert c1.parent is network.router_of(a.router("A2")).as_peer
+        assert c1.children == [network.router_of(c.router("C1")).interior]
         # A2: parent = MIGP (towards exit A3), child C1.
         a2 = network.router_of(a.router("A2")).table.get(GROUP)
-        assert a2.parent == MigpTarget(a)
-        assert a2.children == [PeerTarget(c.router("C1"))]
+        assert a2.parent is network.router_of(a.router("A2")).interior
+        assert a2.children == [network.router_of(c.router("C1")).as_peer]
         # A3: parent B1 (external), child = MIGP component.
         a3 = network.router_of(a.router("A3")).table.get(GROUP)
-        assert a3.parent == PeerTarget(b.router("B1"))
-        assert a3.children == [MigpTarget(a)]
+        assert a3.parent is network.router_of(b.router("B1")).as_peer
+        assert a3.children == [network.router_of(a.router("A3")).interior]
         # B1 (root domain): parent = MIGP component, child A3.
         b1 = network.router_of(b.router("B1")).table.get(GROUP)
-        assert b1.parent == MigpTarget(b)
-        assert b1.children == [PeerTarget(a.router("A3"))]
+        assert b1.parent is network.router_of(b.router("B1")).interior
+        assert b1.children == [network.router_of(a.router("A3")).as_peer]
 
     def test_full_membership_tree(self, network):
         join_members(network, "B", "C", "D", "F", "H")
@@ -155,7 +154,7 @@ class TestEncapsulation:
             topology.domain("A").router("A4")
         ).table.get(GROUP, d)
         assert a4 is not None
-        assert PeerTarget(f.router("F2")) in a4.children
+        assert network.router_of(f.router("F2")).as_peer in a4.children
         sender = d.host("d-sender")
         report = network.send(sender, GROUP)
         assert report.reached(f)

@@ -20,7 +20,7 @@ from repro.faults.chaos import (
     check_loop_free_trees,
     check_members_reachable,
 )
-from repro.sanitizer import InvariantSanitizer
+from repro.sanitizer.core import InvariantSanitizer
 from repro.topology.domain import DomainKind
 from repro.topology.network import Topology
 from tests.conftest import recompute_everything

@@ -10,7 +10,6 @@ root domain changes — and existing shared trees must migrate.
 import pytest
 
 from repro.addressing.prefix import Prefix
-from repro.bgmp.targets import MigpTarget, PeerTarget
 from repro.scenarios.fixtures import (
     FIGURE3_GROUP as GROUP,
     figure3_bgmp_network,
@@ -49,7 +48,8 @@ class TestRootMigration:
         a3 = network.router_of(
             topology.domain("A").router("A3")
         ).table.get(GROUP)
-        assert a3.parent == PeerTarget(topology.domain("B").router("B1"))
+        b1 = topology.domain("B").router("B1")
+        assert a3.parent is network.router_of(b1).as_peer
 
     def test_delivery_correct_after_migration(self, network):
         topology = network.topology

@@ -9,7 +9,6 @@ as drops rather than crashing the forwarding plane.
 import pytest
 
 from repro.addressing.prefix import Prefix
-from repro.bgmp.targets import PeerTarget
 from repro.scenarios.fixtures import (
     FIGURE3_GROUP as GROUP,
     figure3_bgmp_network,
@@ -47,11 +46,14 @@ class TestRouterCrashRepair:
         a4 = topology.domain("A").router("A4")
         entry = network.router_of(a4).table.get(GROUP)
         assert entry is not None
-        assert PeerTarget(f2) in entry.children
+        assert network.router_of(f2).as_peer in entry.children
         network.handle_router_crash(f2)
         # A4 carried state only on F2's behalf: the branch is torn down.
         entry = network.router_of(a4).table.get(GROUP)
-        assert entry is None or PeerTarget(f2) not in entry.children
+        assert (
+            entry is None
+            or network.router_of(f2).as_peer not in entry.children
+        )
 
     def test_members_rejoin_after_reconvergence(self, network):
         join_members(network, ("C", "F"))

@@ -75,7 +75,7 @@ class TestFaultOnCheckpointBoundary:
     def test_mid_outage_checkpoint_restores_pending_restart(
         self, tmp_path
     ):
-        from repro import checkpoint as ckpt
+        from repro.checkpoint import core as ckpt
 
         harness = SoakHarness(config=CONFIG, out_dir=str(tmp_path))
         world = _armed_world(harness)

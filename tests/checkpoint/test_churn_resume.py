@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from repro.experiments.churn import (
     ChurnConfig,
     build_network,
@@ -94,7 +94,7 @@ def finish(network):
 #: Writes the churned world's checkpoint to the path in argv[1].
 _SAVE = """
 import sys
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from tests.checkpoint.test_churn_resume import churned_world
 ckpt.save(ckpt.capture(churned_world()), sys.argv[1])
 """
@@ -102,7 +102,7 @@ ckpt.save(ckpt.capture(churned_world()), sys.argv[1])
 #: Restores it and prints the finished run's fingerprint.
 _RESUME = """
 import sys
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from tests.checkpoint.test_churn_resume import finish
 print(finish(ckpt.restore(ckpt.load(sys.argv[1]))))
 """

@@ -11,14 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.checkpoint import CHECKPOINT_VERSION
+from repro.checkpoint.core import code_version
 from repro.faults.soak import SoakConfig, SoakHarness
-from repro.sanitizer import InvariantViolation
+from repro.sanitizer.core import InvariantViolation
 
 from tests.checkpoint._corruption import TreeLoopCorruption
 from tests.checkpoint.test_core import (
-    OLD_VERSIONS,
-    save_version_1_checkpoint,
+    FOREIGN_VERSIONS,
+    save_foreign_checkpoint,
+    version_id,
 )
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -72,29 +73,27 @@ class TestSoakCliCrashResume:
         assert result.returncode == 2
         assert "no soak checkpoint" in result.stderr
 
-    def test_resume_from_version_1_checkpoint_exits_2(self, tmp_path):
-        save_version_1_checkpoint(tmp_path / "soak-seed1-seg0.ckpt")
+    @pytest.mark.parametrize("version", FOREIGN_VERSIONS, ids=version_id)
+    def test_resume_from_old_checkpoint_exits_2(self, tmp_path, version):
+        save_foreign_checkpoint(tmp_path / "soak-seed1-seg0.ckpt", version)
         result = _repro(
             "soak", "resume", *SOAK_FLAGS, "--dir", str(tmp_path)
         )
         assert result.returncode == 2
         assert (
-            f"checkpoint version 1 != supported {CHECKPOINT_VERSION}"
-            in result.stderr
+            f"checkpoint version {str(version)[:12]} != supported "
+            f"{code_version()[:12]}" in result.stderr
         )
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("version", sorted(OLD_VERSIONS))
-    def test_resume_from_old_checkpoint_exits_2(self, tmp_path, version):
-        OLD_VERSIONS[version](tmp_path / "soak-seed1-seg0.ckpt")
+    def test_kill_before_the_start_time_exits_2(self, tmp_path):
         result = _repro(
-            "soak", "resume", *SOAK_FLAGS, "--dir", str(tmp_path)
+            "soak", "run", *SOAK_FLAGS, "--dir", str(tmp_path),
+            "--kill-at", "2",
         )
         assert result.returncode == 2
-        assert (
-            f"checkpoint version {version} != supported 12" in result.stderr
-        )
-        assert "Traceback" not in result.stderr
+        [line] = result.stderr.strip().splitlines()
+        assert "--kill-at 2 is before the world's start time 5" in line
 
 
 class TestSoakCliReplay:

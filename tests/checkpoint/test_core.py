@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from repro.sim.engine import Simulator
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -27,7 +27,12 @@ def _noop():
     pass
 
 
-def _save_old_checkpoint(path, version, payload):
+def save_foreign_checkpoint(path, version):
+    """A checkpoint file written by other code, carrying ``version``.
+    Its payload names a trie node class no code defines any more, so
+    anything that unpickles the payload before checking the version
+    dies on AttributeError instead of refusing the file."""
+    payload = b"crepro.addressing.trie\n_LpmNode\n."
     ckpt.save(
         ckpt.Checkpoint(
             payload=payload,
@@ -40,140 +45,13 @@ def _save_old_checkpoint(path, version, payload):
     )
 
 
-def save_version_1_checkpoint(path):
-    """A checkpoint file as version 1 wrote it: its payload names the
-    trie node class that version 2 deleted, so anything that unpickles
-    the payload before checking the version dies on AttributeError."""
-    _save_old_checkpoint(path, 1, b"crepro.addressing.trie\n_LpmNode\n.")
+#: Versions a file from other code carries: the integers 1 to 11 that
+#: older code bumped by hand, and another code's digest.
+FOREIGN_VERSIONS = [*range(1, 12), "0" * 64]
 
 
-def save_version_2_checkpoint(path):
-    """A checkpoint file from version 2, whose ``BgpNetwork`` pickled
-    per-speaker dirty sets and list-valued ``_last_sent`` where
-    version 3 keeps dirty keys and advertised tables; this payload
-    names a ``repro.bgp.rib`` function version 3 deleted, so it cannot
-    even be unpickled."""
-    _save_old_checkpoint(
-        path, 2, b"crepro.bgp.rib\ndiff_type_entries\n."
-    )
-
-
-def save_version_3_checkpoint(path):
-    """A checkpoint file from version 3, whose ``BgmpNetwork`` pickled
-    dirty groups and per-group router masks where version 4 keeps
-    (router, group) / (group, domain) repair candidates and per-table
-    anchor indexes — it would unpickle, into a network whose next
-    repair dies on a missing attribute. The payload names the MIGP
-    presence hook version 4 deleted with the masks."""
-    _save_old_checkpoint(
-        path, 3, b"crepro.migp.base\non_membership\n."
-    )
-
-
-def save_version_4_checkpoint(path):
-    """A checkpoint file from version 4, whose allocation-trie nodes
-    have no ``used`` count and whose ``ClaimedSpace`` wraps a
-    ``PrefixAllocator`` — it would unpickle, into a world whose next
-    block request dies on a missing attribute. The payload names the
-    subtree walk version 5 deleted with the recomputed sums."""
-    _save_old_checkpoint(
-        path, 4, b"crepro.addressing.trie\n_subtree_has_allocation\n."
-    )
-
-
-def save_version_5_checkpoint(path):
-    """A checkpoint file from version 5, whose ``BgpNetwork`` has no
-    cached per-router session list — it would unpickle, into a network
-    whose next round dies on a missing attribute. The payload names
-    the per-session export version 6 split into a per-terms export and
-    a per-session diff."""
-    _save_old_checkpoint(
-        path, 5, b"\x80\x04crepro.bgp.network\nBgpNetwork._session_update\n."
-    )
-
-
-def save_version_6_checkpoint(path):
-    """A checkpoint file from version 6, whose topology has no cached
-    domain tuple, whose forwarding tables have no (S,G) index and whose
-    BGMP routers hold no MIGP or speaker handle — it would unpickle,
-    into a network whose next join dies on a missing attribute. The
-    payload names the per-hop ``migp`` property version 7 replaced with
-    a handle resolved at construction."""
-    _save_old_checkpoint(
-        path, 6, b"\x80\x04crepro.bgmp.router\nBgmpRouter.migp\n."
-    )
-
-
-def save_version_7_checkpoint(path):
-    """A checkpoint file from version 7, whose ``BgpNetwork`` keeps one
-    advertised table per session, no update groups and frozenset-keyed
-    down sessions — it would unpickle, into a network whose next round
-    dies on a missing attribute. The payload names the per-session
-    diff version 8 replaced with one diff per update group."""
-    _save_old_checkpoint(
-        path, 7, b"\x80\x04crepro.bgp.network\nBgpNetwork._session_diff\n."
-    )
-
-
-def save_version_8_checkpoint(path):
-    """A checkpoint file from version 8, whose ``BgpNetwork`` keeps
-    dirty key sets per speaker and whose speakers keep no decisions due
-    — it would unpickle, into a network whose next delivery dies on a
-    missing attribute. The payload names the per-key dirty hook version
-    9 replaced with the speaker's own record of the decisions due."""
-    _save_old_checkpoint(
-        path, 8, b"\x80\x04crepro.bgp.speaker\nBgpSpeaker._mark_dirty\n."
-    )
-
-
-def save_version_9_checkpoint(path):
-    """A checkpoint file from version 9, whose BGP tables are keyed by
-    (type, prefix) pairs where version 10 keys them by (network,
-    length, type) triples — it would unpickle, into speakers whose
-    next lookup misses every route. The payload names the canonical
-    sort key version 10 replaced with the triple's natural order."""
-    _save_old_checkpoint(
-        path, 9, b"\x80\x04crepro.bgp.routes\nkey_order\n."
-    )
-
-
-def save_version_10_checkpoint(path):
-    """A checkpoint file from version 10, whose ``BgpNetwork`` may keep
-    a speaker rank that leaves out the routers crashed at capture —
-    it would unpickle, into a network that never again settles a
-    restored router's decisions. The payload names the hook version 11
-    deleted: it dropped that rank on every session or router change."""
-    _save_old_checkpoint(
-        path, 10,
-        b"\x80\x04crepro.bgp.network\nBgpNetwork._sessions_changed\n.",
-    )
-
-
-def save_version_11_checkpoint(path):
-    """A checkpoint file from version 11, whose domains, routers and
-    hosts compare by value and unpickle through a hook that sets their
-    identity attributes first. The payload names that hook, which
-    version 12 deleted: those objects now compare by identity."""
-    _save_old_checkpoint(
-        path, 11,
-        b"\x80\x04crepro.topology.domain\n_restore_keyed\n.",
-    )
-
-
-#: Writers of files from versions this build must refuse, by version
-#: (version 1 has its own tests: its message interpolates the constant).
-OLD_VERSIONS = {
-    2: save_version_2_checkpoint,
-    3: save_version_3_checkpoint,
-    4: save_version_4_checkpoint,
-    5: save_version_5_checkpoint,
-    6: save_version_6_checkpoint,
-    7: save_version_7_checkpoint,
-    8: save_version_8_checkpoint,
-    9: save_version_9_checkpoint,
-    10: save_version_10_checkpoint,
-    11: save_version_11_checkpoint,
-}
+def version_id(version):
+    return str(version) if isinstance(version, int) else "foreign-digest"
 
 
 class TestCheckpointObject:
@@ -198,7 +76,7 @@ class TestCheckpointObject:
         assert checkpoint.time == 2.0
         assert checkpoint.events == 1
         assert checkpoint.label == "after run"
-        assert checkpoint.version == ckpt.CHECKPOINT_VERSION
+        assert checkpoint.version == ckpt.code_version()
 
     def test_capture_of_closure_on_queue_raises(self):
         sim = Simulator()
@@ -219,9 +97,7 @@ class TestCheckpointObject:
 
     def test_verify_rejects_foreign_version(self):
         checkpoint = ckpt.capture({"x": 1})
-        bad = dataclasses.replace(
-            checkpoint, version=ckpt.CHECKPOINT_VERSION + 1
-        )
+        bad = dataclasses.replace(checkpoint, version="0" * 64)
         with pytest.raises(ckpt.CheckpointError, match="version"):
             bad.verify()
 
@@ -246,25 +122,16 @@ class TestCheckpointFiles:
         with pytest.raises(ckpt.CheckpointError):
             ckpt.load(path)
 
-    def test_load_refuses_version_1_before_unpickling(self, tmp_path):
-        path = tmp_path / "old.ckpt"
-        save_version_1_checkpoint(path)
-        with pytest.raises(
-            ckpt.CheckpointError,
-            match=f"checkpoint version 1 != supported "
-                  f"{ckpt.CHECKPOINT_VERSION}",
-        ):
-            ckpt.load(path)
-
-    @pytest.mark.parametrize("version", sorted(OLD_VERSIONS))
+    @pytest.mark.parametrize("version", FOREIGN_VERSIONS, ids=version_id)
     def test_load_refuses_old_version_before_unpickling(
         self, tmp_path, version
     ):
         path = tmp_path / "old.ckpt"
-        OLD_VERSIONS[version](path)
+        save_foreign_checkpoint(path, version)
         with pytest.raises(
             ckpt.CheckpointError,
-            match=f"checkpoint version {version} != supported 12",
+            match=f"checkpoint version {str(version)[:12]} != supported "
+                  f"{ckpt.code_version()[:12]}$",
         ):
             ckpt.load(path)
 
@@ -347,7 +214,7 @@ network.converge()
 #: Checkpoints that world to the path given as the first argument.
 _SAVE_WORLD = _BUILD_WORLD + """
 import sys
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 ckpt.save(ckpt.capture(network), sys.argv[1])
 """
 
@@ -355,7 +222,7 @@ ckpt.save(ckpt.capture(network), sys.argv[1])
 #: topology, crashes AS0's first router and prints the converged digest.
 _RESUME_WORLD = """
 import sys
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 
 network = ckpt.restore(ckpt.load(sys.argv[1]))
 topology = network.topology

@@ -5,7 +5,7 @@ never interrupted."""
 
 import json
 
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from repro.experiments.runner import parallel_map
 from repro.faults.plan import FaultPlan
 from repro.faults.soak import FAULT_STREAM, SoakConfig, SoakHarness

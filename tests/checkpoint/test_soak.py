@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro import checkpoint as ckpt
+from repro.checkpoint import core as ckpt
 from repro.faults.soak import (
     FAULT_STREAM,
     KILL_EVENT_NAME,
@@ -16,7 +16,7 @@ from repro.faults.soak import (
     _hard_exit,
     replay_dump,
 )
-from repro.sanitizer import InvariantViolation
+from repro.sanitizer.core import InvariantViolation
 
 from tests.checkpoint._corruption import TreeLoopCorruption
 

@@ -30,7 +30,7 @@ del ballast[::3]
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.scenarios import run_scenario_path
+from repro.scenarios.engine import run_scenario_path
 from repro.topology.generators import as_graph
 
 def group_prefix(index):

@@ -4,7 +4,7 @@ benchmarks``: per-file and whole-program rules) finds nothing."""
 
 import os
 
-from repro.lint import lint_project
+from repro.lint.engine import lint_project
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

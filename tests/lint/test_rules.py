@@ -2,7 +2,7 @@
 one positive (finding emitted), one negative (clean idiom accepted),
 and one suppressed case."""
 
-from repro.lint import lint_source
+from repro.lint.engine import lint_source
 
 def lint(source):
     return lint_source(source, path="case.py")

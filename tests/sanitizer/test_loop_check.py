@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from repro.sanitizer import InvariantSanitizer
+from repro.sanitizer.core import InvariantSanitizer
 from tests.sanitizer.test_sanitizer import FakeRouter
 
 GROUPS = (0xE0008001, 0xE0008002)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.addressing.prefix import Prefix
-from repro.sanitizer import (
+from repro.sanitizer.core import (
     InvariantSanitizer,
     InvariantViolation,
     TraceEntry,

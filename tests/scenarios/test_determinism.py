@@ -10,7 +10,8 @@ state, hash seeds, or scheduling order shows up as a digest diff.
 from pathlib import Path
 
 from repro.experiments.runner import parallel_map
-from repro.scenarios import discover_scenarios, run_scenario_path
+from repro.scenarios.loader import discover_scenarios
+from repro.scenarios.engine import run_scenario_path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCENARIO_PATHS = [

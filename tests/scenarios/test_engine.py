@@ -2,15 +2,13 @@
 
 from pathlib import Path
 
-from repro.scenarios import (
+from repro.scenarios.fixtures import (
     FIGURE3_GROUP,
     figure3_bgmp_network,
-    fingerprint,
-    parse_scenario,
-    render_target,
-    run_scenario,
     small_masc_tree,
 )
+from repro.scenarios.engine import fingerprint, render_target, run_scenario
+from repro.scenarios.loader import parse_scenario
 from repro.scenarios.engine import normalize_target
 from repro.faults.chaos import check_no_overlapping_claims
 from repro.sim.engine import Simulator

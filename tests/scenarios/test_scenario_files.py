@@ -12,11 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import (
-    discover_scenarios,
-    load_scenario,
-    run_scenario,
-)
+from repro.scenarios.loader import discover_scenarios, load_scenario
+from repro.scenarios.engine import run_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCENARIO_DIR = REPO_ROOT / "scenarios"

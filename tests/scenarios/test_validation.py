@@ -9,7 +9,8 @@ contract.
 
 import pytest
 
-from repro.scenarios import ScenarioError, load_scenario
+from repro.scenarios.spec import ScenarioError
+from repro.scenarios.loader import load_scenario
 
 # Lines 1-11 of every BGMP-flavored case; the first [[step]] header
 # lands on line 12.

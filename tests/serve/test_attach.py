@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.faults.soak import SoakConfig, SoakHarness
-from repro.serve import AttachOptions, ServeHook, attach_serve
+from repro.serve.attach import AttachOptions, attach_serve
+from repro.serve.runner import ServeHook
 
 CONFIG = SoakConfig(
     seed=5, segments=2, segment_length=15.0, faults_per_segment=1
@@ -95,7 +96,7 @@ class TestAttach:
         assert outcome.fingerprint["events"] > 0
 
     def test_attach_missing_dir_raises_checkpoint_error(self, tmp_path):
-        from repro.checkpoint import CheckpointError
+        from repro.checkpoint.core import CheckpointError
 
         with pytest.raises(CheckpointError, match="no soak checkpoint"):
             attach_serve(AttachOptions(soak_dir=str(tmp_path)))

@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from repro.cli import build_parser, main
-from repro.serve import TARGETS, ServeHook, run_target
+from repro.serve.runner import TARGETS, ServeHook, run_target
 
 #: Small sizes per simulator target, as command-line flags.
 SMALL = {
@@ -169,9 +169,9 @@ class TestTraceExitCodes:
         def broken_write(*args, **kwargs):
             raise OSError("disk full")
 
-        # _cmd_trace imports the name from the repro.trace package.
+        # _cmd_trace imports the name from repro.trace.export.
         monkeypatch.setattr(
-            "repro.trace.write_jsonl", broken_write
+            "repro.trace.export.write_jsonl", broken_write
         )
         code = main([
             "-q", "trace", "fig2", "--days", "2", "--tops", "2",

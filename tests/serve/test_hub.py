@@ -12,7 +12,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve import ServeHook, probe_hub, run_target
+from repro.serve.runner import ServeHook, probe_hub, run_target
 from repro.serve.runner import ENDPOINT_SCHEMAS, _read_sse_frames
 from tests.serve.test_schemas import key_errors
 

@@ -9,7 +9,7 @@ the canonical-JSON fingerprints exactly.
 
 import json
 
-from repro.serve import ServeHook, run_target
+from repro.serve.runner import ServeHook, run_target
 
 
 def canonical(fingerprint):

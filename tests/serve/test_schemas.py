@@ -18,7 +18,7 @@ from repro.serve.snapshots import (
     tree_snapshot,
 )
 from repro.sim.engine import Simulator
-from repro.trace import Tracer
+from repro.trace.tracer import Tracer
 
 SPAN = {"span_id", "parent_id", "name", "layer", "start", "end", "status"}
 

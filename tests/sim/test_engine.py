@@ -181,10 +181,11 @@ class TestRunBounds:
     def test_step(self):
         sim = Simulator()
         fired = []
+        sim.schedule(0.5, fired.append, "cancelled").cancel()
         sim.schedule(1.0, fired.append, "a")
-        assert sim.step()
+        assert sim.run(max_events=1) == 1
         assert fired == ["a"]
-        assert not sim.step()
+        assert sim.run(max_events=1) == 0
 
     def test_clear(self):
         sim = Simulator()
@@ -229,7 +230,7 @@ class TestObservers:
         seen = []
         sim.add_observer(seen.append)
         sim.schedule(1.0, lambda: None)
-        sim.step()
+        sim.run(max_events=1)
         assert len(seen) == 1
 
     def test_remove_observer(self):
@@ -285,10 +286,10 @@ class TestObservers:
 
         sim.add_observer(recruiter)
         sim.schedule(1.0, lambda: None)
-        sim.step()
+        sim.run(max_events=1)
         assert seen == ["recruiter"]
         sim.schedule(1.0, lambda: None)
-        sim.step()
+        sim.run(max_events=1)
         assert seen == ["recruiter", "recruiter", "late"]
 
     def test_observer_exception_aborts_the_run(self):

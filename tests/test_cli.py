@@ -18,6 +18,9 @@ OUT_OF_RANGE = [
     (["serve", "run", "chaos", "--port", "99999"], "--port"),
     (["soak", "run", "--segment-length", "-5"], "--segment-length"),
     (["soak", "run", "--faults", "-2"], "--faults"),
+    (["serve", "attach", "--segments", "-1"], "--segments"),
+    (["serve", "run", "chaos", "--linger", "-1"], "--linger"),
+    (["scenarios", "run", "--processes", "-2"], "--processes"),
 ]
 
 

@@ -8,9 +8,9 @@ import json
 
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatRegistry
-from repro.trace import (
-    EventLoopProfiler,
-    Tracer,
+from repro.trace.profiler import EventLoopProfiler
+from repro.trace.tracer import Tracer
+from repro.trace.export import (
     trace_to_chrome,
     trace_to_jsonl,
     write_chrome_trace,

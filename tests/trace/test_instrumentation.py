@@ -10,7 +10,8 @@ from repro.masc.config import MascConfig
 from repro.masc.node import MascNode, MascOverlay
 from repro.sim.engine import Simulator
 from repro.topology.generators import paper_figure3_topology
-from repro.trace import Tracer, collect_metrics
+from repro.trace.tracer import Tracer
+from repro.trace.metrics import collect_metrics
 
 GROUP = 0xE0008001
 

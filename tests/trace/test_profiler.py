@@ -1,7 +1,7 @@
 """Tests for the event-loop profiler."""
 
 from repro.sim.engine import Simulator
-from repro.trace import EventLoopProfiler
+from repro.trace.profiler import EventLoopProfiler
 from repro.trace.profiler import event_label
 
 

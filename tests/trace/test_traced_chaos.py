@@ -5,7 +5,7 @@ byte-identical."""
 
 from repro.faults.chaos import ChaosHarness
 from repro.faults.scenarios import figure3_chaos_scenario
-from repro.trace import trace_to_chrome, trace_to_jsonl
+from repro.trace.export import trace_to_chrome, trace_to_jsonl
 
 
 def _run(seed):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.trace import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from repro.trace.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 
 
 class TestSpanLifecycle:
