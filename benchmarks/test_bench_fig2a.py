@@ -7,31 +7,11 @@ under the 75% occupancy threshold; this exact-placement reproduction
 converges lower — see EXPERIMENTS.md — with the same shape).
 """
 
-from conftest import emit, paper_scale
-
-from repro.experiments.fig2 import (
-    Figure2Config,
-    paper_scale_config,
-    run_figure2,
-)
+from conftest import emit
 
 
-def _config() -> Figure2Config:
-    if paper_scale():
-        return paper_scale_config()
-    return Figure2Config(
-        top_count=10,
-        children_per_top=25,
-        duration_days=200.0,
-        transient_days=60.0,
-        seed=0,
-    )
-
-
-def test_bench_fig2a_utilization(benchmark):
-    result = benchmark.pedantic(
-        run_figure2, args=(_config(),), rounds=1, iterations=1
-    )
+def test_bench_fig2a_utilization(benchmark, figure2_run):
+    result = figure2_run(benchmark)
     emit("Figure 2(a): address space utilization over time",
          result.table(every_days=20))
     steady = result.steady_state()

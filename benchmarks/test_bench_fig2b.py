@@ -9,31 +9,11 @@ peak, then a stable plateau that is a tiny fraction of the live block
 count.
 """
 
-from conftest import emit, paper_scale
-
-from repro.experiments.fig2 import (
-    Figure2Config,
-    paper_scale_config,
-    run_figure2,
-)
+from conftest import emit
 
 
-def _config() -> Figure2Config:
-    if paper_scale():
-        return paper_scale_config()
-    return Figure2Config(
-        top_count=10,
-        children_per_top=25,
-        duration_days=200.0,
-        transient_days=60.0,
-        seed=0,
-    )
-
-
-def test_bench_fig2b_grib_size(benchmark):
-    result = benchmark.pedantic(
-        run_figure2, args=(_config(),), rounds=1, iterations=1
-    )
+def test_bench_fig2b_grib_size(benchmark, figure2_run):
+    result = figure2_run(benchmark)
     rows = [
         (int(day), mean, peak)
         for day, mean, peak in result.grib_series()

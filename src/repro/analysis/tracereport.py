@@ -1,7 +1,7 @@
 """Plain-text run report for the telemetry layer.
 
 :func:`render_run_report` turns a run's tracer, profiler, and metrics
-registry into one human-readable report: a span summary by name, the
+store into one human-readable report: a span summary by name, the
 hottest event-loop callbacks by total wall time, and the counter
 snapshot. Any of the three inputs may be None; absent layers are
 simply omitted.
@@ -73,8 +73,8 @@ def _callback_rows(profiler, top: int) -> List[tuple]:
             stats.count,
             stats.total_seconds * 1e3,
             mean_us,
-            stats.durations.quantile(0.50) * 1e6,
-            stats.durations.quantile(0.99) * 1e6,
+            stats.quantile(0.50) * 1e6,
+            stats.quantile(0.99) * 1e6,
         ))
     return rows
 
@@ -126,11 +126,11 @@ def render_run_report(
         sections.append(head + "\n" + table)
 
     if registry is not None:
-        counters = registry.all_counters()
+        counters = registry.counters
         rows = [
-            (name, counters[name].count)
+            (name, counters[name])
             for name in sorted(counters)
-            if counters[name].count and "{" not in name
+            if counters[name] and "{" not in name
         ]
         if rows:
             sections.append(

@@ -543,9 +543,13 @@ def _number(
 _COUNT = _number(int, 1)
 #: ``as_graph`` needs three domains.
 _NODES = _number(int, 3)
+_DAYS = _number(float, 1)
 #: The trace/serve size knobs that have a floor; the rest take their
 #: default's type.
-_KNOB_TYPES = {"nodes": _NODES, "trials": _COUNT, "faults": _COUNT}
+_KNOB_TYPES = {
+    "nodes": _NODES, "trials": _COUNT, "faults": _COUNT,
+    "tops": _COUNT, "children": _COUNT, "days": _DAYS,
+}
 
 
 def _add_target(parser: argparse.ArgumentParser, targets: dict) -> None:
@@ -582,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig2 = sub.add_parser("fig2", help="Figure 2: MASC allocation run")
-    fig2.add_argument("--tops", type=int, default=10)
-    fig2.add_argument("--children", type=int, default=25)
-    fig2.add_argument("--days", type=_number(float, 1), default=200.0)
+    fig2.add_argument("--tops", type=_COUNT, default=10)
+    fig2.add_argument("--children", type=_COUNT, default=25)
+    fig2.add_argument("--days", type=_DAYS, default=200.0)
     fig2.add_argument("--every", type=_COUNT, default=20,
                       help="table row spacing in days")
     fig2.add_argument("--seed", type=int, default=0)

@@ -27,7 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultInjector, RecoveryRecord
 from repro.faults.plan import FaultCandidate, FaultPlan
-from repro.sanitizer.core import InvariantSanitizer
+from repro.sanitizer.core import (
+    InvariantSanitizer,
+    check_loop_free_trees,
+    check_no_overlapping_claims,
+)
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.trace.metrics import collect_metrics
@@ -35,46 +39,8 @@ from repro.trace.tracer import Tracer
 
 
 # ----------------------------------------------------------------------
-# Invariant checks (each returns a list of violation strings)
-
-
-def check_no_overlapping_claims(sibling_groups) -> List[str]:
-    """Confirmed claims of sibling MASC nodes must not overlap."""
-    violations = []
-    for siblings in sibling_groups:
-        nodes = list(siblings)
-        for i, node_a in enumerate(nodes):
-            for node_b in nodes[i + 1:]:
-                for prefix_a in node_a.claimed.prefixes():
-                    for prefix_b in node_b.claimed.prefixes():
-                        if prefix_a.overlaps(prefix_b):
-                            violations.append(
-                                f"overlap: {node_a.name}:{prefix_a} "
-                                f"vs {node_b.name}:{prefix_b}"
-                            )
-    return violations
-
-
-def check_loop_free_trees(bgmp, group: int) -> List[str]:
-    """Following upstream pointers from any on-tree router must
-    terminate (at a parentless entry) without revisiting a router."""
-    violations = []
-    for start in bgmp.tree_routers(group):
-        visited = {start}
-        current = start
-        while True:
-            entry = bgmp.router_of(current).table.get(group)
-            if entry is None or entry.upstream is None:
-                break
-            current = entry.upstream
-            if current in visited:
-                violations.append(
-                    f"loop through {current.name} from {start.name} "
-                    f"for group {group:#x}"
-                )
-                break
-            visited.add(current)
-    return violations
+# Invariant checks (each returns a list of violation strings; the
+# claim and loop checks are the sanitizer's own)
 
 
 def check_members_reachable(
@@ -129,8 +95,8 @@ class ChaosResult:
     claim_tables: Dict[str, List[str]] = field(default_factory=dict)
     forwarding_digest: str = ""
     #: Populated by traced runs (``ChaosHarness(trace=True)``): the
-    #: run's tracer (full span record) and its unified metrics
-    #: registry snapshot — both deterministic per seed.
+    #: run's tracer (full span record) and its metrics store — both
+    #: deterministic per seed.
     tracer: Optional[Tracer] = None
     metrics: Optional[object] = None
 

@@ -111,6 +111,56 @@ def _event_label(event: Event) -> str:
     return label
 
 
+def check_no_overlapping_claims(
+    sibling_groups: Sequence[Sequence],
+) -> List[str]:
+    """Sibling claims within a parent range never intersect."""
+    details: List[str] = []
+    for siblings in sibling_groups:
+        for i, node_a in enumerate(siblings):
+            for node_b in siblings[i + 1:]:
+                for prefix_a in node_a.claimed.prefixes():
+                    for prefix_b in node_b.claimed.prefixes():
+                        if prefix_a.overlaps(prefix_b):
+                            details.append(
+                                f"sibling claims overlap: "
+                                f"{node_a.name}:{prefix_a} vs "
+                                f"{node_b.name}:{prefix_b}"
+                            )
+    return details
+
+
+def check_loop_free_trees(bgmp, group: int) -> List[str]:
+    """Upstream walks from every on-tree router of ``group`` terminate.
+
+    A walk that reaches a router whose own walk ended without a loop
+    ends there too: the rest of its chain is that walk's. So each
+    chain is walked once; a walk that finds a loop is reported as
+    such, whatever walks came before it."""
+    details: List[str] = []
+    loop_free: Set = set()
+    for start in bgmp.tree_routers(group):
+        visited = {start}
+        current, looped = start, None
+        while current not in loop_free:
+            entry = bgmp.router_of(current).table.get(group)
+            if entry is None or entry.upstream is None:
+                break
+            current = entry.upstream
+            if current in visited:
+                looped = current
+                break
+            visited.add(current)
+        if looped is None:
+            loop_free |= visited
+        else:
+            details.append(
+                f"upstream loop through {looped.name} "
+                f"from {start.name} for group {group:#x}"
+            )
+    return details
+
+
 class InvariantSanitizer:
     """Event-loop-attached checker of cross-layer protocol invariants.
 
@@ -323,9 +373,17 @@ class InvariantSanitizer:
         if self._events_seen % self.check_every:
             return
         self.checks_run += 1
-        self._report("claim-disjointness", self._check_claim_disjointness())
+        self._report(
+            "claim-disjointness",
+            check_no_overlapping_claims(self.masc_siblings),
+        )
         self._report("grib-coverage", self._check_grib_coverage())
-        self._report("loop-free-trees", self._check_loop_free())
+        if self.bgmp is not None:
+            self._report("loop-free-trees", [
+                detail
+                for group in self.groups
+                for detail in check_loop_free_trees(self.bgmp, group)
+            ])
 
     def _report(self, invariant: str, details: List[str]) -> None:
         if not details:
@@ -348,22 +406,6 @@ class InvariantSanitizer:
     # ------------------------------------------------------------------
     # Safety checks (must hold after every event, even mid-fault)
 
-    def _check_claim_disjointness(self) -> List[str]:
-        """Sibling claims within a parent range never intersect."""
-        details: List[str] = []
-        for siblings in self.masc_siblings:
-            for i, node_a in enumerate(siblings):
-                for node_b in siblings[i + 1:]:
-                    for prefix_a in node_a.claimed.prefixes():
-                        for prefix_b in node_b.claimed.prefixes():
-                            if prefix_a.overlaps(prefix_b):
-                                details.append(
-                                    f"sibling claims overlap: "
-                                    f"{node_a.name}:{prefix_a} vs "
-                                    f"{node_b.name}:{prefix_b}"
-                                )
-        return details
-
     def _check_grib_coverage(self) -> List[str]:
         """Every active claim of a bound entity has a covering group
         route originated by its domain."""
@@ -378,39 +420,6 @@ class InvariantSanitizer:
                         f"claim {claim} of {entity.name} has no "
                         f"covering group route from {domain.name} "
                         f"(origins: {origins})"
-                    )
-        return details
-
-    def _check_loop_free(self) -> List[str]:
-        """Upstream walks from every on-tree router terminate.
-
-        A walk that reaches a router whose own walk ended without a
-        loop ends there too: the rest of its chain is that walk's. So
-        each chain is walked once per group; a walk that finds a loop
-        is reported as such, whatever walks came before it."""
-        if self.bgmp is None:
-            return []
-        details: List[str] = []
-        for group in self.groups:
-            loop_free: Set = set()
-            for start in self.bgmp.tree_routers(group):
-                visited = {start}
-                current, looped = start, None
-                while current not in loop_free:
-                    entry = self.bgmp.router_of(current).table.get(group)
-                    if entry is None or entry.upstream is None:
-                        break
-                    current = entry.upstream
-                    if current in visited:
-                        looped = current
-                        break
-                    visited.add(current)
-                if looped is None:
-                    loop_free |= visited
-                else:
-                    details.append(
-                        f"upstream loop through {looped.name} "
-                        f"from {start.name} for group {group:#x}"
                     )
         return details
 

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork, _default_migp_selector
 from repro.bgmp.targets import MigpTarget, PeerTarget
-from repro.faults.chaos import check_no_overlapping_claims
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
@@ -43,7 +42,10 @@ from repro.faults.plan import (
 )
 from repro.masc.config import MascConfig
 from repro.masc.node import MascNode, MascOverlay
-from repro.sanitizer.core import InvariantSanitizer
+from repro.sanitizer.core import (
+    InvariantSanitizer,
+    check_no_overlapping_claims,
+)
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.scenarios.loader import load_scenario

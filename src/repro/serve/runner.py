@@ -7,7 +7,7 @@ scenario), wires in a tracer and an
 :class:`~repro.serve.snapshots.ServeSources` to an optional
 ``on_sources`` hook before the simulator runs, runs it, and returns a
 :class:`RunOutcome`: determinism fingerprint, tracer, profiler,
-metrics registry and violations. ``trace`` writes its exports from the
+metrics store and violations. ``trace`` writes its exports from the
 outcome; ``serve run`` passes a :class:`ServeHook`, which attaches a
 :class:`~repro.serve.sink.TelemetrySink` and starts a
 :class:`~repro.serve.hub.TelemetryHub` on the simulation thread.

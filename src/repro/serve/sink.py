@@ -38,7 +38,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.trace.metrics import flatten_registry, metrics_delta
+from repro.trace.metrics import metrics_delta
 
 from .snapshots import ServeSources
 
@@ -118,8 +118,7 @@ class TelemetrySink:
         since attach, not since world creation."""
         if self._attached:
             return self
-        counters, _ = flatten_registry(self.sources.registry_snapshot())
-        self._prev_counters = counters
+        self._prev_counters = self.sources.registry_snapshot().counters
         self._span_cursor = self.sources.tracer.cursor()
         self.sources.sim.add_observer(self._on_event)
         if self.sources.sanitizer is not None:
@@ -177,9 +176,9 @@ class TelemetrySink:
 
     def _publish_frame(self) -> None:
         sources = self.sources
-        counters, gauges = flatten_registry(sources.registry_snapshot())
-        delta = metrics_delta(self._prev_counters, counters)
-        self._prev_counters = counters
+        metrics = sources.registry_snapshot()
+        delta = metrics_delta(self._prev_counters, metrics.counters)
+        self._prev_counters = metrics.counters
         started, finished, self._span_cursor = sources.tracer.tail(
             self._span_cursor
         )
@@ -192,7 +191,7 @@ class TelemetrySink:
             "events": sources.sim.processed,
             "queue_depth": sources.sim.queue_depth,
             "counters_delta": delta,
-            "gauges": gauges,
+            "gauges": metrics.gauges,
             "spans_started": [span.to_dict() for span in started],
             "spans_finished": list(finished),
             "violations": violations,

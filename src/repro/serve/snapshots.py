@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.trace.metrics import collect_metrics, flatten_registry
+from repro.trace.metrics import collect_metrics
 from repro.trace.profiler import EventLoopProfiler
 from repro.trace.tracer import NULL_TRACER
 
@@ -76,8 +76,8 @@ class ServeSources:
         )
 
     def registry_snapshot(self):
-        """A fresh :class:`~repro.sim.stats.StatRegistry` gathering
-        every configured layer's counters right now."""
+        """Every configured layer's counters and gauges right now, in a
+        fresh :class:`~repro.trace.metrics.Metrics`."""
         return collect_metrics(
             masc_nodes=self.masc_nodes,
             masc_managers=self.masc_managers,
@@ -101,14 +101,14 @@ def live_groups(bgmp) -> List[int]:
 
 def metrics_snapshot(sources: ServeSources, seq: int) -> Dict[str, Any]:
     """Cumulative ``repro.metrics/v1`` payload."""
-    counters, gauges = flatten_registry(sources.registry_snapshot())
+    metrics = sources.registry_snapshot()
     return {
         "schema": "repro.metrics/v1",
         "seq": seq,
         "time": sources.sim.now,
         "events": sources.sim.processed,
-        "counters": counters,
-        "gauges": gauges,
+        "counters": metrics.counters,
+        "gauges": metrics.gauges,
     }
 
 

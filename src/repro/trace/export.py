@@ -151,8 +151,8 @@ def write_chrome_trace(
 
 
 def write_metrics_json(registry, path: str) -> None:
-    """Write a :class:`repro.sim.stats.StatRegistry` snapshot as
-    canonical JSON to ``path``."""
+    """Write a :class:`~repro.trace.metrics.Metrics` store to ``path``
+    as indented canonical JSON."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(registry.to_json(indent=2))
         handle.write("\n")

@@ -1,23 +1,79 @@
 """Unified metrics collection.
 
-Every protocol layer keeps its own ad-hoc counters — ``MascNode``
+Every protocol layer keeps its own plain-int counters — ``MascNode``
 collision and renewal counts, ``DomainSpaceManager`` claim and
 doubling counts, ``BgpNetwork.updates_sent``, ``BgmpRouter`` join and
 prune counts, the fault injector's application and recovery tallies.
-:func:`collect_metrics` gathers all of them into one labelled
-:class:`~repro.sim.stats.StatRegistry`, so a run's full control-plane
-activity exports as a single deterministic snapshot
-(``registry.to_json()``).
-
-Collection is read-only and by-name: components are not modified and
-need not know the registry exists.
+:func:`collect_metrics` reads all of them by name into one
+:class:`Metrics` store: two flat maps, ``counters`` and ``gauges``,
+keyed by :func:`metric_key`. ``to_json()`` exports a run's whole
+control-plane activity as one deterministic document; components are
+not modified and need not know the store exists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+import json
+from typing import Any, Dict, Iterable, NamedTuple, Optional
 
-from ..sim.stats import StatRegistry
+
+def metric_key(name: str, labels: Dict[str, Any]) -> str:
+    """``name`` alone when unlabelled, else ``name{k=v,...}`` with the
+    label keys sorted, so the same labels give the same key whatever
+    their call order."""
+    if not labels:
+        return name
+    rendered = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
+    return f"{name}{{{rendered}}}"
+
+
+class Reading(NamedTuple):
+    """One counter's value, as :meth:`Metrics.counter` reads it."""
+
+    count: int
+
+
+class Metrics:
+    """A run's counters and gauges, each a flat ``{key: value}`` map.
+
+    A counter only grows (:meth:`add`); a gauge is the last value
+    :meth:`set` wrote, kept with the type it was given.
+    """
+
+    def __init__(self) -> None:
+        self.counters: Dict[str, int] = {}
+        self.gauges: Dict[str, float] = {}
+
+    def add(self, name: str, count: int, **labels: Any) -> None:
+        """Add ``count`` (at least 0) to a counter, created at 0."""
+        if count < 0:
+            raise ValueError(f"counter increments must be >= 0: {count}")
+        key = metric_key(name, labels)
+        self.counters[key] = self.counters.get(key, 0) + count
+
+    def set(self, name: str, value: float, **labels: Any) -> None:
+        """Overwrite a gauge."""
+        self.gauges[metric_key(name, labels)] = value
+
+    def counter(self, name: str, **labels: Any) -> Reading:
+        """A counter's value (0 for one never added to)."""
+        return Reading(self.counters.get(metric_key(name, labels), 0))
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """Both maps as canonical (key-sorted) JSON. The document also
+        carries empty ``histograms`` and ``series`` tables: the
+        metrics wire format has them, and no collector fills them."""
+        return json.dumps(
+            {
+                "counters": self.counters,
+                "gauges": self.gauges,
+                "histograms": {},
+                "series": {},
+            },
+            sort_keys=True,
+            indent=indent,
+        )
+
 
 #: MascNode counter attributes (claim-collide protocol activity).
 MASC_NODE_COUNTERS = (
@@ -53,7 +109,7 @@ BGMP_ROUTER_COUNTERS = (
 
 
 def collect_metrics(
-    registry: Optional[StatRegistry] = None,
+    registry: Optional[Metrics] = None,
     masc_nodes: Iterable = (),
     masc_managers: Iterable = (),
     bgp=None,
@@ -61,102 +117,68 @@ def collect_metrics(
     overlay=None,
     injector=None,
     profiler=None,
-) -> StatRegistry:
-    """Snapshot every layer's counters into one registry.
+) -> Metrics:
+    """Add every layer's counters into ``registry`` (a new store when
+    none is given) and return it.
 
     Pass whichever components the run used; absent layers contribute
     nothing. Per-entity counts get an entity label
     (``masc.claims_confirmed{node=M1}``) plus an unlabelled
-    network-wide total; iteration is name-sorted so the registry
+    network-wide total; iteration is name-sorted so the store's
     contents are independent of container order.
     """
     if registry is None:
-        registry = StatRegistry()
+        registry = Metrics()
 
     for node in sorted(masc_nodes, key=lambda n: n.name):
         for attr in MASC_NODE_COUNTERS:
             count = getattr(node, attr)
-            registry.counter(f"masc.{attr}", node=node.name).increment(count)
-            registry.counter(f"masc.{attr}").increment(count)
-        registry.gauge("masc.claimed_prefixes", node=node.name).set(
-            len(node.claimed)
-        )
+            registry.add(f"masc.{attr}", count, node=node.name)
+            registry.add(f"masc.{attr}", count)
+        registry.set("masc.claimed_prefixes", len(node.claimed),
+                     node=node.name)
 
     for manager in sorted(masc_managers, key=lambda m: m.name):
         for attr in MASC_MANAGER_COUNTERS:
             count = getattr(manager, attr)
-            registry.counter(
-                f"masc.{attr}", domain=manager.name
-            ).increment(count)
-            registry.counter(f"masc.{attr}").increment(count)
+            registry.add(f"masc.{attr}", count, domain=manager.name)
+            registry.add(f"masc.{attr}", count)
 
     if bgp is not None:
-        registry.counter("bgp.updates_sent").increment(bgp.updates_sent)
+        registry.add("bgp.updates_sent", bgp.updates_sent)
 
     if bgmp is not None:
         for bgmp_router in bgmp.bgmp_routers():
             name = bgmp_router.router.name
             for attr in BGMP_ROUTER_COUNTERS:
                 count = getattr(bgmp_router, attr)
-                registry.counter(f"bgmp.{attr}", router=name).increment(
-                    count
-                )
-                registry.counter(f"bgmp.{attr}").increment(count)
-        registry.gauge("bgmp.forwarding_entries").set(
-            bgmp.forwarding_state_size()
-        )
-        registry.counter("bgmp.grib_deltas_seen").increment(
-            bgmp.grib_deltas_seen
-        )
-        registry.counter("bgmp.groups_invalidated").increment(
-            bgmp.groups_invalidated
-        )
-        registry.gauge("bgmp.dirty_groups").set(bgmp.dirty_group_count())
+                registry.add(f"bgmp.{attr}", count, router=name)
+                registry.add(f"bgmp.{attr}", count)
+        registry.set("bgmp.forwarding_entries", bgmp.forwarding_state_size())
+        registry.add("bgmp.grib_deltas_seen", bgmp.grib_deltas_seen)
+        registry.add("bgmp.groups_invalidated", bgmp.groups_invalidated)
+        registry.set("bgmp.dirty_groups", bgmp.dirty_group_count())
 
     if overlay is not None:
-        registry.counter("masc.messages_dropped").increment(
-            overlay.messages_dropped
-        )
+        registry.add("masc.messages_dropped", overlay.messages_dropped)
 
     if injector is not None:
-        registry.counter("faults.applied").increment(injector.faults_applied)
-        registry.counter("faults.recovery_passes").increment(
-            len(injector.recoveries)
-        )
-        registry.counter("faults.recoveries_converged").increment(
-            sum(1 for r in injector.recoveries if r.converged)
+        registry.add("faults.applied", injector.faults_applied)
+        registry.add("faults.recovery_passes", len(injector.recoveries))
+        registry.add(
+            "faults.recoveries_converged",
+            sum(1 for r in injector.recoveries if r.converged),
         )
 
     if profiler is not None:
-        registry.counter("sim.events").increment(profiler.events)
-        registry.gauge("sim.max_queue_depth").set(profiler.max_queue_depth)
+        registry.add("sim.events", profiler.events)
+        registry.set("sim.max_queue_depth", profiler.max_queue_depth)
 
     return registry
 
 
 # ----------------------------------------------------------------------
 # Incremental deltas (the serve-mode streaming form)
-
-
-def flatten_registry(
-    registry: StatRegistry,
-) -> Tuple[Dict[str, int], Dict[str, float]]:
-    """A registry's counters and gauges as two flat, key-sorted maps.
-
-    This is the comparable form behind :func:`metrics_delta`:
-    repeated :func:`collect_metrics` snapshots of the same components
-    flatten to maps over identical key spaces, so successive samples
-    diff cleanly.
-    """
-    counters = {
-        key: counter.count
-        for key, counter in sorted(registry.all_counters().items())
-    }
-    gauges = {
-        key: gauge.value
-        for key, gauge in sorted(registry.all_gauges().items())
-    }
-    return counters, gauges
 
 
 def metrics_delta(

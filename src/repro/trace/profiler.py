@@ -24,10 +24,11 @@ that rationale for the linter.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Any, Dict, Optional
 
 from ..sim.engine import Event, Simulator
-from ..sim.stats import Histogram, TimeSeries
+from ..sim.stats import TimeSeries
 
 
 def event_label(event: Event) -> str:
@@ -42,28 +43,46 @@ def event_label(event: Event) -> str:
 
 
 class CallbackStats:
-    """Accumulated cost of one callback name."""
+    """Accumulated cost of one callback name: count, total seconds and
+    a duration histogram over fixed bucket bounds, so every quantile
+    is a bound — a function of the bucket counts alone."""
 
-    __slots__ = ("label", "count", "total_seconds", "durations")
+    __slots__ = ("label", "count", "total_seconds", "buckets", "longest")
 
-    #: Duration buckets: 100 ns .. ~7 min, geometric (×2).
-    BUCKETS = 32
+    #: Duration bucket upper bounds: 100 ns .. ~3.6 min, geometric
+    #: (x2). A sample lands in the first bucket whose bound is >= it,
+    #: or in the overflow bucket past the last bound.
+    BOUNDS = tuple(1e-7 * 2.0 ** i for i in range(32))
 
     def __init__(self, label: str):
         self.label = label
         self.count = 0
         self.total_seconds = 0.0
-        self.durations = Histogram.geometric(
-            f"callback_seconds{{callback={label}}}",
-            start=1e-7,
-            factor=2.0,
-            buckets=self.BUCKETS,
-        )
+        self.buckets = [0] * (len(self.BOUNDS) + 1)
+        self.longest = 0.0
 
     def record(self, seconds: float) -> None:
         self.count += 1
         self.total_seconds += seconds
-        self.durations.observe(seconds)
+        self.buckets[bisect_left(self.BOUNDS, seconds)] += 1
+        if seconds > self.longest:
+            self.longest = seconds
+
+    def quantile(self, fraction: float) -> float:
+        """The bucket bound at which the cumulative count first
+        reaches ``fraction`` of all samples; the longest sample when
+        that falls in the overflow bucket."""
+        if not self.count:
+            raise IndexError(f"no samples of {self.label!r}")
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction out of range: {fraction}")
+        target = fraction * self.count
+        cumulative = 0
+        for bound, count in zip(self.BOUNDS, self.buckets):
+            cumulative += count
+            if cumulative >= target and cumulative > 0:
+                return bound
+        return self.longest
 
     def to_dict(self) -> Dict[str, Any]:
         record: Dict[str, Any] = {
@@ -72,8 +91,8 @@ class CallbackStats:
         }
         if self.count:
             record["mean_s"] = self.total_seconds / self.count
-            record["p50_s"] = self.durations.quantile(0.50)
-            record["p99_s"] = self.durations.quantile(0.99)
+            record["p50_s"] = self.quantile(0.50)
+            record["p99_s"] = self.quantile(0.99)
         return record
 
     def __repr__(self) -> str:

@@ -16,11 +16,8 @@ import pytest
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.faults.chaos import (
-    check_loop_free_trees,
-    check_members_reachable,
-)
-from repro.sanitizer.core import InvariantSanitizer
+from repro.faults.chaos import check_members_reachable
+from repro.sanitizer.core import InvariantSanitizer, check_loop_free_trees
 from repro.topology.domain import DomainKind
 from repro.topology.network import Topology
 from tests.conftest import recompute_everything

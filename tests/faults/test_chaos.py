@@ -4,16 +4,15 @@ import random
 
 from repro.addressing.prefix import Prefix
 from repro.experiments.runner import parallel_map
-from repro.faults.chaos import (
-    ChaosHarness,
-    ChaosScenario,
-    check_loop_free_trees,
-    check_no_overlapping_claims,
-)
+from repro.faults.chaos import ChaosHarness, ChaosScenario
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultCandidate, FaultPlan
 from repro.masc.config import MascConfig
 from repro.masc.node import MascNode, MascOverlay
+from repro.sanitizer.core import (
+    check_loop_free_trees,
+    check_no_overlapping_claims,
+)
 from repro.scenarios.fixtures import (
     FIGURE3_GROUP as GROUP,
     figure3_bgmp_network,

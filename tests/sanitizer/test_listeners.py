@@ -4,7 +4,11 @@ import pickle
 
 import pytest
 
-from repro.sanitizer.core import InvariantSanitizer, InvariantViolation
+from repro.sanitizer.core import (
+    InvariantSanitizer,
+    InvariantViolation,
+    check_no_overlapping_claims,
+)
 
 
 class SiblingStub:
@@ -52,7 +56,8 @@ def tripped_sanitizer(raise_on_violation):
 def trip(sanitizer):
     """Run the claim-disjointness check directly (no event loop)."""
     sanitizer._report(
-        "claim-disjointness", sanitizer._check_claim_disjointness()
+        "claim-disjointness",
+        check_no_overlapping_claims(sanitizer.masc_siblings),
     )
 
 

@@ -1,8 +1,7 @@
 """Property test: the sanitizer's loop-free check walks each chain once.
 
-``InvariantSanitizer._check_loop_free`` remembers, per group, the
-routers whose upstream walk ended without a loop and stops a later
-walk that reaches one of them. That is only sound if it reports
+``check_loop_free_trees`` remembers the routers whose upstream walk
+ended without a loop and stops a later walk that reaches one of them. That is only sound if it reports
 exactly what walking every chain from scratch reports, so every
 upstream map here — random, with and without cycles — is also judged
 by the naive walk kept below.
@@ -12,7 +11,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from repro.sanitizer.core import InvariantSanitizer
+from repro.sanitizer.core import check_loop_free_trees
 from tests.sanitizer.test_sanitizer import FakeRouter
 
 GROUPS = (0xE0008001, 0xE0008002)
@@ -88,19 +87,19 @@ def test_loop_check_reports_what_a_naive_walk_reports(maps):
             for group, upstreams in zip(GROUPS, maps)
         }
     )
-    sanitizer = InvariantSanitizer(bgmp=bgmp, groups=GROUPS)
-    assert sanitizer._check_loop_free() == naive_loop_details(
-        bgmp, GROUPS
-    )
+    details = [
+        detail
+        for group in GROUPS
+        for detail in check_loop_free_trees(bgmp, group)
+    ]
+    assert details == naive_loop_details(bgmp, GROUPS)
 
 
 def test_a_cycle_is_reported_from_every_router_that_reaches_it():
     a, b, c, d, e = (FakeRouter(name) for name in "abcde")
     # d -> e is loop free; a -> b -> c -> b loops.
     bgmp = MapBgmp({GROUPS[0]: {a: b, b: c, c: b, d: e, e: None}})
-    details = InvariantSanitizer(
-        bgmp=bgmp, groups=GROUPS[:1]
-    )._check_loop_free()
+    details = check_loop_free_trees(bgmp, GROUPS[0])
     assert details == naive_loop_details(bgmp, GROUPS[:1])
     assert [detail.split(" from ")[1][0] for detail in details] == [
         "a", "b", "c",

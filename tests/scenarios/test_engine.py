@@ -10,7 +10,7 @@ from repro.scenarios.fixtures import (
 from repro.scenarios.engine import fingerprint, render_target, run_scenario
 from repro.scenarios.loader import parse_scenario
 from repro.scenarios.engine import normalize_target
-from repro.faults.chaos import check_no_overlapping_claims
+from repro.sanitizer.core import check_no_overlapping_claims
 from repro.sim.engine import Simulator
 
 

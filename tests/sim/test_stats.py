@@ -1,18 +1,8 @@
-"""Tests for statistics collection."""
+"""Tests for time series and seeded random streams."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.sim.stats import (
-    Gauge,
-    Histogram,
-    metric_key,
-    Counter,
-    StatRegistry,
-    TimeSeries,
-    percentile,
-    summarize,
-)
+from repro.sim.stats import TimeSeries
 
 
 class TestTimeSeries:
@@ -76,88 +66,6 @@ class TestTimeSeries:
         assert series.max() == 5.0
 
 
-class TestCounter:
-    def test_increment(self):
-        counter = Counter("claims")
-        counter.increment()
-        counter.increment(4)
-        assert int(counter) == 5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().increment(-1)
-
-
-class TestSummarize:
-    def test_basic(self):
-        stats = summarize([1.0, 2.0, 3.0, 4.0])
-        assert stats.count == 4
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.mean == 2.5
-        assert stats.median == 2.5
-
-    def test_odd_median(self):
-        assert summarize([3.0, 1.0, 2.0]).median == 2.0
-
-    def test_single_value(self):
-        stats = summarize([7.0])
-        assert stats.stddev == 0.0
-        assert stats.median == 7.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                    min_size=1, max_size=50))
-    def test_bounds_invariants(self, values):
-        stats = summarize(values)
-        slack = 1e-6 * max(1.0, abs(stats.maximum), abs(stats.minimum))
-        assert stats.minimum - slack <= stats.mean <= stats.maximum + slack
-        assert stats.minimum <= stats.median <= stats.maximum
-        assert stats.stddev >= 0.0
-
-
-class TestPercentile:
-    def test_endpoints(self):
-        data = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(data, 0.0) == 1.0
-        assert percentile(data, 1.0) == 4.0
-
-    def test_interpolation(self):
-        assert percentile([0.0, 10.0], 0.5) == 5.0
-
-    def test_single(self):
-        assert percentile([42.0], 0.75) == 42.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            percentile([], 0.5)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 1.5)
-
-
-class TestStatRegistry:
-    def test_series_created_once(self):
-        registry = StatRegistry()
-        assert registry.series("a") is registry.series("a")
-
-    def test_counter_created_once(self):
-        registry = StatRegistry()
-        registry.counter("c").increment()
-        assert int(registry.counter("c")) == 1
-
-    def test_listings(self):
-        registry = StatRegistry()
-        registry.series("s1")
-        registry.counter("c1")
-        assert set(registry.all_series()) == {"s1"}
-        assert set(registry.all_counters()) == {"c1"}
-
-
 class TestRandomStreams:
     def test_deterministic_per_seed(self):
         from repro.sim.randomness import RandomStreams
@@ -210,28 +118,6 @@ class TestTimeSeriesEmptyAggregates:
             clipped.mean()
 
 
-class TestPercentileBoundaries:
-    def test_zero_fraction_on_single_element(self):
-        assert percentile([7.0], 0.0) == 7.0
-
-    def test_full_fraction_on_single_element(self):
-        assert percentile([7.0], 1.0) == 7.0
-
-    def test_boundary_fractions_are_exact_order_statistics(self):
-        data = [5.0, 1.0, 9.0, 3.0]
-        assert percentile(data, 0.0) == 1.0
-        assert percentile(data, 1.0) == 9.0
-
-    def test_fraction_just_inside_bounds(self):
-        data = [0.0, 100.0]
-        assert 0.0 < percentile(data, 0.01) < 100.0
-        assert 0.0 < percentile(data, 0.99) < 100.0
-
-    def test_negative_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], -0.1)
-
-
 class TestValueAtExactTimes:
     def test_exact_hit_on_every_recorded_time(self):
         series = TimeSeries()
@@ -246,138 +132,3 @@ class TestValueAtExactTimes:
         series.record(1.0, 10.0)
         series.record(1.0, 20.0)
         assert series.value_at(1.0) == 20.0
-
-
-class TestGauge:
-    def test_set_and_read(self):
-        gauge = Gauge("depth")
-        gauge.set(4.0)
-        assert float(gauge) == 4.0
-
-    def test_add_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.add(3.0)
-        gauge.add(-1.0)
-        assert float(gauge) == 2.0
-
-
-class TestHistogram:
-    def test_observe_and_count(self):
-        histogram = Histogram("h", bounds=(1.0, 10.0, 100.0))
-        for value in (0.5, 5.0, 50.0, 500.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.overflow == 1
-        assert histogram.minimum == 0.5
-        assert histogram.maximum == 500.0
-
-    def test_mean(self):
-        histogram = Histogram("h", bounds=(10.0,))
-        histogram.observe(2.0)
-        histogram.observe(4.0)
-        assert histogram.mean() == 3.0
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(IndexError, match="empty histogram"):
-            Histogram("h", bounds=(1.0,)).mean()
-
-    def test_quantile_returns_bucket_bound(self):
-        histogram = Histogram("h", bounds=(1.0, 2.0, 4.0, 8.0))
-        for value in (0.5, 1.5, 3.0, 6.0):
-            histogram.observe(value)
-        assert histogram.quantile(0.25) == 1.0
-        assert histogram.quantile(1.0) == 8.0
-
-    def test_quantile_zero_fraction(self):
-        histogram = Histogram("h", bounds=(1.0, 2.0))
-        histogram.observe(1.5)
-        assert histogram.quantile(0.0) == 2.0
-
-    def test_quantile_all_overflow_returns_maximum(self):
-        histogram = Histogram("h", bounds=(1.0,))
-        histogram.observe(100.0)
-        assert histogram.quantile(0.5) == 100.0
-
-    def test_quantile_empty_raises(self):
-        with pytest.raises(IndexError):
-            Histogram("h", bounds=(1.0,)).quantile(0.5)
-
-    def test_quantile_bad_fraction_rejected(self):
-        histogram = Histogram("h", bounds=(1.0,))
-        histogram.observe(0.5)
-        with pytest.raises(ValueError):
-            histogram.quantile(1.5)
-
-    def test_geometric_bounds(self):
-        histogram = Histogram.geometric("h", start=1.0, factor=2.0,
-                                        buckets=4)
-        assert histogram.bounds == (1.0, 2.0, 4.0, 8.0)
-
-    def test_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(2.0, 1.0))
-
-    def test_rejects_empty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=())
-
-    def test_to_dict_is_deterministic(self):
-        def build():
-            histogram = Histogram("h", bounds=(1.0, 10.0))
-            for value in (0.5, 5.0, 50.0):
-                histogram.observe(value)
-            return histogram.to_dict()
-
-        assert build() == build()
-
-
-class TestMetricKey:
-    def test_bare_name(self):
-        assert metric_key("x", {}) == "x"
-
-    def test_labels_sorted(self):
-        key = metric_key("x", {"b": 2, "a": 1})
-        assert key == "x{a=1,b=2}"
-
-
-class TestLabelledRegistry:
-    def test_labelled_counter_distinct_from_bare(self):
-        registry = StatRegistry()
-        registry.counter("claims", node="M1").increment()
-        registry.counter("claims").increment(5)
-        assert int(registry.counter("claims", node="M1")) == 1
-        assert int(registry.counter("claims")) == 5
-
-    def test_gauge_and_histogram_created_once(self):
-        registry = StatRegistry()
-        assert registry.gauge("g") is registry.gauge("g")
-        h = registry.histogram("h", bounds=(1.0,))
-        assert registry.histogram("h") is h
-
-    def test_snapshot_shape(self):
-        registry = StatRegistry()
-        registry.counter("c", node="a").increment(2)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h", bounds=(1.0,)).observe(0.5)
-        registry.series("s").record(0.0, 1.0)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"c{node=a}": 2}
-        assert snapshot["gauges"] == {"g": 1.5}
-        assert "h" in snapshot["histograms"]
-        assert snapshot["series"]["s"]["count"] == 1
-
-    def test_to_json_deterministic(self):
-        def build():
-            registry = StatRegistry()
-            registry.counter("z").increment()
-            registry.counter("a", node="n").increment(3)
-            registry.gauge("g").set(2.0)
-            return registry.to_json()
-
-        assert build() == build()
-
-    def test_merge_counts(self):
-        registry = StatRegistry()
-        registry.merge_counts({"x": 2, "y": 3}, layer="masc")
-        assert int(registry.counter("x", layer="masc")) == 2
-        assert int(registry.counter("y", layer="masc")) == 3

@@ -11,6 +11,10 @@ from repro.cli import build_parser, main
 OUT_OF_RANGE = [
     (["fig2", "--days", "-1"], "--days"),
     (["fig2", "--every", "0"], "--every"),
+    (["fig2", "--tops", "0"], "--tops"),
+    (["fig2", "--children", "-1"], "--children"),
+    (["trace", "fig2", "--tops", "0"], "--tops"),
+    (["trace", "fig2", "--days", "-5"], "--days"),
     (["fig4", "--trials", "0"], "--trials"),
     (["fig4", "--nodes", "1"], "--nodes"),
     (["trace", "chaos", "--faults", "-1"], "--faults"),

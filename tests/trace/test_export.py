@@ -7,7 +7,7 @@ export byte-identical artifacts.
 import json
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry
+from repro.trace.metrics import Metrics
 from repro.trace.profiler import EventLoopProfiler
 from repro.trace.tracer import Tracer
 from repro.trace.export import (
@@ -125,9 +125,9 @@ class TestChromeTrace:
 
 class TestMetricsJson:
     def test_written_snapshot_parses(self, tmp_path):
-        registry = StatRegistry()
-        registry.counter("bgp.updates_sent").increment(7)
-        registry.gauge("depth").set(2.0)
+        registry = Metrics()
+        registry.add("bgp.updates_sent", 7)
+        registry.set("depth", 2.0)
         path = tmp_path / "metrics.json"
         write_metrics_json(registry, path)
         snapshot = json.loads(path.read_text())

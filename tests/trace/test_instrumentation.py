@@ -194,16 +194,16 @@ class TestCollectMetrics:
             bgp=network.bgp,
             bgmp=network,
         )
-        counters = registry.all_counters()
-        assert int(counters["masc.claims_confirmed"]) == 1
-        assert int(counters["masc.claims_confirmed{node=MP}"]) == 1
-        assert int(counters["bgp.updates_sent"]) > 0
-        assert int(counters["bgmp.joins_sent"]) > 0
-        gauges = registry.all_gauges()
-        assert float(gauges["bgmp.forwarding_entries"]) == float(
+        counters = registry.counters
+        assert counters["masc.claims_confirmed"] == 1
+        assert counters["masc.claims_confirmed{node=MP}"] == 1
+        assert counters["bgp.updates_sent"] > 0
+        assert counters["bgmp.joins_sent"] > 0
+        gauges = registry.gauges
+        assert gauges["bgmp.forwarding_entries"] == (
             network.forwarding_state_size()
         )
-        assert float(gauges["masc.claimed_prefixes{node=MP}"]) == 1.0
+        assert gauges["masc.claimed_prefixes{node=MP}"] == 1
 
     def test_snapshot_independent_of_input_order(self):
         sim, tracer, parent, siblings = _masc_pair()

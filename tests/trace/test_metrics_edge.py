@@ -1,15 +1,18 @@
-"""collect_metrics edge cases: empty registries, cross-layer label
-collisions, delta semantics, and the pinned metrics-JSON schema."""
+"""The metrics store and collect_metrics: keys, counter and gauge
+semantics, empty stores, cross-layer label collisions, delta
+semantics, and the pinned metrics-JSON schema."""
 
 import json
 import pathlib
 
-from repro.sim.stats import StatRegistry
+import pytest
+
 from repro.trace.metrics import (
     MASC_MANAGER_COUNTERS,
     MASC_NODE_COUNTERS,
+    Metrics,
     collect_metrics,
-    flatten_registry,
+    metric_key,
     metrics_delta,
 )
 
@@ -40,12 +43,74 @@ class StubInjector:
     recoveries = ()
 
 
+class TestMetricKey:
+    def test_bare_name(self):
+        assert metric_key("x", {}) == "x"
+
+    def test_labels_sorted(self):
+        key = metric_key("x", {"b": 2, "a": 1})
+        assert key == "x{a=1,b=2}"
+
+
+class TestMetrics:
+    def test_add_accumulates(self):
+        registry = Metrics()
+        registry.add("claims", 1)
+        registry.add("claims", 4)
+        assert registry.counter("claims").count == 5
+        assert registry.counters == {"claims": 5}
+
+    def test_add_rejects_negative(self):
+        with pytest.raises(ValueError):
+            Metrics().add("claims", -1)
+
+    def test_counter_never_added_reads_zero(self):
+        registry = Metrics()
+        assert registry.counter("missing", node="M1").count == 0
+        assert registry.counters == {}
+
+    def test_labelled_counter_distinct_from_bare(self):
+        registry = Metrics()
+        registry.add("claims", 1, node="M1")
+        registry.add("claims", 5)
+        assert registry.counter("claims", node="M1").count == 1
+        assert registry.counter("claims").count == 5
+
+    def test_set_last_write_wins_and_keeps_its_type(self):
+        registry = Metrics()
+        registry.set("depth", 4.0)
+        registry.set("depth", 2)
+        assert registry.gauges == {"depth": 2}
+        assert '"depth": 2}' in registry.to_json()
+
+    def test_snapshot_shape(self):
+        registry = Metrics()
+        registry.add("c", 2, node="a")
+        registry.set("g", 1.5)
+        snapshot = json.loads(registry.to_json())
+        assert snapshot == {
+            "counters": {"c{node=a}": 2},
+            "gauges": {"g": 1.5},
+            "histograms": {},
+            "series": {},
+        }
+
+    def test_to_json_deterministic(self):
+        def build(names):
+            registry = Metrics()
+            for name in names:
+                registry.add(name, 1, node="n")
+            registry.set("g", 2.0)
+            return registry.to_json(indent=2)
+
+        assert build(["z", "a", "m"]) == build(["a", "m", "z"])
+
+
 class TestEmptyRegistries:
     def test_collect_nothing(self):
         registry = collect_metrics()
-        assert registry.all_counters() == {}
-        assert registry.all_gauges() == {}
-        assert flatten_registry(registry) == ({}, {})
+        assert registry.counters == {}
+        assert registry.gauges == {}
 
     def test_empty_registry_json_shape(self):
         payload = json.loads(collect_metrics().to_json())
@@ -54,7 +119,7 @@ class TestEmptyRegistries:
 
     def test_empty_iterables_contribute_nothing(self):
         registry = collect_metrics(masc_nodes=[], masc_managers=[])
-        assert flatten_registry(registry) == ({}, {})
+        assert (registry.counters, registry.gauges) == ({}, {})
 
 
 class TestLabelCollisions:
@@ -68,7 +133,7 @@ class TestLabelCollisions:
         registry = collect_metrics(
             masc_nodes=[node], masc_managers=[manager]
         )
-        counters, gauges = flatten_registry(registry)
+        counters, gauges = registry.counters, registry.gauges
         assert counters["masc.claims_failed{node=X}"] == 2
         assert counters["masc.claims_failed{domain=X}"] == 5
         assert counters["masc.claims_failed"] == 7
@@ -76,19 +141,19 @@ class TestLabelCollisions:
 
     def test_iteration_order_independent(self):
         nodes = [StubNode("B", crashes=1), StubNode("A", crashes=2)]
-        forward = flatten_registry(collect_metrics(masc_nodes=nodes))
-        reverse = flatten_registry(
-            collect_metrics(masc_nodes=list(reversed(nodes)))
-        )
-        assert forward == reverse
+        forward = collect_metrics(masc_nodes=nodes)
+        reverse = collect_metrics(masc_nodes=list(reversed(nodes)))
+        assert forward.counters == reverse.counters
+        assert forward.gauges == reverse.gauges
+        assert forward.to_json() == reverse.to_json()
 
     def test_collect_into_existing_registry_accumulates(self):
-        registry = StatRegistry()
+        registry = Metrics()
         collect_metrics(registry=registry, masc_nodes=[StubNode("A")])
         collect_metrics(registry=registry, injector=StubInjector())
-        counters, _ = flatten_registry(registry)
-        assert "masc.claims_confirmed{node=A}" in counters
-        assert counters["faults.applied"] == 3
+        collect_metrics(registry=registry, injector=StubInjector())
+        assert "masc.claims_confirmed{node=A}" in registry.counters
+        assert registry.counters["faults.applied"] == 6
 
 
 class TestMetricsDelta:

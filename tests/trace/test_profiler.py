@@ -1,7 +1,9 @@
 """Tests for the event-loop profiler."""
 
+import pytest
+
 from repro.sim.engine import Simulator
-from repro.trace.profiler import EventLoopProfiler
+from repro.trace.profiler import CallbackStats, EventLoopProfiler
 from repro.trace.profiler import event_label
 
 
@@ -109,3 +111,61 @@ class TestProfiling:
             return profiler.deterministic_snapshot()
 
         assert run() == run()
+
+
+class TestCallbackQuantile:
+    """A quantile is a bucket bound, so it depends on the bucket counts
+    alone; past the last bound it is the longest sample."""
+
+    BOUNDS = CallbackStats.BOUNDS
+
+    def stats(self, *samples):
+        stats = CallbackStats("work")
+        for seconds in samples:
+            stats.record(seconds)
+        return stats
+
+    def test_bounds_are_geometric(self):
+        assert len(self.BOUNDS) == 32
+        assert self.BOUNDS[:3] == (1e-7, 2e-7, 4e-7)
+        assert list(self.BOUNDS) == sorted(self.BOUNDS)
+
+    def test_record_fills_buckets(self):
+        stats = self.stats(0.5e-7, 1e-7, 3e-7, 1000.0)
+        assert stats.count == 4
+        assert stats.buckets[0] == 2  # a sample on a bound is in it
+        assert stats.buckets[2] == 1
+        assert stats.buckets[-1] == 1  # overflow
+        assert stats.longest == 1000.0
+
+    def test_quantile_returns_bucket_bound(self):
+        stats = self.stats(0.5e-7, 1.5e-7, 3e-7, 6e-7)
+        assert stats.quantile(0.25) == self.BOUNDS[0]
+        assert stats.quantile(0.5) == self.BOUNDS[1]
+        assert stats.quantile(1.0) == self.BOUNDS[3]
+
+    def test_quantile_zero_fraction(self):
+        assert self.stats(1.5e-7).quantile(0.0) == self.BOUNDS[1]
+
+    def test_quantile_all_overflow_returns_longest(self):
+        assert self.stats(1000.0).quantile(0.5) == 1000.0
+        assert self.stats(3000.0, 1000.0).quantile(0.5) == 3000.0
+
+    def test_quantile_past_last_bound_returns_longest(self):
+        stats = self.stats(1e-7, 500.0, 600.0)
+        assert self.BOUNDS[-1] < 500.0
+        assert stats.quantile(0.3) == self.BOUNDS[0]
+        assert stats.quantile(0.99) == 600.0
+
+    def test_quantile_empty_raises(self):
+        with pytest.raises(IndexError):
+            CallbackStats("idle").quantile(0.5)
+
+    def test_quantile_bad_fraction_rejected(self):
+        with pytest.raises(ValueError):
+            self.stats(0.5e-7).quantile(1.5)
+
+    def test_summary_quantiles_come_from_the_buckets(self):
+        record = self.stats(0.5e-7, 1.5e-7, 3e-7, 6e-7).to_dict()
+        assert record["p50_s"] == self.BOUNDS[1]
+        assert record["p99_s"] == self.BOUNDS[3]
