@@ -25,6 +25,11 @@ class ForwardingEntry:
     cached and rebuilt only where state actually moved.
     """
 
+    __slots__ = (
+        "group", "_parent", "source_domain", "children", "_upstream",
+        "anchor", "_table",
+    )
+
     def __init__(
         self,
         group: int,

@@ -185,10 +185,8 @@ class BgmpNetwork:
                 for router in sorted(domain.routers.values(),
                                      key=lambda r: r.name)
             )
-        #: Digest cache: router -> (table version, serialized lines).
-        self._digest_cache: Dict[
-            BorderRouter, Tuple[int, List[str]]
-        ] = {}
+        #: Digest cache: router -> (table version, encoded lines).
+        self._digest_cache: Dict[BorderRouter, Tuple[int, bytes]] = {}
         self._router_order: List[BorderRouter] = sorted(
             self._routers, key=lambda r: (r.domain.domain_id, r.name)
         )
@@ -855,34 +853,45 @@ class BgmpNetwork:
         the determinism tests' one-line comparison of the entire data
         plane, independent of dict insertion order or identity hashes.
 
-        Incremental: per-router line blocks are cached against the
-        router's table version (bumped by every entry create, remove,
-        and in-place mutation), so a digest after k changed routers
-        re-serializes k tables, not the whole data plane. The payload
-        is byte-identical to a from-scratch serialization by
-        construction; :meth:`forwarding_digest_uncached` is the
-        reference path the differential tests compare against.
+        Incremental: each router's encoded block of lines is cached
+        against the router's table version (bumped by every entry
+        create, remove, and in-place mutation), so a digest after k
+        changed routers re-serializes k tables, not the whole data
+        plane, and the blocks stream into one hash without a joined
+        copy. :meth:`forwarding_digest_uncached` is the reference path
+        the differential tests compare against.
         """
-        lines: List[str] = []
-        cache = self._digest_cache
-        for router in self._router_order:
-            table = self._routers[router].table
-            cached = cache.get(router)
-            if cached is None or cached[0] != table.version:
-                cached = (table.version, self._digest_lines(router))
-                cache[router] = cached
-            lines.extend(cached[1])
-        payload = "\n".join(lines).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        return self._hash_blocks(map(self._cached_block, self._router_order))
 
     def forwarding_digest_uncached(self) -> str:
         """The digest recomputed from scratch, bypassing the per-router
         cache — the reference the cached path must always match."""
-        lines: List[str] = []
-        for router in self._router_order:
-            lines.extend(self._digest_lines(router))
-        payload = "\n".join(lines).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        return self._hash_blocks(
+            self._digest_block(router) for router in self._router_order
+        )
+
+    def _cached_block(self, router: BorderRouter) -> bytes:
+        version = self._routers[router].table.version
+        cached = self._digest_cache.get(router)
+        if cached is None or cached[0] != version:
+            cached = (version, self._digest_block(router))
+            self._digest_cache[router] = cached
+        return cached[1]
+
+    def _digest_block(self, router: BorderRouter) -> bytes:
+        return "\n".join(self._digest_lines(router)).encode("utf-8")
+
+    @staticmethod
+    def _hash_blocks(blocks: Iterator[bytes]) -> str:
+        """SHA-256 of the non-empty ``blocks`` joined by newlines: the
+        bytes of one newline join over every router's lines."""
+        digest, separator = hashlib.sha256(), b""
+        for block in blocks:
+            if block:
+                digest.update(separator)
+                digest.update(block)
+                separator = b"\n"
+        return digest.hexdigest()
 
     def tree_routers(self, group: int) -> List[BorderRouter]:
         """Border routers holding (\\*,G) state for a group."""

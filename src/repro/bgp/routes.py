@@ -11,7 +11,7 @@ BGMP consults to find a group's root domain.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.topology.domain import BorderRouter
@@ -29,13 +29,20 @@ class RouteType(str, Enum):
 #: advertised and withdrawn per — the unit of work of the whole BGP
 #: layer. Plain data, so it hashes and compares in C; its natural order
 #: is the canonical one key sets are walked in, which is also the order
-#: of the G-RIB delta stream.
+#: of the G-RIB delta stream. There is one tuple per (prefix, type),
+#: shared by every route and lookup for the pair.
 Key = Tuple[int, int, RouteType]
+
+#: The shared keys, each its own dict key. Grows with the distinct
+#: (prefix, type) pairs a process routes or looks up, like the prefix
+#: intern cache.
+_KEYS: Dict[Key, Key] = {}
 
 
 def key_for(route_type: RouteType, prefix: Prefix) -> Key:
     """The key of a ``route_type`` route for ``prefix``."""
-    return (prefix._network, prefix._length, route_type)
+    key = (prefix._network, prefix._length, route_type)
+    return _KEYS.setdefault(key, key)
 
 
 class Route:
@@ -81,7 +88,8 @@ class Route:
         #: across iBGP redistribution so export policy can be applied at
         #: every border router of the domain.
         self.learned_from = learned_from
-        self._key = (prefix._network, prefix._length, route_type)
+        key = (prefix._network, prefix._length, route_type)
+        self._key = _KEYS.setdefault(key, key)
 
     @property
     def origin_domain_id(self) -> Optional[int]:
@@ -95,7 +103,7 @@ class Route:
 
     def key(self) -> Key:
         """The (network, length, type) triple routes are selected per
-        (one tuple per route, shared by every table that holds it)."""
+        (one tuple per (prefix, type), shared by every route for it)."""
         return self._key
 
     def advertised_by(

@@ -383,6 +383,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.files:
         paths = [Path(name) for name in args.files]
         for path in paths:
+            if path.is_dir():
+                log.error("scenarios: %s is a directory; run its "
+                          "scenarios with --dir %s", path, path)
+                return 2
             if not path.is_file():
                 log.error("scenarios: no such file: %s", path)
                 return 2

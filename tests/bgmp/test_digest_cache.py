@@ -8,9 +8,14 @@ set edits — would make the two diverge, so this suite drives every
 mutation source (joins, leaves, repairs, root flaps, router faults)
 — with dirty-set repairs and with the walk-everything oracle of
 ``tests/conftest.py`` — and checks the differential after each step.
+Both paths stream one router's encoded block at a time into the hash;
+the bytes hashed are those of one newline join over every router's
+lines, which the last tests pin.
 """
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +26,7 @@ from repro.experiments.churn import (
     build_topology,
     group_prefix,
 )
-from tests.conftest import recompute_everything
+from tests.conftest import recompute_everything, w300_world
 
 CONFIG = ChurnConfig(
     domains=40,
@@ -147,3 +152,58 @@ def test_in_place_entry_mutation_invalidates_cache():
     assert after == network.forwarding_digest_uncached()
     entry.parent = original
     assert network.forwarding_digest() == before
+
+
+def _joined_lines_digest(network) -> str:
+    """SHA-256 of every router's digest lines in one newline join: the
+    serialization the digest streams without building."""
+    lines = [
+        line
+        for router in network._router_order
+        for line in network._digest_lines(router)
+    ]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_streamed_digest_hashes_the_joined_lines():
+    """Routers without entries add no bytes, at either end of the order
+    too; after a join that grows one branch, the two rebuilt blocks and
+    every other router's cached one still hash the joined bytes."""
+    topology, network = _build_network()
+    group = (224 << 24) | (1 << 12)
+    network.join(topology.domains[20].host("m"), group)
+    network.repair_trees()
+    tables = [
+        network.router_of(router).table for router in network._router_order
+    ]
+    assert len(tables[0]) == len(tables[-1]) == 0
+    assert sum(1 for table in tables if len(table)) > 1
+
+    def check():
+        expected = _joined_lines_digest(network)
+        assert network.forwarding_digest() == expected
+        assert network.forwarding_digest_uncached() == expected
+
+    check()
+    versions = [table.version for table in tables]
+    network.join(topology.domains[22].host("m"), group)
+    changed = [
+        table for table, version in zip(tables, versions)
+        if table.version != version
+    ]
+    assert 0 < len(changed) <= 2
+    assert len(tables[0]) == len(tables[-1]) == 0
+    check()
+
+
+def test_reference_digest_streams_router_by_router():
+    """On W300 the uncached digest holds one router's block at a time,
+    not the serialized data plane (about 2 MiB there)."""
+    _topology, network = w300_world()
+    tracemalloc.start()
+    try:
+        network.forwarding_digest_uncached()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak

@@ -1,13 +1,17 @@
-"""Shared pytest options and the recompute-everything oracle."""
+"""Shared pytest options, the recompute-everything oracle and the
+benchmark's W300 world."""
 
 import contextlib
 import logging
+import random
 
 import pytest
 
+from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
 from repro.bgp.network import BgpNetwork
 from repro.bgp.speaker import BgpSpeaker
+from repro.topology.generators import as_graph
 
 
 def pytest_addoption(parser):
@@ -85,3 +89,36 @@ def recompute_everything(bgp=True, bgmp=True):
                 method = getattr(BgmpNetwork, name)
                 patch.setattr(BgmpNetwork, name, walk_everything(method))
         yield
+
+
+def w300_world():
+    """The benchmark's W300 world, converged with its members joined
+    and one repair: the ``as_graph`` of 300 domains (topology seed
+    1998), the covering 224/4 at domain 0, a /20 at each of domains
+    1-24 with 24 groups under each, and two members per group in
+    domains drawn from ``random.Random(0)``."""
+    topology = as_graph(random.Random(1998), node_count=300)
+    network = BgmpNetwork(
+        topology,
+        bgp=BgpNetwork(topology),
+        migp_selector=lambda domain: "static",
+        auto_unicast=False,
+    )
+    network.originate_group_range(topology.domains[0], Prefix(224 << 24, 4))
+    for index in range(1, 25):
+        network.originate_group_range(
+            topology.domains[index], Prefix((224 << 24) | (index << 12), 20)
+        )
+    network.converge()
+    rng, hosts = random.Random(0), 0
+    for index in range(1, 25):
+        for offset in range(24):
+            for _ in range(2):
+                hosts += 1
+                domain = topology.domains[rng.randrange(300)]
+                network.join(
+                    domain.host(f"h{hosts}"),
+                    (224 << 24) | (index << 12) | offset,
+                )
+    network.repair_trees()
+    return topology, network

@@ -27,6 +27,13 @@ OUT_OF_RANGE = [
     (["scenarios", "run", "--processes", "-2"], "--processes"),
 ]
 
+#: (scenario path, the usage error it gets), ``{tmp}`` a fresh empty
+#: directory: paths that name no scenario file.
+NOT_A_SCENARIO_FILE = [
+    ("{tmp}/missing.toml", "no such file: {tmp}/missing.toml"),
+    ("{tmp}", "{tmp} is a directory; run its scenarios with --dir {tmp}"),
+]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -87,6 +94,19 @@ class TestParser:
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path, message", NOT_A_SCENARIO_FILE,
+        ids=[path for path, _message in NOT_A_SCENARIO_FILE],
+    )
+    def test_scenario_path_that_is_no_file_is_a_usage_error(
+        self, path, message, tmp_path, capsys
+    ):
+        path, message = (text.format(tmp=tmp_path) for text in (path, message))
+        assert main(["scenarios", "run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"scenarios: {message}" in err
         assert "Traceback" not in err
 
 
