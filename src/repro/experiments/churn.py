@@ -44,6 +44,7 @@ from typing import List, Sequence, Tuple
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
 from repro.sim.engine import Simulator
+from repro.sim.heap import collector_scope
 from repro.topology.network import Topology
 from repro.trace.metrics import collect_metrics
 
@@ -252,8 +253,14 @@ def run_churn_workload(config: ChurnConfig, seed: int) -> ChurnRunResult:
     initial joins, one draining repair) is reported as
     ``setup_seconds``, with the convergence alone as
     ``converge_seconds``; ``seconds`` covers exactly the
-    simulator-driven churn + flap/fault loop.
+    simulator-driven churn + flap/fault loop. The run is one collector
+    scope, whose exit collection lands outside every timing.
     """
+    with collector_scope():
+        return _run(config, seed)
+
+
+def _run(config: ChurnConfig, seed: int) -> ChurnRunResult:
     entered = _wall()
     topology = build_topology(config, seed)
     network = build_network(config, topology)

@@ -26,6 +26,7 @@ from repro.masc.config import HOURS_PER_DAY, MascConfig
 from repro.masc.maas import MaasServer
 from repro.masc.manager import DomainSpaceManager, RootClaimSource
 from repro.sim.engine import Simulator
+from repro.sim.heap import collector_scope
 from repro.sim.randomness import RandomStreams
 from repro.sim.stats import TimeSeries
 from repro.trace.tracer import NULL_TRACER
@@ -225,7 +226,8 @@ class ClaimSimulation:
         self.sim.schedule(
             self.config.sample_interval_hours, self._sample
         )
-        self.sim.run(until=self.config.duration_days * HOURS_PER_DAY)
+        with collector_scope():
+            self.sim.run(until=self.config.duration_days * HOURS_PER_DAY)
         all_children = [
             child
             for children in self.children.values()

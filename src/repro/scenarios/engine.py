@@ -47,6 +47,7 @@ from repro.sanitizer.core import (
     check_no_overlapping_claims,
 )
 from repro.sim.engine import Simulator
+from repro.sim.heap import collector_scope
 from repro.sim.randomness import RandomStreams
 from repro.scenarios.loader import load_scenario
 from repro.scenarios.spec import ScenarioSpec, Step
@@ -550,8 +551,9 @@ def fingerprint(snapshot: Dict[str, object]) -> str:
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Run one validated scenario on a fresh world."""
-    return ScenarioRunner(spec).run()
+    """Run one validated scenario on a fresh world, freed on return."""
+    with collector_scope():
+        return ScenarioRunner(spec).run()
 
 
 def run_scenario_path(path) -> ScenarioOutcome:

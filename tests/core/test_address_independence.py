@@ -11,7 +11,8 @@ each other (a test below checks they do). The world: an ``as_graph`` of
 from a fixed seed, and one withdrawal and re-origination of a range
 with a tree repair after each. Its RIBs, forwarding state, UPDATE and
 join/prune counts, deliveries and one scenario's fingerprint must be
-equal.
+equal, and equal again in two more processes that run the collector
+never (``gc.disable()``) and after every allocation (gen-0 threshold 1).
 """
 
 import json
@@ -23,8 +24,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 
 _WORLD = """
-import json, random, sys
+import gc, json, random, sys
 
+if sys.argv[3] == "off":
+    gc.disable()
+elif sys.argv[3] == "eager":
+    gc.set_threshold(1)
 ballast = [[None] * (index % 13) for index in range(int(sys.argv[1]))]
 del ballast[::3]
 
@@ -76,12 +81,13 @@ print(json.dumps({
 SCENARIO = ROOT / "scenarios" / "crash_both_layers.toml"
 
 
-def _run(hash_seed, ballast):
+def _run(hash_seed, ballast, collector="on"):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONHASHSEED"] = str(hash_seed)
     result = subprocess.run(
-        [sys.executable, "-c", _WORLD, str(ballast), str(SCENARIO)],
+        [sys.executable, "-c", _WORLD, str(ballast), str(SCENARIO),
+         collector],
         cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
@@ -96,3 +102,9 @@ def test_state_does_not_depend_on_object_addresses():
     assert first.pop("set_order") != second.pop("set_order")
     assert first["joins"] > 0 and first["prunes"] > 0
     assert first == second
+    # Nor does any result depend on when, or whether, the collector
+    # runs: once never, once after every allocation.
+    for collector in ("off", "eager"):
+        child = _run(hash_seed=1, ballast=0, collector=collector)
+        child.pop("set_order")
+        assert child == first, collector
