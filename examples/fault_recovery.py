@@ -17,7 +17,6 @@ from repro.addressing.ipv4 import format_address, parse_address
 from repro.addressing.prefix import Prefix
 from repro.analysis.reconvergence import ReconvergenceProbe
 from repro.bgmp.network import BgmpNetwork
-from repro.faults.chaos import check_members_reachable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.masc.config import MascConfig
@@ -25,6 +24,7 @@ from repro.masc.messages import RenewalMessage
 from repro.masc.node import MascNode, MascOverlay
 from repro.sanitizer.core import (
     check_loop_free_trees,
+    check_members_reachable,
     check_no_overlapping_claims,
 )
 from repro.sim.engine import Simulator

@@ -214,13 +214,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return findings
 
 
-def _soak_fingerprint_json(result) -> str:
+def _cmd_soak(args: argparse.Namespace) -> int:
     import json
 
-    return json.dumps(result.fingerprint, sort_keys=True)
-
-
-def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.checkpoint.core import CheckpointError
     from repro.faults.soak import (
         SoakConfig,
@@ -280,13 +276,12 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     )
     for time, message in result.log:
         log.info("  t=%g %s", time, message)
-    print(_soak_fingerprint_json(result))
+    print(json.dumps(result.fingerprint, sort_keys=True))
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
-    import math
     import threading
 
     from repro.checkpoint.core import CheckpointError
@@ -626,45 +621,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak_sub = soak.add_subparsers(dest="action", required=True)
 
+    def _soak_common(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--segments", type=_COUNT, default=3)
+        sp.add_argument("--segment-length",
+                        type=_number(float, 0, strict=True), default=30.0)
+        sp.add_argument("--faults", type=_number(int, 0), default=2,
+                        help="faults drawn per segment")
+        sp.add_argument("--dir", default="soak-out",
+                        help="checkpoint/dump directory")
+        sp.set_defaults(func=_cmd_soak, kill_at=None)
+
     soak_run = soak_sub.add_parser(
         "run", help="fresh soak chain with boundary checkpoints"
     )
-    segment_length = _number(float, 0, strict=True)
-    soak_run.add_argument("--seed", type=int, default=0)
-    soak_run.add_argument("--segments", type=_COUNT, default=3)
-    soak_run.add_argument("--segment-length", type=segment_length,
-                          default=30.0)
-    soak_run.add_argument("--faults", type=_number(int, 0), default=2,
-                          help="faults drawn per segment")
-    soak_run.add_argument("--dir", default="soak-out",
-                          help="checkpoint/dump output directory")
-    soak_run.add_argument("--kill-at", type=float, default=None,
+    _soak_common(soak_run)
+    soak_run.add_argument("--kill-at", type=_number(float, 0),
                           help="crash the process (os._exit 137) at "
                                "this simulation time — crash-resume "
                                "testing")
-    soak_run.set_defaults(func=_cmd_soak)
-
-    soak_resume = soak_sub.add_parser(
+    _soak_common(soak_sub.add_parser(
         "resume",
         help="continue from the latest boundary checkpoint in --dir",
-    )
-    soak_resume.add_argument("--seed", type=int, default=0)
-    soak_resume.add_argument("--segments", type=_COUNT, default=3)
-    soak_resume.add_argument("--segment-length", type=segment_length,
-                             default=30.0)
-    soak_resume.add_argument("--faults", type=_number(int, 0), default=2)
-    soak_resume.add_argument("--dir", default="soak-out")
-    soak_resume.set_defaults(func=_cmd_soak, kill_at=None)
+    ))
 
     soak_replay = soak_sub.add_parser(
         "replay",
         help="re-trigger a sanitizer violation from its dump file",
     )
     soak_replay.add_argument("dump", help="violation .dump file path")
-    soak_replay.set_defaults(
-        func=_cmd_soak, seed=0, segments=0, segment_length=0.0,
-        faults=0, dir="", kill_at=None,
-    )
+    soak_replay.set_defaults(func=_cmd_soak)
 
     serve = sub.add_parser(
         "serve",

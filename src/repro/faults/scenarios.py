@@ -1,12 +1,12 @@
-"""Reusable chaos scenarios.
+"""The world every fault run (chaos and soak) is built on.
 
 :func:`figure3_chaos_scenario` builds the repo's reference chaos
 setup: the paper's Figure 3 internetwork with multicast members in
 domains F and H plus a MASC claim tree (parent MP, siblings M1/M2) on
 the same simulator clock. Every declared fault candidate is
 survivable by design, so post-recovery invariants must hold for any
-schedule drawn from them — which is what both the determinism test
-suite and the ``repro trace chaos`` CLI command exercise.
+schedule drawn from them — which is what the determinism tests, the
+``repro trace chaos`` command and the soak chain all exercise.
 
 The world itself comes from :mod:`repro.scenarios.fixtures`, the
 shared builders the declarative scenario DSL and the test suites use;
@@ -16,7 +16,9 @@ the survivable fault candidates.
 
 from __future__ import annotations
 
-from repro.faults.chaos import ChaosScenario
+from dataclasses import dataclass
+from typing import Sequence
+
 from repro.faults.plan import FaultCandidate
 from repro.scenarios.fixtures import (
     FIGURE3_GROUP,
@@ -28,6 +30,7 @@ from repro.sim.engine import Simulator
 __all__ = [
     "FIGURE3_CANDIDATES",
     "FIGURE3_GROUP",
+    "ChaosScenario",
     "figure3_chaos_scenario",
 ]
 
@@ -41,6 +44,22 @@ FIGURE3_CANDIDATES = (
     FaultCandidate("masc", "M1", group="masc-M1"),
     FaultCandidate("masc", "M2", group="masc-M2"),
 )
+
+
+@dataclass
+class ChaosScenario:
+    """Everything a fault run needs: the live components, the fault
+    candidates to draw from, and the membership to verify after."""
+
+    sim: Simulator
+    candidates: Sequence[FaultCandidate]
+    bgmp: object
+    group: int
+    source: object
+    member_domains: Sequence
+    masc_overlay: object
+    masc_nodes: Sequence
+    masc_siblings: Sequence[Sequence]
 
 
 def figure3_chaos_scenario() -> ChaosScenario:
@@ -64,5 +83,4 @@ def figure3_chaos_scenario() -> ChaosScenario:
         masc_overlay=overlay,
         masc_nodes=[parent] + siblings,
         masc_siblings=[siblings],
-        horizon=30.0,
     )

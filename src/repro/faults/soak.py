@@ -1,13 +1,21 @@
-"""Crash-resumable soak harness: week-long chaos as checkpointed segments.
+"""The fault-run harness: seeded chaos as checkpointed segments.
 
-The paper's architecture is explicitly long-running — MASC claims age
-over days, BGMP trees live through continuous churn — but a one-shot
-process run dies with its first crash or CI timeout. The soak harness
-splits one long simulated chaos schedule into *segments*: each segment
-draws a fault plan from a persistent random stream, runs it under a
-**raising** :class:`~repro.sanitizer.core.InvariantSanitizer`, and writes a
-:class:`~repro.checkpoint.core.Checkpoint` of the entire world at the
-segment boundary.
+Every fault run builds the Figure 3 + MASC world
+(:func:`~repro.faults.scenarios.figure3_chaos_scenario`), draws a
+random :class:`~repro.faults.plan.FaultPlan` per *segment* from one
+persistent random stream, lets a
+:class:`~repro.faults.injector.FaultInjector` apply and repair the
+faults on the simulator clock under an
+:class:`~repro.sanitizer.core.InvariantSanitizer`, and ends with one
+settle step (:meth:`SoakWorld.settle`): a last recovery pass, then the
+end checks the paper's protocols promise — trees rooted and converged,
+loop-free, every member reachable, sibling claims disjoint.
+
+A *chaos* run (``repro trace chaos``, ``repro serve run chaos``) is a
+one-segment world with a recording sanitizer; a *soak* is a chain of
+segments under a **raising** sanitizer with a
+:class:`~repro.checkpoint.core.Checkpoint` of the entire world at
+every segment boundary.
 
 Crash-resume semantics: kill the process anywhere mid-segment, then
 :meth:`SoakHarness.resume` restores the last boundary checkpoint and
@@ -30,20 +38,36 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.checkpoint import core as ckpt
-from repro.faults.chaos import ChaosScenario
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.sanitizer.core import InvariantSanitizer, InvariantViolation
+from repro.faults.scenarios import ChaosScenario, figure3_chaos_scenario
+from repro.sanitizer.core import (
+    InvariantSanitizer,
+    InvariantViolation,
+    check_loop_free_trees,
+    check_members_reachable,
+    check_no_overlapping_claims,
+)
 from repro.sim.randomness import RandomStreams
+from repro.trace.tracer import Tracer
 
 #: Stream name all segment fault schedules draw from. One persistent
 #: stream (checkpointed with the world) rather than a fresh
 #: per-segment derivation, so a resumed segment re-draws exactly what
 #: the crashed attempt drew.
-FAULT_STREAM = "soak-faults"
+FAULT_STREAM = "faults"
+
+#: A segment's fault window opens this long after the segment starts
+#: and spans this long; each fault is repaired this long after it
+#: fires. (The injector's recovery pass follows a fault after its
+#: default ``recovery_delay``, 1.0; the sanitizer checks after every
+#: event.)
+FAULT_START = 1.0
+FAULT_WINDOW = 5.0
+REPAIR_AFTER = 5.0
 
 #: Event name used by the CLI's --kill-at crash injection; resume
 #: cancels any pending event with this name so a restored world does
@@ -56,18 +80,13 @@ _CKPT_RE = re.compile(r"^soak-seed(\d+)-seg(\d+)\.ckpt$")
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """Shape of one soak run. Checkpointed with the world, so a
+    """Shape of one fault run. Checkpointed with the world, so a
     resume continues the run it joined, not the CLI's defaults."""
 
     seed: int = 0
     segments: int = 3
     segment_length: float = 30.0
     faults_per_segment: int = 2
-    fault_start: float = 1.0
-    fault_window: float = 5.0
-    repair_after: float = 5.0
-    recovery_delay: float = 1.0
-    check_every: int = 1
 
 
 @dataclass
@@ -95,9 +114,10 @@ class SoakResult:
 
 
 class SoakWorld:
-    """The picklable unit of a soak run: scenario, injector, sanitizer,
-    random streams, config, and progress. Everything a segment needs
-    lives here, so ``checkpoint.capture(world)`` is the whole story."""
+    """The picklable unit of a fault run: scenario, injector,
+    sanitizer, random streams, config, and progress. Everything a
+    segment needs lives here, so ``checkpoint.capture(world)`` is the
+    whole story."""
 
     def __init__(
         self,
@@ -120,25 +140,47 @@ class SoakWorld:
     def sim(self):
         return self.scenario.sim
 
+    def settle(self) -> None:
+        """The one settle step every fault run ends with: a last
+        recovery pass (late repairs, e.g. a restart near the end,
+        still deserve theirs), then the end checks in order —
+        converged trees, loop-free trees, members reachable, sibling
+        claims disjoint — each reported through the sanitizer (so a
+        raising sanitizer raises, a recording one records)."""
+        scenario, sanitizer = self.scenario, self.sanitizer
+        self.injector.recover()
+        sanitizer.check_converged()
+        sanitizer.report(
+            "loop-free-trees",
+            check_loop_free_trees(scenario.bgmp, scenario.group),
+        )
+        sanitizer.report("members-reachable", check_members_reachable(
+            scenario.bgmp, scenario.group, scenario.source,
+            scenario.member_domains,
+        ))
+        sanitizer.report(
+            "claim-disjointness",
+            check_no_overlapping_claims(scenario.masc_siblings),
+        )
+
+    def claim_tables(self) -> Dict[str, List[str]]:
+        """Every MASC node's claimed prefixes, by node name."""
+        return {
+            node.name: [str(p) for p in node.claimed.prefixes()]
+            for node in self.scenario.masc_nodes
+        }
+
     def fingerprint(self) -> Dict[str, object]:
         """The determinism fingerprint the acceptance contract
         compares: byte-identical across checkpointed, resumed, and
         uninterrupted executions of the same seed."""
-        scenario = self.scenario
-        bgmp = scenario.bgmp
+        bgmp = self.scenario.bgmp
         return {
             "time": self.sim.now,
             "events": self.sim.processed,
-            "forwarding_digest": (
-                bgmp.forwarding_digest() if bgmp is not None else ""
-            ),
-            "rib_digest": (
-                bgmp.bgp.rib_digest() if bgmp is not None else ""
-            ),
-            "claim_tables": {
-                node.name: [str(p) for p in node.claimed.prefixes()]
-                for node in scenario.masc_nodes
-            },
+            "forwarding_digest": bgmp.forwarding_digest(),
+            "rib_digest": bgmp.bgp.rib_digest(),
+            "claim_tables": self.claim_tables(),
             "event_trace": [
                 entry.render() for entry in self.sanitizer.trace()
             ],
@@ -147,67 +189,58 @@ class SoakWorld:
         }
 
 
-class SoakHarness:
-    """Runs (and resumes) segmented chaos soaks with checkpoints.
+def wire_tracer(world: SoakWorld) -> Tracer:
+    """Give ``world`` a live tracer in every layer it runs (a world
+    is built, and checkpointed, untraced)."""
+    tracer = Tracer().bind_clock(world.sim)
+    scenario = world.scenario
+    scenario.bgmp.tracer = tracer
+    scenario.bgmp.bgp.tracer = tracer
+    for node in scenario.masc_nodes:
+        node.tracer = tracer
+    world.injector.tracer = tracer
+    world.sanitizer.tracer = tracer
+    return tracer
 
-    ``scenario_factory`` builds the pristine world (defaulting to the
-    figure-3 reference scenario); ``out_dir`` receives the boundary
-    checkpoints (``soak-seed<seed>-seg<n>.ckpt``) and any violation
-    dumps. With ``out_dir=None`` the harness runs checkpoint-free —
-    useful as the uninterrupted control arm in identity tests.
+
+class SoakHarness:
+    """Builds, runs (and resumes) fault-run worlds segment by segment.
+
+    ``out_dir`` receives the boundary checkpoints
+    (``soak-seed<seed>-seg<n>.ckpt``) and any violation dumps. With
+    ``out_dir=None`` the harness runs checkpoint-free — the chaos run,
+    and the uninterrupted control arm in identity tests.
     """
 
     def __init__(
         self,
-        scenario_factory: Optional[Callable[[], ChaosScenario]] = None,
         config: Optional[SoakConfig] = None,
         out_dir: Optional[str] = None,
-        on_world: Optional[Callable[[SoakWorld], None]] = None,
-        on_boundary: Optional[
-            Callable[[SoakWorld, Optional[str]], None]
-        ] = None,
     ):
-        if scenario_factory is None:
-            from repro.faults.scenarios import figure3_chaos_scenario
-
-            scenario_factory = figure3_chaos_scenario
-        self._factory = scenario_factory
         self.config = config if config is not None else SoakConfig()
         self.out_dir = os.fspath(out_dir) if out_dir else None
-        #: Serve-mode attach points. ``on_world(world)`` fires once
-        #: per process with the live world (freshly built or restored)
-        #: before any segment runs; ``on_boundary(world, path)`` fires
-        #: at every segment boundary, after the checkpoint (if any)
-        #: was written. Both must be read-only with respect to the
-        #: world; observers they attach are checkpoint-transient (see
-        #: Simulator.__getstate__), so boundary checkpoints are
-        #: byte-equivalent to an unobserved run's.
-        self.on_world = on_world
-        self.on_boundary = on_boundary
 
     # ------------------------------------------------------------------
     # World lifecycle
 
     def build_world(self) -> SoakWorld:
-        """A pristine world for this harness's config."""
-        scenario = self._factory()
-        config = self.config
+        """A pristine world for this harness's config, under a
+        raising sanitizer."""
+        scenario = figure3_chaos_scenario()
         injector = FaultInjector(
             scenario.sim,
             bgmp=scenario.bgmp,
             masc_overlay=scenario.masc_overlay,
             masc_nodes=scenario.masc_nodes,
-            recovery_delay=config.recovery_delay,
         )
         sanitizer = InvariantSanitizer(
             bgmp=scenario.bgmp,
-            groups=(scenario.group,) if scenario.bgmp else (),
+            groups=(scenario.group,),
             masc_siblings=scenario.masc_siblings,
-            check_every=config.check_every,
             raise_on_violation=True,
         ).attach(scenario.sim)
-        streams = RandomStreams(config.seed)
-        return SoakWorld(scenario, injector, sanitizer, streams, config)
+        streams = RandomStreams(self.config.seed)
+        return SoakWorld(scenario, injector, sanitizer, streams, self.config)
 
     def run(self, kill_at: Optional[float] = None) -> SoakResult:
         """The full chain from a fresh world (writing a boundary
@@ -231,65 +264,62 @@ class SoakHarness:
             world.sim.schedule_at(
                 kill_at, _hard_exit, name=KILL_EVENT_NAME
             )
-        if self.on_world is not None:
-            self.on_world(world)
         self._save_boundary(world)
         return self.run_world(world)
 
-    def resume(self, checkpoint_path: Optional[str] = None) -> SoakResult:
-        """Continue from a boundary checkpoint (the latest one in
-        ``out_dir`` when no path is given). The interrupted segment
-        re-runs from its start; the redraw is identical because the
-        fault stream's state was checkpointed with the world."""
-        if checkpoint_path is None:
-            checkpoint_path = self.latest_checkpoint()
-            if checkpoint_path is None:
-                raise ckpt.CheckpointError(
-                    f"no soak checkpoint found in {self.out_dir!r}"
-                )
-        world = ckpt.restore(ckpt.load(checkpoint_path))
-        if not isinstance(world, SoakWorld):
+    def restore_world(
+        self, checkpoint_path: Optional[str] = None
+    ) -> Tuple[SoakWorld, str]:
+        """Restore a boundary checkpoint (the latest one in
+        ``out_dir`` when no path is given) with any ``--kill-at``
+        disarmed; returns the world and the path it came from."""
+        path = checkpoint_path or self.latest_checkpoint()
+        if path is None:
             raise ckpt.CheckpointError(
-                f"{checkpoint_path}: checkpointed world is "
-                f"{type(world).__name__}, not a SoakWorld"
+                f"no soak checkpoint found in {self.out_dir!r}"
             )
-        self._disarm_kill(world)
+        return _restored(ckpt.load(path), path), path
+
+    def resume(self, checkpoint_path: Optional[str] = None) -> SoakResult:
+        """Continue from a boundary checkpoint (see
+        :meth:`restore_world`). The interrupted segment re-runs from
+        its start; the redraw is identical because the fault stream's
+        state was checkpointed with the world."""
+        world, path = self.restore_world(checkpoint_path)
         world.log.append(
             (world.sim.now, f"resumed segment {world.segment} from "
-             f"{os.path.basename(checkpoint_path)}")
+             f"{os.path.basename(path)}")
         )
-        if self.on_world is not None:
-            self.on_world(world)
         return self.run_world(world)
 
     def run_world(self, world: SoakWorld) -> SoakResult:
         """Run the remaining segments of ``world`` to completion."""
         while world.segment < world.config.segments:
             self.run_segment(world)
-            path = self._save_boundary(world)
-            if self.on_boundary is not None:
-                self.on_boundary(world, path)
+            self._save_boundary(world)
         return self._finish(world)
 
     # ------------------------------------------------------------------
     # Segments
 
-    def run_segment(self, world: SoakWorld) -> None:
+    def run_segment(self, world: SoakWorld) -> FaultPlan:
         """One segment: draw the fault plan from the persistent
         stream, arm the violation dump with the boundary checkpoint
-        this segment started from, and run to the segment's end."""
+        this segment started from, and run to the segment's end.
+        Returns the plan drawn (empty when the config draws none)."""
         config = world.config
         start = world.sim.now
         end = start + config.segment_length
+        plan = FaultPlan()
         if config.faults_per_segment > 0:
             rng = world.streams.stream(FAULT_STREAM)
             plan = FaultPlan.random_schedule(
                 rng,
                 world.scenario.candidates,
                 n_faults=config.faults_per_segment,
-                start=start + config.fault_start,
-                window=config.fault_window,
-                repair_after=config.repair_after,
+                start=start + FAULT_START,
+                window=FAULT_WINDOW,
+                repair_after=REPAIR_AFTER,
             )
             scheduled = world.injector.schedule(plan)
             world.log.append(
@@ -310,9 +340,10 @@ class SoakHarness:
         world.sim.run(until=end)
         world.segment += 1
         world.log.append((world.sim.now, f"segment {world.segment} done"))
+        return plan
 
     def _finish(self, world: SoakWorld) -> SoakResult:
-        """Settle, run the quiescence checks, and fingerprint."""
+        """Settle, run the end checks, and fingerprint."""
         if self.out_dir is not None:
             world.sanitizer.configure_dump(
                 self.out_dir,
@@ -324,9 +355,7 @@ class SoakHarness:
                 },
                 replay_horizon=world.sim.now,
             )
-        if world.scenario.bgmp is not None:
-            world.injector.recover()
-            world.sanitizer.check_converged()
+        world.settle()
         fingerprint = world.fingerprint()
         world.log.append((world.sim.now, "soak complete"))
         return SoakResult(
@@ -392,6 +421,20 @@ class SoakHarness:
                 event.cancel()
 
 
+def _restored(checkpoint: ckpt.Checkpoint, source: str) -> SoakWorld:
+    """The :class:`SoakWorld` in ``checkpoint`` (read from
+    ``source``), its ``--kill-at`` disarmed: the kill belongs to the
+    crashed process, not to the simulated world."""
+    world = ckpt.restore(checkpoint)
+    if not isinstance(world, SoakWorld):
+        raise ckpt.CheckpointError(
+            f"{source}: checkpointed world is "
+            f"{type(world).__name__}, not a SoakWorld"
+        )
+    SoakHarness._disarm_kill(world)
+    return world
+
+
 def _hard_exit() -> None:
     """Die like a crash: no cleanup, no atexit, exit code 137 (the
     SIGKILL convention). Used by the CLI's ``--kill-at`` to exercise
@@ -407,9 +450,12 @@ def replay_dump(path: str) -> Optional[InvariantViolation]:
     """Deterministically re-trigger the violation a dump recorded.
 
     Restores the dump's checkpoint, puts the restored sanitizer in
-    raising mode with dumping disarmed, and re-runs to the dump's
-    replay horizon (plus the settle pass when the violation came from
-    the quiescence checks). Returns the reproduced
+    raising mode with dumping disarmed, and re-runs what followed the
+    checkpoint: the whole segment (redrawing its fault plan from the
+    restored stream, as a resume does) when the violation came from
+    one, else the clock to the dump's replay horizon plus the settle
+    step when the violation came from the end checks. Returns the
+    reproduced
     :class:`InvariantViolation`, or None when it did not reproduce —
     which a caller should treat as a determinism bug.
     """
@@ -418,23 +464,19 @@ def replay_dump(path: str) -> Optional[InvariantViolation]:
         raise ckpt.CheckpointError(
             f"{path}: dump carries no checkpoint to replay from"
         )
-    world = ckpt.restore(dump.checkpoint)
-    if not isinstance(world, SoakWorld):
-        raise ckpt.CheckpointError(
-            f"{path}: dumped world is {type(world).__name__}, "
-            "not a SoakWorld"
-        )
+    world = _restored(dump.checkpoint, path)
     sanitizer = world.sanitizer
     sanitizer.raise_on_violation = True
     sanitizer.violations.clear()
     sanitizer.configure_dump(None)
-    SoakHarness._disarm_kill(world)
+    phase = dump.context.get("phase")
     try:
-        world.sim.run(until=dump.replay_until)
-        if dump.context.get("phase") == "settle":
-            if world.scenario.bgmp is not None:
-                world.injector.recover()
-            sanitizer.check_converged()
+        if phase == "segment":
+            SoakHarness(world.config).run_segment(world)
+        else:
+            world.sim.run(until=dump.replay_until)
+            if phase == "settle":
+                world.settle()
     except InvariantViolation as violation:
         return violation
     return None

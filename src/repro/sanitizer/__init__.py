@@ -16,5 +16,8 @@ settle points::
     san.check_converged()
     san.detach()
 
-The chaos harness wires this up via ``ChaosHarness(..., sanitize=True)``.
+Every fault run (:mod:`repro.faults.soak`) runs under one, and ends
+with its quiescence checks plus the end checks beside it in
+:mod:`repro.sanitizer.core` (``check_loop_free_trees``,
+``check_members_reachable``, ``check_no_overlapping_claims``).
 """

@@ -161,6 +161,22 @@ def check_loop_free_trees(bgmp, group: int) -> List[str]:
     return details
 
 
+def check_members_reachable(
+    bgmp, group: int, source, member_domains
+) -> List[str]:
+    """A probe from ``source`` must reach every member domain exactly
+    once (a traced ``bgmp.send``, so it shows in a run's spans)."""
+    report = bgmp.send(source, group)
+    details = [
+        f"member domain {domain.name} unreached"
+        for domain in member_domains
+        if not report.reached(domain)
+    ]
+    if report.duplicates:
+        details.append(f"{report.duplicates} duplicate deliveries")
+    return details
+
+
 class InvariantSanitizer:
     """Event-loop-attached checker of cross-layer protocol invariants.
 
@@ -182,8 +198,8 @@ class InvariantSanitizer:
     :param trace_depth: events kept in the trace ring buffer.
     :param raise_on_violation: raise :class:`InvariantViolation`
         immediately (the TSan-style default), or record violations in
-        :attr:`violations` and keep running (what the chaos harness
-        uses so a run's full verdict survives).
+        :attr:`violations` and keep running (what a chaos run and a
+        soak attach use, so a run's full verdict survives).
     """
 
     def __init__(
@@ -373,19 +389,23 @@ class InvariantSanitizer:
         if self._events_seen % self.check_every:
             return
         self.checks_run += 1
-        self._report(
+        self.report(
             "claim-disjointness",
             check_no_overlapping_claims(self.masc_siblings),
         )
-        self._report("grib-coverage", self._check_grib_coverage())
+        self.report("grib-coverage", self._check_grib_coverage())
         if self.bgmp is not None:
-            self._report("loop-free-trees", [
+            self.report("loop-free-trees", [
                 detail
                 for group in self.groups
                 for detail in check_loop_free_trees(self.bgmp, group)
             ])
 
-    def _report(self, invariant: str, details: List[str]) -> None:
+    def report(self, invariant: str, details: List[str]) -> None:
+        """Report ``details`` (if any) as a violation of ``invariant``:
+        listeners first, then the dump when armed, then raise or
+        record. The event hook and the quiescence checks report
+        through here, and so do the end checks of a fault run."""
         if not details:
             return
         now = self._sim.now if self._sim is not None else float("nan")
@@ -441,7 +461,7 @@ class InvariantSanitizer:
             for group in self.groups:
                 details.extend(self._check_rooted(group))
             details.extend(self._check_crashed_state_wiped())
-        self._report("converged-trees", details)
+        self.report("converged-trees", details)
         return details
 
     def _check_rooted(self, group: int) -> List[str]:

@@ -5,7 +5,7 @@ MASC overlay), schedules every step on the simulator clock in file
 order, and runs to the horizon with the invariant sanitizer attached.
 Mutation steps that perturb routing go through the
 :class:`~repro.faults.injector.FaultInjector` — the same mutation
-layer the chaos harness uses — so each fault gets the injector's
+layer every fault run uses — so each fault gets the injector's
 automatic recovery pass; assertions execute as simulator events at
 their declared times and record failures (anchored at the scenario
 file line) instead of raising, so one run reports every broken

@@ -11,6 +11,7 @@ time, not mid-run.
 
 from __future__ import annotations
 
+import math
 import re
 import tomllib
 from pathlib import Path
@@ -666,6 +667,12 @@ def _parse_one_step(ctx: _Context, table: dict, line: int) -> Step:
     if at < 0:
         raise ctx.fail(
             f"step {verb!r}: 'at' is before time zero "
+            "(malformed schedule)",
+            line,
+        )
+    if not math.isfinite(at):
+        raise ctx.fail(
+            f"step {verb!r}: 'at' must be finite, got {at} "
             "(malformed schedule)",
             line,
         )

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.checkpoint import core as ckpt
-from repro.faults.soak import SoakHarness, SoakWorld
+from repro.faults.soak import SoakHarness, SoakWorld, wire_tracer
 from repro.trace.profiler import EventLoopProfiler
 from repro.trace.tracer import Tracer
 
@@ -44,43 +43,15 @@ class AttachOptions:
 def load_attached_world(options: AttachOptions) -> SoakWorld:
     """Restore a private world copy from the latest (or named)
     boundary checkpoint, disarmed and in non-raising mode."""
-    path = options.checkpoint
-    if path is None:
-        path = SoakHarness(out_dir=options.soak_dir).latest_checkpoint()
-        if path is None:
-            raise ckpt.CheckpointError(
-                f"no soak checkpoint found in {options.soak_dir!r}"
-            )
-    world = ckpt.restore(ckpt.load(path))
-    if not isinstance(world, SoakWorld):
-        raise ckpt.CheckpointError(
-            f"{path}: checkpointed world is "
-            f"{type(world).__name__}, not a SoakWorld"
-        )
-    # A kill event restored from a --kill-at chain belongs to the
-    # crashed process, not to this observer.
-    SoakHarness._disarm_kill(world)
+    world, path = SoakHarness(out_dir=options.soak_dir).restore_world(
+        options.checkpoint
+    )
     # The soaking process owns raising and dumping; the attached copy
     # only reports.
     world.sanitizer.raise_on_violation = False
     world.sanitizer.configure_dump(None)
     options.extra["checkpoint"] = path
     return world
-
-
-def wire_tracer(world: SoakWorld) -> Tracer:
-    """Give the private copy a live tracer (the checkpointed world
-    runs untraced; this copy is ours to instrument)."""
-    tracer = Tracer().bind_clock(world.sim)
-    scenario = world.scenario
-    if scenario.bgmp is not None:
-        scenario.bgmp.tracer = tracer
-        scenario.bgmp.bgp.tracer = tracer
-    for node in scenario.masc_nodes:
-        node.tracer = tracer
-    world.injector.tracer = tracer
-    world.sanitizer.tracer = tracer
-    return tracer
 
 
 def attach_serve(
@@ -101,10 +72,9 @@ def attach_serve(
     if on_sources is not None:
         tracer = wire_tracer(world)
         profiler = EventLoopProfiler().attach(world.sim)
-        on_sources(ServeSources.from_scenario(
-            world.scenario, "soak-attach", world.config.seed,
+        on_sources(ServeSources.from_world(
+            world, "soak-attach", world.config.seed,
             tracer=tracer, profiler=profiler,
-            injector=world.injector, sanitizer=world.sanitizer,
         ))
     # Shadow harness: same config as the chain, but out_dir=None — it
     # can never write into the real soak directory.

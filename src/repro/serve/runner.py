@@ -1,8 +1,8 @@
 """One instrumented run behind ``repro trace`` and ``repro serve run``.
 
 :func:`run_target` builds one of the :data:`TARGETS` workloads (the
-fig2 MASC allocation run, the fig4 tree sweep, or the figure-3 chaos
-scenario), wires in a tracer and an
+fig2 MASC allocation run, the fig4 tree sweep, or a chaos run: one
+segment of a :mod:`repro.faults.soak` world), wires in a tracer and an
 :class:`~repro.trace.profiler.EventLoopProfiler`, hands the run's
 :class:`~repro.serve.snapshots.ServeSources` to an optional
 ``on_sources`` hook before the simulator runs, runs it, and returns a
@@ -122,32 +122,36 @@ def _run_chaos(
     seed: int, profiler: EventLoopProfiler, on_sources: OnSources,
     faults: int,
 ) -> RunOutcome:
-    from repro.faults.chaos import ChaosHarness
-    from repro.faults.scenarios import figure3_chaos_scenario
+    from repro.faults.soak import SoakConfig, SoakHarness, wire_tracer
 
-    def on_world(scenario, tracer, injector, sanitizer) -> None:
-        profiler.attach(scenario.sim)
-        if on_sources is not None:
-            on_sources(ServeSources.from_scenario(
-                scenario, "chaos", seed, tracer=tracer, profiler=profiler,
-                injector=injector, sanitizer=sanitizer,
-            ))
-
-    harness = ChaosHarness(
-        figure3_chaos_scenario, n_faults=faults, sanitize=True, trace=True
+    # One segment of a soak world: the world's MASC setup runs its
+    # clock to 5.0, so the segment ends at 30.0.
+    harness = SoakHarness(SoakConfig(
+        seed=seed, segments=1, segment_length=25.0,
+        faults_per_segment=faults,
+    ))
+    world = harness.build_world()
+    world.sanitizer.raise_on_violation = False
+    tracer = wire_tracer(world)
+    profiler.attach(world.sim)
+    sources = ServeSources.from_world(
+        world, "chaos", seed, tracer=tracer, profiler=profiler
     )
-    result = harness.run(seed, on_world=on_world)
+    if on_sources is not None:
+        on_sources(sources)
+    plan = harness.run_segment(world)
+    world.settle()
     fingerprint = {
         "target": "chaos",
-        "seed": result.seed,
-        "events": result.events,
-        "schedule": result.schedule,
-        "claim_tables": result.claim_tables,
-        "forwarding_digest": result.forwarding_digest,
+        "seed": seed,
+        "events": world.sim.processed,
+        "schedule": plan.describe(),
+        "claim_tables": world.claim_tables(),
+        "forwarding_digest": world.scenario.bgmp.forwarding_digest(),
     }
     return RunOutcome(
-        fingerprint, list(result.violations), result.tracer, profiler,
-        result.metrics,
+        fingerprint, list(world.sanitizer.violations), tracer, profiler,
+        sources.registry_snapshot(),
     )
 
 

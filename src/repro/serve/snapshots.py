@@ -47,30 +47,23 @@ class ServeSources:
     masc_managers: Sequence = ()
 
     @classmethod
-    def from_scenario(
-        cls,
-        scenario,
-        target: str,
-        seed: int,
-        tracer=NULL_TRACER,
+    def from_world(
+        cls, world, target: str, seed: int, tracer=NULL_TRACER,
         profiler=None,
-        injector=None,
-        sanitizer=None,
     ) -> "ServeSources":
-        """Sources for a :class:`~repro.faults.chaos.ChaosScenario` —
-        a chaos run's (``ChaosHarness.run(on_world=...)``) or a soak
-        world's (built fresh or restored from a checkpoint)."""
-        bgmp = scenario.bgmp
+        """Sources for a :class:`~repro.faults.soak.SoakWorld` — a
+        chaos run's, or a soak world restored for ``serve attach``."""
+        scenario = world.scenario
         return cls(
             sim=scenario.sim,
             target=target,
             seed=seed,
             tracer=tracer,
             profiler=profiler,
-            sanitizer=sanitizer,
-            injector=injector,
-            bgmp=bgmp,
-            bgp=bgmp.bgp if bgmp is not None else None,
+            sanitizer=world.sanitizer,
+            injector=world.injector,
+            bgmp=scenario.bgmp,
+            bgp=scenario.bgmp.bgp,
             overlay=scenario.masc_overlay,
             masc_nodes=tuple(scenario.masc_nodes),
         )

@@ -159,9 +159,11 @@ class Simulator:
         name: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` time units from
-        now. ``delay`` must be non-negative."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: delay={delay}")
+        now. ``delay`` must be non-negative (so not NaN)."""
+        if not delay >= 0:
+            raise ValueError(
+                f"cannot schedule at delay={delay}: not a time >= 0"
+            )
         return self.schedule_at(self._now + delay, callback, *args, name=name)
 
     def schedule_at(
@@ -171,10 +173,13 @@ class Simulator:
         *args: Any,
         name: str = "",
     ) -> Event:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        """Schedule ``callback(*args)`` at an absolute simulation time,
+        no earlier than now. (NaN compares false either way, so the
+        test is written to reject it: a NaN key corrupts heap order.)"""
+        if not time >= self._now:
             raise ValueError(
-                f"cannot schedule into the past: t={time} < now={self._now}"
+                f"cannot schedule at t={time}: not a time >= now="
+                f"{self._now}"
             )
         event = Event(time, callback, args, name=name)
         event._owner = self

@@ -7,7 +7,7 @@ external anchor. The refresh phase is then a no-op there, the old
 interior-only branch still serves the members — so a re-join-first
 repair skips the domain as on-tree, and the prune phase tears down
 that branch as redundant, stranding the members until the *next*
-repair pass. Observed via the chaos harness's reachability invariant
+repair pass. Observed via the fault runs' reachability end check
 (``check_members_reachable``) under consecutive root-domain flips;
 fixed by running the prune phase before the re-join phase.
 """
@@ -16,8 +16,11 @@ import pytest
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.faults.chaos import check_members_reachable
-from repro.sanitizer.core import InvariantSanitizer, check_loop_free_trees
+from repro.sanitizer.core import (
+    InvariantSanitizer,
+    check_loop_free_trees,
+    check_members_reachable,
+)
 from repro.topology.domain import DomainKind
 from repro.topology.network import Topology
 from tests.conftest import recompute_everything

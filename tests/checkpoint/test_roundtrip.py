@@ -40,8 +40,7 @@ def _armed_world(seed):
 
 
 def _settle_and_fingerprint(world):
-    world.injector.recover()
-    world.sanitizer.check_converged()
+    world.settle()
     return json.dumps(world.fingerprint(), sort_keys=True)
 
 

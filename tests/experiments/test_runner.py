@@ -4,6 +4,7 @@ serial fallback, plus fig2/fig4/chaos seed sweeps run through it."""
 import multiprocessing
 import os
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -14,8 +15,7 @@ from repro.experiments.runner import (
     default_processes,
     parallel_map,
 )
-from repro.faults.chaos import ChaosHarness
-from repro.faults.scenarios import figure3_chaos_scenario
+from tests.faults._chaos import chaos_summary
 
 SMALL_FIG2 = Figure2Config(
     top_count=2, children_per_top=3, duration_days=20.0,
@@ -149,21 +149,11 @@ class TestSweepDeterminism:
         ]
 
     def test_chaos_run_many_parallel_matches_serial(self):
-        harness = ChaosHarness(
-            figure3_chaos_scenario, n_faults=1, sanitize=True
-        )
-        serial = parallel_map(harness.run, range(3), processes=1)
-        parallel = parallel_map(harness.run, range(3))
-        assert [r.forwarding_digest for r in serial] == [
-            r.forwarding_digest for r in parallel
-        ]
-        assert [r.schedule for r in serial] == [
-            r.schedule for r in parallel
-        ]
-        assert [r.events for r in serial] == [
-            r.events for r in parallel
-        ]
-        assert all(r.ok for r in parallel)
+        run = partial(chaos_summary, faults=1)
+        serial = parallel_map(run, range(3), processes=1)
+        parallel = parallel_map(run, range(3))
+        assert serial == parallel
+        assert not any(r["violations"] for r in parallel)
 
 
 # Captured at import: under fork-based pools the children see a

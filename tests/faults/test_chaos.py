@@ -1,93 +1,46 @@
-"""Chaos harness: seeded schedules, invariants, determinism."""
+"""Chaos runs: seeded schedules, invariants, determinism."""
 
 import random
+from functools import partial
 
 from repro.addressing.prefix import Prefix
 from repro.experiments.runner import parallel_map
-from repro.faults.chaos import ChaosHarness, ChaosScenario
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultCandidate, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.masc.config import MascConfig
 from repro.masc.node import MascNode, MascOverlay
 from repro.sanitizer.core import (
     check_loop_free_trees,
     check_no_overlapping_claims,
 )
-from repro.scenarios.fixtures import (
-    FIGURE3_GROUP as GROUP,
-    figure3_bgmp_network,
-    small_masc_tree,
-)
+from repro.scenarios.fixtures import FIGURE3_GROUP as GROUP
 from repro.sim.engine import Simulator
-
-BGMP_CANDIDATES = (
-    FaultCandidate("link", "F1", group="F", peer="B2"),
-    FaultCandidate("router", "F2", group="F"),
-    FaultCandidate("link", "H2", group="H", peer="C2"),
-    FaultCandidate("router", "H1", group="H"),
-)
-
-MASC_CANDIDATES = (
-    FaultCandidate("masc", "M1", group="masc-M1"),
-    FaultCandidate("masc", "M2", group="masc-M2"),
-)
-
-
-def build_scenario():
-    """Figure 3 internetwork with members in the multihomed domains F
-    and H, plus a small MASC tree (parent MP, siblings M1/M2) sharing
-    the clock. Every fault candidate is survivable by design."""
-    sim = Simulator()
-    network = figure3_bgmp_network(members=("F", "H"))
-    topology = network.topology
-    members = [topology.domain(name) for name in ("F", "H")]
-    overlay, parent, siblings = small_masc_tree(sim)
-
-    return ChaosScenario(
-        sim=sim,
-        candidates=BGMP_CANDIDATES + MASC_CANDIDATES,
-        bgmp=network,
-        group=GROUP,
-        source=topology.domain("E").host("s"),
-        member_domains=members,
-        masc_overlay=overlay,
-        masc_nodes=[parent] + siblings,
-        masc_siblings=[siblings],
-        horizon=30.0,
-    )
+from tests.faults._chaos import chaos_summary
 
 
 class TestChaosRuns:
     def test_single_fault_seeds_pass_invariants(self):
-        harness = ChaosHarness(build_scenario, n_faults=1)
-        for result in parallel_map(harness.run, range(5)):
-            assert result.ok, (result.schedule, result.violations)
+        for run in parallel_map(partial(chaos_summary, faults=1), range(5)):
+            assert not run["violations"], run
 
     def test_double_fault_seeds_pass_invariants(self):
-        harness = ChaosHarness(build_scenario, n_faults=2)
-        for result in parallel_map(harness.run, range(5)):
-            assert result.ok, (result.schedule, result.violations)
+        for run in parallel_map(partial(chaos_summary, faults=2), range(5)):
+            assert not run["violations"], run
 
     def test_same_seed_is_deterministic(self):
-        harness = ChaosHarness(build_scenario, n_faults=2)
-        first, second = harness.run(3), harness.run(3)
-        assert first.schedule == second.schedule
-        assert first.log == second.log
-        assert first.violations == second.violations
-        assert first.recoveries == second.recoveries
+        assert chaos_summary(3) == chaos_summary(3)
 
     def test_reconvergence_is_bounded(self):
-        harness = ChaosHarness(build_scenario, n_faults=1)
-        for result in parallel_map(harness.run, range(5)):
-            assert result.recoveries, result.schedule
-            for record in result.recoveries:
+        for run in parallel_map(partial(chaos_summary, faults=1), range(5)):
+            assert run["recoveries"], run["schedule"]
+            for record in run["recoveries"]:
                 assert record.converged
                 assert record.rounds <= 50
 
     def test_schedules_vary_across_seeds(self):
-        harness = ChaosHarness(build_scenario, n_faults=1)
         schedules = {
-            tuple(harness.run(seed).schedule) for seed in range(6)
+            tuple(chaos_summary(seed, faults=1)["schedule"])
+            for seed in range(6)
         }
         assert len(schedules) > 1
 

@@ -3,47 +3,64 @@ run twice under the invariant sanitizer, must agree on every
 observable — event counts, the fault log, final MASC claim tables,
 and a stable hash of the full BGMP forwarding state."""
 
+import hashlib
+import json
+from functools import partial
+
+import pytest
+
 from repro.experiments.runner import parallel_map
-from repro.faults.chaos import ChaosHarness
-from repro.faults.scenarios import figure3_chaos_scenario as build_scenario
+from repro.serve.runner import run_target
+from tests.faults._chaos import chaos_summary, chaos_world
+
+#: sha256 (first 16 hex digits) of ``run_target("chaos", seed,
+#: faults=2)``'s fingerprint as sorted-key JSON, by seed. The same
+#: under every PYTHONHASHSEED.
+CHAOS_PINS = {
+    0: "8abae5c6db58428e",
+    1: "98675b61f04ef00e",
+    2: "78df7ac7d1138f63",
+    3: "bdf7987ac73552f1",
+    4: "f67674e4455533bc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHAOS_PINS))
+def test_chaos_fingerprint_is_pinned(seed):
+    outcome = run_target("chaos", seed, faults=2)
+    assert not outcome.violations
+    canonical = json.dumps(outcome.fingerprint, sort_keys=True)
+    digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    assert digest == CHAOS_PINS[seed]
 
 
 class TestSanitizedDoubleRun:
     def test_same_seed_twice_is_bit_identical(self):
-        harness = ChaosHarness(build_scenario, n_faults=2, sanitize=True)
-        first, second = harness.run(3), harness.run(3)
-        assert first.ok and second.ok, (
-            first.violations, second.violations
-        )
-        assert first.schedule == second.schedule
-        assert first.log == second.log
-        assert first.events == second.events
-        assert first.events > 0
-        assert first.claim_tables == second.claim_tables
-        assert first.claim_tables  # MASC nodes actually claimed
-        assert first.forwarding_digest == second.forwarding_digest
-        assert len(first.forwarding_digest) == 64
+        first, second = chaos_summary(3), chaos_summary(3)
+        assert not first["violations"], first["violations"]
+        assert first == second
+        fingerprint = first["fingerprint"]
+        assert fingerprint["events"] > 0
+        assert fingerprint["claim_tables"]  # MASC nodes actually claimed
+        assert len(fingerprint["forwarding_digest"]) == 64
 
     def test_sanitized_runs_pass_invariants_across_seeds(self):
-        harness = ChaosHarness(build_scenario, n_faults=1, sanitize=True)
-        for result in parallel_map(harness.run, range(5)):
-            assert result.ok, (result.schedule, result.violations)
+        for run in parallel_map(partial(chaos_summary, faults=1), range(5)):
+            assert not run["violations"], (run["schedule"], run)
 
     def test_sanitize_off_leaves_fingerprints_populated(self):
-        # The fingerprints come from the run, not the sanitizer: the
-        # unsanitized harness fills them too, so older callers can
-        # compare runs without opting into per-event checks.
-        result = ChaosHarness(build_scenario, n_faults=1).run(0)
-        assert result.events > 0
-        assert result.forwarding_digest
+        # The fingerprints come from the run, not the sanitizer: a
+        # world whose sanitizer never runs its per-event checks fills
+        # them, and fills them alike.
+        _, checked = chaos_world(0, faults=1)
+        _, unchecked = chaos_world(0, faults=1, check_every=10**9)
+        assert unchecked.sanitizer.checks_run == 0
+        assert unchecked.fingerprint()["forwarding_digest"]
+        assert unchecked.fingerprint() == checked.fingerprint()
 
     def test_check_every_does_not_change_the_outcome(self):
-        dense = ChaosHarness(
-            build_scenario, n_faults=2, sanitize=True, check_every=1
-        ).run(4)
-        sparse = ChaosHarness(
-            build_scenario, n_faults=2, sanitize=True, check_every=5
-        ).run(4)
-        assert dense.ok and sparse.ok
-        assert dense.forwarding_digest == sparse.forwarding_digest
-        assert dense.events == sparse.events
+        _, dense = chaos_world(4, faults=2, check_every=1)
+        _, sparse = chaos_world(4, faults=2, check_every=5)
+        assert not dense.sanitizer.violations
+        assert not sparse.sanitizer.violations
+        assert dense.fingerprint() == sparse.fingerprint()

@@ -55,7 +55,7 @@ def tripped_sanitizer(raise_on_violation):
 
 def trip(sanitizer):
     """Run the claim-disjointness check directly (no event loop)."""
-    sanitizer._report(
+    sanitizer.report(
         "claim-disjointness",
         check_no_overlapping_claims(sanitizer.masc_siblings),
     )

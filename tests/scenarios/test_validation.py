@@ -136,6 +136,14 @@ class TestMalformedSchedule:
             contains="'at' is before time zero (malformed schedule)",
         )
 
+    def test_nan_at(self, tmp_path):
+        expect_error(
+            tmp_path,
+            PREAMBLE + '[[step]]\nat = nan\ndo = "recover"\n',
+            line=STEP_LINE,
+            contains="'at' must be finite, got nan (malformed schedule)",
+        )
+
     def test_non_numeric_at(self, tmp_path):
         expect_error(
             tmp_path,

@@ -49,6 +49,22 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(4.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # NaN compares false against everything, so a NaN heap key
+        # silently reorders its neighbours: 1.0, NaN, 2.0, 0.5 used
+        # to fire as 1.0, 0.5, NaN, 2.0.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="t=nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError, match="delay=nan"):
+            sim.schedule(float("nan"), lambda: None)
+        fired = []
+        for time in (1.0, 2.0, 0.5):
+            sim.schedule_at(time, fired.append, time)
+        sim.run()
+        assert fired == [0.5, 1.0, 2.0]
+        assert not sim.queue_depth
+
     def test_events_can_schedule_events(self):
         sim = Simulator()
         fired = []

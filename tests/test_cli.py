@@ -22,6 +22,7 @@ OUT_OF_RANGE = [
     (["serve", "run", "chaos", "--port", "99999"], "--port"),
     (["soak", "run", "--segment-length", "-5"], "--segment-length"),
     (["soak", "run", "--faults", "-2"], "--faults"),
+    (["soak", "run", "--kill-at", "nan"], "--kill-at"),
     (["serve", "attach", "--segments", "-1"], "--segments"),
     (["serve", "run", "chaos", "--linger", "-1"], "--linger"),
     (["scenarios", "run", "--processes", "-2"], "--processes"),

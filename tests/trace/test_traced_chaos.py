@@ -3,54 +3,50 @@ chaos run with telemetry enabled still fingerprints identically across
 same-seed runs, and the telemetry artifacts themselves are
 byte-identical."""
 
-from repro.faults.chaos import ChaosHarness
-from repro.faults.scenarios import figure3_chaos_scenario
+from repro.serve.runner import run_target
 from repro.trace.export import trace_to_chrome, trace_to_jsonl
+from repro.trace.tracer import NULL_TRACER
+from tests.faults._chaos import chaos_world
 
 
 def _run(seed):
-    harness = ChaosHarness(
-        figure3_chaos_scenario, n_faults=2, sanitize=True, trace=True
-    )
-    return harness.run(seed=seed)
-
-
-def _fingerprint(result):
-    return (result.events, result.claim_tables, result.forwarding_digest)
+    return run_target("chaos", seed, faults=2)
 
 
 class TestTracedChaosDeterminism:
     def test_fingerprints_match_untraced_run(self):
-        traced = _run(seed=7)
-        untraced = ChaosHarness(
-            figure3_chaos_scenario, n_faults=2, sanitize=True, trace=False
-        ).run(seed=7)
-        assert _fingerprint(traced) == _fingerprint(untraced)
+        traced = _run(seed=7).fingerprint
+        plan, world = chaos_world(7, faults=2)
+        assert (
+            traced["schedule"], traced["events"], traced["claim_tables"],
+            traced["forwarding_digest"],
+        ) == (
+            plan.describe(), world.sim.processed, world.claim_tables(),
+            world.scenario.bgmp.forwarding_digest(),
+        )
 
     def test_same_seed_telemetry_is_byte_identical(self):
         first = _run(seed=7)
         second = _run(seed=7)
-        assert _fingerprint(first) == _fingerprint(second)
+        assert first.fingerprint == second.fingerprint
         assert trace_to_jsonl(first.tracer) == trace_to_jsonl(second.tracer)
         assert trace_to_chrome(first.tracer) == trace_to_chrome(
             second.tracer
         )
-        assert first.metrics.to_json() == second.metrics.to_json()
+        assert first.registry.to_json() == second.registry.to_json()
 
     def test_traced_run_passes_invariants(self):
         result = _run(seed=3)
         assert not result.violations
         assert result.tracer is not None
         assert len(result.tracer) > 0
-        assert result.metrics is not None
-        counters = result.metrics.counters
+        counters = result.registry.counters
         # Each scheduled fault is applied and later repaired; both go
         # through the injector, so applications >= scheduled faults.
         assert counters["faults.applied"] >= 2
 
     def test_untraced_run_has_no_telemetry(self):
-        result = ChaosHarness(
-            figure3_chaos_scenario, n_faults=1, sanitize=False
-        ).run(seed=1)
-        assert result.tracer is None
-        assert result.metrics is None
+        _, world = chaos_world(1, faults=1)
+        assert world.scenario.bgmp.tracer is NULL_TRACER
+        assert world.injector.tracer is NULL_TRACER
+        assert world.sanitizer.tracer is None
