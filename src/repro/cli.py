@@ -64,6 +64,7 @@ from repro.experiments.fig2 import (
     run_figure2,
 )
 from repro.experiments.fig4 import Figure4Config, run_figure4
+from repro.faults.soak import MAX_FAULTS
 from repro.serve.runner import TARGETS
 
 log = logging.getLogger("repro")
@@ -544,9 +545,11 @@ _COUNT = _number(int, 1)
 _NODES = _number(int, 3)
 _DAYS = _number(float, 1)
 #: The trace/serve size knobs that have a floor; the rest take their
-#: default's type.
+#: default's type. A segment draws at most one fault per candidate
+#: group.
 _KNOB_TYPES = {
-    "nodes": _NODES, "trials": _COUNT, "faults": _COUNT,
+    "nodes": _NODES, "trials": _COUNT,
+    "faults": _number(int, 1, MAX_FAULTS),
     "tops": _COUNT, "children": _COUNT, "days": _DAYS,
 }
 
@@ -626,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--segments", type=_COUNT, default=3)
         sp.add_argument("--segment-length",
                         type=_number(float, 0, strict=True), default=30.0)
-        sp.add_argument("--faults", type=_number(int, 0), default=2,
+        sp.add_argument("--faults", type=_number(int, 0, MAX_FAULTS),
+                        default=2,
                         help="faults drawn per segment")
         sp.add_argument("--dir", default="soak-out",
                         help="checkpoint/dump directory")

@@ -133,16 +133,16 @@ class FaultInjector:
             self._set_link(fault.a, fault.b, up=True)
         elif isinstance(fault, RouterCrash):
             self._require_bgmp().handle_router_crash(
-                self._router(fault.router)
+                self.router(fault.router)
             )
         elif isinstance(fault, RouterRestart):
             self._require_bgmp().handle_router_restart(
-                self._router(fault.router)
+                self.router(fault.router)
             )
         elif isinstance(fault, MascCrash):
-            self._masc_node(fault.node).crash()
+            self.masc_node(fault.node).crash()
         elif isinstance(fault, MascRestart):
-            self._masc_node(fault.node).restart()
+            self.masc_node(fault.node).restart()
         elif isinstance(fault, Partition):
             self._partition(fault.side_a, fault.side_b, cut=True)
         elif isinstance(fault, Heal):
@@ -208,13 +208,15 @@ class FaultInjector:
             )
         return self.overlay
 
-    def _router(self, name: str):
+    def router(self, name: str):
+        """The border router named ``name``."""
         try:
             return self._routers[name]
         except KeyError:
             raise KeyError(f"unknown router: {name}") from None
 
-    def _masc_node(self, name: str):
+    def masc_node(self, name: str):
+        """The MASC node named ``name``."""
         try:
             return self._masc_nodes[name]
         except KeyError:
@@ -223,15 +225,15 @@ class FaultInjector:
     def _set_link(self, a: str, b: str, up: bool) -> None:
         bgmp = self._require_bgmp()
         bgmp.bgp.set_session_state(
-            self._router(a), self._router(b), up=up
+            self.router(a), self.router(b), up=up
         )
 
     def _partition(self, side_a, side_b, cut: bool) -> None:
         overlay = self._require_overlay()
         for name_a in side_a:
             for name_b in side_b:
-                node_a = self._masc_node(name_a)
-                node_b = self._masc_node(name_b)
+                node_a = self.masc_node(name_a)
+                node_b = self.masc_node(name_b)
                 if cut:
                     overlay.cut(node_a, node_b)
                 else:

@@ -1,15 +1,15 @@
 """The fault-run harness: seeded chaos as checkpointed segments.
 
 Every fault run builds the Figure 3 + MASC world
-(:func:`~repro.faults.scenarios.figure3_chaos_scenario`), draws a
-random :class:`~repro.faults.plan.FaultPlan` per *segment* from one
-persistent random stream, lets a
-:class:`~repro.faults.injector.FaultInjector` apply and repair the
-faults on the simulator clock under an
-:class:`~repro.sanitizer.core.InvariantSanitizer`, and ends with one
-settle step (:meth:`SoakWorld.settle`): a last recovery pass, then the
-end checks the paper's protocols promise — trees rooted and converged,
-loop-free, every member reachable, sibling claims disjoint.
+(:meth:`SoakHarness.build_world`, a :class:`~repro.faults.world.World`
+with members in F and H and the MASC tree MP → M1/M2 on the same
+clock), draws a random :class:`~repro.faults.plan.FaultPlan` of
+:data:`FIGURE3_CANDIDATES` per *segment* from one persistent random
+stream, lets the world's injector apply and repair the faults on the
+simulator clock under its sanitizer, and ends with the world's settle
+step (:meth:`~repro.faults.world.World.settle`): a last recovery pass,
+then the end checks the paper's protocols promise — trees rooted and
+converged, loop-free, every member reachable, sibling claims disjoint.
 
 A *chaos* run (``repro trace chaos``, ``repro serve run chaos``) is a
 one-segment world with a recording sanitizer; a *soak* is a chain of
@@ -41,18 +41,31 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.checkpoint import core as ckpt
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.faults.scenarios import ChaosScenario, figure3_chaos_scenario
-from repro.sanitizer.core import (
-    InvariantSanitizer,
-    InvariantViolation,
-    check_loop_free_trees,
-    check_members_reachable,
-    check_no_overlapping_claims,
+from repro.faults.plan import FaultCandidate, FaultPlan
+from repro.faults.world import Probe, World
+from repro.sanitizer.core import InvariantViolation
+from repro.scenarios.fixtures import (
+    FIGURE3_GROUP,
+    figure3_bgmp_network,
+    small_masc_tree,
 )
+from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.trace.tracer import Tracer
+
+#: Survivable faults of the Figure 3 world: each link and router has
+#: a redundant path, and the MASC nodes recover through failover and
+#: restart.
+FIGURE3_CANDIDATES = (
+    FaultCandidate("link", "F1", group="F", peer="B2"),
+    FaultCandidate("router", "F2", group="F"),
+    FaultCandidate("link", "H2", group="H", peer="C2"),
+    FaultCandidate("router", "H1", group="H"),
+    FaultCandidate("masc", "M1", group="masc-M1"),
+    FaultCandidate("masc", "M2", group="masc-M2"),
+)
+
+#: The most faults one segment can draw: one per candidate group.
+MAX_FAULTS = len({candidate.group for candidate in FIGURE3_CANDIDATES})
 
 #: Stream name all segment fault schedules draw from. One persistent
 #: stream (checkpointed with the world) rather than a fresh
@@ -68,6 +81,10 @@ FAULT_STREAM = "faults"
 FAULT_START = 1.0
 FAULT_WINDOW = 5.0
 REPAIR_AFTER = 5.0
+
+#: A chaos run's one segment. The world's MASC setup runs its clock
+#: to 5.0, so a chaos run ends at 30.0.
+CHAOS_SEGMENT_LENGTH = 25.0
 
 #: Event name used by the CLI's --kill-at crash injection; resume
 #: cancels any pending event with this name so a restored world does
@@ -93,93 +110,43 @@ class SoakConfig:
 class SoakResult:
     """Outcome of a completed soak chain."""
 
-    seed: int
     segments: int
     fingerprint: Dict[str, object]
     recoveries: int
     faults: int
     log: List[Tuple[float, str]] = field(default_factory=list)
-    checkpoints: List[str] = field(default_factory=list)
-
-    @property
-    def forwarding_digest(self) -> str:
-        return str(self.fingerprint.get("forwarding_digest", ""))
 
     def __repr__(self) -> str:
         return (
-            f"SoakResult(seed={self.seed}, segments={self.segments}, "
-            f"faults={self.faults}, "
-            f"digest={self.forwarding_digest[:12]}…)"
+            f"SoakResult(segments={self.segments}, "
+            f"faults={self.faults}, recoveries={self.recoveries})"
         )
 
 
-class SoakWorld:
-    """The picklable unit of a fault run: scenario, injector,
-    sanitizer, random streams, config, and progress. Everything a
-    segment needs lives here, so ``checkpoint.capture(world)`` is the
-    whole story."""
+class SoakWorld(World):
+    """The picklable unit of a fault run: the world plus its random
+    streams, config and progress. Everything a segment needs lives
+    here, so ``checkpoint.capture(world)`` is the whole story."""
 
     def __init__(
-        self,
-        scenario: ChaosScenario,
-        injector: FaultInjector,
-        sanitizer: InvariantSanitizer,
-        streams: RandomStreams,
-        config: SoakConfig,
+        self, streams: RandomStreams, config: SoakConfig, **world
     ):
-        self.scenario = scenario
-        self.injector = injector
-        self.sanitizer = sanitizer
+        super().__init__(**world)
         self.streams = streams
         self.config = config
         #: Completed segments (the next segment to run is this index).
         self.segment = 0
         self.log: List[Tuple[float, str]] = []
 
-    @property
-    def sim(self):
-        return self.scenario.sim
-
-    def settle(self) -> None:
-        """The one settle step every fault run ends with: a last
-        recovery pass (late repairs, e.g. a restart near the end,
-        still deserve theirs), then the end checks in order —
-        converged trees, loop-free trees, members reachable, sibling
-        claims disjoint — each reported through the sanitizer (so a
-        raising sanitizer raises, a recording one records)."""
-        scenario, sanitizer = self.scenario, self.sanitizer
-        self.injector.recover()
-        sanitizer.check_converged()
-        sanitizer.report(
-            "loop-free-trees",
-            check_loop_free_trees(scenario.bgmp, scenario.group),
-        )
-        sanitizer.report("members-reachable", check_members_reachable(
-            scenario.bgmp, scenario.group, scenario.source,
-            scenario.member_domains,
-        ))
-        sanitizer.report(
-            "claim-disjointness",
-            check_no_overlapping_claims(scenario.masc_siblings),
-        )
-
-    def claim_tables(self) -> Dict[str, List[str]]:
-        """Every MASC node's claimed prefixes, by node name."""
-        return {
-            node.name: [str(p) for p in node.claimed.prefixes()]
-            for node in self.scenario.masc_nodes
-        }
-
     def fingerprint(self) -> Dict[str, object]:
         """The determinism fingerprint the acceptance contract
         compares: byte-identical across checkpointed, resumed, and
         uninterrupted executions of the same seed."""
-        bgmp = self.scenario.bgmp
         return {
             "time": self.sim.now,
             "events": self.sim.processed,
-            "forwarding_digest": bgmp.forwarding_digest(),
-            "rib_digest": bgmp.bgp.rib_digest(),
+            "forwarding_digest": self.bgmp.forwarding_digest(),
+            "rib_digest": self.bgmp.bgp.rib_digest(),
             "claim_tables": self.claim_tables(),
             "event_trace": [
                 entry.render() for entry in self.sanitizer.trace()
@@ -187,20 +154,6 @@ class SoakWorld:
             "faults": self.injector.faults_applied,
             "recoveries": len(self.injector.recoveries),
         }
-
-
-def wire_tracer(world: SoakWorld) -> Tracer:
-    """Give ``world`` a live tracer in every layer it runs (a world
-    is built, and checkpointed, untraced)."""
-    tracer = Tracer().bind_clock(world.sim)
-    scenario = world.scenario
-    scenario.bgmp.tracer = tracer
-    scenario.bgmp.bgp.tracer = tracer
-    for node in scenario.masc_nodes:
-        node.tracer = tracer
-    world.injector.tracer = tracer
-    world.sanitizer.tracer = tracer
-    return tracer
 
 
 class SoakHarness:
@@ -225,22 +178,22 @@ class SoakHarness:
 
     def build_world(self) -> SoakWorld:
         """A pristine world for this harness's config, under a
-        raising sanitizer."""
-        scenario = figure3_chaos_scenario()
-        injector = FaultInjector(
-            scenario.sim,
-            bgmp=scenario.bgmp,
-            masc_overlay=scenario.masc_overlay,
-            masc_nodes=scenario.masc_nodes,
+        raising sanitizer: the Figure 3 internetwork with members in
+        F and H, probed from E, and a MASC tree (parent MP, siblings
+        M1/M2) on the same clock. Every candidate fault is survivable
+        by design."""
+        sim = Simulator()
+        network = figure3_bgmp_network(members=("F", "H"))
+        overlay, parent, siblings = small_masc_tree(sim)
+        domain = network.topology.domain
+        return SoakWorld(
+            RandomStreams(self.config.seed), self.config,
+            sim=sim, bgmp=network, overlay=overlay,
+            masc_nodes=[parent] + siblings, masc_siblings=[siblings],
+            groups=(FIGURE3_GROUP,),
+            probe=Probe(FIGURE3_GROUP, domain("E").host("s"),
+                        (domain("F"), domain("H"))),
         )
-        sanitizer = InvariantSanitizer(
-            bgmp=scenario.bgmp,
-            groups=(scenario.group,),
-            masc_siblings=scenario.masc_siblings,
-            raise_on_violation=True,
-        ).attach(scenario.sim)
-        streams = RandomStreams(self.config.seed)
-        return SoakWorld(scenario, injector, sanitizer, streams, self.config)
 
     def run(self, kill_at: Optional[float] = None) -> SoakResult:
         """The full chain from a fresh world (writing a boundary
@@ -315,7 +268,7 @@ class SoakHarness:
             rng = world.streams.stream(FAULT_STREAM)
             plan = FaultPlan.random_schedule(
                 rng,
-                world.scenario.candidates,
+                FIGURE3_CANDIDATES,
                 n_faults=config.faults_per_segment,
                 start=start + FAULT_START,
                 window=FAULT_WINDOW,
@@ -326,17 +279,7 @@ class SoakHarness:
                 (start, f"segment {world.segment}: scheduled {scheduled} "
                  f"fault/recovery events")
             )
-        if self.out_dir is not None:
-            world.sanitizer.configure_dump(
-                self.out_dir,
-                checkpoint_path=self._boundary_path(world),
-                context={
-                    "seed": config.seed,
-                    "segment": world.segment,
-                    "phase": "segment",
-                },
-                replay_horizon=end,
-            )
+        self._arm_dump(world, "segment", end)
         world.sim.run(until=end)
         world.segment += 1
         world.log.append((world.sim.now, f"segment {world.segment} done"))
@@ -344,29 +287,31 @@ class SoakHarness:
 
     def _finish(self, world: SoakWorld) -> SoakResult:
         """Settle, run the end checks, and fingerprint."""
-        if self.out_dir is not None:
-            world.sanitizer.configure_dump(
-                self.out_dir,
-                checkpoint_path=self._boundary_path(world),
-                context={
-                    "seed": world.config.seed,
-                    "segment": world.segment,
-                    "phase": "settle",
-                },
-                replay_horizon=world.sim.now,
-            )
+        self._arm_dump(world, "settle", world.sim.now)
         world.settle()
         fingerprint = world.fingerprint()
         world.log.append((world.sim.now, "soak complete"))
         return SoakResult(
-            seed=world.config.seed,
             segments=world.segment,
             fingerprint=fingerprint,
             recoveries=len(world.injector.recoveries),
             faults=world.injector.faults_applied,
             log=list(world.log),
-            checkpoints=self.checkpoint_paths(),
         )
+
+    def _arm_dump(
+        self, world: SoakWorld, phase: str, horizon: float
+    ) -> None:
+        """Point the violation dump at the boundary checkpoint the
+        ``phase`` started from (when the harness writes files)."""
+        if self.out_dir is not None:
+            world.sanitizer.configure_dump(
+                self.out_dir,
+                checkpoint_path=self._boundary_path(world),
+                context={"seed": world.config.seed,
+                         "segment": world.segment, "phase": phase},
+                replay_horizon=horizon,
+            )
 
     # ------------------------------------------------------------------
     # Checkpoint files

@@ -394,6 +394,10 @@ class InvariantSanitizer:
             check_no_overlapping_claims(self.masc_siblings),
         )
         self.report("grib-coverage", self._check_grib_coverage())
+        self.check_loop_free()
+
+    def check_loop_free(self) -> None:
+        """Report every upstream loop in the checked groups' trees."""
         if self.bgmp is not None:
             self.report("loop-free-trees", [
                 detail

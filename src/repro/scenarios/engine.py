@@ -1,15 +1,16 @@
 """Scenario execution: run a validated spec on the simulator.
 
-The engine materializes the declared world (topology → BGMP network →
-MASC overlay), schedules every step on the simulator clock in file
-order, and runs to the horizon with the invariant sanitizer attached.
-Mutation steps that perturb routing go through the
-:class:`~repro.faults.injector.FaultInjector` — the same mutation
-layer every fault run uses — so each fault gets the injector's
-automatic recovery pass; assertions execute as simulator events at
-their declared times and record failures (anchored at the scenario
-file line) instead of raising, so one run reports every broken
-expectation.
+The engine builds the declared :class:`~repro.faults.world.World`
+(topology → BGMP network → MASC overlay, with the fault injector and
+a recording sanitizer — the world every fault run uses too), schedules
+every step on the simulator clock in file order, runs to the horizon
+and ends with the world's settle step. Mutation steps that perturb
+routing go through the world's
+:class:`~repro.faults.injector.FaultInjector`, so each fault gets the
+injector's automatic recovery pass; assertions execute as simulator
+events at their declared times and record failures (anchored at the
+scenario file line) instead of raising, so one run reports every
+broken expectation.
 
 Each run ends with a canonical state snapshot — root domain, member
 sets, per-router tree shape, MASC claim tables, delivery records —
@@ -23,12 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork, _default_migp_selector
 from repro.bgmp.targets import MigpTarget, PeerTarget
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
     Heal,
@@ -40,12 +40,10 @@ from repro.faults.plan import (
     RouterCrash,
     RouterRestart,
 )
+from repro.faults.world import World
 from repro.masc.config import MascConfig
 from repro.masc.node import MascNode, MascOverlay
-from repro.sanitizer.core import (
-    InvariantSanitizer,
-    check_no_overlapping_claims,
-)
+from repro.sanitizer.core import check_no_overlapping_claims
 from repro.sim.engine import Simulator
 from repro.sim.heap import collector_scope
 from repro.sim.randomness import RandomStreams
@@ -99,17 +97,74 @@ class ScenarioOutcome:
         return f"ScenarioOutcome({self.name}, {status})"
 
 
+def build_world(spec: ScenarioSpec) -> World:
+    """The world ``spec`` declares: its topology with BGP and BGMP
+    (group ranges originated, converged), then its MASC nodes, under
+    a recording sanitizer checking every declared group."""
+    sim = Simulator()
+    bgmp = overlay = None
+    if spec.topology is not None:
+        topology = build_topology(spec.topology)
+        overrides = {
+            d.name: d.migp for d in spec.topology.domains if d.migp
+        }
+        default_kind = spec.topology.migp
+
+        def migp_selector(domain) -> str:
+            kind = overrides.get(domain.name, default_kind)
+            return kind or _default_migp_selector(domain)
+
+        bgmp = BgmpNetwork(topology, migp_selector=migp_selector)
+        originated = set()
+        for group in spec.groups:
+            key = (group.root, group.range_text)
+            if key in originated:
+                continue
+            originated.add(key)
+            bgmp.originate_group_range(
+                topology.domain(group.root),
+                Prefix.parse(group.range_text),
+            )
+        if spec.groups:
+            bgmp.converge()
+    nodes: Dict[str, MascNode] = {}
+    siblings: List[List[MascNode]] = []
+    if spec.masc is not None:
+        overlay = MascOverlay(sim, delay=spec.masc.delay)
+        config = MascConfig(
+            claim_policy="first",
+            waiting_period=spec.masc.waiting_period,
+            reannounce_interval=None,
+        )
+        streams = RandomStreams(spec.seed)
+        for index, node_spec in enumerate(spec.masc.nodes):
+            nodes[node_spec.name] = MascNode(
+                index, node_spec.name, overlay, config=config,
+                rng=streams.stream(f"masc-{node_spec.name}"),
+            )
+        for node_spec in spec.masc.nodes:
+            if node_spec.parent:
+                nodes[node_spec.name].set_parent(nodes[node_spec.parent])
+        siblings = [
+            [nodes[name] for name in group]
+            for group in spec.masc.siblings()
+        ]
+    return World(
+        sim, bgmp, overlay, nodes.values(), siblings,
+        groups=tuple(g.address for g in spec.groups),
+        recovery_delay=spec.recovery_delay,
+        check_every=spec.check_every,
+        raise_on_violation=False,
+    )
+
+
 class ScenarioRunner:
-    """Executes one :class:`ScenarioSpec` on a fresh world."""
+    """Executes one :class:`ScenarioSpec` on a fresh :class:`World`;
+    the runner itself holds only the run's own state."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self.sim = Simulator()
-        self.topology = None
-        self.bgmp: Optional[BgmpNetwork] = None
-        self.overlay: Optional[MascOverlay] = None
-        self.masc_nodes: Dict[str, MascNode] = {}
-        self._routers: Dict[str, object] = {}
+        self.world = build_world(spec)
         self._failures: List[str] = []
         self._digests: Dict[str, str] = {}
         self._sends: List[Dict[str, object]] = []
@@ -117,76 +172,6 @@ class ScenarioRunner:
         self._members: Dict[str, List[str]] = {
             g.address_text: [] for g in spec.groups
         }
-        self._injector: Optional[FaultInjector] = None
-        self._sanitizer: Optional[InvariantSanitizer] = None
-
-    # ------------------------------------------------------------------
-    # World construction
-
-    def _build_world(self) -> None:
-        spec = self.spec
-        if spec.topology is not None:
-            self.topology = build_topology(spec.topology)
-            for router in self.topology.routers():
-                self._routers[router.name] = router
-            overrides = {
-                d.name: d.migp for d in spec.topology.domains if d.migp
-            }
-            default_kind = spec.topology.migp
-
-            def migp_selector(domain) -> str:
-                kind = overrides.get(domain.name, default_kind)
-                return kind or _default_migp_selector(domain)
-
-            self.bgmp = BgmpNetwork(
-                self.topology, migp_selector=migp_selector
-            )
-            originated = set()
-            for group in spec.groups:
-                key = (group.root, group.range_text)
-                if key in originated:
-                    continue
-                originated.add(key)
-                self.bgmp.originate_group_range(
-                    self.topology.domain(group.root),
-                    Prefix.parse(group.range_text),
-                )
-            if spec.groups:
-                self.bgmp.converge()
-        if spec.masc is not None:
-            self.overlay = MascOverlay(self.sim, delay=spec.masc.delay)
-            config = MascConfig(
-                claim_policy="first",
-                waiting_period=spec.masc.waiting_period,
-                reannounce_interval=None,
-            )
-            streams = RandomStreams(spec.seed)
-            for index, node_spec in enumerate(spec.masc.nodes):
-                node = MascNode(
-                    index, node_spec.name, self.overlay, config=config,
-                    rng=streams.stream(f"masc-{node_spec.name}"),
-                )
-                self.masc_nodes[node_spec.name] = node
-            for node_spec in spec.masc.nodes:
-                if node_spec.parent:
-                    self.masc_nodes[node_spec.name].set_parent(
-                        self.masc_nodes[node_spec.parent]
-                    )
-        self._injector = FaultInjector(
-            self.sim,
-            bgmp=self.bgmp,
-            masc_overlay=self.overlay,
-            masc_nodes=tuple(self.masc_nodes.values()),
-            recovery_delay=spec.recovery_delay,
-        )
-
-    def _sibling_nodes(self) -> List[List[MascNode]]:
-        if self.spec.masc is None:
-            return []
-        return [
-            [self.masc_nodes[name] for name in group]
-            for group in self.spec.masc.siblings()
-        ]
 
     # ------------------------------------------------------------------
     # Step scheduling
@@ -212,11 +197,11 @@ class ScenarioRunner:
         for step in self.spec.steps:
             make_fault = self._FAULTS.get(step.verb)
             if make_fault is not None and not step.is_assert:
-                self._injector.schedule(
+                self.world.injector.schedule(
                     FaultPlan([make_fault(step.at, step.args)])
                 )
             else:
-                self.sim.schedule_at(
+                self.world.sim.schedule_at(
                     step.at, self._exec_step, step,
                     name=f"scenario:{step.describe()}",
                 )
@@ -236,12 +221,12 @@ class ScenarioRunner:
 
     def _host(self, ref: str):
         domain_name, _, host_name = ref.partition(":")
-        return self.topology.domain(domain_name).host(host_name)
+        return self.world.topology.domain(domain_name).host(host_name)
 
     def _step_join(self, step: Step) -> None:
         group = self.spec.group(step.args["group"])
         host = self._host(step.args["host"])
-        joined = self.bgmp.join(host, group.address)
+        joined = self.world.bgmp.join(host, group.address)
         if joined:
             members = self._members[group.address_text]
             if host.domain.name not in members:
@@ -253,19 +238,19 @@ class ScenarioRunner:
     def _step_leave(self, step: Step) -> None:
         group = self.spec.group(step.args["group"])
         host = self._host(step.args["host"])
-        self.bgmp.leave(host, group.address)
+        self.world.bgmp.leave(host, group.address)
         members = self._members[group.address_text]
         if host.domain.name in members:
             members.remove(host.domain.name)
 
     def _step_send(self, step: Step) -> None:
         group = self.spec.group(step.args["group"])
-        report = self.bgmp.send(
+        report = self.world.bgmp.send(
             self._host(step.args["from"]), group.address
         )
         reached = sorted(
             domain.name
-            for domain in self.topology.domains
+            for domain in self.world.topology.domains
             if report.reached(domain)
         )
         self._sends.append(
@@ -286,7 +271,7 @@ class ScenarioRunner:
                 self._fail(step, f"unexpected delivery to {name}")
 
     def _step_claim(self, step: Step) -> None:
-        node = self.masc_nodes[step.args["node"]]
+        node = self.world.injector.masc_node(step.args["node"])
         prefix = node.start_claim(int(step.args["bits"]))
         if prefix is None and step.args.get("must_select", True):
             self._fail(
@@ -299,45 +284,45 @@ class ScenarioRunner:
         source = step.args.get("from", "")
         if source:
             for router in sorted(
-                self.topology.domain(source).routers.values(),
+                self.world.topology.domain(source).routers.values(),
                 key=lambda r: r.name,
             ):
-                self.bgmp.bgp.withdraw(router, prefix)
-        self.bgmp.originate_group_range(
-            self.topology.domain(step.args["to"]), prefix
+                self.world.bgmp.bgp.withdraw(router, prefix)
+        self.world.bgmp.originate_group_range(
+            self.world.topology.domain(step.args["to"]), prefix
         )
-        self.bgmp.converge()
-        self.bgmp.refresh_trees()
+        self.world.bgmp.converge()
+        self.world.bgmp.refresh_trees()
 
     def _step_recover(self, step: Step) -> None:
-        if self.bgmp is not None:
-            self._injector.recover()
+        if self.world.bgmp is not None:
+            self.world.injector.recover()
 
     def _step_record_digest(self, step: Step) -> None:
         self._digests[step.args["label"]] = (
-            self.bgmp.forwarding_digest()
+            self.world.bgmp.forwarding_digest()
         )
 
     # ---- assertions --------------------------------------------------
 
     def _entry(self, step: Step):
         group = self.spec.group(step.args["group"])
-        router = self._routers[step.args["router"]]
-        return self.bgmp.router_of(router).table.get(group.address)
+        router = self.world.injector.router(step.args["router"])
+        return self.world.bgmp.router_of(router).table.get(group.address)
 
     def _step_members_reachable(self, step: Step) -> None:
         group = self.spec.group(step.args["group"])
-        report = self.bgmp.send(
+        report = self.world.bgmp.send(
             self._host(step.args["source"]), group.address
         )
         expected = step.args.get(
             "members", list(self._members[group.address_text])
         )
         for name in expected:
-            if not report.reached(self.topology.domain(name)):
+            if not report.reached(self.world.topology.domain(name)):
                 self._fail(step, f"member domain {name} unreached")
         for name in step.args.get("absent", ()):
-            if report.reached(self.topology.domain(name)):
+            if report.reached(self.world.topology.domain(name)):
                 self._fail(
                     step, f"non-member domain {name} got the packet"
                 )
@@ -348,7 +333,7 @@ class ScenarioRunner:
 
     def _step_root_domain(self, step: Step) -> None:
         group = self.spec.group(step.args["group"])
-        root = self.bgmp.root_domain_of(group.address)
+        root = self.world.bgmp.root_domain_of(group.address)
         actual = root.name if root is not None else "none"
         if actual != step.args["domain"]:
             self._fail(
@@ -414,7 +399,7 @@ class ScenarioRunner:
 
     def _step_digest(self, step: Step) -> None:
         recorded = self._digests[step.args["same_as"]]
-        current = self.bgmp.forwarding_digest()
+        current = self.world.bgmp.forwarding_digest()
         if step.args.get("equal", True):
             if current != recorded:
                 self._fail(
@@ -431,12 +416,12 @@ class ScenarioRunner:
 
     def _step_claims_disjoint(self, step: Step) -> None:
         for violation in check_no_overlapping_claims(
-            self._sibling_nodes()
+            self.world.masc_siblings
         ):
             self._fail(step, violation)
 
     def _step_claim_count(self, step: Step) -> None:
-        node = self.masc_nodes[step.args["node"]]
+        node = self.world.injector.masc_node(step.args["node"])
         count = len(node.claimed.prefixes())
         if "equals" in step.args:
             if count != step.args["equals"]:
@@ -458,31 +443,14 @@ class ScenarioRunner:
     # Run
 
     def run(self) -> ScenarioOutcome:
-        spec = self.spec
-        self._build_world()
+        spec, world = self.spec, self.world
         self._schedule_steps()
-        self._sanitizer = InvariantSanitizer(
-            bgmp=self.bgmp,
-            groups=tuple(g.address for g in spec.groups),
-            masc_siblings=self._sibling_nodes(),
-            check_every=spec.check_every,
-            raise_on_violation=False,
-        ).attach(self.sim)
         try:
-            self.sim.run(until=spec.horizon)
+            world.sim.run(until=spec.horizon)
+            world.settle()
         finally:
-            self._sanitizer.detach()
-        violations = list(self._sanitizer.violations)
-        if self.bgmp is not None:
-            # Settling pass: late faults still get their recovery, and
-            # quiescence invariants are checked on the settled world.
-            self._injector.recover()
-            self._sanitizer.violations.clear()
-            violations.extend(self._sanitizer.check_converged())
-        if spec.masc is not None:
-            violations.extend(
-                check_no_overlapping_claims(self._sibling_nodes())
-            )
+            world.sanitizer.detach()
+        violations = list(world.sanitizer.violations)
         snapshot = self._snapshot(violations)
         return ScenarioOutcome(
             name=spec.name,
@@ -491,21 +459,20 @@ class ScenarioRunner:
             snapshot=snapshot,
             failures=list(self._failures),
             violations=violations,
-            events=self.sim.processed,
+            events=world.sim.processed,
         )
 
     # ------------------------------------------------------------------
     # Snapshot
 
     def _snapshot(self, violations: List[str]) -> Dict[str, object]:
+        bgmp = self.world.bgmp
         groups: Dict[str, object] = {}
         for group in self.spec.groups:
-            root = self.bgmp.root_domain_of(group.address)
+            root = bgmp.root_domain_of(group.address)
             tree: Dict[str, object] = {}
-            for router in self.bgmp.tree_routers(group.address):
-                entry = self.bgmp.router_of(router).table.get(
-                    group.address
-                )
+            for router in bgmp.tree_routers(group.address):
+                entry = bgmp.router_of(router).table.get(group.address)
                 if entry is None:
                     continue
                 tree[router.name] = {
@@ -519,23 +486,20 @@ class ScenarioRunner:
                 "members": list(self._members[group.address_text]),
                 "tree": tree,
             }
-        claims = {
-            name: sorted(
-                str(p) for p in node.claimed.prefixes()
-            )
-            for name, node in sorted(self.masc_nodes.items())
-        }
         return {
             "scenario": self.spec.name,
             "seed": self.spec.seed,
-            "events": self.sim.processed,
+            "events": self.world.sim.processed,
             "forwarding_digest": (
-                self.bgmp.forwarding_digest()
-                if self.bgmp is not None
-                else ""
+                bgmp.forwarding_digest() if bgmp is not None else ""
             ),
             "groups": groups,
-            "claims": claims,
+            "claims": {
+                name: sorted(prefixes)
+                for name, prefixes in sorted(
+                    self.world.claim_tables().items()
+                )
+            },
             "sends": list(self._sends),
             "digest_labels": dict(sorted(self._digests.items())),
             "failures": list(self._failures),

@@ -1,12 +1,13 @@
 """Shared scenario fixtures: the reference worlds tests build.
 
 These builders centralize the setup previously copy-pasted across
-``tests/bgmp/``, ``tests/faults/``, and ``repro.faults.scenarios``:
-the paper's Figure 3 internetwork with A originating the 224.0/16
-group range, and the small MASC claim tree (parent MP, siblings
-M1/M2) that shares a simulator clock with it. The scenario engine's
-TOML loader reaches the same worlds through ``builder = "figure3"``
-plus ``[[group]]`` / ``[masc]`` declarations.
+``tests/bgmp/`` and ``tests/faults/``: the paper's Figure 3
+internetwork with A originating the 224.0/16 group range, and the
+small MASC claim tree (parent MP, siblings M1/M2) that shares a
+simulator clock with it. The fault runs' world
+(:meth:`repro.faults.soak.SoakHarness.build_world`) is both; the
+scenario engine's TOML loader reaches the same worlds through
+``builder = "figure3"`` plus ``[[group]]`` / ``[masc]`` declarations.
 
 Construction order is part of the contract: the chaos determinism
 suite fingerprints runs built through these helpers, so reordering

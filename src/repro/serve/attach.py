@@ -19,10 +19,10 @@ approximation of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.faults.soak import SoakHarness, SoakWorld, wire_tracer
+from repro.faults.soak import SoakHarness, SoakWorld
 from repro.trace.profiler import EventLoopProfiler
 from repro.trace.tracer import Tracer
 
@@ -37,20 +37,18 @@ class AttachOptions:
     soak_dir: str
     checkpoint: Optional[str] = None   # explicit .ckpt path
     segments: Optional[int] = None     # None = run the chain out
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 def load_attached_world(options: AttachOptions) -> SoakWorld:
     """Restore a private world copy from the latest (or named)
     boundary checkpoint, disarmed and in non-raising mode."""
-    world, path = SoakHarness(out_dir=options.soak_dir).restore_world(
+    world, _ = SoakHarness(out_dir=options.soak_dir).restore_world(
         options.checkpoint
     )
     # The soaking process owns raising and dumping; the attached copy
     # only reports.
     world.sanitizer.raise_on_violation = False
     world.sanitizer.configure_dump(None)
-    options.extra["checkpoint"] = path
     return world
 
 
@@ -70,7 +68,7 @@ def attach_serve(
     tracer: Optional[Tracer] = None
     profiler: Optional[EventLoopProfiler] = None
     if on_sources is not None:
-        tracer = wire_tracer(world)
+        tracer = world.trace()
         profiler = EventLoopProfiler().attach(world.sim)
         on_sources(ServeSources.from_world(
             world, "soak-attach", world.config.seed,

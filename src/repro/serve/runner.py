@@ -122,17 +122,19 @@ def _run_chaos(
     seed: int, profiler: EventLoopProfiler, on_sources: OnSources,
     faults: int,
 ) -> RunOutcome:
-    from repro.faults.soak import SoakConfig, SoakHarness, wire_tracer
+    from repro.faults.soak import (
+        CHAOS_SEGMENT_LENGTH,
+        SoakConfig,
+        SoakHarness,
+    )
 
-    # One segment of a soak world: the world's MASC setup runs its
-    # clock to 5.0, so the segment ends at 30.0.
     harness = SoakHarness(SoakConfig(
-        seed=seed, segments=1, segment_length=25.0,
+        seed=seed, segments=1, segment_length=CHAOS_SEGMENT_LENGTH,
         faults_per_segment=faults,
     ))
     world = harness.build_world()
     world.sanitizer.raise_on_violation = False
-    tracer = wire_tracer(world)
+    tracer = world.trace()
     profiler.attach(world.sim)
     sources = ServeSources.from_world(
         world, "chaos", seed, tracer=tracer, profiler=profiler
@@ -147,7 +149,7 @@ def _run_chaos(
         "events": world.sim.processed,
         "schedule": plan.describe(),
         "claim_tables": world.claim_tables(),
-        "forwarding_digest": world.scenario.bgmp.forwarding_digest(),
+        "forwarding_digest": world.bgmp.forwarding_digest(),
     }
     return RunOutcome(
         fingerprint, list(world.sanitizer.violations), tracer, profiler,

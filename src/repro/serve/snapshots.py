@@ -51,21 +51,22 @@ class ServeSources:
         cls, world, target: str, seed: int, tracer=NULL_TRACER,
         profiler=None,
     ) -> "ServeSources":
-        """Sources for a :class:`~repro.faults.soak.SoakWorld` — a
-        chaos run's, or a soak world restored for ``serve attach``."""
-        scenario = world.scenario
+        """Sources for a :class:`~repro.faults.world.World` — a
+        chaos run's, a soak world restored for ``serve attach``, or a
+        scenario's."""
+        bgmp = world.bgmp
         return cls(
-            sim=scenario.sim,
+            sim=world.sim,
             target=target,
             seed=seed,
             tracer=tracer,
             profiler=profiler,
             sanitizer=world.sanitizer,
             injector=world.injector,
-            bgmp=scenario.bgmp,
-            bgp=scenario.bgmp.bgp,
-            overlay=scenario.masc_overlay,
-            masc_nodes=tuple(scenario.masc_nodes),
+            bgmp=bgmp,
+            bgp=bgmp.bgp if bgmp is not None else None,
+            overlay=world.overlay,
+            masc_nodes=world.masc_nodes,
         )
 
     def registry_snapshot(self):

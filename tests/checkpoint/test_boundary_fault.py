@@ -9,7 +9,7 @@ import json
 from repro.faults.plan import FaultPlan, RouterCrash, RouterRestart
 from repro.faults.soak import SoakConfig, SoakHarness
 
-#: figure3_chaos_scenario hands over its world at t=5; with 15-long
+#: SoakHarness.build_world hands over its world at t=5; with 15-long
 #: segments the boundaries sit at t=20 (after segment 0) and t=35.
 CONFIG = SoakConfig(seed=5, segments=2, segment_length=15.0,
                     faults_per_segment=0)
@@ -64,7 +64,7 @@ class TestFaultOnCheckpointBoundary:
         harness = SoakHarness(config=CONFIG, out_dir=str(tmp_path))
         first = harness.run_world(_armed_world(harness))
         assert _canon(first.fingerprint) == control
-        for path in first.checkpoints:
+        for path in harness.checkpoint_paths():
             resumed = SoakHarness(
                 config=CONFIG, out_dir=str(tmp_path)
             ).resume(path)

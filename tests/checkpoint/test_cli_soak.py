@@ -107,7 +107,7 @@ class TestSoakCliReplay:
         world = harness.build_world()
         world.sim.schedule_at(
             world.sim.now + 3.0,
-            TreeLoopCorruption(world.scenario.bgmp, world.scenario.group),
+            TreeLoopCorruption(world.bgmp, world.probe.group),
             name="deliberate-corruption",
         )
         harness._save_boundary(world)

@@ -8,10 +8,18 @@ import json
 from repro.checkpoint import core as ckpt
 from repro.experiments.runner import parallel_map
 from repro.faults.plan import FaultPlan
-from repro.faults.soak import FAULT_STREAM, SoakConfig, SoakHarness
+from repro.faults.soak import (
+    FAULT_START,
+    FAULT_STREAM,
+    FAULT_WINDOW,
+    FIGURE3_CANDIDATES,
+    REPAIR_AFTER,
+    SoakConfig,
+    SoakHarness,
+)
 
 SEEDS = (0, 1, 2)
-#: figure3_chaos_scenario hands over the world with its clock here.
+#: SoakHarness.build_world hands over the world with its clock here.
 SETUP_TIME = 5.0
 SEGMENT_LENGTH = 30.0
 END = SETUP_TIME + SEGMENT_LENGTH
@@ -29,11 +37,11 @@ def _armed_world(seed):
     assert world.sim.now == SETUP_TIME
     plan = FaultPlan.random_schedule(
         world.streams.stream(FAULT_STREAM),
-        world.scenario.candidates,
+        FIGURE3_CANDIDATES,
         n_faults=world.config.faults_per_segment,
-        start=world.sim.now + 1.0,
-        window=5.0,
-        repair_after=5.0,
+        start=world.sim.now + FAULT_START,
+        window=FAULT_WINDOW,
+        repair_after=REPAIR_AFTER,
     )
     world.injector.schedule(plan)
     return world

@@ -36,9 +36,10 @@ def control():
 
 class TestSoakIdentity:
     def test_checkpointing_run_matches_control(self, control, tmp_path):
-        result = SoakHarness(config=CONFIG, out_dir=str(tmp_path)).run()
+        harness = SoakHarness(config=CONFIG, out_dir=str(tmp_path))
+        result = harness.run()
         assert _canon(result.fingerprint) == _canon(control.fingerprint)
-        names = [p.rsplit("/", 1)[-1] for p in result.checkpoints]
+        names = [p.rsplit("/", 1)[-1] for p in harness.checkpoint_paths()]
         assert names == [
             f"soak-seed{CONFIG.seed}-seg{n}.ckpt"
             for n in range(CONFIG.segments + 1)
@@ -65,8 +66,9 @@ class TestSoakIdentity:
     def test_resume_from_every_boundary_matches_control(
         self, control, tmp_path
     ):
-        first = SoakHarness(config=CONFIG, out_dir=str(tmp_path)).run()
-        for path in first.checkpoints:
+        harness = SoakHarness(config=CONFIG, out_dir=str(tmp_path))
+        harness.run()
+        for path in harness.checkpoint_paths():
             resumed = SoakHarness(
                 config=CONFIG, out_dir=str(tmp_path)
             ).resume(path)
@@ -132,7 +134,7 @@ class TestViolationDumps:
         world = harness.build_world()
         world.sim.schedule_at(
             world.sim.now + 3.0,
-            TreeLoopCorruption(world.scenario.bgmp, world.scenario.group),
+            TreeLoopCorruption(world.bgmp, world.probe.group),
             name="deliberate-corruption",
         )
         harness._save_boundary(world)

@@ -5,11 +5,12 @@ rather than raising, settled."""
 from typing import Dict, Tuple
 
 from repro.faults.plan import FaultPlan
-from repro.faults.soak import SoakConfig, SoakHarness, SoakWorld
-
-#: The world's MASC setup runs its clock to 5.0, so the segment ends
-#: at 30.0.
-SEGMENT_LENGTH = 25.0
+from repro.faults.soak import (
+    CHAOS_SEGMENT_LENGTH,
+    SoakConfig,
+    SoakHarness,
+    SoakWorld,
+)
 
 
 def chaos_world(
@@ -17,7 +18,7 @@ def chaos_world(
 ) -> Tuple[FaultPlan, SoakWorld]:
     """The plan drawn and the settled world of one chaos run."""
     harness = SoakHarness(SoakConfig(
-        seed=seed, segments=1, segment_length=SEGMENT_LENGTH,
+        seed=seed, segments=1, segment_length=CHAOS_SEGMENT_LENGTH,
         faults_per_segment=faults,
     ))
     world = harness.build_world()

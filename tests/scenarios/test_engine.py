@@ -7,11 +7,20 @@ from repro.scenarios.fixtures import (
     figure3_bgmp_network,
     small_masc_tree,
 )
-from repro.scenarios.engine import fingerprint, render_target, run_scenario
-from repro.scenarios.loader import parse_scenario
-from repro.scenarios.engine import normalize_target
+from repro.scenarios.engine import (
+    ScenarioRunner,
+    fingerprint,
+    normalize_target,
+    render_target,
+    run_scenario,
+)
+from repro.scenarios.loader import load_scenario, parse_scenario
 from repro.sanitizer.core import check_no_overlapping_claims
+from repro.serve.snapshots import ServeSources
 from repro.sim.engine import Simulator
+from repro.trace.tracer import NULL_TRACER
+
+SCENARIO_DIR = Path(__file__).resolve().parents[2] / "scenarios"
 
 
 def run_text(text, path="inline.toml"):
@@ -161,3 +170,39 @@ class TestFixtures:
             ]
 
         assert build() == build()
+
+
+class TestTracedWorld:
+    def test_tracing_leaves_the_outcome_unchanged(self):
+        spec = load_scenario(SCENARIO_DIR / "uplink_f_shut_noshut.toml")
+        traced = ScenarioRunner(spec)
+        tracer = traced.world.trace()
+        traced_outcome = traced.run()
+        plain = ScenarioRunner(spec)
+        plain_outcome = plain.run()
+        assert traced_outcome.ok and plain_outcome.ok
+        assert traced_outcome.fingerprint == plain_outcome.fingerprint
+        assert traced_outcome.snapshot == plain_outcome.snapshot
+        # The traced world recorded the run; the plain one has no
+        # tracer in any layer.
+        assert len(tracer) > 0
+        assert traced.world.bgmp.bgp.tracer is tracer
+        world = plain.world
+        assert world.bgmp.tracer is NULL_TRACER
+        assert world.bgmp.bgp.tracer is NULL_TRACER
+        assert world.injector.tracer is NULL_TRACER
+        assert world.sanitizer.tracer is None
+
+    def test_a_masc_only_world_traces_and_serves(self):
+        spec = load_scenario(SCENARIO_DIR / "masc_basic_tree.toml")
+        traced = ScenarioRunner(spec)
+        tracer = traced.world.trace()
+        sources = ServeSources.from_world(
+            traced.world, "scenario", spec.seed, tracer=tracer
+        )
+        assert traced.run().fingerprint == run_scenario(spec).fingerprint
+        assert traced.world.bgmp is None and sources.bgp is None
+        assert all(
+            node.tracer is tracer for node in traced.world.masc_nodes
+        )
+        assert sources.registry_snapshot().counters

@@ -14,7 +14,11 @@ import os
 import pytest
 
 from repro.faults.soak import SoakConfig, SoakHarness
-from repro.serve.attach import AttachOptions, attach_serve
+from repro.serve.attach import (
+    AttachOptions,
+    attach_serve,
+    load_attached_world,
+)
 from repro.serve.runner import ServeHook
 
 CONFIG = SoakConfig(
@@ -89,11 +93,20 @@ class TestAttach:
 
     def test_attach_defaults_to_latest_checkpoint(self, soak_dir):
         options = AttachOptions(soak_dir=soak_dir)
+        # Latest boundary = all segments done (the world's setup ends
+        # at 5.0, then two 15-long segments): nothing left to run, but
+        # the fingerprint still reads out.
+        assert load_attached_world(options).segment == 2
         outcome = attach_serve(options)
-        # Latest boundary = all segments done: nothing left to run,
-        # but the fingerprint still reads out.
-        assert options.extra["checkpoint"].endswith("-seg2.ckpt")
+        assert outcome.fingerprint["time"] == 35.0
         assert outcome.fingerprint["events"] > 0
+
+    def test_attach_restores_the_named_checkpoint(self, soak_dir):
+        world = load_attached_world(AttachOptions(
+            soak_dir=soak_dir,
+            checkpoint=os.path.join(soak_dir, "soak-seed5-seg1.ckpt"),
+        ))
+        assert (world.segment, world.sim.now) == (1, 20.0)
 
     def test_attach_missing_dir_raises_checkpoint_error(self, tmp_path):
         from repro.checkpoint.core import CheckpointError

@@ -6,6 +6,10 @@ import logging
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults.soak import MAX_FAULTS
+
+#: One more fault than a segment can draw (one per candidate group).
+TOO_MANY_FAULTS = str(MAX_FAULTS + 1)
 
 #: (argv, the flag its usage error names): numeric flags out of range.
 OUT_OF_RANGE = [
@@ -22,6 +26,9 @@ OUT_OF_RANGE = [
     (["serve", "run", "chaos", "--port", "99999"], "--port"),
     (["soak", "run", "--segment-length", "-5"], "--segment-length"),
     (["soak", "run", "--faults", "-2"], "--faults"),
+    (["trace", "chaos", "--faults", TOO_MANY_FAULTS], "--faults"),
+    (["serve", "run", "chaos", "--faults", TOO_MANY_FAULTS], "--faults"),
+    (["soak", "run", "--faults", TOO_MANY_FAULTS], "--faults"),
     (["soak", "run", "--kill-at", "nan"], "--kill-at"),
     (["serve", "attach", "--segments", "-1"], "--segments"),
     (["serve", "run", "chaos", "--linger", "-1"], "--linger"),

@@ -22,7 +22,7 @@ class TestTracedChaosDeterminism:
             traced["forwarding_digest"],
         ) == (
             plan.describe(), world.sim.processed, world.claim_tables(),
-            world.scenario.bgmp.forwarding_digest(),
+            world.bgmp.forwarding_digest(),
         )
 
     def test_same_seed_telemetry_is_byte_identical(self):
@@ -47,6 +47,6 @@ class TestTracedChaosDeterminism:
 
     def test_untraced_run_has_no_telemetry(self):
         _, world = chaos_world(1, faults=1)
-        assert world.scenario.bgmp.tracer is NULL_TRACER
+        assert world.bgmp.tracer is NULL_TRACER
         assert world.injector.tracer is NULL_TRACER
         assert world.sanitizer.tracer is None
