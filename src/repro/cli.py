@@ -1,71 +1,49 @@
-"""Command-line interface.
+"""Command-line interface: ``python -m repro <command>``.
 
-``python -m repro <command>`` regenerates the paper's experiments from
-a shell:
+``fig2``, ``fig4`` and ``demo`` regenerate the paper's Figures 2, 4
+and 1. ``trace`` (span trace, Chrome ``trace_event`` file, metrics
+snapshot), ``serve run`` (a live HTTP/SSE hub, :mod:`repro.serve`) and
+``serve attach`` (the hub over a private copy of a running soak) are
+one instrumented run, :func:`repro.serve.runner.run_built`. Each
+prints the run's determinism fingerprint as its last stdout line, and
+``serve … --control`` runs the same thing hub-free, so CI can diff the
+two. ``soak`` chains checkpointed chaos segments (``run``, crash-safe
+``resume``, ``replay`` of a violation dump); ``scenarios`` runs, lists
+or validates the TOML scenario suite (ARCHITECTURE.md §15).
 
-- ``fig2`` — the MASC utilization / G-RIB simulation (Figure 2).
-- ``fig4`` — the tree path-length comparison (Figure 4).
-- ``demo`` — the Figure 1 end-to-end walk-through.
-- ``trace`` — an instrumented run (fig2, fig4, or a chaos scenario)
-  exporting span traces, a Chrome ``trace_event`` file, and a unified
-  metrics snapshot. ``trace`` and ``serve run`` take the same targets
-  and size flags from one table (:data:`repro.serve.runner.TARGETS`)
-  and run them through one function, so for the same arguments both
-  print the same fingerprint as their last stdout line.
-- ``soak`` — crash-resumable checkpointed chaos: ``soak run`` writes a
-  full-world checkpoint at every segment boundary, ``soak resume``
-  continues after a crash from the latest one (fingerprints are
-  byte-identical to an uninterrupted run), and ``soak replay``
-  re-triggers a sanitizer violation from its dump file.
-- ``serve`` — the live telemetry hub: ``serve run`` executes a chaos
-  or fig2 workload with an HTTP/SSE hub attached (metrics deltas,
-  spans, BGMP trees, MASC claims, sanitizer feed — see
-  :mod:`repro.serve`); ``serve attach`` joins an ongoing soak
-  read-only from its latest boundary checkpoint. The run's
-  determinism fingerprint is the last stdout line, and ``--control``
-  re-runs the identical workload serve-free so CI can assert the two
-  fingerprints are byte-identical.
-- ``scenarios`` — the declarative scenario suite (see
-  :mod:`repro.scenarios` and ARCHITECTURE.md §15): ``scenarios run``
-  executes TOML scenario files (default: the ``scenarios/`` directory)
-  and prints one status + fingerprint line each, optionally comparing
-  canonical snapshots against checked-in goldens (``--golden-dir``,
-  regenerated with ``--regen``) and fanning out over a process pool
-  (``--processes``); ``scenarios validate`` only parses and
-  cross-checks the files, reporting DSL errors as ``file:line:``
-  messages; ``scenarios list`` tabulates the suite. ``--shard K/N``
-  selects every Nth file for CI matrix jobs.
+Every size knob is declared once, with its default and its parser, in
+:data:`repro.serve.runner.TARGETS`; ``fig2``, ``fig4``, ``trace``,
+``serve run`` and ``soak`` (``--faults``) read it, each command keeping
+its own defaults.
 
-Results (tables, reports) go to stdout; progress and diagnostics go to
-stderr through :mod:`logging`, controlled by ``-v`` / ``--quiet``, so
-piped output stays clean and the default output is unchanged.
+Results go to stdout; diagnostics go to stderr through :mod:`logging`
+(``-v`` / ``--quiet``), so piped output stays clean.
 
-**Exit-code contract** (uniform across subcommands): ``0`` — clean
-run; ``1`` — findings (invariant violations, fingerprint or golden
-drift, probe mismatches); ``2`` — operational or usage errors
-(unwritable output paths, missing checkpoints, bad arguments), always
-as a one-line diagnostic on stderr, never an unhandled traceback.
-``soak`` extends the range with ``3`` (invariant violation with a
-replayable dump) and ``4`` (replay did not reproduce).
+**Exit codes**, uniform across commands: ``0`` clean; ``1`` findings
+(invariant violations, fingerprint or golden drift, probe mismatches);
+``2`` operational or usage errors, always one stderr line, never a
+traceback: argparse names the bad flag, and :func:`main` is the one
+boundary for :data:`OPERATIONAL_ERRORS`, naming the command. ``soak``
+adds ``3`` (a violation with a replayable dump) and ``4`` (replay did
+not reproduce).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import math
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.experiments.fig2 import (
-    Figure2Config,
-    paper_scale_config,
-    run_figure2,
-)
-from repro.experiments.fig4 import Figure4Config, run_figure4
-from repro.faults.soak import MAX_FAULTS
-from repro.serve.runner import TARGETS
+from repro.checkpoint.core import CheckpointError
+from repro.experiments.fig2 import paper_scale_config, run_figure2
+from repro.experiments.fig4 import run_figure4
+from repro.experiments.runner import WorkerItemError
+from repro.scenarios.spec import ScenarioError
+from repro.serve.runner import COUNT, TARGETS, number
 
 log = logging.getLogger("repro")
 
@@ -89,17 +67,21 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
     root.propagate = False
 
 
+def _knobs(args: argparse.Namespace, target: str) -> dict:
+    """``target``'s size knobs, as parsed."""
+    return {name: getattr(args, name) for name in TARGETS[target].knobs}
+
+
+def _config(args: argparse.Namespace, target: str):
+    """``target``'s experiment config from the parsed seed and knobs."""
+    return TARGETS[target].config(args.seed, **_knobs(args, target))
+
+
 def _cmd_fig2(args: argparse.Namespace) -> int:
     if args.paper:
         config = paper_scale_config(seed=args.seed)
     else:
-        config = Figure2Config(
-            top_count=args.tops,
-            children_per_top=args.children,
-            duration_days=args.days,
-            transient_days=min(60.0, args.days / 2),
-            seed=args.seed,
-        )
+        config = _config(args, "fig2")
     log.info(
         "fig2: %dx%d domains, %g days, seed %d",
         config.top_count, config.children_per_top,
@@ -116,11 +98,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    config = Figure4Config(
-        node_count=args.nodes,
-        trials_per_size=args.trials,
-        seed=args.seed,
-    )
+    config = _config(args, "fig4")
     log.info(
         "fig4: %d nodes, %d trials per size, seed %d",
         config.node_count, config.trials_per_size, config.seed,
@@ -153,34 +131,20 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sizes(args: argparse.Namespace) -> dict:
-    """The target's size knobs, as parsed."""
-    return {name: getattr(args, name) for name in TARGETS[args.target].sizes}
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.tracereport import render_run_report
-    from repro.serve.runner import run_target
+    from repro.serve.runner import run_built
     from repro.trace.export import (
         write_chrome_trace,
         write_jsonl,
         write_metrics_json,
     )
 
-    # Exit-code contract (module docstring): operational failures --
-    # an unwritable --out path here, failed export writes below --
-    # exit 2 with a one-line diagnostic, never a traceback.
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as error:
-        log.error("trace: cannot create --out %s: %s", out_dir, error)
-        return 2
-    sizes = _sizes(args)
-    log.info("tracing %s: seed %d, %s", args.target, args.seed, sizes)
-    outcome = run_target(args.target, args.seed, **sizes)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    log.info("tracing %s: seed %d, %s",
+             args.target, args.seed, _knobs(args, args.target))
+    outcome = run_built(TARGETS[args.target].build(_config(args, args.target)))
     tracer, profiler = outcome.tracer, outcome.profiler
     findings = 0
     if outcome.violations:
@@ -195,13 +159,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     jsonl_path = out_dir / f"{args.target}.trace.jsonl"
     chrome_path = out_dir / f"{args.target}.chrome.json"
     metrics_path = out_dir / f"{args.target}.metrics.json"
-    try:
-        write_jsonl(tracer, jsonl_path)
-        write_chrome_trace(tracer, chrome_path, profiler=profiler)
-        write_metrics_json(outcome.registry, metrics_path)
-    except OSError as error:
-        log.error("trace: cannot write exports: %s", error)
-        return 2
+    write_jsonl(tracer, jsonl_path)
+    write_chrome_trace(tracer, chrome_path, profiler=profiler)
+    write_metrics_json(outcome.registry, metrics_path)
     log.info("wrote %s, %s, %s", jsonl_path, chrome_path, metrics_path)
 
     print(render_run_report(tracer, profiler, outcome.registry))
@@ -216,9 +176,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.checkpoint.core import CheckpointError
+    from repro.checkpoint.core import load_dump
     from repro.faults.soak import (
         SoakConfig,
         SoakHarness,
@@ -227,16 +185,9 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.sanitizer.core import InvariantViolation
 
     if args.action == "replay":
-        from repro.checkpoint.core import load_dump
-
-        try:
-            dump = load_dump(args.dump)
-            print(dump.render())
-            print()
-            violation = replay_dump(args.dump)
-        except (CheckpointError, OSError) as error:
-            log.error("soak replay failed: %s", error)
-            return 2
+        print(load_dump(args.dump).render())
+        print()
+        violation = replay_dump(args.dump)
         if violation is None:
             log.error(
                 "soak replay: violation did NOT reproduce — "
@@ -268,9 +219,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         if dumps:
             print(f"replay with: python -m repro soak replay {dumps[-1]}")
         return 3
-    except CheckpointError as error:
-        log.error("soak %s failed: %s", args.action, error)
-        return 2
     log.info(
         "soak: %d segments, %d faults, %d recoveries",
         result.segments, result.faults, result.recoveries,
@@ -282,12 +230,14 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
     import threading
 
-    from repro.checkpoint.core import CheckpointError
-    from repro.serve.attach import AttachOptions, attach_serve
-    from repro.serve.runner import ServeHook, probe_hub, run_target
+    from repro.serve.runner import (
+        ServeHook,
+        attached_soak,
+        probe_hub,
+        run_built,
+    )
 
     if args.control and (args.probe or args.linger):
         log.error("serve: --probe and --linger need the hub "
@@ -301,22 +251,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"serving on {hub.url}", file=sys.stderr
             ),
         )
-    try:
-        if args.action == "attach":
-            options = AttachOptions(
-                soak_dir=args.dir,
-                checkpoint=args.checkpoint,
-                segments=args.segments,
-            )
-            outcome = attach_serve(options, on_sources=hook)
-        else:
-            outcome = run_target(
-                args.target, args.seed, on_sources=hook, **_sizes(args)
-            )
-    except (CheckpointError, OSError) as error:
-        log.error("serve %s failed: %s", args.action, error)
-        return 2
-
+    if args.action == "attach":
+        built = attached_soak(args.dir, args.checkpoint, args.segments)
+    else:
+        built = TARGETS[args.target].build(_config(args, args.target))
+    outcome = run_built(built, hook)
     findings = 0
     for violation in outcome.violations:
         log.warning("serve: invariant violation: %s", violation)
@@ -367,9 +306,6 @@ def _parse_shard(text: str) -> tuple:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.scenarios.spec import ScenarioError
     from repro.scenarios.loader import discover_scenarios, load_scenario
     from repro.scenarios.engine import run_scenario, run_scenario_path
 
@@ -387,11 +323,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 log.error("scenarios: no such file: %s", path)
                 return 2
     else:
-        try:
-            paths = discover_scenarios(args.dir)
-        except ScenarioError as error:
-            log.error("scenarios: %s", error.message)
-            return 2
+        paths = discover_scenarios(args.dir)
     if args.shard:
         try:
             index, count = _parse_shard(args.shard)
@@ -445,24 +377,17 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         return 2
 
     if args.processes and args.processes > 1:
-        from repro.experiments.runner import (
-            WorkerItemError,
-            parallel_map,
-        )
+        from repro.experiments.runner import parallel_map
 
         log.info(
             "scenarios: running %d file(s) over %d processes",
             len(paths), args.processes,
         )
-        try:
-            outcomes = parallel_map(
-                run_scenario_path,
-                [str(path) for path in paths],
-                processes=args.processes,
-            )
-        except WorkerItemError as error:
-            log.error("scenarios: %s", error)
-            return 2
+        outcomes = parallel_map(
+            run_scenario_path,
+            [str(path) for path in paths],
+            processes=args.processes,
+        )
     else:
         outcomes = [run_scenario(specs[path]) for path in paths]
 
@@ -473,22 +398,13 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         if golden_dir is not None:
             golden_path = golden_dir / f"{outcome.name}.json"
             if args.regen:
-                try:
-                    golden_path.parent.mkdir(
-                        parents=True, exist_ok=True
-                    )
-                    golden_path.write_text(
-                        json.dumps(
-                            outcome.snapshot, indent=2, sort_keys=True
-                        ) + "\n",
-                        encoding="utf-8",
-                    )
-                except OSError as error:
-                    log.error(
-                        "scenarios: cannot write golden %s: %s",
-                        golden_path, error,
-                    )
-                    return 2
+                golden_path.parent.mkdir(parents=True, exist_ok=True)
+                golden_path.write_text(
+                    json.dumps(
+                        outcome.snapshot, indent=2, sort_keys=True
+                    ) + "\n",
+                    encoding="utf-8",
+                )
                 regenerated += 1
             elif not golden_path.is_file():
                 problems.append(
@@ -517,55 +433,30 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _number(
-    kind: type, low: float, high: float = math.inf, *, strict: bool = False
-) -> Callable[[str], float]:
-    """An argparse ``type=`` parsing ``kind`` within ``[low, high]``
-    (``(low, high]`` when ``strict``): out of range is a usage error,
-    exit 2 naming the flag, not a traceback or a silent no-op inside
-    the run."""
-
-    def parse(text: str) -> float:
-        value = kind(text)
-        if not (value > low if strict else value >= low) or value > high:
-            wanted = (f"> {low}" if strict else f">= {low}") + (
-                f" and <= {high}" if high < math.inf else ""
+def _add_knobs(
+    parser: argparse.ArgumentParser, targets: Iterable[str], **defaults
+) -> None:
+    """``--<knob>`` for every size knob of ``targets``, parsed by its
+    :data:`TARGETS` entry; ``defaults`` are this command's own."""
+    for name in targets:
+        for knob, spec in TARGETS[name].knobs.items():
+            parser.add_argument(
+                f"--{knob}", type=spec.parse,
+                default=defaults.get(knob, spec.default),
+                help=f"{name}: {spec.help}",
             )
-            raise argparse.ArgumentTypeError(
-                f"must be {wanted}, got {text!r}"
-            )
-        return value
-
-    parse.__name__ = kind.__name__  # argparse: "invalid int value"
-    return parse
 
 
-_COUNT = _number(int, 1)
-#: ``as_graph`` needs three domains.
-_NODES = _number(int, 3)
-_DAYS = _number(float, 1)
-#: The trace/serve size knobs that have a floor; the rest take their
-#: default's type. A segment draws at most one fault per candidate
-#: group.
-_KNOB_TYPES = {
-    "nodes": _NODES, "trials": _COUNT,
-    "faults": _number(int, 1, MAX_FAULTS),
-    "tops": _COUNT, "children": _COUNT, "days": _DAYS,
-}
-
-
-def _add_target(parser: argparse.ArgumentParser, targets: dict) -> None:
+def _add_target(
+    parser: argparse.ArgumentParser, targets: Iterable[str]
+) -> None:
     """The positional target, ``--seed`` and every size knob of
-    ``targets`` (one default each, from the runner's table)."""
-    parser.add_argument("target", choices=tuple(targets),
+    ``targets``."""
+    targets = tuple(targets)
+    parser.add_argument("target", choices=targets,
                         help="the workload to run")
     parser.add_argument("--seed", type=int, default=0)
-    for name, target in targets.items():
-        for knob, (default, text) in target.sizes.items():
-            parser.add_argument(
-                f"--{knob}", type=_KNOB_TYPES.get(knob, type(default)),
-                default=default, help=f"{name}: {text}",
-            )
+    _add_knobs(parser, targets)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,10 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig2 = sub.add_parser("fig2", help="Figure 2: MASC allocation run")
-    fig2.add_argument("--tops", type=_COUNT, default=10)
-    fig2.add_argument("--children", type=_COUNT, default=25)
-    fig2.add_argument("--days", type=_DAYS, default=200.0)
-    fig2.add_argument("--every", type=_COUNT, default=20,
+    _add_knobs(fig2, ["fig2"], days=200.0)
+    fig2.add_argument("--every", type=COUNT, default=20,
                       help="table row spacing in days")
     fig2.add_argument("--seed", type=int, default=0)
     fig2.add_argument("--paper", action="store_true",
@@ -599,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.set_defaults(func=_cmd_fig2)
 
     fig4 = sub.add_parser("fig4", help="Figure 4: tree path lengths")
-    fig4.add_argument("--nodes", type=_NODES, default=3326)
-    fig4.add_argument("--trials", type=_COUNT, default=5)
+    _add_knobs(fig4, ["fig4"], nodes=3326, trials=5)
     fig4.add_argument("--seed", type=int, default=0)
     fig4.set_defaults(func=_cmd_fig4)
 
@@ -622,25 +510,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-resumable checkpointed chaos soak "
              "(run | resume | replay)",
     )
+    soak.set_defaults(func=_cmd_soak, kill_at=None)
     soak_sub = soak.add_subparsers(dest="action", required=True)
 
     def _soak_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--segments", type=_COUNT, default=3)
+        sp.add_argument("--segments", type=COUNT, default=3)
         sp.add_argument("--segment-length",
-                        type=_number(float, 0, strict=True), default=30.0)
-        sp.add_argument("--faults", type=_number(int, 0, MAX_FAULTS),
-                        default=2,
-                        help="faults drawn per segment")
+                        type=number(float, 0, strict=True), default=30.0)
+        _add_knobs(sp, ["chaos"])
         sp.add_argument("--dir", default="soak-out",
                         help="checkpoint/dump directory")
-        sp.set_defaults(func=_cmd_soak, kill_at=None)
 
     soak_run = soak_sub.add_parser(
         "run", help="fresh soak chain with boundary checkpoints"
     )
     _soak_common(soak_run)
-    soak_run.add_argument("--kill-at", type=_number(float, 0),
+    soak_run.add_argument("--kill-at", type=number(float, 0),
                           help="crash the process (os._exit 137) at "
                                "this simulation time — crash-resume "
                                "testing")
@@ -649,25 +535,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue from the latest boundary checkpoint in --dir",
     ))
 
-    soak_replay = soak_sub.add_parser(
+    soak_sub.add_parser(
         "replay",
         help="re-trigger a sanitizer violation from its dump file",
-    )
-    soak_replay.add_argument("dump", help="violation .dump file path")
-    soak_replay.set_defaults(func=_cmd_soak)
+    ).add_argument("dump", help="violation .dump file path")
 
     serve = sub.add_parser(
         "serve",
         help="live telemetry hub over a running simulation "
              "(run | attach)",
     )
+    serve.set_defaults(func=_cmd_serve)
     serve_sub = serve.add_subparsers(dest="action", required=True)
 
     def _serve_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--sample-every", type=_COUNT, default=25,
+        sp.add_argument("--sample-every", type=COUNT, default=25,
                         help="events between published frames")
         sp.add_argument("--host", default="127.0.0.1")
-        sp.add_argument("--port", type=_number(int, 0, 65535), default=0,
+        sp.add_argument("--port", type=number(int, 0, 65535), default=0,
                         help="0 = pick an ephemeral port")
         sp.add_argument("--probe", action="store_true",
                         help="self-scrape every endpoint afterwards "
@@ -676,19 +561,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--control", action="store_true",
                         help="run the identical workload with no hub "
                              "attached (the fingerprint control arm)")
-        sp.add_argument("--linger", type=_number(float, 0), default=0.0,
+        sp.add_argument("--linger", type=number(float, 0, finite=False),
+                        default=0.0,
                         help="keep serving this many seconds after "
                              "the run finishes (inf: until Ctrl-C)")
 
     serve_run = serve_sub.add_parser(
         "run", help="run a workload with the hub attached"
     )
-    _add_target(serve_run, {
-        name: target for name, target in TARGETS.items()
-        if target.simulated
-    })
+    _add_target(serve_run, [
+        name for name, target in TARGETS.items() if target.simulated
+    ])
     _serve_common(serve_run)
-    serve_run.set_defaults(func=_cmd_serve)
 
     serve_attach = serve_sub.add_parser(
         "attach",
@@ -701,18 +585,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve_attach.add_argument("--checkpoint", default=None,
                               help="attach from this .ckpt instead of "
                                    "the latest")
-    serve_attach.add_argument("--segments", type=_number(int, 0),
+    serve_attach.add_argument("--segments", type=number(int, 0),
                               default=None,
                               help="segments to run while attached "
                                    "(default: the chain's remainder)")
     _serve_common(serve_attach)
-    serve_attach.set_defaults(func=_cmd_serve)
 
     scenarios = sub.add_parser(
         "scenarios",
         help="declarative TOML scenario suite "
              "(run | list | validate)",
     )
+    scenarios.set_defaults(func=_cmd_scenarios)
     scenarios_sub = scenarios.add_subparsers(
         dest="action", required=True
     )
@@ -742,32 +626,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite the goldens in --golden-dir from this run",
     )
     scenarios_run.add_argument(
-        "--processes", type=_number(int, 0), default=0,
+        "--processes", type=number(int, 0), default=0,
         help="fan runs out over a process pool (0/1 = serial; "
              "pooled fingerprints are byte-identical to serial)",
     )
-    scenarios_run.set_defaults(func=_cmd_scenarios)
 
-    scenarios_list = scenarios_sub.add_parser(
+    _scenarios_common(scenarios_sub.add_parser(
         "list", help="tabulate the suite: name, step counts, "
                      "description",
-    )
-    _scenarios_common(scenarios_list)
-    scenarios_list.set_defaults(func=_cmd_scenarios)
-
-    scenarios_validate = scenarios_sub.add_parser(
+    ))
+    _scenarios_common(scenarios_sub.add_parser(
         "validate",
         help="parse and cross-check only; DSL errors print as "
              "file:line: messages",
-    )
-    _scenarios_common(scenarios_validate)
-    scenarios_validate.set_defaults(func=_cmd_scenarios)
+    ))
     return parser
 
 
+#: What a command raises when its own paths, checkpoints or workers
+#: fail: operational errors, exit 2.
+OPERATIONAL_ERRORS = (CheckpointError, ScenarioError, WorkerItemError,
+                      OSError)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point, and the one exit-2 boundary for
+    :data:`OPERATIONAL_ERRORS`: one stderr line naming the command."""
+    args = build_parser().parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OPERATIONAL_ERRORS as error:
+        command = " ".join(
+            filter(None, (args.command, getattr(args, "action", None)))
+        )
+        log.error("%s failed: %s", command, error)
+        return 2

@@ -47,6 +47,19 @@ class Figure2Config:
     transient_days: float = 60.0
     masc: MascConfig = field(default_factory=MascConfig)
 
+    def simulation(self, tracer=None) -> ClaimSimulation:
+        """The claim simulation this config describes, not yet run."""
+        return ClaimSimulation(
+            SimulationConfig(
+                top_count=self.top_count,
+                children_per_top=self.children_per_top,
+                duration_days=self.duration_days,
+                seed=self.seed,
+                masc=self.masc,
+            ),
+            tracer=tracer,
+        )
+
 
 @dataclass
 class Figure2Result:
@@ -107,17 +120,9 @@ def run_figure2(
     """
     if config is None:
         config = Figure2Config()
-    simulation = ClaimSimulation(
-        SimulationConfig(
-            top_count=config.top_count,
-            children_per_top=config.children_per_top,
-            duration_days=config.duration_days,
-            seed=config.seed,
-            masc=config.masc,
-        ),
-        tracer=tracer,
+    return Figure2Result(
+        config=config, simulation=config.simulation(tracer).run()
     )
-    return Figure2Result(config=config, simulation=simulation.run())
 
 
 def paper_scale_config(seed: int = 0) -> Figure2Config:

@@ -116,12 +116,6 @@ class SoakResult:
     faults: int
     log: List[Tuple[float, str]] = field(default_factory=list)
 
-    def __repr__(self) -> str:
-        return (
-            f"SoakResult(segments={self.segments}, "
-            f"faults={self.faults}, recoveries={self.recoveries})"
-        )
-
 
 class SoakWorld(World):
     """The picklable unit of a fault run: the world plus its random

@@ -1,26 +1,20 @@
 """Serve mode: a live telemetry hub over running simulations.
 
-``python -m repro serve run`` executes a reference workload (chaos or
-fig2, through :func:`run_target`, the same instrumented run
-``repro trace`` uses) with a stdlib-only HTTP hub attached; ``python
--m repro serve attach`` joins an ongoing soak read-only at its latest
-boundary checkpoint. Either way the hub streams metric deltas, spans,
-and violations as Server-Sent Events and answers on-demand snapshot
-requests (BGMP tree, MASC claim tables, profiler histograms), every
-payload naming its versioned schema in a ``"schema"`` field
-(:data:`~repro.serve.runner.ENDPOINT_SCHEMAS`).
+``python -m repro serve run`` (a chaos or fig2 workload) and ``python
+-m repro serve attach`` (a private copy of an ongoing soak, restored
+read-only from a boundary checkpoint) are both the one instrumented
+run, :func:`~repro.serve.runner.run_built`, with a
+:class:`~repro.serve.runner.ServeHook` that starts a stdlib-only
+HTTP hub before the run. The hub streams metric deltas, spans and
+violations as Server-Sent Events and answers on-demand snapshots (BGMP
+tree, MASC claim tables, profiler histograms), every payload naming
+its versioned schema (:data:`~repro.serve.runner.ENDPOINT_SCHEMAS`).
 
 The package's one invariant is **fingerprint neutrality**: a served
-run produces byte-identical determinism fingerprints to an unserved
-one. The pieces that enforce it:
-
-* :class:`TelemetrySink` — the only bridge between the simulation
-  thread and HTTP handlers; reads world state exclusively at event
-  boundaries, is ``checkpoint_transient``, and never mutates.
-* :mod:`~repro.serve.snapshots` — pure-read payload builders.
-* :class:`TelemetryHub` — the HTTP/SSE surface (handler threads only
-  ever see materialised frames or boundary-built snapshots).
-
-See docs/ARCHITECTURE.md §13 for the full design and the neutrality
-argument.
+run fingerprints byte-identically to the same run with no hook
+(``--control``). :class:`~repro.serve.sink.TelemetrySink` is the only
+bridge between the simulation thread and the HTTP handlers, reads the
+world only at event boundaries and never mutates it;
+:mod:`~repro.serve.snapshots` holds the pure-read payload builders.
+docs/ARCHITECTURE.md §13 has the design and the neutrality argument.
 """

@@ -1,11 +1,13 @@
 """The telemetry hub: a stdlib HTTP server over one telemetry sink.
 
-All endpoints are GET. ``/`` is a self-contained HTML status page and
-``/stream`` a ``text/event-stream`` of ``repro.frame/v1`` frames
+All endpoints are GET; any other method gets a 405 JSON error. ``/``
+is a self-contained HTML status page and ``/stream`` a
+``text/event-stream`` of ``repro.frame/v1`` frames
 (``?from=N`` or ``Last-Event-ID`` resumes at seq N); every other
 endpoint answers the JSON snapshot named in
 :data:`repro.serve.runner.ENDPOINT_SCHEMAS` (``/spans?limit=N`` keeps
-the newest N spans, N >= 1; ``/tree/<group>`` takes hex or decimal).
+the newest N spans, N >= 1; ``/tree/<group>`` takes a hex or decimal
+group in ``[0, 2**32)``; anything else is a 400).
 docs/ARCHITECTURE.md §13 describes each payload.
 
 Every snapshot endpoint routes through :meth:`TelemetrySink.snapshot`,
@@ -79,14 +81,19 @@ class TelemetryHub:
             # Wall-time summary: no world state read, no boundary.
             return snapshots.profile_snapshot(sources)
         if route.startswith("/tree/"):
-            group = int(route[len("/tree/"):], 0)
+            text = route[len("/tree/"):]
+            group = int(text, 0)
+            if not 0 <= group < 1 << 32:
+                raise ValueError(
+                    f"group must be in [0, 2**32), got {text}"
+                )
             return sink.snapshot(
                 lambda: snapshots.tree_snapshot(sources, group)
             )
         builders = {
             "/healthz": lambda: snapshots.health_snapshot(
                 sources,
-                state=sink.state_label(),
+                state="finished" if sink.finished else "running",
                 frames=sink.frames_published,
                 sample_every=sink.sample_every,
                 violation_count=len(sink.violations_seen),
@@ -147,13 +154,30 @@ def _make_handler(hub: TelemetryHub):
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away mid-reply
 
-        def _send_json(self, payload: Dict[str, Any], status: int = 200):
+        def _refuse(self) -> None:
+            """Every endpoint is read-only. The connection closes, so
+            an unread request body is never parsed as a request."""
+            self._send_json(
+                {"error": f"method {self.command} not allowed: the hub "
+                          "serves GET only"},
+                status=405, Allow="GET", Connection="close",
+            )
+
+        do_POST = do_PUT = do_PATCH = do_DELETE = do_HEAD = _refuse
+        do_OPTIONS = _refuse
+
+        def _send_json(
+            self, payload: Dict[str, Any], status: int = 200, **headers
+        ):
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.end_headers()
-            self.wfile.write(body)
+            if self.command != "HEAD":
+                self.wfile.write(body)
 
         def _send_page(self, page: str) -> None:
             body = page.encode("utf-8")

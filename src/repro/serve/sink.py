@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import Future, wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.trace.metrics import metrics_delta
@@ -49,24 +50,9 @@ def render_violation(violation) -> str:
     return f"t={violation.time:g} {violation.invariant}: {details}"
 
 
-class _SnapshotRequest:
-    """A snapshot thunk awaiting execution at an event boundary."""
-
-    __slots__ = ("builder", "ready", "result", "error")
-
-    def __init__(self, builder: Callable[[], Dict[str, Any]]):
-        self.builder = builder
-        self.ready = threading.Event()
-        self.result: Optional[Dict[str, Any]] = None
-        self.error: Optional[BaseException] = None
-
-    def run(self) -> None:
-        try:
-            self.result = self.builder()
-        except BaseException as exc:  # lint: disable=DET005 — cross-thread relay: the exception is re-raised verbatim on the requesting thread, never swallowed
-            self.error = exc
-        finally:
-            self.ready.set()
+#: A snapshot thunk awaiting an event boundary, and where its payload
+#: (or its exception) goes.
+_Request = Tuple[Callable[[], Dict[str, Any]], Future]
 
 
 class TelemetrySink:
@@ -107,7 +93,7 @@ class TelemetrySink:
         self._span_cursor: Tuple[int, int] = (0, 0)
         self._pending_violations: List[str] = []
         self.violations_seen: List[str] = []
-        self._requests: Deque[_SnapshotRequest] = deque()
+        self._requests: Deque[_Request] = deque()
 
     # ------------------------------------------------------------------
     # Lifecycle (simulation thread)
@@ -172,7 +158,11 @@ class TelemetrySink:
 
     def _drain_requests(self) -> None:
         while self._requests:
-            self._requests.popleft().run()
+            builder, future = self._requests.popleft()
+            try:
+                future.set_result(builder())
+            except BaseException as exc:  # lint: disable=DET005 — cross-thread relay: the exception is re-raised verbatim on the requesting thread, never swallowed
+                future.set_exception(exc)
 
     def _publish_frame(self) -> None:
         sources = self.sources
@@ -243,18 +233,11 @@ class TelemetrySink:
             live = self._attached and not self._finished
         if not live:
             return builder()
-        request = _SnapshotRequest(builder)
-        self._requests.append(request)
-        if not request.ready.wait(timeout):
+        future: Future = Future()
+        self._requests.append((builder, future))
+        if not wait([future], timeout).done:
             raise TimeoutError(
                 f"no event boundary within {timeout:g}s "
                 "(simulation stalled or finished without mark_finished)"
             )
-        if request.error is not None:
-            raise request.error
-        assert request.result is not None
-        return request.result
-
-    def state_label(self) -> str:
-        """``running`` | ``finished`` — for the health payload."""
-        return "finished" if self.finished else "running"
+        return future.result()

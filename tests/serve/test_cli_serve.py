@@ -71,8 +71,8 @@ class TestServeCommand:
         def no_run(*args, **kwargs):
             raise AssertionError("workload ran before the usage check")
 
-        monkeypatch.setattr("repro.serve.runner.run_target", no_run)
-        monkeypatch.setattr("repro.serve.attach.attach_serve", no_run)
+        monkeypatch.setattr("repro.serve.runner.run_built", no_run)
+        monkeypatch.setattr("repro.serve.runner.attached_soak", no_run)
         for action in (["run", "chaos"], ["attach"]):
             for flags in (["--probe"], ["--linger", "5"],
                           ["--linger", "inf"]):
@@ -110,15 +110,14 @@ def test_trace_and_serve_share_one_run(target, tmp_path, capsys):
     parser = build_parser()
     trace = parser.parse_args(["trace", target, *SMALL[target]])
     served = parser.parse_args(["serve", "run", target, *SMALL[target]])
-    knobs = ["seed", *TARGETS[target].sizes]
+    knobs = ["seed", *TARGETS[target].knobs]
     assert {k: getattr(trace, k) for k in knobs} == {
         k: getattr(served, k) for k in knobs
     }
     trace = parser.parse_args(["trace", target])
     served = parser.parse_args(["serve", "run", target])
     defaults = {"seed": 0, **{
-        name: default
-        for name, (default, _) in TARGETS[target].sizes.items()
+        name: knob.default for name, knob in TARGETS[target].knobs.items()
     }}
     assert {k: getattr(trace, k) for k in knobs} == defaults
     assert {k: getattr(served, k) for k in knobs} == defaults
@@ -135,7 +134,7 @@ def test_trace_and_serve_share_one_run(target, tmp_path, capsys):
     parsed = parser.parse_args(["serve", "run", target, *args])
     hook = ServeHook()
     run_target(target, parsed.seed, on_sources=hook, **{
-        k: getattr(parsed, k) for k in TARGETS[target].sizes
+        k: getattr(parsed, k) for k in TARGETS[target].knobs
     })
     hook.finish()
     try:
@@ -162,6 +161,9 @@ class TestTraceExitCodes:
             "--out", str(blocker / "sub"),
         ])
         assert code == 2
+        # main's one boundary: a single line naming the command.
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR trace failed: ")
 
     def test_export_write_failure_exits_2(
         self, tmp_path, monkeypatch
@@ -185,3 +187,15 @@ class TestTraceExitCodes:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 0
+
+    def test_chaos_trace_with_no_faults_exits_0(self, tmp_path, capsys):
+        # --faults takes 0..MAX_FAULTS on every command, as soak's did.
+        code = main([
+            "-q", "trace", "chaos", "--faults", "0",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        fingerprint = json.loads(
+            capsys.readouterr().out.strip().splitlines()[-1]
+        )
+        assert fingerprint["schedule"] == []

@@ -185,6 +185,38 @@ class TestEndpoints:
             fetch(f"{chaos_hub.hub.url}/tree/banana")
         assert info.value.code == 400
 
+    @pytest.mark.parametrize("group", ["-1", "9" * 40, hex(1 << 32)])
+    def test_group_outside_32_bits_400(self, chaos_hub, group):
+        # These used to answer 200 for "-0x1" or a 130-bit group.
+        with pytest.raises(urllib.error.HTTPError) as info:
+            fetch(f"{chaos_hub.hub.url}/tree/{group}")
+        assert info.value.code == 400
+        assert "group must be in [0, 2**32)" in json.loads(
+            info.value.read()
+        )["error"]
+
+    @pytest.mark.parametrize("method", ["POST", "PUT", "DELETE", "HEAD"])
+    @pytest.mark.parametrize("route", ["/", "/healthz", "/tree/1",
+                                       "/stream", "/nope"])
+    def test_non_get_method_405(self, chaos_hub, method, route):
+        # These used to get http.server's 501 HTML page.
+        body = b"{}" if method in ("POST", "PUT") else None
+        request = urllib.request.Request(
+            f"{chaos_hub.hub.url}{route}", data=body, method=method
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert info.value.code == 405
+        assert info.value.headers["Allow"] == "GET"
+        assert info.value.headers["Content-Type"] == "application/json"
+        payload = info.value.read()
+        if method == "HEAD":
+            assert payload == b""
+        else:
+            assert f"method {method} not allowed" in json.loads(payload)[
+                "error"
+            ]
+
     def test_status_page_is_selfcontained_html(self, chaos_hub):
         with urllib.request.urlopen(
             f"{chaos_hub.hub.url}/", timeout=10.0

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import logging
+import math
 
 import pytest
 
@@ -33,7 +35,17 @@ OUT_OF_RANGE = [
     (["serve", "attach", "--segments", "-1"], "--segments"),
     (["serve", "run", "chaos", "--linger", "-1"], "--linger"),
     (["scenarios", "run", "--processes", "-2"], "--processes"),
+    (["fig2", "--days", "inf"], "--days"),
+    (["trace", "fig2", "--days", "inf"], "--days"),
+    (["soak", "run", "--segment-length", "inf"], "--segment-length"),
 ]
+
+#: What the parser walk feeds every typed option, through
+#: ``parse_args`` alone: no case runs a workload or starts a process.
+HOSTILE = ["0", "-1", "nan", "inf", "1e400", ""]
+
+#: Float options whose ``inf`` is documented (serve until Ctrl-C).
+INFINITE_OK = {"--linger"}
 
 #: (scenario path, the usage error it gets), ``{tmp}`` a fresh empty
 #: directory: paths that name no scenario file.
@@ -116,6 +128,67 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"scenarios: {message}" in err
         assert "Traceback" not in err
+
+
+def leaf_commands(parser, prefix=()):
+    """Every runnable subcommand under ``parser``: (argv prefix, the
+    subcommand's parser), read from the parser itself."""
+    subparsers = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    if not subparsers:
+        yield list(prefix), parser
+        return
+    for name, sub in subparsers[0].choices.items():
+        yield from leaf_commands(sub, (*prefix, name))
+
+
+def required_positionals(parser):
+    """A value for each required positional: its first choice, else a
+    placeholder path (parse only, so it is never opened)."""
+    return [
+        action.choices[0] if action.choices else "placeholder"
+        for action in parser._actions
+        if not action.option_strings and action.nargs is None
+    ]
+
+
+class TestParserWalk:
+    def test_every_typed_option_parses_or_exits_2(self, capsys):
+        parser = build_parser()
+        seen, problems = set(), []
+        for prefix, command in leaf_commands(parser):
+            positionals = required_positionals(command)
+            for action in command._actions:
+                if not action.option_strings or action.type is None:
+                    continue
+                flag = action.option_strings[-1]
+                seen.add(flag)
+                for value in HOSTILE:
+                    argv = [*prefix, *positionals, f"{flag}={value}"]
+                    case = " ".join(argv)
+                    try:
+                        args = parser.parse_args(argv)
+                    except SystemExit as exit_info:
+                        errors = [
+                            line for line in
+                            capsys.readouterr().err.splitlines()
+                            if "error:" in line
+                        ]
+                        named = f"argument {'/'.join(action.option_strings)}:"
+                        if exit_info.code != 2 or len(errors) != 1 or (
+                            named not in errors[0]
+                        ):
+                            problems.append(f"{case}: {errors}")
+                        continue
+                    got = getattr(args, action.dest)
+                    if isinstance(got, float) and not math.isfinite(got) \
+                            and flag not in INFINITE_OK:
+                        problems.append(f"{case}: parsed to {got}")
+        assert problems == []
+        # The walk reached every flag the hand-written table names.
+        assert {flag for _argv, flag in OUT_OF_RANGE} <= seen
 
 
 class TestCommands:
