@@ -10,7 +10,8 @@ source S prefer the (S,G) entry when one exists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right, insort
+from typing import Callable, Dict, List, Optional
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.targets import Target
@@ -127,13 +128,17 @@ class ForwardingEntry:
 
 
 class ForwardingTable:
-    """All BGMP forwarding entries at one border router."""
+    """All BGMP forwarding entries at one border router, in creation
+    order: a (\\*,G) entry keyed by its group, an (S,G) entry by
+    (group, source domain)."""
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, Optional[Domain]], ForwardingEntry] = {}
-        #: (\*,G) groups by their entry's anchor: what a moved G-RIB
-        #: key at this router sends back to ``update_parent``.
-        self.anchored: Dict[Optional[Prefix], Set[int]] = {}
+        self._entries: Dict[object, ForwardingEntry] = {}
+        #: The (\*,G) groups, sorted: read it, change it only through
+        #: :meth:`create` and :meth:`remove`. A moved G-RIB key sends
+        #: the entries in its range whose ``anchor`` it displaces back
+        #: to ``update_parent``.
+        self.shared: List[int] = []
         #: (S,G) source domains by group, in creation order: what a
         #: (\*,G) teardown removes without walking every entry.
         self._sources: Dict[int, Dict[Domain, None]] = {}
@@ -151,6 +156,8 @@ class ForwardingTable:
         self, group: int, source_domain: Optional[Domain] = None
     ) -> Optional[ForwardingEntry]:
         """Exact lookup of a (\\*,G) or (S,G) entry."""
+        if source_domain is None:
+            return self._entries.get(group)
         return self._entries.get((group, source_domain))
 
     def match(
@@ -161,7 +168,18 @@ class ForwardingTable:
             specific = self._entries.get((group, source_domain))
             if specific is not None:
                 return specific
-        return self._entries.get((group, None))
+        return self._entries.get(group)
+
+    def shared_in(self, first: int, last: int) -> List[ForwardingEntry]:
+        """The (\\*,G) entries of the groups ``first``..``last``, by
+        group."""
+        shared, entries = self.shared, self._entries
+        return [
+            entries[group]
+            for group in shared[
+                bisect_left(shared, first):bisect_right(shared, last)
+            ]
+        ]
 
     def create(
         self,
@@ -170,9 +188,9 @@ class ForwardingTable:
         source_domain: Optional[Domain] = None,
         anchor: Optional[Prefix] = None,
     ) -> ForwardingEntry:
-        """Create (or return the existing) entry; a (\\*,G) entry is
-        indexed under ``anchor``."""
-        key = (group, source_domain)
+        """Create (or return the existing) entry; a (\\*,G) entry
+        records ``anchor``, the G-RIB key its parent derives from."""
+        key = group if source_domain is None else (group, source_domain)
         entry = self._entries.get(key)
         if entry is None:
             entry = ForwardingEntry(group, parent, source_domain)
@@ -180,7 +198,7 @@ class ForwardingTable:
             self._entries[key] = entry
             if source_domain is None:
                 entry.anchor = anchor
-                self.anchored.setdefault(anchor, set()).add(group)
+                insort(self.shared, group)
             else:
                 self._sources.setdefault(group, {})[source_domain] = None
             self.version += 1
@@ -188,28 +206,15 @@ class ForwardingTable:
                 self.on_change(group)
         return entry
 
-    def reanchor(self, entry: ForwardingEntry, key: Optional[Prefix]) -> None:
-        """Move a (\\*,G) entry under the G-RIB key its parent is now
-        derived from."""
-        self._unanchor(entry)
-        entry.anchor = key
-        self.anchored.setdefault(key, set()).add(entry.group)
-
-    def _unanchor(self, entry: ForwardingEntry) -> None:
-        groups = self.anchored[entry.anchor]
-        groups.discard(entry.group)
-        if not groups:
-            del self.anchored[entry.anchor]
-
     def remove(
         self, group: int, source_domain: Optional[Domain] = None
     ) -> bool:
         """Drop an entry; False if absent."""
-        entry = self._entries.pop((group, source_domain), None)
-        if entry is None:
+        key = group if source_domain is None else (group, source_domain)
+        if self._entries.pop(key, None) is None:
             return False
         if source_domain is None:
-            self._unanchor(entry)
+            del self.shared[bisect_left(self.shared, group)]
         else:
             sources = self._sources[group]
             del sources[source_domain]
@@ -226,17 +231,17 @@ class ForwardingTable:
             self.remove(group, source_domain)
 
     def entries(self) -> List[ForwardingEntry]:
-        """All entries."""
+        """All entries, in creation order."""
         return list(self._entries.values())
 
     def groups(self) -> List[int]:
         """Distinct group addresses with any state."""
-        return sorted({group for group, _ in self._entries})
+        return sorted({entry.group for entry in self._entries.values()})
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key) -> bool:
         if isinstance(key, tuple):
-            return key in self._entries
-        return (key, None) in self._entries
+            return self.get(*key) is not None
+        return key in self._entries

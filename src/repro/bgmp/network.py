@@ -251,11 +251,12 @@ class BgmpNetwork:
     def grib_deltas(self, deltas: List[GribDelta]) -> None:
         """BGP subscriber hook: a batch of G-RIB changes landed.
 
-        A key that changed or vanished at a router sends the entries
-        anchored under it there back to ``update_parent``; a key that
-        appeared sends the ones under a shorter (or no) key whose group
-        it contains. Either way the router's domain re-checks its
-        memberships under the key.
+        A (\\*,G) entry's ``anchor``, the G-RIB key its parent derives
+        from, contains its group. A key that changed or vanished at a
+        router sends the entries of its range anchored under it (an
+        anchor of its length) back to ``update_parent``; a key that
+        appeared sends those under a shorter key or none. Either way
+        the router's domain re-checks its memberships under the key.
         """
         self.grib_deltas_seen += len(deltas)
         stale, flagged = self._stale, self._flagged
@@ -284,23 +285,17 @@ class BgmpNetwork:
                 router = delta.router
                 bgmp = self._routers[router]
                 seq = self._router_seq[bgmp]
-                anchored = bgmp.table.anchored
+                table = bgmp.table
                 index = self._domain_index[router.domain]
                 members = bgmp.migp.member_groups()
-            if not anchored and not members:
+            if not table.shared and not members:
                 continue
             first, last = span
-            if delta.kind == "added":
-                for key, groups in anchored.items():
-                    if key is None or (
-                        key.length < prefix.length and key.contains(prefix)
-                    ):
-                        for group in groups:
-                            if first <= group <= last:
-                                stale.add((seq, group))
-            else:
-                for group in anchored.get(prefix, ()):
-                    stale.add((seq, group))
+            length, added = prefix.length, delta.kind == "added"
+            for entry in table.shared_in(first, last):
+                depth = -1 if entry.anchor is None else entry.anchor.length
+                if (depth < length) if added else (depth == length):
+                    stale.add((seq, entry.group))
             for group in members[
                 bisect_left(members, first):bisect_right(members, last)
             ]:
@@ -311,8 +306,7 @@ class BgmpNetwork:
         substrate was invalidated wholesale); every entry and every
         member domain becomes a candidate for the next repair."""
         for seq, bgmp in enumerate(self._router_list):
-            for groups in bgmp.table.anchored.values():
-                self._stale.update((seq, group) for group in groups)
+            self._stale.update((seq, group) for group in bgmp.table.shared)
         for index, domain in enumerate(self._domains):
             self._flagged.update(
                 (group, index)

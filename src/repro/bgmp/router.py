@@ -260,9 +260,7 @@ class BgmpRouter:
         if entry is None:
             return False
         route = self.group_route(group)
-        key = route.prefix if route is not None else None
-        if key != entry.anchor:
-            self.table.reanchor(entry, key)
+        entry.anchor = route.prefix if route is not None else None
         new_parent = self._parent_target(route)
         new_upstream: Optional[BorderRouter] = None
         if isinstance(new_parent, PeerTarget):

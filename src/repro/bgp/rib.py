@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from typing import Dict, KeysView, List, Optional
 
+from repro.addressing.ipv4 import ADDRESS_BITS, mask_bits
 from repro.addressing.prefix import Prefix
-from repro.addressing.trie import LpmTrie
 from repro.bgp.routes import Key, Route, RouteType, key_for
 from repro.topology.domain import BorderRouter
+
+#: The netmask of each mask length.
+_MASKS = tuple(mask_bits(length) for length in range(ADDRESS_BITS + 1))
 
 
 class AdjRibIn:
@@ -54,35 +57,43 @@ class AdjRibIn:
 class LocRib:
     """Selected best routes, one per (network, length, type) key.
 
-    Longest-match lookups go through a per-type :class:`LpmTrie` index
-    built on first use; from then on :meth:`install` and :meth:`remove`
-    patch it in place, so a route that moves costs one hash write and
-    the steady state (many lookups between decision rounds) pays a
-    hash probe per distinct mask length instead of a scan over the
-    table.
+    The table is its own longest-match index: it counts its routes per
+    (type, mask length), and :meth:`lookup` probes ``best`` once per
+    length present, longest first. A route that moves costs one hash
+    write, and the steady state (many lookups between decision rounds)
+    pays a hash probe per distinct mask length instead of a scan.
     """
 
     def __init__(self) -> None:
         #: The selected route per key: read it directly, change it only
         #: through :meth:`install`, :meth:`remove` and :meth:`clear`,
-        #: which keep the lookup index in step.
+        #: which keep the length counts in step.
         self.best: Dict[Key, Route] = {}
-        self._lpm: Dict[RouteType, LpmTrie] = {}
+        #: type -> {mask length: routes of that type and length},
+        #: longest first (the probe order of :meth:`lookup`).
+        self._lengths: Dict[RouteType, Dict[int, int]] = {}
 
     def install(self, route: Route) -> None:
         """Install the winning route for its (type, prefix)."""
-        self.best[route._key] = route
-        index = self._lpm.get(route.route_type)
-        if index is not None:
-            index.insert(route.prefix, route)
+        key = route._key
+        if key not in self.best:
+            lengths = self._lengths.get(key[2])
+            if lengths is not None and key[1] in lengths:
+                lengths[key[1]] += 1
+            else:  # a new length: keep the probe order longest first
+                lengths = {**(lengths or {}), key[1]: 1}
+                self._lengths[key[2]] = dict(sorted(lengths.items())[::-1])
+        self.best[key] = route
 
     def remove(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Drop the entry; True if one was present."""
-        if self.best.pop(key_for(route_type, prefix), None) is None:
+        key = key_for(route_type, prefix)
+        if self.best.pop(key, None) is None:
             return False
-        index = self._lpm.get(route_type)
-        if index is not None:
-            index.remove(prefix)
+        lengths = self._lengths[route_type]
+        lengths[key[1]] -= 1
+        if not lengths[key[1]]:
+            del lengths[key[1]]
         return True
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
@@ -110,18 +121,16 @@ class LocRib:
         """Longest-prefix-match lookup for an address; with
         :attr:`RouteType.GROUP`, the operation BGMP performs to find
         the next hop towards a group's root domain."""
-        index = self._lpm.get(route_type)
-        if index is None:
-            index = LpmTrie()
-            for key, route in self.best.items():
-                if key[2] is route_type:
-                    index.insert(route.prefix, route)
-            self._lpm[route_type] = index
-        return index.lookup(address)
+        best = self.best
+        for length in self._lengths.get(route_type, ()):
+            route = best.get((address & _MASKS[length], length, route_type))
+            if route is not None:
+                return route
+        return None
 
     def count(self, route_type: RouteType) -> int:
         """Number of routes of one type."""
-        return sum(1 for key in self.best if key[2] is route_type)
+        return sum(self._lengths.get(route_type, {}).values())
 
     def __len__(self) -> int:
         return len(self.best)
@@ -129,7 +138,7 @@ class LocRib:
     def clear(self) -> None:
         """Drop everything (a crashed router's volatile state)."""
         self.best.clear()
-        self._lpm.clear()
+        self._lengths.clear()
 
     def snapshot(self) -> Dict[Key, Route]:
         """A copy of the table (used by convergence checks)."""

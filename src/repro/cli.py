@@ -178,6 +178,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.checkpoint.core import load_dump
     from repro.faults.soak import (
+        FAULT_REACH,
         SoakConfig,
         SoakHarness,
         replay_dump,
@@ -198,6 +199,13 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         print(violation.render())
         return 0
 
+    if args.faults and args.segment_length < FAULT_REACH:
+        # A usage error like the parser's range checks: the faults would
+        # be drawn past the segment's end, and none would fire.
+        log.error("soak %s: argument --segment-length: must be >= %g when "
+                  "--faults > 0, got %g", args.action, FAULT_REACH,
+                  args.segment_length)
+        sys.exit(2)
     config = SoakConfig(
         seed=args.seed,
         segments=args.segments,

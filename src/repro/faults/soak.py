@@ -81,6 +81,8 @@ FAULT_STREAM = "faults"
 FAULT_START = 1.0
 FAULT_WINDOW = 5.0
 REPAIR_AFTER = 5.0
+#: The shortest segment whose faults all fire and are repaired.
+FAULT_REACH = FAULT_START + FAULT_WINDOW + REPAIR_AFTER
 
 #: A chaos run's one segment. The world's MASC setup runs its clock
 #: to 5.0, so a chaos run ends at 30.0.

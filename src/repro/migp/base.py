@@ -10,6 +10,8 @@ maintain their own control-cost counters.
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.topology.domain import BorderRouter, Domain, Host
@@ -63,7 +65,8 @@ class MigpComponent:
         self.domain = domain
         self._resolver = unicast_resolver
         self._members: Dict[int, Set[Host]] = {}
-        self._attached: Dict[int, Set[BorderRouter]] = {}
+        #: Border routers on each group's tree, in name order.
+        self._attached: Dict[int, List[BorderRouter]] = {}
         #: Control-plane cost counters (protocol-specific semantics).
         self.control_messages = 0
         self.encapsulations = 0
@@ -123,13 +126,15 @@ class MigpComponent:
             raise ValueError(
                 f"{router!r} is not in domain {self.domain.name}"
             )
-        self._attached.setdefault(group, set()).add(router)
+        attached = self._attached.setdefault(group, [])
+        if router not in attached:
+            insort(attached, router, key=attrgetter("name"))
 
     def detach(self, router: BorderRouter, group: int) -> None:
         """Remove a border router from the group's attachment set."""
         attached = self._attached.get(group)
-        if attached is not None:
-            attached.discard(router)
+        if attached is not None and router in attached:
+            attached.remove(router)
             if not attached:
                 del self._attached[group]
 
@@ -161,10 +166,7 @@ class MigpComponent:
         that must also see the packet; protocol subclasses layer their
         data-path quirks on top.
         """
-        forward = sorted(
-            (r for r in self._attached.get(group, ()) if r is not via),
-            key=lambda r: r.name,
-        )
+        forward = [r for r in self._attached.get(group, ()) if r is not via]
         return InjectionResult(
             local_members=len(self._members.get(group, ())),
             forward_routers=forward,

@@ -815,7 +815,6 @@ def discover_scenarios(directory) -> List[Path]:
     """All ``*.toml`` scenario files under ``directory``, sorted."""
     base = Path(directory)
     if not base.is_dir():
-        raise ScenarioError(
-            f"scenario directory {base} does not exist"
-        )
+        raise ScenarioError("scenario directory does not exist",
+                            path=str(base))
     return sorted(base.glob("*.toml"))

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.addressing.ipv4 import parse_address
+from repro.addressing.ipv4 import mask_bits, parse_address
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
 from repro.bgp.rib import AdjRibIn, LocRib
@@ -158,3 +158,69 @@ class TestLookupAgainstSnapshotScan:
                             ), (speaker, route_type, hex(address))
                             checked += 1
         assert checked > 10_000
+
+
+#: Addresses the random tables are built around: each length's prefix
+#: of one of them, so many lengths cover the same probes.
+BASES = (0xE0123456, 0x0A00FF01, 0xFFFFFFFF)
+
+
+class TestLookupAgainstBruteForce:
+    def test_random_install_remove_clear(self):
+        """Random install / remove / clear over all three types and
+        every mask length 0-32: after each step the table's own
+        longest-match probe equals a scan of ``best``, and ``count``
+        equals the keys of each type — including lengths whose last
+        key went and came back."""
+        pool = [
+            (route_type, Prefix(base & mask_bits(length), length))
+            for route_type in RouteType
+            for base in BASES
+            for length in range(33)
+        ]
+        probes = [
+            base ^ flip
+            for base in BASES
+            for flip in (0, 1, 1 << 8, 1 << 20, 1 << 31)
+        ]
+        refilled = 0
+        for seed in range(3):
+            rng = random.Random(seed)
+            rib = LocRib()
+            seen, previous = set(), set()
+            for _step in range(300):
+                roll = rng.random()
+                route_type, prefix = rng.choice(pool)
+                if roll < 0.01:
+                    rib.clear()
+                elif roll < 0.45:
+                    rib.remove(route_type, prefix)
+                else:
+                    rib.install(route(prefix, route_type))
+                # (type, length) pairs present again after a gap.
+                present = {(key[2], key[1]) for key in rib.best}
+                refilled += len((present - previous) & seen)
+                seen |= present
+                previous = present
+                for kind in RouteType:
+                    assert rib.count(kind) == sum(
+                        1 for key in rib.best if key[2] is kind
+                    )
+                    for address in probes:
+                        assert rib.lookup(kind, address) is (
+                            _longest_covering(rib.best, kind, address)
+                        ), (seed, kind, hex(address))
+        assert refilled > 100
+
+    def test_last_key_of_a_length_goes_and_comes_back(self):
+        rib = LocRib()
+        rib.install(route(P16))
+        specific = route(P24)
+        rib.install(specific)
+        address = parse_address("224.0.128.1")
+        assert rib.remove(RouteType.GROUP, P24)
+        assert rib.lookup(RouteType.GROUP, address).prefix == P16
+        assert rib.count(RouteType.GROUP) == 1
+        rib.install(specific)
+        assert rib.lookup(RouteType.GROUP, address) is specific
+        assert rib.count(RouteType.GROUP) == 2

@@ -38,6 +38,9 @@ OUT_OF_RANGE = [
     (["fig2", "--days", "inf"], "--days"),
     (["trace", "fig2", "--days", "inf"], "--days"),
     (["soak", "run", "--segment-length", "inf"], "--segment-length"),
+    (["soak", "run", "--segment-length", "10.9"], "--segment-length"),
+    (["soak", "resume", "--faults", "1", "--segment-length", "5"],
+     "--segment-length"),
 ]
 
 #: What the parser walk feeds every typed option, through
@@ -115,6 +118,14 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be" in err
         assert "Traceback" not in err
+
+    def test_missing_scenario_directory_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["scenarios", "run", "--dir", str(missing)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert str(missing) in lines[0]
+        assert "<scenario>" not in lines[0]
 
     @pytest.mark.parametrize(
         "path, message", NOT_A_SCENARIO_FILE,
@@ -314,7 +325,7 @@ class TestSoakCommand:
     def test_run_prints_fingerprint_json(self, tmp_path, capsys):
         code = main(
             ["soak", "run", "--seed", "2", "--segments", "1",
-             "--segment-length", "10", "--dir", str(tmp_path)]
+             "--segment-length", "11", "--dir", str(tmp_path)]
         )
         assert code == 0
         fingerprint = json.loads(
@@ -323,6 +334,15 @@ class TestSoakCommand:
         assert "forwarding_digest" in fingerprint
         assert "rib_digest" in fingerprint
         assert (tmp_path / "soak-seed2-seg0.ckpt").exists()
+
+    def test_short_segment_without_faults_runs(self, tmp_path, capsys):
+        # No fault has to fit in the segment, so any length will do.
+        code = main(
+            ["soak", "run", "--faults", "0", "--segments", "1",
+             "--segment-length", "0.5", "--dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert '"faults": 0' in capsys.readouterr().out
 
     def test_resume_without_checkpoints_exits_two(self, tmp_path):
         code = main(
