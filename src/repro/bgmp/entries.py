@@ -11,7 +11,7 @@ source S prefer the (S,G) entry when one exists.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgmp.targets import Target
@@ -40,7 +40,8 @@ class ForwardingEntry:
         self.group = group
         self._parent = parent
         self.source_domain = source_domain
-        self.children: List[Target] = []
+        #: Replaced, never mutated: a tuple holds no spare capacity.
+        self.children: Tuple[Target, ...] = ()
         #: The concrete router the join was propagated to (the best
         #: exit router when the parent target is the MIGP component).
         #: Used to prune the correct upstream after G-RIB changes.
@@ -83,15 +84,17 @@ class ForwardingEntry:
         """Add a child target; False if already present."""
         if target in self.children:
             return False
-        self.children.append(target)
+        self.children += (target,)
         self._touch()
         return True
 
     def remove_child(self, target: Target) -> bool:
         """Remove a child target; False if absent."""
-        if target not in self.children:
+        children = self.children
+        if target not in children:
             return False
-        self.children.remove(target)
+        at = children.index(target)
+        self.children = children[:at] + children[at + 1:]
         self._touch()
         return True
 

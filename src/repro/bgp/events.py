@@ -6,7 +6,10 @@ process, export function, table diff and batched delivery —
 that propagates routing information as timed UPDATE messages over the
 discrete-event simulator instead of in lock-step rounds: per-session
 link delays and MRAI-style batching (at most one pending UPDATE per
-session, carrying every key that moved meanwhile).
+session, carrying every key that moved meanwhile). Deliveries lag
+sends, so a receiver does not read its sender's advertised table: each
+session keeps the table delivered so far, patched as each UPDATE
+arrives, and that is the receiver's view.
 
 Because delivery is reliable and in order (the paper's TCP peerings)
 and the decision process is deterministic, a quiescent event-driven
@@ -18,10 +21,9 @@ suite measures.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.addressing.prefix import Prefix
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.network import BgpNetwork, Session, mark_pending
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.routes import Key, Route, RouteType
@@ -51,6 +53,9 @@ class EventDrivenBgp(BgpNetwork):
         #: Keys waiting to be exported on each directed session; a
         #: session with an entry has its send scheduled (MRAI batching).
         self._pending_send: Dict[Session, Optional[Set[Key]]] = {}
+        #: Per session, what has arrived of the sender's advertised
+        #: table: the receiver's view.
+        self._delivered: Dict[Session, Dict[Key, Route]] = {}
         #: Counters.
         self.routes_announced = 0
         self.routes_withdrawn = 0
@@ -99,6 +104,11 @@ class EventDrivenBgp(BgpNetwork):
         super().restore_router(router)
         self._propagate()
 
+    def _forget_session(self, a: BorderRouter, b: BorderRouter) -> None:
+        super()._forget_session(a, b)
+        self._delivered.pop((a, b), None)
+        self._delivered.pop((b, a), None)
+
     # ------------------------------------------------------------------
     # Event flow
 
@@ -132,19 +142,20 @@ class EventDrivenBgp(BgpNetwork):
         table = self._advertised.setdefault((router, peer), {})
         bests = self._best_routes(self.speaker(router), keys, [table])
         terms = self._session_terms(router, peer)
-        update = self._diff(table, self._exports(router, terms, bests))
-        if update is None:
+        changes = self._diff(table, self._exports(router, terms, bests))
+        if not changes:
             return
+        withdrawn = [route for _key, _held, route in changes].count(None)
         self.updates_sent += 1
-        self.routes_announced += len(update.announcements)
-        self.routes_withdrawn += len(update.withdrawals)
+        self.routes_announced += len(changes) - withdrawn
+        self.routes_withdrawn += withdrawn
         delay = (
             self.internal_delay
             if peer.domain == router.domain
             else self.external_delay
         )
         self.sim.schedule(
-            delay, self._deliver, router, peer, update,
+            delay, self._deliver, router, peer, changes,
             name=f"bgp-update-{router.name}->{peer.name}",
         )
 
@@ -152,12 +163,20 @@ class EventDrivenBgp(BgpNetwork):
         self,
         sender: BorderRouter,
         receiver: BorderRouter,
-        update: UpdateMessage,
+        changes: List,
     ) -> None:
         # A session that went down took its UPDATEs in flight with it.
         if not self.session_up(sender, receiver):
             return
-        self.speaker(receiver).deliver(sender, update)
+        table = self._delivered.setdefault((sender, receiver), {})
+        arrived = []
+        for key, _sent_over, route in changes:
+            arrived.append((key, table.get(key), route))
+            if route is None:
+                table.pop(key, None)
+            else:
+                table[key] = route
+        self.speaker(receiver).deliver(sender, table, arrived)
         self._propagate()
 
     # ------------------------------------------------------------------

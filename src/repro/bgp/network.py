@@ -12,11 +12,13 @@ records the decisions its mutations made due — a delivered route
 weighed against the best so far, a rescan only where that best left —
 and settles those only, patching the Loc-RIB in place; each round
 exports only the keys whose best route moved, diffed once per *update
-group* against the *advertised table* its members' receivers hold, and
-the difference is delivered as one batch into each member's
-Adj-RIB-In, where the receiver weighs each change. A key whose export
-equals the table sends nothing — which is why treating *every* key as due
-walks the identical rounds, Loc-RIBs and update counts, the property
+group* against its *advertised table*, and the difference is delivered
+as one batch to each member's receiver, which weighs each change. The
+advertised table *is* each member receiver's Adj-RIB-In (the receiver
+reads it in place, the loop check at each read), so what a session
+carries is held once. A key whose export equals the table sends
+nothing — which is why treating *every* key as due walks the identical
+rounds, Loc-RIBs and update counts, the property
 ``tests/bgp/test_incremental_equivalence.py`` checks against the
 recompute-everything oracle in ``tests/conftest.py`` (see
 ``docs/ARCHITECTURE.md`` section 8).
@@ -31,7 +33,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 from repro.addressing.ipv4 import ADDRESS_BITS
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import (
     ExportPolicy,
     GaoRexfordPolicy,
@@ -64,14 +65,19 @@ def mark_pending(
 
 class UpdateGroup:
     """The sessions of one router with equal terms whose receivers
-    hold exactly ``table`` (``None`` until the first announcement):
-    one diff per round serves every member."""
+    read ``table`` as their view of the session: one diff per round
+    serves every member. The table keeps its identity for the group's
+    life."""
 
     __slots__ = ("table", "members")
 
     def __init__(self) -> None:
-        self.table: Optional[Dict[Key, Route]] = None
-        self.members: List[BorderRouter] = []
+        self.table: Dict[Key, Route] = {}
+        self.members: Tuple[BorderRouter, ...] = ()
+
+    def leave(self, peer: BorderRouter) -> None:
+        """``peer``'s session is no member any more."""
+        self.members = tuple([p for p in self.members if p is not peer])
 
 
 class ConvergenceError(Exception):
@@ -147,11 +153,14 @@ class BgpNetwork:
         self._export_dirty: Dict[BgpSpeaker, Optional[Set[Key]]] = {}
         #: Per router, its update groups by terms. A live session that
         #: is no group's member is *private*: its advertised table —
-        #: what the receiver holds from the sender, in receiver-relative
-        #: form and before its loop check — is its own entry in
-        #: ``_advertised`` (none: it has advertised nothing).
+        #: what the sender advertised, in receiver-relative form — is
+        #: its own entry in ``_advertised`` (none: it has advertised
+        #: nothing). Either table is the receiver's view of the session.
         self._groups: Dict[BorderRouter, Dict[Terms, UpdateGroup]] = {}
         self._advertised: Dict[Session, Dict[Key, Route]] = {}
+        #: Every AS path an export built, each its own key: routes with
+        #: equal paths share one tuple for the network's life.
+        self._paths: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         #: Per router, its live sessions by update group, dropped when a
         #: session or router comes or goes (group membership stays);
         #: every speaker's canonical rank, dropped when one is added.
@@ -230,21 +239,23 @@ class BgpNetwork:
     def invalidate(self) -> None:
         """Mark every key of every speaker dirty and drop every cache
         — the big hammer for callers that mutate the topology after
-        construction. The advertised tables stay: they record what
-        receivers hold, and the full re-export is diffed against them;
+        construction. The advertised tables stay: they are what
+        receivers read, and the full re-export is diffed against them;
         a member whose terms changed leaves its group with a private
-        copy of the group's table."""
+        copy of the group's table, which its receiver reads from now."""
         self._own_prefix_cache.clear()
         self._origin_index = None
         self._sessions.clear()
         self._rank = None
         for router, groups in self._groups.items():
             for terms, group in groups.items():
-                table = group.table or {}
-                for peer in list(group.members):
+                for peer in group.members:
                     if self._session_terms(router, peer) != terms:
-                        group.members.remove(peer)
-                        self._advertised[router, peer] = dict(table)
+                        group.leave(peer)
+                        table = self._advertised[router, peer] = dict(
+                            group.table
+                        )
+                        self.speakers[peer]._adj_in[router] = table
         for speaker in self.speakers.values():
             self.speaker_dirty(speaker)
         # Delta subscribers cannot trust the stream across a topology
@@ -407,13 +418,13 @@ class BgpNetwork:
         self._forget_session(a, b)
 
     def _forget_session(self, a: BorderRouter, b: BorderRouter) -> None:
-        """The Adj-RIB-Ins are gone: so are both directions' tables and
-        group memberships."""
+        """Both receivers dropped their views: both directions' private
+        tables and group memberships go too."""
         for sender, receiver in ((a, b), (b, a)):
             self._advertised.pop((sender, receiver), None)
             for group in self._groups.get(sender, {}).values():
                 if receiver in group.members:
-                    group.members.remove(receiver)
+                    group.leave(receiver)
 
     def fail_router(self, router: BorderRouter) -> None:
         """Crash a border router: every peer withdraws the routes it
@@ -563,7 +574,8 @@ class BgpNetwork:
 
     def _update_groups(self, router: BorderRouter) -> List:
         """``router``'s live sessions as (terms, update group, private
-        peers) in first-seen peer order (external, then iBGP); cached."""
+        peers) tuples in first-seen peer order (external, then iBGP);
+        cached."""
         classes = self._sessions.get(router)
         if classes is None:
             groups = self._groups.setdefault(router, {})
@@ -572,12 +584,13 @@ class BgpNetwork:
                 if self.session_up(router, peer):
                     terms = self._session_terms(router, peer)
                     found.setdefault(terms, []).append(peer)
-            classes = self._sessions[router] = []
+            classes = []
             for terms, peers in found.items():
                 group = groups.setdefault(terms, UpdateGroup())
                 joined = set(group.members)
                 private = [peer for peer in peers if peer not in joined]
-                classes.append((terms, group, private))
+                classes.append((terms, group, tuple(private)))
+            classes = self._sessions[router] = tuple(classes)
         return classes
 
     # ------------------------------------------------------------------
@@ -589,38 +602,42 @@ class BgpNetwork:
     ) -> int:
         """``speaker``'s turn in a round; returns the UPDATEs sent. After
         a full export (``keys`` None) every private table provably
-        equals its group's, so the private sessions join it."""
+        equals its group's, so the private sessions join it and their
+        receivers read the group's table from then on."""
         router = speaker.router
         advertised = self._advertised
         groups = self._update_groups(router)
         held = []  # what a full export must cover besides the Loc-RIB
         for _terms, group, private in groups if keys is None else ():
-            held.append(group.table or {})
+            held.append(group.table)
             held.extend(advertised.get((router, p), {}) for p in private)
         bests = self._best_routes(speaker, keys, held)
         stale = self._superseded(speaker, bests) if self._lost else None
-        sent = 0
+        sent, merged = 0, False
         for terms, group, private in groups:
             exports = self._exports(router, terms, bests)
-            table = group.table or {}
-            update = self._diff(table, exports, stale)
-            if update is not None:
-                if update.announcements:
-                    group.table = table
+            table = group.table
+            changes = self._diff(table, exports, stale)
+            if changes:
                 for peer in group.members:
-                    self.speaker(peer).deliver(router, update)
+                    self.speaker(peer).deliver(router, table, changes)
                 sent += len(group.members)
             for peer in private:
-                table = advertised.setdefault((router, peer), {})
-                update = self._diff(table, exports, stale)
-                if update is not None:
-                    self.speaker(peer).deliver(router, update)
+                own = advertised.setdefault((router, peer), {})
+                changes = self._diff(own, exports, stale)
+                if changes:
+                    self.speaker(peer).deliver(router, own, changes)
                     sent += 1
             if keys is None and private:
                 for peer in private:
                     del advertised[router, peer]
-                group.members.extend(private)
-                private.clear()
+                    self.speaker(peer)._adj_in[router] = table
+                group.members += private
+                merged = True
+        if merged:
+            self._sessions[router] = tuple([
+                (terms, group, ()) for terms, group, _private in groups
+            ])
         return sent
 
     def _best_routes(
@@ -648,11 +665,14 @@ class BgpNetwork:
             moved, holder = lost[key], speaker
             while route.next_hop and not moved.isdisjoint(route.as_path):
                 hop, path = route.next_hop, route.as_path
-                held = holder._adj_in[hop].routes.get(key)
+                # Equal, not only identical: a view that moved to its
+                # group's table holds equal routes of the group's.
+                held = holder._adj_in[hop].get(key)
                 holder, internal = speakers[hop], route.from_internal
                 upstream = holder.loc_rib.best.get(key)
-                if held is not route or upstream is None or (
-                    upstream.as_path != (path if internal else path[1:])
+                if (held is not route and held != route) or (
+                    upstream is None
+                    or upstream.as_path != (path if internal else path[1:])
                     or internal and upstream.from_internal
                 ):
                     stale.add(key)
@@ -687,6 +707,7 @@ class BgpNetwork:
         # the receiver's relationship to us (customer routes preferred).
         local_pref = preference_for(learned_from)
         head = (domain.domain_id,)
+        paths = self._paths
         unicast = RouteType.UNICAST
         exports = []
         for key, best in bests:
@@ -709,8 +730,10 @@ class BgpNetwork:
                     ):
                         break
                 else:
+                    path = head + best.as_path
                     route = Route(
-                        best.prefix, kind, router, head + best.as_path,
+                        best.prefix, kind, router,
+                        paths.setdefault(path, path),
                         local_pref, False, learned_from,
                     )
             exports.append((key, route))
@@ -719,24 +742,23 @@ class BgpNetwork:
     @staticmethod
     def _diff(
         table: Dict[Key, Route], exports: List, stale=None
-    ) -> Optional[UpdateMessage]:
+    ) -> List[Tuple[Key, Optional[Route], Optional[Route]]]:
         """Bring the advertised table ``table`` up to date with
-        ``exports``; the difference is the UPDATE to deliver (None when
-        there is none). A ``stale`` key is withdrawn, not announced anew."""
-        announcements: List[Route] = []
-        withdrawals: List[Key] = []
+        ``exports``; the difference is the UPDATE to deliver, each
+        changed key with the route it held and the one it holds now
+        (``None``: withdrawn). A ``stale`` key is withdrawn, not
+        announced anew."""
+        changes = []
         for key, route in exports:
             held = table.get(key)
             if route is None or stale and key in stale and route != held:
                 if held is not None:
                     del table[key]
-                    withdrawals.append(key)
+                    changes.append((key, held, None))
             elif held is None or route != held:
                 table[key] = route
-                announcements.append(route)
-        if announcements or withdrawals:
-            return UpdateMessage(announcements, withdrawals)
-        return None
+                changes.append((key, held, route))
+        return changes
 
     def _session_terms(
         self, router: BorderRouter, peer: BorderRouter

@@ -1,12 +1,13 @@
 """Routing information bases.
 
-Each speaker keeps one :class:`AdjRibIn` per peering session (the routes
-that peer advertised) and one :class:`LocRib` (the selected best route
-per key after the decision process). Both are patched one key at a
-time — an UPDATE carries the keys that changed, and the decision
-process reruns for exactly those. The G-RIB of the paper is
-the Loc-RIB filtered to :attr:`RouteType.GROUP` with longest-match
-lookup.
+Each speaker keeps one :class:`LocRib`: the selected best route per key
+after the decision process, patched one key at a time — an UPDATE
+carries the keys that changed, and the decision process reruns for
+exactly those. The G-RIB of the paper is the Loc-RIB filtered to
+:attr:`RouteType.GROUP` with longest-match lookup. A speaker's
+Adj-RIB-Ins are no class of their own: each is the plain dict its
+peer advertises on the session, read in place (see
+:mod:`repro.bgp.speaker` and :mod:`repro.bgp.network`).
 """
 
 from __future__ import annotations
@@ -16,42 +17,9 @@ from typing import Dict, KeysView, List, Optional
 from repro.addressing.ipv4 import ADDRESS_BITS, mask_bits
 from repro.addressing.prefix import Prefix
 from repro.bgp.routes import Key, Route, RouteType, key_for
-from repro.topology.domain import BorderRouter
 
 #: The netmask of each mask length.
 _MASKS = tuple(mask_bits(length) for length in range(ADDRESS_BITS + 1))
-
-
-class AdjRibIn:
-    """Routes received from one peer, keyed by (network, length, type)."""
-
-    def __init__(self, peer: BorderRouter):
-        self.peer = peer
-        #: The table; delivery and the decision process use it directly.
-        self.routes: Dict[Key, Route] = {}
-
-    def update(self, route: Route) -> None:
-        """Install or replace the peer's route for its (type, prefix)."""
-        self.routes[route.key()] = route
-
-    def withdraw(self, route_type: RouteType, prefix: Prefix) -> bool:
-        """Remove the peer's route; True if one was present."""
-        return self.routes.pop(key_for(route_type, prefix), None) is not None
-
-    def keys(self) -> KeysView[Key]:
-        """The keys the peer currently advertises."""
-        return self.routes.keys()
-
-    def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
-        """The peer's route for (type, prefix), if any."""
-        return self.routes.get(key_for(route_type, prefix))
-
-    def __len__(self) -> int:
-        return len(self.routes)
-
-    def snapshot(self) -> Dict[Key, Route]:
-        """A copy of the table (used by convergence checks)."""
-        return dict(self.routes)
 
 
 class LocRib:

@@ -4,9 +4,16 @@ Each border router runs one speaker. A speaker holds locally-originated
 routes, one Adj-RIB-In per peering session (external sessions over the
 router's inter-domain links plus an iBGP full mesh with the other
 border routers of its domain), and a Loc-RIB kept by the standard
-decision process. The (network, length, type) key is the unit of
-work: each mutation records the keys whose best route may move, and
-:meth:`BgpSpeaker.recompute` settles exactly those.
+decision process. An Adj-RIB-In is not a copy: it is a *view*, the
+table the sending side keeps of what it advertised on the session
+(an update group's or private table, or the event-driven engine's
+delivered table), patched before the changes are reported through
+:meth:`BgpSpeaker.deliver`. So the loop check (an external route whose
+AS path holds this domain counts as absent) runs where a view is read:
+in :meth:`~BgpSpeaker.deliver`, :meth:`~BgpSpeaker.drop_session` and
+the rescan of :meth:`~BgpSpeaker.recompute`. The (network, length, type) key is the
+unit of work: each mutation records the keys whose best route may
+move, and :meth:`BgpSpeaker.recompute` settles exactly those.
 """
 
 from __future__ import annotations
@@ -14,9 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import preference_for
-from repro.bgp.rib import AdjRibIn, LocRib
+from repro.bgp.rib import LocRib
 from repro.bgp.routes import Key, Route, RouteType, key_for
 from repro.topology.domain import BorderRouter
 
@@ -31,10 +37,12 @@ class BgpSpeaker:
         self.router = router
         self.loc_rib = LocRib()
         self._origins: Dict[Key, Route] = {}
-        self._adj_in: Dict[BorderRouter, AdjRibIn] = {}
+        #: Per peer, the view of its session: the table the peer
+        #: advertises, read in place, loop check at each read.
+        self._adj_in: Dict[BorderRouter, Dict[Key, Route]] = {}
         #: The decisions due, per key: the new best route when the
-        #: changes alone settle it, ``None`` when the key's Adj-RIB-Ins
-        #: must be rescanned (its best left, or an origin moved).
+        #: changes alone settle it, ``None`` when the key's views must
+        #: be rescanned (its best left, or an origin moved).
         #: ``None`` in place of the map: every key is due.
         self._pending: Optional[Dict[Key, Optional[Route]]] = {}
         #: Change listener (set by :class:`~repro.bgp.network.BgpNetwork`
@@ -65,33 +73,27 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     # Sessions
 
-    def session_with(self, peer: BorderRouter) -> AdjRibIn:
-        """The Adj-RIB-In for ``peer``, created on first use."""
-        rib = self._adj_in.get(peer)
-        if rib is None:
-            rib = AdjRibIn(peer)
-            self._adj_in[peer] = rib
-        return rib
-
     def peers(self) -> List[BorderRouter]:
-        """Routers this speaker has sessions with."""
+        """Routers whose sessions this speaker holds a view of."""
         return list(self._adj_in)
 
     def drop_session(self, peer: BorderRouter) -> bool:
         """Tear down the session with ``peer``: every route learned
-        from it is withdrawn (the Adj-RIB-In vanishes), so only the
-        keys it held the best route for are rescanned. True when a
-        session existed."""
-        rib = self._adj_in.get(peer)
-        if rib is None:
+        from it is withdrawn (the view goes; the peer's table stays,
+        its other receivers may read it), so only the keys it held the
+        best route for are rescanned. True when a session existed."""
+        table = self._adj_in.get(peer)
+        if table is None:
             return False
-        self.deliver(peer, UpdateMessage(withdrawals=list(rib.routes)))
+        self.deliver(peer, table, [
+            (key, route, None) for key, route in table.items()
+        ])
         del self._adj_in[peer]
         return True
 
     def reset(self) -> None:
-        """Crash recovery model: volatile state (Adj-RIB-Ins, Loc-RIB)
-        is lost; configuration (locally-originated routes) survives and
+        """Crash recovery model: volatile state (views, Loc-RIB) is
+        lost; configuration (locally-originated routes) survives and
         is re-announced on the next decision round."""
         self._adj_in.clear()
         self.redecide_all()
@@ -137,37 +139,33 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     # Delivery and decision process
 
-    def deliver(self, peer: BorderRouter, update: UpdateMessage) -> None:
-        """Apply an UPDATE from ``peer`` to its Adj-RIB-In as one batch:
-        each announced route replaces whatever the peer advertised under
-        its key before, each withdrawal removes it, and so does an
-        external route whose AS path already holds this domain — the
-        peer's best path now runs through us, so its previous one is
-        gone all the same. One notice says decisions are due; while
-        every key is due already, nothing is weighed."""
-        rib = self._adj_in.get(peer)
-        if rib is None:
-            rib = self._adj_in[peer] = AdjRibIn(peer)
-        routes = rib.routes
+    def deliver(
+        self, peer: BorderRouter, table: Dict[Key, Route], changes: List
+    ) -> None:
+        """``peer`` changed ``table``, the table it advertises to this
+        speaker and from now on the view of the session, at each
+        ``(key, previous route, route)`` of ``changes`` (``None``:
+        absent). The changes are weighed as one batch, an external
+        route whose AS path already holds this domain counting as
+        absent — the peer's best path runs through us. One notice says
+        decisions are due; while every key is due already, nothing is
+        weighed."""
+        self._adj_in[peer] = table
+        if self._pending is None:
+            return
         domain_id = self.router.domain.domain_id
-        weigh = None if self._pending is None else self._weigh
-        due = False
-        for route in update.announcements:
-            key = route._key
-            if route.from_internal or domain_id not in route.as_path:
-                displaced = routes.get(key)
-                routes[key] = route
-            else:
-                displaced = routes.pop(key, None)
-                if displaced is None:
-                    continue
+        weigh, due = self._weigh, False
+        for key, displaced, route in changes:
+            if displaced is not None and not displaced.from_internal and (
+                domain_id in displaced.as_path
+            ):
+                displaced = None
+            if route is not None and not route.from_internal and (
+                domain_id in route.as_path
+            ):
                 route = None
-            if weigh is not None and weigh(key, displaced, route):
-                due = True
-        for key in update.withdrawals:
-            displaced = routes.pop(key, None)
-            if displaced is not None and weigh is not None and weigh(
-                key, displaced, None
+            if (displaced is not None or route is not None) and weigh(
+                key, displaced, route
             ):
                 due = True
         if due and self._listener is not None:
@@ -198,10 +196,6 @@ class BgpSpeaker:
             pending[key] = route
         return True
 
-    def receive(self, peer: BorderRouter, route: Route) -> None:
-        """Deliver one announced route from ``peer``."""
-        self.deliver(peer, UpdateMessage([route]))
-
     def recompute(self) -> List[Key]:
         """Settle the decisions due and patch the Loc-RIB; returns the
         keys whose best route moved, in canonical order.
@@ -210,17 +204,17 @@ class BgpSpeaker:
         local_pref, shortest AS path, eBGP over iBGP, and finally the
         lowest (domain id, router name) of the advertising router for a
         deterministic tie-break. A key the delivered routes settled
-        takes that route; any other key due rescans every Adj-RIB-In.
+        takes that route; any other key due rescans every view, skipping
+        the external routes whose AS path holds this domain.
         """
         pending, origins = self._pending, self._origins
         installed = self.loc_rib.best
         self._pending = {}
         if pending is None:
             pending = dict.fromkeys(
-                set(installed).union(
-                    origins, *(rib.routes for rib in self._adj_in.values())
-                )
+                set(installed).union(origins, *self._adj_in.values())
             )
+        domain_id = self.router.domain.domain_id
         listener = self._listener
         moved: List[Key] = []
         tables = None
@@ -228,11 +222,13 @@ class BgpSpeaker:
             best = origins.get(key, pending[key])
             if best is None:
                 if tables is None:
-                    tables = [rib.routes for rib in self._adj_in.values()]
+                    tables = list(self._adj_in.values())
                 learned = [
                     route
                     for table in tables
-                    if (route := table.get(key)) is not None
+                    if (route := table.get(key)) is not None and (
+                        route.from_internal or domain_id not in route.as_path
+                    )
                 ]
                 best = min(learned, key=self._rank) if learned else None
             old = installed.get(key)

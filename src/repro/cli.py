@@ -175,6 +175,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return findings
 
 
+#: Each ``soak`` flag that shapes the run, with its ``SoakConfig``
+#: field.
+_SOAK_FLAGS = (
+    ("--seed", "seed"),
+    ("--segments", "segments"),
+    ("--segment-length", "segment_length"),
+    ("--faults", "faults_per_segment"),
+)
+
+
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.checkpoint.core import load_dump
     from repro.faults.soak import (
@@ -199,23 +209,38 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         print(violation.render())
         return 0
 
-    if args.faults and args.segment_length < FAULT_REACH:
+    if args.faults and args.segment_length is not None and (
+        args.segment_length < FAULT_REACH
+    ):
         # A usage error like the parser's range checks: the faults would
         # be drawn past the segment's end, and none would fire.
         log.error("soak %s: argument --segment-length: must be >= %g when "
                   "--faults > 0, got %g", args.action, FAULT_REACH,
                   args.segment_length)
         sys.exit(2)
-    config = SoakConfig(
-        seed=args.seed,
-        segments=args.segments,
-        segment_length=args.segment_length,
-        faults_per_segment=args.faults,
-    )
-    harness = SoakHarness(config=config, out_dir=args.dir)
+    given = {
+        flag: getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        for flag, _field in _SOAK_FLAGS
+    }
+    if args.action == "resume":
+        # The run continues as checkpointed: a flag may only repeat it.
+        harness = SoakHarness(out_dir=args.dir)
+        world, path = harness.restore_world()
+        for flag, field in _SOAK_FLAGS:
+            held = getattr(world.config, field)
+            if given[flag] is not None and given[flag] != held:
+                log.error("soak resume: argument %s: %s differs from the "
+                          "checkpoint's %s (%s)", flag, given[flag], held,
+                          path)
+                return 2
+    else:
+        harness = SoakHarness(
+            SoakConfig(**{field: given[flag] for flag, field in _SOAK_FLAGS}),
+            out_dir=args.dir,
+        )
     try:
         if args.action == "resume":
-            result = harness.resume()
+            result = harness.resume_world(world, path)
         else:
             result = harness.run(kill_at=args.kill_at)
     except InvariantViolation as violation:
@@ -340,7 +365,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             return 2
         paths = [p for i, p in enumerate(paths) if i % count == index]
     if not paths:
-        log.error("scenarios: no scenario files selected")
+        source = "the given files" if args.files else f"--dir {args.dir}"
+        shard = f" with --shard {args.shard}" if args.shard else ""
+        log.error("scenarios: no scenario files selected from %s%s",
+                  source, shard)
         return 2
 
     # Every action starts from validation: a DSL error is a finding
@@ -521,27 +549,34 @@ def build_parser() -> argparse.ArgumentParser:
     soak.set_defaults(func=_cmd_soak, kill_at=None)
     soak_sub = soak.add_subparsers(dest="action", required=True)
 
-    def _soak_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--segments", type=COUNT, default=3)
+    def _soak_common(sp: argparse.ArgumentParser, resume: bool) -> None:
+        # A resume continues the checkpointed run: a flag left out
+        # takes the checkpoint's value.
+        def default(value):
+            return None if resume else value
+
+        sp.add_argument("--seed", type=int, default=default(0))
+        sp.add_argument("--segments", type=COUNT, default=default(3))
         sp.add_argument("--segment-length",
-                        type=number(float, 0, strict=True), default=30.0)
-        _add_knobs(sp, ["chaos"])
+                        type=number(float, 0, strict=True),
+                        default=default(30.0))
+        _add_knobs(sp, ["chaos"], **({"faults": None} if resume else {}))
         sp.add_argument("--dir", default="soak-out",
                         help="checkpoint/dump directory")
 
     soak_run = soak_sub.add_parser(
         "run", help="fresh soak chain with boundary checkpoints"
     )
-    _soak_common(soak_run)
+    _soak_common(soak_run, resume=False)
     soak_run.add_argument("--kill-at", type=number(float, 0),
                           help="crash the process (os._exit 137) at "
                                "this simulation time — crash-resume "
                                "testing")
     _soak_common(soak_sub.add_parser(
         "resume",
-        help="continue from the latest boundary checkpoint in --dir",
-    ))
+        help="continue from the latest boundary checkpoint in --dir "
+             "(each flag defaults to the checkpoint's value)",
+    ), resume=True)
 
     soak_sub.add_parser(
         "replay",
@@ -661,6 +696,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point, and the one exit-2 boundary for
     :data:`OPERATIONAL_ERRORS`: one stderr line naming the command."""
     args = build_parser().parse_args(argv)
+    # A path need not be UTF-8: print the bytes the file system gave
+    # rather than fail on them.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="surrogateescape")
     _configure_logging(args.verbose, args.quiet)
     try:
         return args.func(args)

@@ -234,7 +234,11 @@ class SoakHarness:
         :meth:`restore_world`). The interrupted segment re-runs from
         its start; the redraw is identical because the fault stream's
         state was checkpointed with the world."""
-        world, path = self.restore_world(checkpoint_path)
+        return self.resume_world(*self.restore_world(checkpoint_path))
+
+    def resume_world(self, world: SoakWorld, path: str) -> SoakResult:
+        """Continue ``world``, restored from the checkpoint at ``path``,
+        as checkpointed (its own config, not this harness's)."""
         world.log.append(
             (world.sim.now, f"resumed segment {world.segment} from "
              f"{os.path.basename(path)}")

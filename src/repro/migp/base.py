@@ -10,9 +10,9 @@ maintain their own control-cost counters.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.topology.domain import BorderRouter, Domain, Host
 
@@ -65,8 +65,9 @@ class MigpComponent:
         self.domain = domain
         self._resolver = unicast_resolver
         self._members: Dict[int, Set[Host]] = {}
-        #: Border routers on each group's tree, in name order.
-        self._attached: Dict[int, List[BorderRouter]] = {}
+        #: Border routers on each group's tree, in name order; replaced,
+        #: never mutated (a tuple holds no spare capacity).
+        self._attached: Dict[int, Tuple[BorderRouter, ...]] = {}
         #: Control-plane cost counters (protocol-specific semantics).
         self.control_messages = 0
         self.encapsulations = 0
@@ -126,16 +127,20 @@ class MigpComponent:
             raise ValueError(
                 f"{router!r} is not in domain {self.domain.name}"
             )
-        attached = self._attached.setdefault(group, [])
+        attached = self._attached.get(group, ())
         if router not in attached:
-            insort(attached, router, key=attrgetter("name"))
+            at = bisect(attached, router.name, key=attrgetter("name"))
+            self._attached[group] = attached[:at] + (router,) + attached[at:]
 
     def detach(self, router: BorderRouter, group: int) -> None:
         """Remove a border router from the group's attachment set."""
-        attached = self._attached.get(group)
-        if attached is not None and router in attached:
-            attached.remove(router)
-            if not attached:
+        attached = self._attached.get(group, ())
+        if router in attached:
+            at = attached.index(router)
+            attached = attached[:at] + attached[at + 1:]
+            if attached:
+                self._attached[group] = attached
+            else:
                 del self._attached[group]
 
     def attached_routers(self, group: int) -> Set[BorderRouter]:

@@ -54,19 +54,19 @@ class TestTreeConstruction:
         # C1: parent A2, child = its MIGP component.
         c1 = network.router_of(c.router("C1")).table.get(GROUP)
         assert c1.parent is network.router_of(a.router("A2")).as_peer
-        assert c1.children == [network.router_of(c.router("C1")).interior]
+        assert c1.children == (network.router_of(c.router("C1")).interior,)
         # A2: parent = MIGP (towards exit A3), child C1.
         a2 = network.router_of(a.router("A2")).table.get(GROUP)
         assert a2.parent is network.router_of(a.router("A2")).interior
-        assert a2.children == [network.router_of(c.router("C1")).as_peer]
+        assert a2.children == (network.router_of(c.router("C1")).as_peer,)
         # A3: parent B1 (external), child = MIGP component.
         a3 = network.router_of(a.router("A3")).table.get(GROUP)
         assert a3.parent is network.router_of(b.router("B1")).as_peer
-        assert a3.children == [network.router_of(a.router("A3")).interior]
+        assert a3.children == (network.router_of(a.router("A3")).interior,)
         # B1 (root domain): parent = MIGP component, child A3.
         b1 = network.router_of(b.router("B1")).table.get(GROUP)
         assert b1.parent is network.router_of(b.router("B1")).interior
-        assert b1.children == [network.router_of(a.router("A3")).as_peer]
+        assert b1.children == (network.router_of(a.router("A3")).as_peer,)
 
     def test_full_membership_tree(self, network):
         join_members(network, "B", "C", "D", "F", "H")

@@ -45,9 +45,9 @@ def calls_per_delivered_route(monkeypatch):
     delivered = []
     deliver = BgpSpeaker.deliver
 
-    def counting_deliver(self, peer, update):
-        delivered.append(len(update.announcements) + len(update.withdrawals))
-        deliver(self, peer, update)
+    def counting_deliver(self, peer, table, changes):
+        delivered.append(len(changes))
+        deliver(self, peer, table, changes)
 
     monkeypatch.setattr(BgpSpeaker, "deliver", counting_deliver)
     package = str(Path(repro.__file__).parent)

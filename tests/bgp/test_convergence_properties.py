@@ -14,7 +14,11 @@ of group and unicast prefixes. After every converge:
   takes as many calls as the one-shot converge takes rounds and ends
   with the same ``rib_digest`` and ``updates_sent``;
 - ``EventDrivenBgp`` given the same steps reaches the same
-  ``rib_digest`` at quiescence.
+  ``rib_digest`` at quiescence;
+- every live session's receiver reads the very table its sender diffs
+  (the event-driven one: the session's delivered table, equal to the
+  sender's), and selects from it all but the routes whose AS path
+  holds its domain.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -28,6 +32,7 @@ from repro.topology.domain import DomainKind
 from repro.topology.network import Topology
 
 from tests.bgp._gao_rexford import mismatches
+from tests.bgp._views import assert_delivered_views_hold, assert_views_hold
 
 TYPES = (RouteType.GROUP, RouteType.UNICAST)
 
@@ -152,3 +157,6 @@ def test_every_converge_reaches_the_stable_state(world, plan):
         assert stepped.updates_sent == one_shot.updates_sent
         assert stepped.rib_digest() == one_shot.rib_digest()
         assert event.rib_digest() == one_shot.rib_digest()
+        assert_views_hold(one_shot)
+        assert_views_hold(stepped)
+        assert_delivered_views_hold(event)

@@ -1,6 +1,6 @@
 """The decision process per change: a delivered route is weighed
-against the installed best at once, and a key's Adj-RIB-Ins are
-rescanned only when that best leaves.
+against the installed best at once, and a key's Adj-RIB-Ins (the
+views of the peers' tables) are rescanned only when that best leaves.
 
 A speaker driven through random deliveries, looped announcements,
 withdrawals, session drops, origin flaps and crashes, settling only
@@ -13,10 +13,10 @@ import random
 import pytest
 
 from repro.addressing.prefix import Prefix
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.routes import Route, RouteType
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import Domain
+from tests.bgp._views import receive, received, send
 
 PREFIXES = [Prefix.parse(f"226.{index}.0.0/16") for index in range(4)]
 KEYS = [
@@ -90,7 +90,7 @@ def _rescanned(speaker):
         learned = [
             route
             for peer in speaker.peers()
-            if (route := speaker.session_with(peer).routes.get(key))
+            if (route := received(speaker, peer).get(key))
             is not None
         ]
         if key in origins:
@@ -104,13 +104,13 @@ def _mutate(rng, speaker, peers):
     kind = rng.random()
     peer = rng.choice(peers)
     if kind < 0.75:
-        update = UpdateMessage()
+        announcements, withdrawals = [], []
         for key in rng.sample(KEYS, rng.randrange(1, len(KEYS) + 1)):
             if rng.random() < 0.7:
-                update.announcements.append(_random_route(rng, key, peer))
+                announcements.append(_random_route(rng, key, peer))
             else:
-                update.withdrawals.append(key)
-        speaker.deliver(peer, update)
+                withdrawals.append(key)
+        send(speaker, peer, announcements, withdrawals)
     elif kind < 0.85:
         speaker.drop_session(peer)
     elif kind < 0.92:
@@ -138,7 +138,7 @@ def test_due_decisions_settle_what_a_full_rescan_selects(seed):
 
 
 def _settled(speaker, peer, route):
-    speaker.receive(peer, route)
+    receive(speaker, peer, route)
     speaker.recompute()
     return speaker.loc_rib.best.get(route.key())
 
@@ -149,10 +149,10 @@ def test_a_worse_route_leaves_nothing_due():
     best = _route(key, a, (1,), local_pref=300)
     assert _settled(speaker, a, best) is best
     notices = listener.notices
-    speaker.receive(b, _route(key, b, (2, 5)))
+    receive(speaker, b, _route(key, b, (2, 5)))
     assert speaker._pending == {}
     assert listener.notices == notices
-    assert speaker.session_with(b).routes[key].next_hop is b
+    assert received(speaker, b)[key].next_hop is b
 
 
 def test_a_better_route_is_settled_without_a_rescan():
@@ -160,7 +160,7 @@ def test_a_better_route_is_settled_without_a_rescan():
     key = KEYS[0]
     _settled(speaker, a, _route(key, a, (1, 5)))
     better = _route(key, b, (2,))
-    speaker.receive(b, better)
+    receive(speaker, b, better)
     assert speaker._pending == {key: better}
     speaker._adj_in.clear()  # a rescan would now find nothing
     assert speaker.recompute() == [key]
@@ -173,7 +173,7 @@ def test_the_best_leaving_is_rescanned():
     _settled(speaker, b, _route(key, b, (2, 5, 6)))
     best = _route(key, a, (1,))
     assert _settled(speaker, a, best) is best
-    speaker.deliver(a, UpdateMessage(withdrawals=[key]))
+    send(speaker, a, withdrawals=[key])
     assert speaker._pending == {key: None}
     speaker.recompute()
     assert speaker.loc_rib.best[key].next_hop is b
@@ -182,10 +182,10 @@ def test_the_best_leaving_is_rescanned():
 def test_a_session_drop_rescans_only_the_keys_it_held_the_best_for():
     speaker, _listener, (a, _a2, b, _internal) = _speaker()
     won, lost = KEYS[:2]
-    speaker.receive(a, _route(won, a, (1,)))
-    speaker.receive(a, _route(lost, a, (1, 5, 6, 7)))
+    receive(speaker, a, _route(won, a, (1,)))
+    receive(speaker, a, _route(lost, a, (1, 5, 6, 7)))
     for key in (won, lost):
-        speaker.receive(b, _route(key, b, (2, 5)))
+        receive(speaker, b, _route(key, b, (2, 5)))
     speaker.recompute()
     assert speaker.loc_rib.best[won].next_hop is a
     assert speaker.loc_rib.best[lost].next_hop is b

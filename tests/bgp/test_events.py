@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.addressing.ipv4 import parse_address
 from repro.addressing.prefix import Prefix
 from repro.bgp.events import EventDrivenBgp
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.network import BgpNetwork
 from repro.bgp.routes import RouteType
 from repro.sim.engine import Simulator
@@ -21,14 +20,6 @@ from repro.topology.generators import (
 
 PREFIX = Prefix.parse("226.1.0.0/16")
 ADDRESS = parse_address("226.1.2.3")
-
-
-class TestUpdateMessage:
-    def test_empty(self):
-        assert UpdateMessage().is_empty
-        assert not UpdateMessage(
-            withdrawals=[(PREFIX.network, PREFIX.length, RouteType.GROUP)]
-        ).is_empty
 
 
 class TestPropagation:

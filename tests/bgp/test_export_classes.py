@@ -1,10 +1,11 @@
 """The synchronous round exports once per (speaker, session terms) and
 diffs once per update group: the sessions of a router with equal terms
-whose receivers hold the group's advertised table. The cached session
-classes must match a fresh computation after every point that can
-change them, and every live session must be in exactly one group or
-hold a private table that its receiver holds — across the six
-mutations that move sessions out of their groups and back."""
+whose receivers read the group's advertised table as their view. The
+cached session classes must match a fresh computation after every
+point that can change them, and every live session must be in exactly
+one group or hold a private table, its receiver's view being the very
+table its sender diffs — across the six mutations that move sessions
+out of their groups and back."""
 
 import random
 
@@ -13,6 +14,7 @@ import pytest
 from repro.addressing.prefix import Prefix
 from repro.bgp.network import BgpNetwork
 from repro.topology.generators import as_graph
+from tests.bgp._views import assert_views_hold
 from tests.conftest import recompute_everything
 
 ORIGINS = {
@@ -50,17 +52,10 @@ def _assert_cache_fresh(network):
         assert dict(cached) == _recomputed(network, router)
 
 
-def _received(network, sender, receiver):
-    """What ``receiver``'s Adj-RIB-In holds from ``sender``."""
-    rib = network.speaker(receiver)._adj_in.get(sender)
-    return rib.snapshot() if rib is not None else {}
-
-
-def _assert_groups_hold(network, identical=False):
+def _assert_groups_hold(network):
     """Every live session is a member of the one group of its terms or
-    private, and its receiver holds that group's table (or its private
-    table), minus the routes its loop check turned into withdrawals.
-    ``identical``: the very same route objects, not only equal ones."""
+    private, and its receiver reads the very table its sender diffs for
+    it (``assert_views_hold``)."""
     members = 0
     for router in network.speakers:
         if not network.router_up(router):
@@ -73,23 +68,9 @@ def _assert_groups_hold(network, identical=False):
         for peer, terms in live.items():
             joined = [t for t, g in groups.items() if peer in g.members]
             assert joined in ([], [terms])
-            if joined:
-                table = groups[terms].table or {}
-                members += 1
-            else:
-                table = network._advertised.get((router, peer), {})
-            expected = {
-                key: route
-                for key, route in table.items()
-                if route.from_internal
-                or not route.has_loop(peer.domain.domain_id)
-            }
-            held = _received(network, router, peer)
-            assert held == expected
-            if identical:
-                for key, route in held.items():
-                    assert route is expected[key]
+            members += bool(joined)
     assert members > 0
+    assert_views_hold(network)
 
 
 def _session_down(network):
@@ -152,7 +133,7 @@ def test_cached_sessions_follow_every_change(mutate):
 def test_update_groups_hold_what_receivers_hold(mutate):
     def run():
         network = _converged(node_count=40)
-        _assert_groups_hold(network, identical=True)
+        _assert_groups_hold(network)
         mutate(network)
         _assert_groups_hold(network)
         network.converge()

@@ -1,15 +1,18 @@
-"""Tests for Adj-RIB-In and Loc-RIB."""
+"""Tests for Adj-RIB-In (a speaker's view of its peer's advertised
+table) and Loc-RIB."""
 
 import random
 
 from repro.addressing.ipv4 import mask_bits, parse_address
 from repro.addressing.prefix import Prefix
 from repro.bgmp.network import BgmpNetwork
-from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.routes import Route, RouteType
+from repro.bgp.rib import LocRib
+from repro.bgp.routes import Route, RouteType, key_for
+from repro.bgp.speaker import BgpSpeaker
 from repro.experiments.churn import group_prefix
 from repro.topology.domain import Domain
 from repro.topology.generators import as_graph
+from tests.bgp._views import receive, received, send
 from tests.conftest import recompute_everything
 
 
@@ -21,26 +24,40 @@ def route(prefix, route_type=RouteType.GROUP, hop=None):
     return Route(prefix, route_type, hop)
 
 
+def _session():
+    """A standalone speaker and the peer whose table it views."""
+    speaker = BgpSpeaker(Domain(0, name="A").router("A1"))
+    return speaker, Domain(1, name="B").router("B1")
+
+
 class TestAdjRibIn:
     def test_update_replaces(self):
-        domain = Domain(0, name="A")
-        rib = AdjRibIn(domain.router("A1"))
-        rib.update(route(P24))
-        rib.update(route(P24))
-        assert len(rib) == 1
+        speaker, peer = _session()
+        receive(speaker, peer, Route(P24, RouteType.GROUP, peer, (1,)))
+        receive(speaker, peer, Route(P24, RouteType.GROUP, peer, (1, 2)))
+        assert len(received(speaker, peer)) == 1
+        assert received(speaker, peer)[
+            key_for(RouteType.GROUP, P24)
+        ].as_path == (1, 2)
 
     def test_withdraw(self):
-        rib = AdjRibIn(Domain(0, name="A").router("A1"))
-        rib.update(route(P24))
-        assert rib.withdraw(RouteType.GROUP, P24)
-        assert not rib.withdraw(RouteType.GROUP, P24)
-        assert len(rib) == 0
+        speaker, peer = _session()
+        key = key_for(RouteType.GROUP, P24)
+        receive(speaker, peer, Route(P24, RouteType.GROUP, peer, (1,)))
+        speaker.recompute()
+        send(speaker, peer, withdrawals=[key])
+        assert speaker._pending == {key: None}
+        speaker.recompute()
+        send(speaker, peer, withdrawals=[key])
+        assert speaker._pending == {}
+        assert len(received(speaker, peer)) == 0
 
     def test_get(self):
-        rib = AdjRibIn(Domain(0, name="A").router("A1"))
-        rib.update(route(P24))
-        assert rib.get(RouteType.GROUP, P24) is not None
-        assert rib.get(RouteType.UNICAST, P24) is None
+        speaker, peer = _session()
+        receive(speaker, peer, Route(P24, RouteType.GROUP, peer, (1,)))
+        view = received(speaker, peer)
+        assert view.get(key_for(RouteType.GROUP, P24)) is not None
+        assert view.get(key_for(RouteType.UNICAST, P24)) is None
 
 
 class TestLocRib:

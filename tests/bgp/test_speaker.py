@@ -3,10 +3,10 @@
 import pytest
 
 from repro.addressing.prefix import Prefix
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.routes import Route, RouteType
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import Domain
+from tests.bgp._views import receive, received, send
 
 
 PREFIX = Prefix.parse("226.0.0.0/16")
@@ -52,7 +52,7 @@ class TestDecisionProcess:
         home, router, speaker = make_speaker()
         speaker.originate(PREFIX)
         peer = Domain(1, name="P").router("P1")
-        speaker.receive(peer, external_route(peer, (1,), local_pref=999))
+        receive(speaker, peer, external_route(peer, (1,), local_pref=999))
         speaker.recompute()
         best = speaker.loc_rib.get(RouteType.GROUP, PREFIX)
         assert best.is_local_origin
@@ -61,8 +61,8 @@ class TestDecisionProcess:
         home, router, speaker = make_speaker()
         short = Domain(1, name="S").router("S1")
         long = Domain(2, name="L").router("L1")
-        speaker.receive(short, external_route(short, (1,), local_pref=100))
-        speaker.receive(long, external_route(
+        receive(speaker, short, external_route(short, (1,), local_pref=100))
+        receive(speaker, long, external_route(
             long, (2, 3, 4), local_pref=300, learned_from="customer"
         ))
         speaker.recompute()
@@ -73,8 +73,8 @@ class TestDecisionProcess:
         home, router, speaker = make_speaker()
         a = Domain(1, name="A").router("A1")
         b = Domain(2, name="B").router("B1")
-        speaker.receive(a, external_route(a, (1, 5, 6)))
-        speaker.receive(b, external_route(b, (2, 5)))
+        receive(speaker, a, external_route(a, (1, 5, 6)))
+        receive(speaker, b, external_route(b, (2, 5)))
         speaker.recompute()
         assert speaker.loc_rib.get(RouteType.GROUP, PREFIX).next_hop is b
 
@@ -82,8 +82,8 @@ class TestDecisionProcess:
         home, router, speaker = make_speaker()
         exit_router = home.router("R2")
         peer = Domain(1, name="P").router("P1")
-        speaker.receive(exit_router, internal_route(exit_router, (9,)))
-        speaker.receive(peer, external_route(peer, (9,)))
+        receive(speaker, exit_router, internal_route(exit_router, (9,)))
+        receive(speaker, peer, external_route(peer, (9,)))
         speaker.recompute()
         best = speaker.loc_rib.get(RouteType.GROUP, PREFIX)
         assert not best.from_internal
@@ -93,8 +93,8 @@ class TestDecisionProcess:
         home, router, speaker = make_speaker()
         a = Domain(1, name="A").router("A1")
         b = Domain(2, name="B").router("B1")
-        speaker.receive(b, external_route(b, (2,)))
-        speaker.receive(a, external_route(a, (1,)))
+        receive(speaker, b, external_route(b, (2,)))
+        receive(speaker, a, external_route(a, (1,)))
         speaker.recompute()
         assert speaker.loc_rib.get(RouteType.GROUP, PREFIX).next_hop is a
 
@@ -102,7 +102,7 @@ class TestDecisionProcess:
         home, router, speaker = make_speaker()
         peer = Domain(1, name="P").router("P1")
         looped = external_route(peer, (1, 0, 5))  # 0 = HOME's id
-        speaker.receive(peer, looped)
+        receive(speaker, peer, looped)
         speaker.recompute()
         assert speaker.loc_rib.get(RouteType.GROUP, PREFIX) is None
 
@@ -111,7 +111,7 @@ class TestDecisionProcess:
         exit_router = home.router("R2")
         # iBGP routes legitimately carry paths that include... nothing
         # of ours, but the check must only apply to eBGP.
-        speaker.receive(exit_router, internal_route(exit_router, (5,)))
+        receive(speaker, exit_router, internal_route(exit_router, (5,)))
         speaker.recompute()
         assert speaker.loc_rib.get(RouteType.GROUP, PREFIX) is not None
 
@@ -119,7 +119,7 @@ class TestDecisionProcess:
         home, router, speaker = make_speaker()
         peer = Domain(1, name="P").router("P1")
         assert not speaker.recompute()  # empty -> empty: no change
-        speaker.receive(peer, external_route(peer, (1,)))
+        receive(speaker, peer, external_route(peer, (1,)))
         assert speaker.recompute()
         assert not speaker.recompute()  # stable now
 
@@ -133,8 +133,8 @@ class TestDecisionProcess:
         held = Prefix.parse("227.0.0.0/16")
         never = Prefix.parse("228.0.0.0/16")
         fresh = Prefix.parse("229.0.0.0/16")
-        speaker.receive(peer, Route(held, RouteType.GROUP, peer, (1,)))
-        speaker.receive(peer, external_route(peer, (1,)))
+        receive(speaker, peer, Route(held, RouteType.GROUP, peer, (1,)))
+        receive(speaker, peer, external_route(peer, (1,)))
         speaker.recompute()
         notices = []
 
@@ -144,13 +144,15 @@ class TestDecisionProcess:
 
         speaker._listener = Listener()
         announced = Route(fresh, RouteType.GROUP, peer, (1,))
-        speaker.deliver(peer, UpdateMessage(
+        send(
+            speaker,
+            peer,
             announcements=[
                 external_route(peer, (1, 0)),  # looped: withdraws PREFIX
                 announced,
             ],
             withdrawals=[_key(held), _key(never)],
-        ))
+        )
         assert notices == [speaker]
         # The withdrawn bests are rescanned, the new key is settled.
         assert speaker._pending == {
@@ -158,7 +160,7 @@ class TestDecisionProcess:
             _key(held): None,
             _key(fresh): announced,
         }
-        assert set(speaker.session_with(peer).keys()) == {_key(fresh)}
+        assert set(received(speaker, peer)) == {_key(fresh)}
 
     def test_withdraw_origin(self):
         home, router, speaker = make_speaker()

@@ -12,6 +12,7 @@ from repro.addressing.prefix import Prefix
 from repro.bgp.network import BgpNetwork
 from repro.bgp.routes import Route, RouteType
 from repro.topology.generators import as_graph
+from tests.bgp._views import received
 
 COVERING = Prefix(224 << 24, 4)
 ORIGINS = {
@@ -33,7 +34,7 @@ def _held_routes(network):
     for router, speaker in network.speakers.items():
         held[router, None] = speaker.loc_rib.snapshot()
         for peer in speaker.peers():
-            held[router, peer] = speaker.session_with(peer).snapshot()
+            held[router, peer] = received(speaker, peer)
     return {holder: table for holder, table in held.items() if table}
 
 

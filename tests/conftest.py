@@ -68,8 +68,8 @@ def recompute_everything(bgp=True, bgmp=True):
             self.speaker_dirty(speaker)
         return converge(self, max_rounds)
 
-    def deliver_and_rescan(self, peer, update):
-        deliver(self, peer, update)
+    def deliver_and_rescan(self, peer, table, changes):
+        deliver(self, peer, table, changes)
         self.redecide_all()
         if self._listener is not None:
             self._listener.decisions_due(self)

@@ -5,7 +5,11 @@ A W300 world holds thousands of forwarding entries and routes, so what
 one of them costs is what the world costs: an entry carries no
 per-instance ``__dict__``, and every route for one (prefix, type) holds
 the same key tuple, whether originated, exported or looked up — also in
-a world restored from a checkpoint.
+a world restored from a checkpoint. What a session carries is held
+once: a receiver's Adj-RIB-In is its sender's advertised table, equal
+AS paths are one tuple, and child lists are tuples. These are counts,
+so they do not move with the interpreter the way RSS or
+``gc.get_objects()`` do.
 """
 
 from repro.addressing.prefix import Prefix
@@ -47,6 +51,53 @@ def test_routes_for_one_prefix_and_type_share_one_key():
     assert key_for(RouteType.GROUP, GROUP_PREFIX) is key
     assert exported_key is key and exported.key() is key
     assert all(route.key() is key for _router, route in learned)
+
+
+def _copies(bgmp):
+    """(views, advertised tables, AS-path objects, distinct AS paths,
+    list-typed child lists, list-typed update-group caches) of a
+    world."""
+    bgp = bgmp.bgp
+    speakers = bgp.speakers.values()
+    groups = [g for terms in bgp._groups.values() for g in terms.values()]
+    tables = [g.table for g in groups] + list(bgp._advertised.values())
+    views = [view for s in speakers for view in s._adj_in.values()]
+    routes = [
+        route
+        for table in (
+            *tables, *views,
+            *(s.loc_rib.best for s in speakers),
+            *(s._origins for s in speakers),
+        )
+        for route in table.values()
+    ]
+    paths = {id(route.as_path): route.as_path for route in routes}
+    entries = [e for r in bgmp.bgmp_routers() for e in r.table.entries()]
+    cached = [
+        part
+        for classes in bgp._sessions.values()
+        for part in (classes, *(private for _t, _g, private in classes))
+    ] + [g.members for g in groups]
+    return (
+        {id(view) for view in views},
+        {id(table) for table in tables},
+        len(paths),
+        len(set(paths.values())),
+        sum(not isinstance(entry.children, tuple) for entry in entries),
+        sum(not isinstance(part, tuple) for part in cached),
+    )
+
+
+def test_what_a_session_carries_is_held_once():
+    _topology, network = w300_world()
+    for world in (network, ckpt.roundtrip(network)):
+        views, tables, path_objects, paths, child_lists, caches = _copies(
+            world
+        )
+        assert views == tables and len(tables) == 1458
+        assert path_objects == paths == 2535
+        assert child_lists == 0
+        assert caches == 0
 
 
 def test_checkpoint_roundtrip_keeps_keys_and_rib_digest():

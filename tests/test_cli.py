@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import argparse
+import io
 import json
 import logging
 import math
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +206,116 @@ class TestParserWalk:
         assert {flag for _argv, flag in OUT_OF_RANGE} <= seen
 
 
+#: String options that name no path.
+NOT_A_PATH = {"--host", "--shard"}
+
+#: Per command with a path option or positional, the smallest run:
+#: every other knob at its least, so no case builds a large world or
+#: starts a process.
+SMALLEST = {
+    "trace": ["fig4", "--nodes", "3", "--trials", "1"],
+    "soak run": ["--segments", "1", "--segment-length", "0.5",
+                 "--faults", "0"],
+    "soak resume": [],
+    "soak replay": [],
+    "serve attach": ["--control", "--segments", "0"],
+    "scenarios run": [],
+    "scenarios list": [],
+    "scenarios validate": [],
+}
+
+#: What each path is fed: an empty directory, a path that does not
+#: exist, and a name that is not UTF-8 (and does not exist).
+PATH_KINDS = {
+    "directory": "adir",
+    "missing": "missing/deeper",
+    "non-utf-8": os.fsdecode(b"\xff"),
+}
+
+
+def path_arguments(parser):
+    """Every path-typed option and positional of every command:
+    (command, flag or positional dest, whether it is positional)."""
+    found = []
+    for prefix, command in leaf_commands(parser):
+        for action in command._actions:
+            if action.choices is not None or action.nargs == 0 or (
+                action.type is not None or action.dest == "help"
+            ):
+                continue
+            if not action.option_strings:
+                found.append((" ".join(prefix), action.dest, True))
+            elif action.option_strings[-1] not in NOT_A_PATH:
+                found.append((" ".join(prefix), action.option_strings[-1],
+                              False))
+    return found
+
+
+def run_main(argv):
+    """``main(argv)`` with the standard streams of a UTF-8 terminal
+    (strict stdout, backslash-escaping stderr); returns the exit code,
+    or the exception it raised, and both streams' text."""
+    streams = [
+        io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors,
+                         write_through=True)
+        for errors in ("strict", "backslashreplace")
+    ]
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = streams
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    except Exception as error:  # lint: disable=DET005 — the walk reports it
+        code = error
+    finally:
+        sys.stdout, sys.stderr = saved
+    return code, *(
+        stream.buffer.getvalue().decode("utf-8", "surrogateescape")
+        for stream in streams
+    )
+
+
+class TestPathWalk:
+    def test_every_path_argument_runs_or_exits_2(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        scenario = str(Path(__file__).resolve().parents[1]
+                       / "scenarios" / "builder_linear.toml")
+        found = path_arguments(build_parser())
+        assert {command for command, _name, _positional in found} == set(
+            SMALLEST
+        )
+        problems = []
+        for index, (command, name, positional) in enumerate(found):
+            for kind, leaf in PATH_KINDS.items():
+                case_dir = tmp_path / f"case{index}-{kind}"
+                case_dir.mkdir()
+                (case_dir / "adir").mkdir()
+                path = str(case_dir / leaf)
+                argv = [*command.split(), *SMALLEST[command]]
+                if positional:
+                    argv.append(path)
+                else:
+                    argv += [name, path]
+                if name == "--golden-dir":  # writes one scenario's golden
+                    argv += ["--regen", scenario]
+                code, _out, err = run_main(argv)
+                case = f"{' '.join(argv)} ({kind})"
+                lines = err.splitlines()
+                if code == 2:
+                    named = name if not positional else path
+                    if len(lines) != 1 or "Traceback" in err or not any(
+                        text in lines[0]
+                        for text in (named, path, repr(path)[1:-1])
+                    ):
+                        problems.append(f"{case}: exit 2 with {lines}")
+                elif code != 0:
+                    problems.append(f"{case}: exit {code!r}, {lines[-3:]}")
+        assert problems == [], "\n".join(problems)
+
+
 class TestCommands:
     def test_fig2_runs(self, capsys):
         code = main(
@@ -349,3 +463,26 @@ class TestSoakCommand:
             ["soak", "resume", "--dir", str(tmp_path / "nothing")]
         )
         assert code == 2
+
+    def test_resume_takes_the_checkpoints_flags(self, tmp_path, capsys):
+        flags = ["--seed", "2", "--segments", "1", "--segment-length", "11",
+                 "--dir", str(tmp_path)]
+        assert main(["soak", "run", *flags]) == 0
+        ran = capsys.readouterr().out.strip().splitlines()[-1]
+        assert main(["soak", "resume", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == ran
+
+    def test_resume_with_a_differing_flag_exits_two(self, tmp_path, capsys):
+        assert main(
+            ["soak", "run", "--segments", "1", "--segment-length", "11",
+             "--dir", str(tmp_path)]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            ["soak", "resume", "--segments", "3", "--dir", str(tmp_path)]
+        ) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "argument --segments: 3 differs from the checkpoint's 1" in (
+            lines[0]
+        )
